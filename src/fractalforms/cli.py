@@ -3,7 +3,7 @@
 Each subcommand computes one family of quantities and writes a CSV or JSON
 report plus a meta sidecar through the reporting module.  Exit codes: 0 ok,
 2 invalid configuration or parameters, 3 resource cap exceeded, 4 linear
-solver failure.
+solver failure (a factorization failed or a residual exceeded solver_tol).
 """
 
 from __future__ import annotations
@@ -38,13 +38,13 @@ from .energies import VertexFunction, restrict_to_level, sg_pointwise_energy_Bn
 from .geometry import cached_vertex_graph, vertex_graph
 from .harmonic import (
     harnack_ball,
-    harnack_solve,
+    harnack_ratio,
     sc_good_function,
     sg_harmonic,
     strip_energy_checks,
 )
 from .kinds import FractalKind, SG_BETA_STAR
-from .networks import SolverError, rho_estimate, sc_RnV, sg_word_resistance
+from .networks import SolverError, rho_estimate, sc_RnV, sg_word_resistance, solver_log
 from .reporting import ExperimentReport
 from .treewalk import (
     WalkParams,
@@ -112,7 +112,7 @@ def _function_for(name: str, kind: FractalKind, level: int, cfg: RunConfig):
     if name == "goodfn":
         if kind is not FractalKind.SC:
             raise ConfigError("goodfn lives on the carpet")
-        return sc_good_function(level, tol=cfg.solver_tol, dense_limit=cfg.dense_limit)
+        return sc_good_function(level, tol=cfg.solver_tol)
     if name == "x":
         return lambda px, py: px
     raise ConfigError(f"unknown function name {name!r}")
@@ -153,7 +153,7 @@ def _run_resistance(cfg: RunConfig, opts) -> ExperimentReport:
     values = []
     for n in levels:
         if kind is FractalKind.SG:
-            res = sg_word_resistance(n, tol=cfg.solver_tol, dense_limit=cfg.dense_limit)
+            res = sg_word_resistance(n, tol=cfg.solver_tol)
         else:
             if n <= GRAPH_CACHE_MAX_LEVEL:
                 vg = cache.get_or_build(
@@ -162,7 +162,7 @@ def _run_resistance(cfg: RunConfig, opts) -> ExperimentReport:
                 )
             else:
                 vg = vertex_graph(kind, n)
-            res = sc_RnV(vg, tol=cfg.solver_tol, dense_limit=cfg.dense_limit)
+            res = sc_RnV(vg, tol=cfg.solver_tol)
         values.append(res.resistance)
     if opts.timing:
         print(
@@ -201,7 +201,7 @@ def _run_walkdim(cfg: RunConfig, opts) -> ExperimentReport:
         if opts.function != "goodfn":
             raise ConfigError("walkdim on the carpet uses the goodfn family")
         for n in levels:
-            g = sc_good_function(n, tol=cfg.solver_tol, dense_limit=cfg.dense_limit)
+            g = sc_good_function(n, tol=cfg.solver_tol)
             energies.append(g.energy)
     rows = []
     for i, (n, e) in enumerate(zip(levels, energies)):
@@ -252,7 +252,7 @@ def _run_goodfn(cfg: RunConfig, opts) -> ExperimentReport:
         raise ConfigError("goodfn runs on the carpet; pass kind=sc")
     n = opts.level
     _check_levels([n], cfg.level_cap())
-    g = sc_good_function(n, tol=cfg.solver_tol, dense_limit=cfg.dense_limit)
+    g = sc_good_function(n, tol=cfg.solver_tol)
     tree = g.values_json_dict()
     tree["resistance"] = 1.0 / g.energy
     return _report("goodfn", cfg, opts, tree=tree)
@@ -271,9 +271,8 @@ def _run_harnack(cfg: RunConfig, opts) -> ExperimentReport:
         ball = harnack_ball(n, center, r, delta)
         for trial in range(opts.trials):
             bvals = rng.uniform(0.0, 1.0, len(ball.boundary_ids))
-            u = harnack_solve(ball, bvals, tol=cfg.solver_tol, dense_limit=cfg.dense_limit)
-            inner = u[ball.inner_ids]
-            rows.append((n, trial, float(inner.max() / inner.min())))
+            ratio = harnack_ratio(n, center, r, delta, bvals, ball=ball, tol=cfg.solver_tol)
+            rows.append((n, trial, ratio))
     return _report("harnack", cfg, opts, columns=("level", "trial", "ratio"), rows=rows)
 
 
@@ -446,7 +445,10 @@ def run(subcommand: str, cfg: RunConfig, opts: Optional[argparse.Namespace] = No
         opts = _build_parser().parse_args([subcommand])
     if getattr(opts, "function", None) is None and subcommand in ("walkdim", "besov"):
         opts.function = _default_function(subcommand, cfg.kind)
-    return _HANDLERS[subcommand](cfg, opts)
+    with solver_log() as log:
+        report = _HANDLERS[subcommand](cfg, opts)
+    report.provenance["solver"] = log.as_dict()
+    return report
 
 
 # ---------------------------------------------------------------------------

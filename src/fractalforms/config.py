@@ -30,7 +30,6 @@ class RunConfig:
     level_cap_sg: int = SG_LEVEL_CAP
     level_cap_sc: int = SC_LEVEL_CAP
     solver_tol: float = 1e-12
-    dense_limit: int = 10_000
     beta_grid: tuple[float, ...] = ()
     lam: float = 0.5
     C1: float = 1.0
@@ -76,8 +75,8 @@ class RunConfig:
                 )
         if self.level_cap_sg < 1 or self.level_cap_sc < 1:
             raise ConfigError("level caps must be >= 1")
-        if self.solver_tol <= 0 or self.dense_limit < 1:
-            raise ConfigError("solver_tol must be positive, dense_limit >= 1")
+        if self.solver_tol <= 0:
+            raise ConfigError("solver_tol must be positive")
         if self.samples < 1 or self.mc_samples < 2:
             raise ConfigError("sample budgets must be positive")
         if self.depth_cut < 2:

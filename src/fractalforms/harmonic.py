@@ -36,7 +36,7 @@ from .kinds import (
     SG_LEVEL_CAP,
     FractalKind,
 )
-from .networks import graph_edge_arrays, solve_dirichlet
+from .networks import DirichletSystem, graph_edge_arrays, solve_dirichlet
 from .words import Word, as_digits
 
 __all__ = [
@@ -372,6 +372,22 @@ class HarnackBall:
     interior_ids: np.ndarray
     boundary_ids: np.ndarray
     inner_ids: np.ndarray
+    _system: Optional[DirichletSystem] = field(default=None, init=False, repr=False)
+
+    def system(self) -> DirichletSystem:
+        """The ball's Dirichlet problem for the pair-count conductances,
+        factored on first use and reused by every later solve."""
+        if self._system is None:
+            vg = self.graph
+            in_ball = np.zeros(vg.n_vertices, dtype=bool)
+            in_ball[self.interior_ids] = True
+            in_ball[self.boundary_ids] = True
+            ii, jj, cc = graph_edge_arrays(vg)
+            keep = in_ball[ii] & in_ball[jj]
+            self._system = DirichletSystem(
+                vg.n_vertices, ii[keep], jj[keep], cc[keep], self.boundary_ids
+            )
+        return self._system
 
 
 def _sq_dist_num(vg: VertexGraph, center) -> tuple[np.ndarray, int]:
@@ -441,7 +457,6 @@ def harnack_ball(
 def harnack_solve(ball: HarnackBall, boundary_values, **solver_kw) -> np.ndarray:
     """Potentials on the whole graph (zero off the ball), harmonic on the
     interior for the pair-count conductances, boundary data in id order."""
-    vg = ball.graph
     bvals = np.asarray(boundary_values, dtype=float)
     if bvals.shape != (len(ball.boundary_ids),):
         raise ValueError(
@@ -451,20 +466,7 @@ def harnack_solve(ball: HarnackBall, boundary_values, **solver_kw) -> np.ndarray
         raise ValueError("boundary values must be nonnegative")
     if not np.any(bvals > 0):
         raise ValueError("boundary values must not be identically zero")
-    in_ball = np.zeros(vg.n_vertices, dtype=bool)
-    in_ball[ball.interior_ids] = True
-    in_ball[ball.boundary_ids] = True
-    ii, jj, cc = graph_edge_arrays(vg)
-    keep = in_ball[ii] & in_ball[jj]
-    u, _ = solve_dirichlet(
-        vg.n_vertices,
-        ii[keep],
-        jj[keep],
-        cc[keep],
-        ball.boundary_ids,
-        bvals,
-        **solver_kw,
-    )
+    u, _ = ball.system().solve(bvals, **solver_kw)
     return u
 
 

@@ -1,16 +1,21 @@
 """Resistor-network reduction and effective resistance.
 
-The solver contract is shared by every consumer in the package: dense direct
-solve below 10^4 free nodes, diagonally preconditioned conjugate gradients
-above, residual tolerance 1e-12, iteration cap 50*sqrt(n).  Triangle-star
-substitutions, node shorting, and node cutting are exact on rational inputs.
+The solver contract is shared by every consumer in the package: one sparse
+direct path.  `DirichletSystem` assembles the free-free Laplacian block once,
+factors it with SuperLU (`splu`, minimum-degree ordering on A^T + A), and
+solves any number of right-hand sides on that factor.  Every solve checks
+|L x - b| <= tol * max(1, |b|) with tol = 1e-12 by default; a failed
+factorization or a missed residual (NaN included) raises SolverError.
+`solve_dirichlet` is the single-shot form.  Triangle-star substitutions,
+node shorting, and node cutting are exact on rational inputs.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,13 +30,14 @@ from .geometry import (
 )
 from .kinds import FractalKind, sc_beta_star
 
-DENSE_LIMIT = 10_000
-CG_TOL = 1e-12
-CG_MAXITER_FACTOR = 50
+SOLVER_TOL = 1e-12
+# fixed, not a tuning knob: single-column supernodes keep the factor's
+# transient memory small on tree-like graphs and cost nothing on the carpet
+_SPLU_OPTIONS = {"Relax": 1, "PanelSize": 1}
 
 
 class SolverError(RuntimeError):
-    """Linear solve failed to reach the requested residual."""
+    """Factorization failed or a solve missed the requested residual."""
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +168,135 @@ def _components_from(n: int, ii, jj, seeds) -> np.ndarray:
     return np.isin(labels, labels[np.asarray(seeds, dtype=np.int64)])
 
 
+@dataclass
+class SolverLog:
+    """What the solver did inside one `solver_log` block."""
+
+    methods: set[str] = field(default_factory=set)
+    factorizations: int = 0
+    solves: int = 0
+    max_residual: float = 0.0
+
+    def as_dict(self) -> dict:
+        return {
+            "method": ",".join(sorted(self.methods)) or "none",
+            "factorizations": self.factorizations,
+            "solves": self.solves,
+            "max_residual": self.max_residual,
+        }
+
+
+_open_logs: list[SolverLog] = []
+
+
+@contextmanager
+def solver_log() -> Iterator[SolverLog]:
+    """Count the factorizations and solves made inside the block."""
+    log = SolverLog()
+    _open_logs.append(log)
+    try:
+        yield log
+    finally:
+        _open_logs.remove(log)
+
+
+def _record(method: str, factorizations: int = 0, solves: int = 0, residual: float = 0.0) -> None:
+    for log in _open_logs:
+        log.methods.add(method)
+        log.factorizations += factorizations
+        log.solves += solves
+        log.max_residual = max(log.max_residual, residual)
+
+
+class DirichletSystem:
+    """Minimize sum c_e (u_i - u_j)^2 with the values on `fixed_ids` given.
+
+    The free-free block of the Laplacian is assembled and factored once;
+    `solve` then takes any number of fixed-value vectors.  Nodes in no
+    component of a fixed node are not free: their potential is 0.
+    """
+
+    def __init__(self, n: int, ii, jj, cond, fixed_ids) -> None:
+        self.n = n
+        self.fixed_ids = np.asarray(fixed_ids, dtype=np.int64)
+        isfixed = np.zeros(n, dtype=bool)
+        isfixed[self.fixed_ids] = True
+        free_mask = _components_from(n, ii, jj, self.fixed_ids) & ~isfixed
+        self.free = np.nonzero(free_mask)[0]
+        self._lu = None
+        if len(self.free) == 0:
+            return
+        self._L, self._load = self._assemble(ii, jj, cond, free_mask)
+        try:
+            self._lu = spla.splu(self._L, permc_spec="MMD_AT_PLUS_A", options=_SPLU_OPTIONS)
+        except RuntimeError as e:
+            raise SolverError(f"factorization failed at {len(self.free)} unknowns: {e}") from e
+        _record("splu", factorizations=1)
+
+    def _assemble(self, ii, jj, cond, free_mask) -> tuple[sp.csc_array, sp.csr_array]:
+        """The free-free Laplacian block (CSC) and the load on the free nodes
+        per unit value on each fixed node; the edge intermediates die here."""
+        ii = np.asarray(ii, dtype=np.int64)
+        jj = np.asarray(jj, dtype=np.int64)
+        cond = np.asarray(cond, dtype=float)
+        nf, nfix = len(self.free), len(self.fixed_ids)
+        # position of each node among the free nodes, or among the fixed ones
+        pos = np.full(self.n, -1, dtype=np.int32)
+        pos[self.free] = np.arange(nf, dtype=np.int32)
+        pos[self.fixed_ids] = np.arange(nfix, dtype=np.int32)
+        fi, fj = free_mask[ii], free_mask[jj]
+        diag = np.bincount(pos[ii[fi]], cond[fi], nf) + np.bincount(pos[jj[fj]], cond[fj], nf)
+        both = fi & fj
+        bi, bj, bc = pos[ii[both]], pos[jj[both]], -cond[both]
+        L = sp.csc_array(
+            (
+                np.concatenate([bc, bc, diag]),
+                (np.concatenate([bi, bj, pos[self.free]]), np.concatenate([bj, bi, pos[self.free]])),
+            ),
+            shape=(nf, nf),
+        )
+        oi, oj = fi & ~fj, fj & ~fi
+        load = sp.csr_array(
+            (
+                np.concatenate([cond[oi], cond[oj]]),
+                (
+                    np.concatenate([pos[ii[oi]], pos[jj[oj]]]),
+                    np.concatenate([pos[jj[oi]], pos[ii[oj]]]),
+                ),
+            ),
+            shape=(nf, nfix),
+        )
+        return L, load
+
+    def solve(self, values, tol: float = SOLVER_TOL) -> tuple[np.ndarray, dict]:
+        """Potentials for fixed values in `fixed_ids` order.
+
+        `values` is one vector, or a matrix with one column per right-hand
+        side; the potentials have the matching shape with n rows.  Raises
+        SolverError when a residual exceeds tol * max(1, |load|).
+        """
+        values = np.asarray(values, dtype=float)
+        u = np.zeros((self.n,) + values.shape[1:])
+        u[self.fixed_ids] = values
+        n_rhs = 1 if values.ndim == 1 else values.shape[1]
+        if self._lu is None:
+            _record("trivial", solves=n_rhs)
+            return u, {"method": "trivial", "residual": 0.0, "iterations": 0}
+        b = self._load @ values
+        x = self._lu.solve(b)
+        bnorm = np.linalg.norm(b, axis=0)
+        res = np.linalg.norm(self._L @ x - b, axis=0)
+        bad = ~(res <= tol * np.maximum(1.0, bnorm))  # NaN counts as a failure
+        worst = float(np.max(res))
+        if np.any(bad):
+            raise SolverError(
+                f"splu residual {worst:.3e} above tolerance {tol:.1e} at {len(self.free)} unknowns"
+            )
+        _record("splu", solves=n_rhs, residual=worst)
+        u[self.free] = x
+        return u, {"method": "splu", "residual": worst, "iterations": 0}
+
+
 def solve_dirichlet(
     n: int,
     ii: np.ndarray,
@@ -169,89 +304,14 @@ def solve_dirichlet(
     cond: np.ndarray,
     fixed_ids: np.ndarray,
     fixed_vals: np.ndarray,
-    tol: float = CG_TOL,
-    maxiter_factor: int = CG_MAXITER_FACTOR,
-    dense_limit: int = DENSE_LIMIT,
+    tol: float = SOLVER_TOL,
 ) -> tuple[np.ndarray, dict]:
     """Minimize sum c_e (u_i - u_j)^2 subject to the fixed values.
 
     Returns potentials for all n nodes (unreached components sit at 0) and an
     info dict with method/residual/iterations.
     """
-    ii = np.asarray(ii, dtype=np.int64)
-    jj = np.asarray(jj, dtype=np.int64)
-    cond = np.asarray(cond, dtype=float)
-    fixed_ids = np.asarray(fixed_ids, dtype=np.int64)
-    fixed_vals = np.asarray(fixed_vals, dtype=float)
-
-    u = np.zeros(n, dtype=float)
-    u[fixed_ids] = fixed_vals
-    reached = _components_from(n, ii, jj, fixed_ids)
-    isfixed = np.zeros(n, dtype=bool)
-    isfixed[fixed_ids] = True
-    free_mask = reached & ~isfixed
-    free = np.nonzero(free_mask)[0]
-    if len(free) == 0:
-        return u, {"method": "trivial", "residual": 0.0, "iterations": 0}
-
-    pos = -np.ones(n, dtype=np.int64)
-    pos[free] = np.arange(len(free))
-
-    # assemble the free-free Laplacian block and the boundary load
-    keep = free_mask[ii] | free_mask[jj]
-    ei, ej, ec = ii[keep], jj[keep], cond[keep]
-    nf = len(free)
-    diag = np.zeros(nf)
-    rhs = np.zeros(nf)
-    fi = free_mask[ei]
-    fj = free_mask[ej]
-    np.add.at(diag, pos[ei[fi]], ec[fi])
-    np.add.at(diag, pos[ej[fj]], ec[fj])
-    both = fi & fj
-    rows = pos[ei[both]]
-    cols = pos[ej[both]]
-    vals = -ec[both]
-    bi = fi & ~fj  # free i, fixed j
-    np.add.at(rhs, pos[ei[bi]], ec[bi] * u[ej[bi]])
-    bj = fj & ~fi
-    np.add.at(rhs, pos[ej[bj]], ec[bj] * u[ei[bj]])
-
-    L = sp.coo_matrix(
-        (
-            np.concatenate([vals, vals, diag]),
-            (
-                np.concatenate([rows, cols, np.arange(nf)]),
-                np.concatenate([cols, rows, np.arange(nf)]),
-            ),
-        ),
-        shape=(nf, nf),
-    ).tocsr()
-
-    if nf < dense_limit:
-        x = np.linalg.solve(L.toarray(), rhs)
-        res = float(np.linalg.norm(L @ x - rhs))
-        info = {"method": "dense", "residual": res, "iterations": 0}
-    else:
-        dinv = 1.0 / L.diagonal()
-        M = spla.LinearOperator(L.shape, matvec=lambda v: dinv * v)
-        maxiter = int(maxiter_factor * math.sqrt(nf)) + 1
-        iters = 0
-
-        def _count(_):
-            nonlocal iters
-            iters += 1
-
-        x, code = spla.cg(
-            L, rhs, M=M, rtol=tol, atol=0.0, maxiter=maxiter, callback=_count
-        )
-        res = float(np.linalg.norm(L @ x - rhs))
-        if code != 0:
-            raise SolverError(
-                f"cg failed (code {code}) at {nf} unknowns, residual {res:.3e}"
-            )
-        info = {"method": "cg", "residual": res, "iterations": iters}
-    u[free] = x
-    return u, info
+    return DirichletSystem(n, ii, jj, cond, fixed_ids).solve(fixed_vals, tol=tol)
 
 
 @dataclass
@@ -275,9 +335,7 @@ def resistance_from_arrays(
     A_ids,
     B_ids,
     keep_potentials: bool = False,
-    tol: float = CG_TOL,
-    maxiter_factor: int = CG_MAXITER_FACTOR,
-    dense_limit: int = DENSE_LIMIT,
+    tol: float = SOLVER_TOL,
 ) -> ResistanceResult:
     """Effective resistance between node sets A (potential 0) and B (1)."""
     ii = np.asarray(ii, dtype=np.int64)
@@ -296,10 +354,7 @@ def resistance_from_arrays(
 
     fixed = np.concatenate([A_ids, B_ids])
     vals = np.concatenate([np.zeros(len(A_ids)), np.ones(len(B_ids))])
-    u, info = solve_dirichlet(
-        n, ii, jj, cond, fixed, vals,
-        tol=tol, maxiter_factor=maxiter_factor, dense_limit=dense_limit,
-    )
+    u, info = solve_dirichlet(n, ii, jj, cond, fixed, vals, tol=tol)
     d = u[ii] - u[jj]
     energy = float(np.sum(cond * d * d))
     if energy <= 0:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import cell_graph
 from .kinds import FractalKind
-from .networks import resistance_from_arrays, solve_dirichlet
+from .networks import solve_dirichlet
 from .words import Word, as_digits
 
 __all__ = [
@@ -319,22 +319,27 @@ def _solver_allowance(residual: float) -> float:
 
 
 @lru_cache(maxsize=8)
-def _hitting_potentials(
-    params: WalkParams, depth_cut: int
-) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(lower, upper) potential vectors with their solver allowances; the
-    value at id(x) estimates the chance of reaching the root from x before
-    escaping."""
+def _closure_solves(
+    lam: float, C1: float, C2: float, depth_cut: int
+) -> tuple[tuple[np.ndarray, float, float], ...]:
+    """(potentials, solver allowance, resistance) per closure, ground first.
+
+    The potential at id(x) estimates the chance of reaching the root from x
+    before escaping: the root is fixed at 1, the ground at 0.  The energy
+    sum c (v_i - v_j)^2 is unchanged under v -> 1 - v, so the same solve
+    gives the root-to-ground resistance.  The key holds only what the
+    conductances depend on; the factors are dropped once solved.
+    """
+    params = WalkParams(lam=lam, C1=C1, C2=C2)
     out = []
-    pads = []
     for mode in ("ground", "tail"):
         n, ii, jj, cc, ground = _closure(params, depth_cut, mode)
         fixed = np.concatenate([[0], ground])
         vals = np.concatenate([[1.0], np.zeros(len(ground))])
         v, info = solve_dirichlet(n, ii, jj, cc, fixed, vals)
-        out.append(v)
-        pads.append(_solver_allowance(info["residual"]))
-    return out[0], out[1], pads[0], pads[1]
+        d = v[ii] - v[jj]
+        out.append((v, _solver_allowance(info["residual"]), 1.0 / float(np.sum(cc * d * d))))
+    return tuple(out)
 
 
 def hitting_prob_F(x, params: WalkParams, depth_cut: Optional[int] = None) -> tuple[float, float]:
@@ -350,20 +355,19 @@ def hitting_prob_F(x, params: WalkParams, depth_cut: Optional[int] = None) -> tu
         raise ValueError("x must sit strictly inside the working ball")
     if len(xd) == 0:
         return 1.0, 1.0
-    lo_v, hi_v, lo_pad, hi_pad = _hitting_potentials(params, depth_cut)
+    (lo_v, lo_pad, _), (hi_v, hi_pad, _) = _closure_solves(
+        params.lam, params.C1, params.C2, depth_cut
+    )
     i = tree_graph(depth_cut).id_of(xd)
     lo, hi = float(lo_v[i]) - lo_pad, float(hi_v[i]) + hi_pad
     return min(lo, hi), max(lo, hi)
 
 
 def _green_exact(params: WalkParams, depth_cut: int) -> tuple[float, float]:
-    out = []
-    for mode in ("ground", "tail"):
-        n, ii, jj, cc, ground = _closure(params, depth_cut, mode)
-        res = resistance_from_arrays(n, ii, jj, cc, np.array([0]), ground)
-        pad = _solver_allowance(res.residual)
-        out.append(3.0 * res.resistance + (pad if mode == "tail" else -pad))
-    lo, hi = out
+    (_, lo_pad, lo_r), (_, hi_pad, hi_r) = _closure_solves(
+        params.lam, params.C1, params.C2, depth_cut
+    )
+    lo, hi = 3.0 * lo_r - lo_pad, 3.0 * hi_r + hi_pad
     return min(lo, hi), max(lo, hi)
 
 

@@ -15,7 +15,8 @@ from fractalforms.config import (
     parse_config_text,
     serialize_config,
 )
-from fractalforms.cli import main
+from fractalforms import networks
+from fractalforms.cli import _build_parser, main, run
 from fractalforms.reporting import ExperimentReport, experiment_id, fmt_float
 
 
@@ -291,3 +292,31 @@ def test_cli_cache_reused_across_runs(tmp_path):
     assert files_before
     _run(tmp_path, "resistance", "--kind", "sc", "--levels", "1..2")
     assert {p.name for p in cache_dir.iterdir()} == files_before
+
+
+def test_cli_solver_failure_exit_4(tmp_path, monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(networks.spla, "splu", singular)
+    rc, out = _run(tmp_path, "resistance", "--kind", "sc", "--levels", "1..2")
+    assert rc == 4
+    assert not list(Path(out).glob("*.csv"))
+
+
+def test_cli_solver_provenance_only_in_meta(tmp_path):
+    argv = ["resistance", "--kind", "sc", "--levels", "1..3"]
+    rc, out = _run(tmp_path, *argv)
+    assert rc == 0
+    meta = json.loads(sorted(Path(out).glob("*meta.json"))[0].read_text())
+    solver = meta["provenance"]["solver"]
+    assert solver["method"] == "splu"
+    assert (solver["factorizations"], solver["solves"]) == (3, 3)
+    assert 0.0 <= solver["max_residual"] <= 1e-12
+    # the same run with the solver record dropped writes the same data bytes
+    report = run("resistance", RunConfig(kind="sc", cache_dir=str(tmp_path / "cache")),
+                 _build_parser().parse_args(argv))
+    del report.provenance["solver"]
+    plain = report.write(tmp_path / "plain")
+    assert "solver" not in json.loads(plain[1].read_text())["provenance"]
+    assert plain[0].read_bytes() == _csv_bytes(out)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from fractalforms.kinds import FractalKind
 from fractalforms.geometry import cached_vertex_graph, sg_corner_ids, vertex_graph
 from fractalforms.energies import VertexFunction, kigami_energy_En, sc_pointwise_energy_Dn
+from fractalforms.networks import solver_log
 from fractalforms.harmonic import (
     SgHarmonic,
     half_triadic_f,
@@ -214,6 +215,16 @@ def test_harnack_solve_respects_maximum_principle():
     assert inside.min() >= bvals.min() - 1e-10
     ratio = harnack_ratio(3, HARNACK_CENTER, HARNACK_R, HARNACK_DELTA, bvals, ball=ball)
     assert 1.0 <= ratio < np.inf
+
+
+def test_harnack_ball_factors_once():
+    ball = harnack_ball(3, HARNACK_CENTER, HARNACK_R, HARNACK_DELTA)
+    rng = np.random.default_rng(2)
+    with solver_log() as log:
+        for _ in range(4):
+            harnack_ratio(3, HARNACK_CENTER, HARNACK_R, HARNACK_DELTA,
+                          rng.uniform(0.5, 2.0, len(ball.boundary_ids)), ball=ball)
+    assert (log.factorizations, log.solves) == (1, 4)
 
 
 def test_harnack_rejects_empty_shrunken_ball():

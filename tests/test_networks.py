@@ -7,8 +7,9 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from fractalforms.kinds import FractalKind
-from fractalforms.geometry import vertex_graph
+from fractalforms.geometry import sc_side_ids, vertex_graph
 from fractalforms.networks import (
+    DirichletSystem,
     ResistanceResult,
     SolverError,
     WeightedNetwork,
@@ -22,6 +23,7 @@ from fractalforms.networks import (
     sg_vertex_corner_resistance,
     sg_word_resistance,
     solve_dirichlet,
+    solver_log,
     wye_to_delta,
 )
 
@@ -132,7 +134,8 @@ def test_series_resistance_and_potentials():
     assert abs(res.resistance - 2.0) < 1e-12
     u, info = solve_dirichlet(3, ii, jj, cc, np.array([0, 2]), np.array([0.0, 1.0]))
     assert abs(u[1] - 0.5) < 1e-12
-    assert info["method"] == "dense"
+    assert info["method"] == "splu"
+    assert info["iterations"] == 0
 
 
 def test_disconnected_terminals_infinite_resistance():
@@ -152,20 +155,52 @@ def test_solve_dirichlet_zero_off_reached_component():
     assert u[2] == 0.0 and u[3] == 0.0
 
 
-def test_maxiter_cap_raises_solver_error():
+def test_nan_conductance_raises_solver_error():
     vg = vertex_graph(FractalKind.SG, 4)
     ii, jj, cc = graph_edge_arrays(vg)
+    cc[5] = np.nan
     with pytest.raises(SolverError):
-        solve_dirichlet(
-            vg.n_vertices,
-            ii,
-            jj,
-            cc,
-            np.array([0, 1]),
-            np.array([0.0, 1.0]),
-            dense_limit=1,
-            maxiter_factor=0,
-        )
+        solve_dirichlet(vg.n_vertices, ii, jj, cc, np.array([0, 1]), np.array([0.0, 1.0]))
+
+
+def test_failed_factorization_raises_solver_error():
+    # node 1 hangs on a zero conductance: the free block is singular
+    ii, jj, cc = np.array([0, 1]), np.array([1, 2]), np.array([0.0, 0.0])
+    with pytest.raises(SolverError, match="factorization"):
+        solve_dirichlet(3, ii, jj, cc, np.array([0, 2]), np.array([0.0, 1.0]))
+
+
+def test_multi_rhs_solve_equals_column_solves_bitwise():
+    vg = vertex_graph(FractalKind.SC, 3, with_cells=False)
+    ii, jj, cc = graph_edge_arrays(vg)
+    fixed = np.concatenate([sc_side_ids(vg, "left"), sc_side_ids(vg, "right")])
+    values = np.random.default_rng(1).uniform(0.0, 1.0, (len(fixed), 5))
+    system = DirichletSystem(vg.n_vertices, ii, jj, cc, fixed)
+    u, info = system.solve(values)
+    assert u.shape == (vg.n_vertices, 5)
+    assert info["method"] == "splu"
+    for k in range(5):
+        col, _ = system.solve(values[:, k])
+        assert np.array_equal(u[:, k], col)
+        single, _ = solve_dirichlet(vg.n_vertices, ii, jj, cc, fixed, values[:, k])
+        assert np.array_equal(single, col)
+
+
+def test_solver_log_counts_factorizations_and_solves():
+    ii, jj, cc = np.array([0, 1]), np.array([1, 2]), np.array([1.0, 1.0])
+    with solver_log() as log:
+        system = DirichletSystem(3, ii, jj, cc, np.array([0, 2]))
+        system.solve(np.array([0.0, 1.0]))
+        system.solve(np.array([[0.0, 1.0], [1.0, 3.0]]))
+    assert log.as_dict() == {
+        "method": "splu",
+        "factorizations": 1,
+        "solves": 3,
+        "max_residual": log.max_residual,
+    }
+    assert log.max_residual <= 1e-12
+    solve_dirichlet(3, ii, jj, cc, np.array([0, 2]), np.array([0.0, 1.0]))
+    assert log.factorizations == 1  # the block is closed
 
 
 def test_sg_word_resistance_closed_form():

@@ -7,7 +7,11 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from fractalforms.networks import resistance_from_arrays, solve_dirichlet
 from fractalforms.treewalk import (
+    _closure,
+    _closure_solves,
+    _solver_allowance,
     WalkParams,
     boundary_hit_distribution,
     build_tables,
@@ -134,6 +138,47 @@ def test_green_exact_bracket():
         expect = 1.0 / (1.0 - lam)
         assert g["lower"] <= expect <= g["upper"]
         assert g["upper"] - g["lower"] < 0.05 * expect
+
+
+def test_shared_closure_solve_matches_two_solves():
+    # G_oo reads R off the hitting potentials; the reference is a separate
+    # resistance solve per closure, with the root at 0 and the ground at 1
+    p = _params(lam=0.5, depth_cut=6)
+    lo, hi = green_oo(p, mode="exact").values()
+    shared = _closure_solves(p.lam, p.C1, p.C2, 6)
+    old_ends = []
+    for mode, (v, pad, R) in zip(("ground", "tail"), shared):
+        n, ii, jj, cc, ground = _closure(p, 6, mode)
+        old = resistance_from_arrays(n, ii, jj, cc, np.array([0]), ground)
+        old_v, info = solve_dirichlet(
+            n, ii, jj, cc, np.concatenate([[0], ground]), np.concatenate([[1.0], np.zeros(len(ground))])
+        )
+        assert abs(3.0 * R - 3.0 * old.resistance) <= 1e-12
+        assert np.max(np.abs(v - old_v)) <= 1e-12
+        assert pad == _solver_allowance(info["residual"])
+        old_pad = _solver_allowance(old.residual)
+        sign = -1.0 if mode == "ground" else 1.0
+        old_ends.append((3.0 * old.resistance + sign * old_pad, abs(pad - old_pad)))
+    # the bracket ends move only by the change of solver allowance
+    for new, (old, dpad) in zip((lo, hi), old_ends):
+        assert abs(new - old) <= 1e-12 + dpad
+    tg = tree_graph(6)
+    for w in ("0", "12", "021", "2101"):
+        i = tg.id_of(w)
+        (lo_v, lo_pad, _), (hi_v, hi_pad, _) = shared
+        assert hitting_prob_F(w, p) == (lo_v[i] - lo_pad, hi_v[i] + hi_pad)
+
+
+def test_closure_solve_cache_ignores_simulation_params():
+    _closure_solves.cache_clear()
+    a = _params(lam=0.4, depth_cut=5, seed=1)
+    b = _params(lam=0.4, depth_cut=5, seed=2)
+    assert green_oo(a, mode="exact") == green_oo(b, mode="exact")
+    info = _closure_solves.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    c = _params(lam=0.4, depth_cut=5, samples=10, workers=1, step_cap=7)
+    hitting_prob_F("01", c)
+    assert _closure_solves.cache_info().misses == 1
 
 
 def test_green_mc_agrees_with_closed_form():
