@@ -210,12 +210,7 @@ def _sg_harmonic_values(h: SgHarmonic, digits: np.ndarray) -> np.ndarray:
 
 
 def _graph_lookup_values(u: VertexFunction, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    vals = u.as_float_array()
-    index = u.graph.index
-    out = np.empty(len(gx))
-    for i in range(len(gx)):
-        out[i] = vals[index[(int(gx[i]), int(gy[i]))]]
-    return out
+    return u.as_float_array()[u.graph.ids_of(gx, gy)]
 
 
 def besov_double_integral_mc(
@@ -423,7 +418,8 @@ def interval_trace_check(
     interval = 0.0
     for n in range(1, N + 1):
         step = 2 ** (s - n)
-        ids = [vg.index[(i * step, 0)] for i in range(2 ** n + 1)]
+        xs = np.arange(2 ** n + 1) * step
+        ids = vg.ids_of(xs, np.zeros_like(xs))
         edge_vals = vals[ids]
         d = np.diff(edge_vals)
         interval += 2.0 ** ((beta2 - 1.0) * n) * float(np.dot(d, d))

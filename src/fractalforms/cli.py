@@ -56,7 +56,7 @@ from .treewalk import (
 )
 from .words import enumerate_words
 
-GRAPH_CACHE_VERSION = 1
+GRAPH_CACHE_VERSION = 2
 GRAPH_CACHE_MAX_LEVEL = 5
 
 SUBCOMMANDS = (

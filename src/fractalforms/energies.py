@@ -9,23 +9,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from .geometry import (
-    CellGraph,
+    SC_PAIRS,
+    SG_PAIRS,
     VertexGraph,
-    _cell_accumulators,
+    _cells,
     cell_graph,
-    corner_numerators,
     vertex_scale,
 )
 from .kinds import FractalKind
-from .words import enumerate_words
-
-SG_PAIRS = ((0, 1), (0, 2), (1, 2))
-SC_PAIRS = tuple((i, (i + 1) % 8) for i in range(8))
 
 
 @dataclass(eq=False)
@@ -95,12 +90,7 @@ class CellFunction:
 
 
 # ---------------------------------------------------------------------------
-# corner id tables per (graph, level), memoized on the graph object
-
-_corner_cache: "WeakKeyDictionary[VertexGraph, dict[int, np.ndarray]]" = (
-    WeakKeyDictionary()
-)
-
+# corner id tables
 
 def corner_ids_at_level(vg: VertexGraph, n: int) -> np.ndarray:
     """(n_cells, boundary_size) vertex ids of every level-n cell's corners.
@@ -109,22 +99,10 @@ def corner_ids_at_level(vg: VertexGraph, n: int) -> np.ndarray:
     """
     if not 0 <= n <= vg.level:
         raise ValueError(f"level {n} outside graph range 0..{vg.level}")
-    per_graph = _corner_cache.setdefault(vg, {})
-    got = per_graph.get(n)
-    if got is not None:
-        return got
     kind = vg.kind
-    nb = kind.boundary_size
     lift = kind.base ** (vg.scale - vertex_scale(kind, n))
-    index = vg.index
-    rows = np.empty((kind.n_maps ** n, nb), dtype=np.int64)
-    for ci, w in enumerate(enumerate_words(kind, n)):
-        gx, gy = _cell_accumulators(kind, w)
-        for i in range(nb):
-            cx, cy = corner_numerators(kind, gx, gy, i)
-            rows[ci, i] = index[(cx * lift, cy * lift)]
-    per_graph[n] = rows
-    return rows
+    _, _, cx, cy = _cells(kind, n)
+    return vg.ids_of(cx * lift, cy * lift)
 
 
 def _pair_energy(u: VertexFunction, n: int, pairs) -> object:
@@ -242,28 +220,15 @@ def mean_value_Mnm(cf: CellFunction, m: int) -> CellFunction:
 # ---------------------------------------------------------------------------
 # cell-graph energies
 
-_cellgraph_cache: dict[tuple[FractalKind, int], CellGraph] = {}
-
-
-def _cell_graph(kind: FractalKind, n: int) -> CellGraph:
-    got = _cellgraph_cache.get((kind, n))
-    if got is None:
-        got = cell_graph(kind, n)
-        _cellgraph_cache[(kind, n)] = got
-    return got
-
-
 def cellgraph_edge_energy(cf: CellFunction):
     """Unit-weight sum of squared differences over adjacent-cell pairs."""
-    cg = _cell_graph(cf.kind, cf.level)
+    edges = cell_graph(cf.kind, cf.level).edges
     vals = cf.values
     if isinstance(vals, np.ndarray) and np.issubdtype(vals.dtype, np.floating):
-        ii = np.fromiter((e[0] for e in cg.edges), dtype=np.int64)
-        jj = np.fromiter((e[1] for e in cg.edges), dtype=np.int64)
-        d = vals[ii] - vals[jj]
+        d = vals[edges[:, 0]] - vals[edges[:, 1]]
         return float(np.dot(d, d))
     total = Fraction(0)
-    for i, j in cg.edges:
+    for i, j in edges.tolist():
         d = vals[i] - vals[j]
         total += d * d
     return total
@@ -300,13 +265,10 @@ def restrict_to_level(u: VertexFunction, coarse: VertexGraph) -> VertexFunction:
     if coarse.kind is not fine.kind or coarse.scale > fine.scale:
         raise ValueError("restriction needs a coarser graph of the same kind")
     lift = fine.kind.base ** (fine.scale - coarse.scale)
-    idx = np.empty(coarse.n_vertices, dtype=np.int64)
-    for i in range(coarse.n_vertices):
-        key = (int(coarse.xn[i]) * lift, int(coarse.yn[i]) * lift)
-        j = fine.index.get(key)
-        if j is None:
-            raise ValueError("coarse vertex missing from the fine graph")
-        idx[i] = j
+    try:
+        idx = fine.ids_of(coarse.xn * lift, coarse.yn * lift)
+    except KeyError:
+        raise ValueError("coarse vertex missing from the fine graph") from None
     if isinstance(u.values, np.ndarray):
         return VertexFunction(coarse, u.values[idx])
     return VertexFunction(coarse, [u.values[int(j)] for j in idx])

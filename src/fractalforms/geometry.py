@@ -10,6 +10,13 @@ Vertices are stored with integer numerators at a fixed per-level scale:
 Equality, hashing, and deduplication therefore never touch floats.  The
 canonical (minimal-scale) form divides out the base while possible; cell
 adjacency and vertex identity are decided on the fixed-scale numerators.
+
+One builder, `_cells`, folds the digit tables into the integer offsets and
+corner numerators of all level-n cells in word order; the vertex graph, the
+cell graph and the energies' corner tables all read it.  Vertex ids follow
+first appearance in that scan.  A point is looked up by its packed key
+x * (full + 1) + y (full = the unit side at the graph's scale) in the
+graph's sorted keys.
 """
 from __future__ import annotations
 
@@ -18,12 +25,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .kinds import SC_OX, SC_OY, SG_AX, SG_AY, FractalKind
-from .words import Word, check_word, enumerate_words, pack_word, unpack_word
+from .words import Word, check_word, unpack_word
 
 
 @dataclass(frozen=True)
@@ -124,107 +131,122 @@ def point_of(kind: FractalKind, w) -> ExactPoint:
 
 
 # ---------------------------------------------------------------------------
-# fixed-scale corner numerators (fast integer path used by the graph builders)
+# the builder: cell offsets and corner numerators of every level-n cell
 
-def _cell_accumulators(kind: FractalKind, digits: Sequence[int]) -> tuple[int, int]:
-    """Per-cell integer offsets: fold digits with the base-point tables."""
-    if kind is FractalKind.SG:
-        gx = gy = 0
-        for d in digits:
-            gx = 2 * gx + SG_AX[d]
-            gy = 2 * gy + SG_AY[d]
-        return gx, gy
-    gx = gy = 0
-    for d in digits:
-        gx = 3 * gx + SC_OX[d]
-        gy = 3 * gy + SC_OY[d]
-    return gx, gy
-
-
-def corner_numerators(
-    kind: FractalKind, gx: int, gy: int, i: int
-) -> tuple[int, int]:
-    """Numerators of corner i of the cell with accumulators (gx, gy).
-
-    Gasket: scale level+1; carpet: scale level.  See module docstring.
-    """
-    if kind is FractalKind.SG:
-        return gx + SG_AX[i], gy + SG_AY[i]
-    return 2 * gx + SC_OX[i], 2 * gy + SC_OY[i]
+SG_PAIRS = ((0, 1), (0, 2), (1, 2))
+SC_PAIRS = tuple((i, (i + 1) % 8) for i in range(8))
 
 
 def vertex_scale(kind: FractalKind, level: int) -> int:
     return level + 1 if kind is FractalKind.SG else level
 
 
+def _full(kind: FractalKind, scale: int) -> int:
+    """Largest coordinate numerator at a scale (the unit side)."""
+    return 2 ** scale if kind is FractalKind.SG else 2 * 3 ** scale
+
+
+def _cells(
+    kind: FractalKind, n: int, digits: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(gx, gy, cx, cy) for every level-n cell, in word order.
+
+    (gx, gy) are the int64 cell offsets, folded one digit at a time as
+    g <- base * g + table[digit], so a cell's index is its word's rank among
+    the words over `digits` (default: all maps).  (cx, cy) are the
+    (cells, boundary_size) corner numerators at vertex_scale(kind, n):
+    g + SG_A on the gasket, 2 g + SC_O on the carpet.
+    """
+    if kind is FractalKind.SG:
+        ox, oy, corner_mul = SG_AX, SG_AY, 1
+    else:
+        ox, oy, corner_mul = SC_OX, SC_OY, 2
+    digits = range(kind.n_maps) if digits is None else digits
+    tx = np.array([ox[d] for d in digits], dtype=np.int64)
+    ty = np.array([oy[d] for d in digits], dtype=np.int64)
+    gx = gy = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        gx = (kind.base * gx[:, None] + tx).ravel()
+        gy = (kind.base * gy[:, None] + ty).ravel()
+    cx = corner_mul * gx[:, None] + np.array(ox, dtype=np.int64)
+    cy = corner_mul * gy[:, None] + np.array(oy, dtype=np.int64)
+    return gx, gy, cx, cy
+
+
+def _search(sorted_keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the queries in a sorted key array, and which are present."""
+    pos = np.minimum(np.searchsorted(sorted_keys, q), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == q
+
+
+def _unique_pairs(a: np.ndarray, b: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct unordered id pairs as (m, 2) int64 rows (min, max) sorted by
+    (min, max), and how often each occurs."""
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    packed, mult = np.unique(lo * size + hi, return_counts=True)
+    return np.stack([packed // size, packed % size], axis=1), mult
+
+
 # ---------------------------------------------------------------------------
 # cell graph
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CellGraph:
     """Level-n cells with intersection adjacency.
 
-    Edges are index pairs into `words` (lexicographic order).  For the gasket
-    each edge carries a type: "I" when the two cells' own addressed vertices
-    differ, "II" when they coincide.
+    A cell's id is the lexicographic rank of its word.  `edges` holds the
+    (m, 2) int64 id pairs i < j sorted by (i, j).  On the gasket
+    `second_type[e]` tells that the two cells' own addressed vertices
+    coincide (type II; type I otherwise); on the carpet it is None.  The
+    arrays are shared through the cache of cell_graph and read-only.
     """
 
     kind: FractalKind
     level: int
-    words: list[tuple[int, ...]]
-    edges: list[tuple[int, int]]
-    edge_types: list[str] | None = None
+    edges: np.ndarray
+    second_type: np.ndarray | None = None
 
     @property
     def n_cells(self) -> int:
-        return len(self.words)
+        return self.kind.n_maps ** self.level
 
 
+@lru_cache(maxsize=32)
 def cell_graph(kind: FractalKind, n: int) -> CellGraph:
     if n < 1:
         raise ValueError("cell graph needs level >= 1")
-    words = list(enumerate_words(kind, n))
+    gx, gy, cx, cy = _cells(kind, n)
+    cells = np.arange(len(gx), dtype=np.int64)
+    second = None
     if kind is FractalKind.SC:
         # same-size axis-aligned squares: 1-dimensional contact means the grid
         # coordinates differ by one step in exactly one axis
-        coords = {}
-        for ci, w in enumerate(words):
-            coords[_cell_accumulators(kind, w)] = ci
-        edges = []
-        for (gx, gy), ci in coords.items():
-            for nb in ((gx + 1, gy), (gx, gy + 1)):
-                cj = coords.get(nb)
-                if cj is not None:
-                    edges.append((min(ci, cj), max(ci, cj)))
-        edges.sort()
-        return CellGraph(kind, n, words, edges)
-
-    # gasket: cells meet at shared corner points
-    point_cells: dict[tuple[int, int], list[int]] = {}
-    accs = []
-    for ci, w in enumerate(words):
-        acc = _cell_accumulators(kind, w)
-        accs.append(acc)
-        for i in range(3):
-            key = corner_numerators(kind, acc[0], acc[1], i)
-            point_cells.setdefault(key, []).append(ci)
-    edges = set()
-    for cells in point_cells.values():
-        if len(cells) > 1:
-            cs = sorted(cells)
-            for a in range(len(cs)):
-                for b in range(a + 1, len(cs)):
-                    edges.add((cs[a], cs[b]))
-    edge_list = sorted(edges)
-    # addressed vertex of a level-n word: prefix accumulators + last digit
-    own_point = []
-    for w in words:
-        pgx, pgy = _cell_accumulators(kind, w[:-1])
-        own_point.append(corner_numerators(kind, pgx, pgy, w[-1]))
-    types = [
-        "I" if own_point[a] != own_point[b] else "II" for a, b in edge_list
-    ]
-    return CellGraph(kind, n, words, edge_list, types)
+        side = 3 ** n
+        key = gx * side + gy
+        order = np.argsort(key)
+        sorted_key = key[order]
+        a, b = [], []
+        for dx, dy in ((1, 0), (0, 1)):
+            nx, ny = gx + dx, gy + dy
+            pos, hit = _search(sorted_key, nx * side + ny)
+            hit &= (nx < side) & (ny < side)
+            a.append(cells[hit])
+            b.append(order[pos[hit]])
+        edges, _ = _unique_pairs(np.concatenate(a), np.concatenate(b), len(cells))
+    else:
+        # gasket cells meet at single corner points, each shared by two cells
+        key = (cx * (_full(kind, n + 1) + 1) + cy).ravel()
+        order = np.argsort(key, kind="stable")
+        sorted_key = key[order]
+        same = sorted_key[1:] == sorted_key[:-1]
+        owner = order // 3
+        edges, _ = _unique_pairs(owner[:-1][same], owner[1:][same], len(cells))
+        # a cell's addressed vertex f_w(p_{w[-1]}) is its corner w[-1]
+        own = key.reshape(-1, 3)[cells, cells % 3]
+        second = own[edges[:, 0]] == own[edges[:, 1]]
+        second.flags.writeable = False
+    edges.flags.writeable = False
+    return CellGraph(kind, n, edges, second)
 
 
 # ---------------------------------------------------------------------------
@@ -234,10 +256,12 @@ def cell_graph(kind: FractalKind, n: int) -> CellGraph:
 class VertexGraph:
     """Deduplicated level-n vertices with within-cell pair edges.
 
-    Vertex ids follow the first (lexicographically smallest) address found
-    while scanning cells in word order, which makes ids deterministic.  Edge
-    multiplicity counts how many cells contribute the pair: 1 on the gasket,
-    1 or 2 on the carpet.
+    Vertex ids follow first appearance while scanning the cells in word order
+    and each cell's corners in boundary order, so the stored address of a
+    vertex is its lexicographically smallest level-(n+1) word.  Lookup by
+    coordinates (`ids_of`) bisects the packed keys x * (full + 1) + y, sorted
+    once per graph on first use.  Edge multiplicity counts how many cells
+    contribute the pair: 1 on the gasket, 1 or 2 on the carpet.
     """
 
     kind: FractalKind
@@ -246,9 +270,8 @@ class VertexGraph:
     yn: np.ndarray
     edges: np.ndarray         # (m, 3) int64 rows (i, j, mult), i < j
     addr_packed: np.ndarray   # canonical level-(n+1) address, radix-packed
-    index: dict[tuple[int, int], int] = field(repr=False, default_factory=dict)
-    cells: dict[tuple[int, ...], tuple[int, ...]] | None = field(
-        repr=False, default=None
+    _lookup: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False
     )
 
     @property
@@ -268,12 +291,28 @@ class VertexGraph:
             raise ValueError("addresses were not stored for this graph")
         return Word(unpack_word(self.kind, packed, self.level + 1))
 
+    def ids_of(self, xn, yn) -> np.ndarray:
+        """Ids of the vertices with numerators (xn, yn) at the graph's scale,
+        in the shape of the input.  Raises KeyError if any is not a vertex."""
+        full = _full(self.kind, self.scale)
+        if self._lookup is None:
+            key = self.xn * (full + 1) + self.yn
+            order = np.argsort(key)
+            self._lookup = (key[order], order)
+        sorted_key, order = self._lookup
+        x = np.asarray(xn, dtype=np.int64)
+        y = np.asarray(yn, dtype=np.int64)
+        pos, hit = _search(sorted_key, x * (full + 1) + y)
+        hit &= (x >= 0) & (x <= full) & (y >= 0) & (y <= full)
+        if not hit.all():
+            i = np.flatnonzero(~hit)[0]
+            raise KeyError(
+                f"not a level-{self.level} vertex: ({x.flat[i]}, {y.flat[i]})"
+            )
+        return order[pos]
+
     def id_of(self, p: ExactPoint) -> int:
-        key = p.lifted(self.scale)
-        got = self.index.get((key[0], key[1]))
-        if got is None:
-            raise KeyError(f"not a level-{self.level} vertex: {p}")
-        return got
+        return int(self.ids_of(*p.lifted(self.scale)))
 
     def float_coords(self) -> tuple[np.ndarray, np.ndarray]:
         if self.kind is FractalKind.SG:
@@ -285,94 +324,58 @@ class VertexGraph:
 
 @lru_cache(maxsize=24)
 def cached_vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
-    """Shared immutable vertex graph (no per-vertex cell table).
+    """Shared immutable vertex graph.
 
     Callers must not mutate the arrays; use vertex_graph() for a private copy.
     """
-    return vertex_graph(kind, n, with_cells=False)
+    return vertex_graph(kind, n)
 
 
-def vertex_graph(
-    kind: FractalKind, n: int, with_cells: bool | None = None
-) -> VertexGraph:
-    """Build the level-n vertex graph by scanning cells in word order."""
+def vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
+    """Build the level-n vertex graph from the corners of its cells.
+
+    Corner numerators are deduplicated on the packed key x * (full + 1) + y;
+    the flat index cell * boundary_size + corner of a vertex's first
+    appearance is its radix-packed level-(n+1) address.
+    """
     if n < 0:
         raise ValueError("level must be >= 0")
-    k = kind.n_maps
-    nb = kind.boundary_size
-    if with_cells is None:
-        with_cells = k ** max(n, 0) <= 200_000
-
-    index: dict[tuple[int, int], int] = {}
-    xs: list[int] = []
-    ys: list[int] = []
-    addrs: list[int] = []
-    edge_mult: dict[tuple[int, int], int] = {}
-    cells: dict[tuple[int, ...], tuple[int, ...]] | None = {} if with_cells else None
-
-    if n == 0:
-        ids = []
-        for i in range(nb):
-            gxy = corner_numerators(kind, 0, 0, i)
-            index[gxy] = i
-            xs.append(gxy[0])
-            ys.append(gxy[1])
-            addrs.append(i)
-            ids.append(i)
-        if kind is FractalKind.SG:
-            for a in range(3):
-                for b in range(a + 1, 3):
-                    edge_mult[(a, b)] = 1
-        else:
-            for a in range(8):
-                i, j = sorted((ids[a], ids[(a + 1) % 8]))
-                edge_mult[(i, j)] = edge_mult.get((i, j), 0) + 1
-        if cells is not None:
-            cells[()] = tuple(ids)
-    else:
-        for w in enumerate_words(kind, n):
-            gx, gy = _cell_accumulators(kind, w)
-            wpacked = pack_word(kind, w)
-            ids = []
-            for i in range(nb):
-                key = corner_numerators(kind, gx, gy, i)
-                vid = index.get(key)
-                if vid is None:
-                    vid = len(xs)
-                    index[key] = vid
-                    xs.append(key[0])
-                    ys.append(key[1])
-                    addrs.append(wpacked * k + i)
-                ids.append(vid)
-            if kind is FractalKind.SG:
-                for a in range(3):
-                    for b in range(a + 1, 3):
-                        i, j = sorted((ids[a], ids[b]))
-                        edge_mult[(i, j)] = edge_mult.get((i, j), 0) + 1
-            else:
-                for a in range(8):
-                    i, j = sorted((ids[a], ids[(a + 1) % 8]))
-                    edge_mult[(i, j)] = edge_mult.get((i, j), 0) + 1
-            if cells is not None:
-                cells[w] = tuple(ids)
-
-    edge_rows = sorted((i, j, m) for (i, j), m in edge_mult.items())
+    # corner-sized temporaries are dropped as soon as they are used: at the
+    # level caps each is about 130 MB and together they set the peak memory
+    _, _, cx, cy = _cells(kind, n)
+    full = _full(kind, vertex_scale(kind, n))
+    key = cx.ravel()
+    key *= full + 1
+    key += cy.ravel()
+    del cx, cy
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # ids in order of first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    addr = first[order]
+    xn, yn = np.divmod(key[addr], full + 1)
+    del key, first, order
+    ids = rank[inverse].reshape(-1, kind.boundary_size)
+    del inverse, rank
+    pairs = SG_PAIRS if kind is FractalKind.SG else SC_PAIRS
+    ends = np.array(pairs)
+    edges, mult = _unique_pairs(
+        ids[:, ends[:, 0]].ravel(), ids[:, ends[:, 1]].ravel(), len(xn)
+    )
     return VertexGraph(
         kind=kind,
         level=n,
-        xn=np.asarray(xs, dtype=np.int64),
-        yn=np.asarray(ys, dtype=np.int64),
-        edges=np.asarray(edge_rows, dtype=np.int64).reshape(-1, 3),
-        addr_packed=np.asarray(addrs, dtype=np.int64),
-        index=index,
-        cells=cells,
+        xn=xn,
+        yn=yn,
+        edges=np.column_stack([edges, mult]),
+        addr_packed=addr,
     )
 
 
 def canonical_address(kind: FractalKind, p: ExactPoint, n: int) -> Word:
     """Lexicographically smallest level-(n+1) word addressing vertex p of the
     level-n graph.  Raises KeyError if p is not a level-n vertex."""
-    vg = vertex_graph(kind, n, with_cells=False)
+    vg = cached_vertex_graph(kind, n)
     return vg.address(vg.id_of(p))
 
 
@@ -383,11 +386,8 @@ def sg_corner_ids(vg: VertexGraph) -> tuple[int, int, int]:
     """Ids of the three outer corners (0,0), (1,0), (1/2, sqrt(3)/2)."""
     assert vg.kind is FractalKind.SG
     s = vg.scale
-    return (
-        vg.index[(0, 0)],
-        vg.index[(2 ** s, 0)],
-        vg.index[(2 ** (s - 1), 2 ** (s - 1))],
-    )
+    ids = vg.ids_of([0, 2 ** s, 2 ** (s - 1)], [0, 0, 2 ** (s - 1)])
+    return tuple(int(i) for i in ids)
 
 
 def sc_side_ids(vg: VertexGraph, side: str) -> np.ndarray:
@@ -428,13 +428,10 @@ def graph_from_json_dict(d: dict) -> VertexGraph:
     level = int(d["level"])
     s = vertex_scale(kind, level)
     xs, ys = [], []
-    index = {}
-    for vid, (xn, yn, sc) in enumerate(d["vertices"]):
-        p = ExactPoint(kind, int(xn), int(yn), int(sc))
-        lx, ly = p.lifted(s)
+    for xn, yn, sc in d["vertices"]:
+        lx, ly = ExactPoint(kind, int(xn), int(yn), int(sc)).lifted(s)
         xs.append(lx)
         ys.append(ly)
-        index[(lx, ly)] = vid
     edges = np.asarray([[int(a), int(b), int(m)] for a, b, m in d["edges"]],
                        dtype=np.int64).reshape(-1, 3)
     return VertexGraph(
@@ -444,8 +441,6 @@ def graph_from_json_dict(d: dict) -> VertexGraph:
         yn=np.asarray(ys, dtype=np.int64),
         edges=edges,
         addr_packed=np.full(len(xs), -1, dtype=np.int64),  # addresses not stored
-        index=index,
-        cells=None,
     )
 
 

@@ -10,7 +10,6 @@ bounds, and Harnack/Holder ball experiments.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,8 +24,9 @@ from .energies import (
     sc_scaled_energy_an,
 )
 from .geometry import (
+    SC_PAIRS,
     VertexGraph,
-    corner_numerators,
+    _cells,
     sc_side_ids,
     vertex_graph,
 )
@@ -244,31 +244,23 @@ def minimize_x_profile_level1() -> tuple[tuple[Fraction, Fraction], Fraction]:
 
 CANTOR_DIGITS = (0, 1, 2, 4, 5, 6)  # bottom-row and top-row cells only
 
-_SC_RING_PAIRS = tuple((i, (i + 1) % 8) for i in range(8))
-
 
 def _ring_x_energy(n: int, digits: Sequence[int], fn) -> Fraction:
-    """Sum over words in digits^n of the ring-pair energy of u = fn(x)."""
-    from .geometry import _cell_accumulators  # internal but stable
+    """Sum over words in digits^n of the ring-pair energy of u = fn(x).
 
+    Each distinct pair of corner abscissae enters once, weighted by the
+    number of ring pairs that join them; the sum stays exact."""
     den = 2 * 3 ** n
+    _, _, cx, _ = _cells(FractalKind.SC, n, digits)
+    ends = np.array(SC_PAIRS)
+    a, b = cx[:, ends[:, 0]].ravel(), cx[:, ends[:, 1]].ravel()
+    moved = a != b
+    pairs, mult = np.unique(a[moved] * (den + 1) + b[moved], return_counts=True)
     total = Fraction(0)
-    fn_memo: dict = {}
-
-    def fx(xn: int) -> Fraction:
-        got = fn_memo.get(xn)
-        if got is None:
-            got = fn(Fraction(xn, den))
-            fn_memo[xn] = got
-        return got
-
-    for w in itertools.product(digits, repeat=n):
-        gx, _ = _cell_accumulators(FractalKind.SC, w)
-        ring = [corner_numerators(FractalKind.SC, gx, 0, i)[0] for i in range(8)]
-        for i, j in _SC_RING_PAIRS:
-            if ring[i] != ring[j]:
-                d = fx(ring[i]) - fx(ring[j])
-                total += d * d
+    for packed, m in zip(pairs.tolist(), mult.tolist()):
+        xa, xb = divmod(packed, den + 1)
+        d = fn(Fraction(xa, den)) - fn(Fraction(xb, den))
+        total += m * d * d
     return total
 
 
@@ -284,7 +276,7 @@ def strip_energy_checks(
     """
     if not 1 <= n <= max_level:
         raise ValueError(f"level {n} outside [1, {max_level}]")
-    vg = vertex_graph(FractalKind.SC, n, with_cells=False)
+    vg = vertex_graph(FractalKind.SC, n)
     u = VertexFunction.from_x_fraction(vg, x_profile_value)
     sc_value = sc_pointwise_energy_Dn(u, n)
     cantor_value = _ring_x_energy(n, CANTOR_DIGITS, lambda x: x)
@@ -337,7 +329,7 @@ def sc_good_function(
     """
     if not 1 <= n <= max_level:
         raise ValueError(f"level {n} outside [1, {max_level}]")
-    vg = graph if graph is not None else vertex_graph(FractalKind.SC, n, with_cells=False)
+    vg = graph if graph is not None else vertex_graph(FractalKind.SC, n)
     if vg.kind is not FractalKind.SC or vg.level != n:
         raise ValueError("graph does not match the requested level")
     left = sc_side_ids(vg, "left")
@@ -415,7 +407,7 @@ def harnack_ball(
         n = int(n_or_graph)
         if not 1 <= n <= max_level:
             raise ValueError(f"level {n} outside [1, {max_level}]")
-        vg = vertex_graph(FractalKind.SC, n, with_cells=False)
+        vg = vertex_graph(FractalKind.SC, n)
     r = Fraction(r)
     delta = Fraction(delta)
     if not 0 < delta < 1:

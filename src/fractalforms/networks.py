@@ -397,16 +397,15 @@ def sg_word_resistance(n: int, **kw) -> ResistanceResult:
     unit-conductance level-n cell graph (both edge types, weight 1).
 
     Level 1 is the plain triangle (value 2/3); the value grows by a factor
-    approaching 5/3 per level.
+    approaching 5/3 per level.  Cell ids are word ranks: 0^n has rank 0 and
+    1^n has rank 1 + 3 + ... + 3^(n-1) = (3^n - 1)/2.
     """
-    cg = cell_graph(FractalKind.SG, int(n))
-    at = {w: i for i, w in enumerate(cg.words)}
-    a, b = at[(0,) * n], at[(1,) * n]
-    ii = np.fromiter((e[0] for e in cg.edges), dtype=np.int64)
-    jj = np.fromiter((e[1] for e in cg.edges), dtype=np.int64)
-    cc = np.ones(len(cg.edges))
+    n = int(n)
+    cg = cell_graph(FractalKind.SG, n)
+    ii, jj = cg.edges[:, 0], cg.edges[:, 1]
+    a, b = 0, (3 ** n - 1) // 2
     return resistance_from_arrays(
-        cg.n_cells, ii, jj, cc, np.array([a]), np.array([b]), **kw
+        cg.n_cells, ii, jj, np.ones(len(ii)), np.array([a]), np.array([b]), **kw
     )
 
 
@@ -416,7 +415,7 @@ def sg_vertex_corner_resistance(vg_or_level, **kw) -> ResistanceResult:
     vg = (
         vg_or_level
         if isinstance(vg_or_level, VertexGraph)
-        else vertex_graph(FractalKind.SG, int(vg_or_level), with_cells=False)
+        else vertex_graph(FractalKind.SG, int(vg_or_level))
     )
     p0, p1, _ = sg_corner_ids(vg)
     ii, jj, cc = graph_edge_arrays(vg)
@@ -431,7 +430,7 @@ def sc_RnV(vg_or_level, **kw) -> ResistanceResult:
     vg = (
         vg_or_level
         if isinstance(vg_or_level, VertexGraph)
-        else vertex_graph(FractalKind.SC, int(vg_or_level), with_cells=False)
+        else vertex_graph(FractalKind.SC, int(vg_or_level))
     )
     left = sc_side_ids(vg, "left")
     right = sc_side_ids(vg, "right")

@@ -100,16 +100,6 @@ def _word_rank(digits: Sequence[int]) -> int:
     return r
 
 
-@lru_cache(maxsize=16)
-def _level_horizontals(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, is_second_type) among lexicographic ranks at level n."""
-    cg = cell_graph(FractalKind.SG, n)
-    ii = np.array([e[0] for e in cg.edges], dtype=np.int64)
-    jj = np.array([e[1] for e in cg.edges], dtype=np.int64)
-    tt = np.array([t == "II" for t in cg.edge_types], dtype=bool)
-    return ii, jj, tt
-
-
 @dataclass(eq=False)
 class TreeGraph:
     """All words of levels 0..depth with vertical and same-level edges."""
@@ -180,13 +170,13 @@ def _horizontal_type(x_digits, y_digits) -> Optional[str]:
     n = len(x_digits)
     if n != len(y_digits) or n < 1:
         return None
-    ii, jj, tt = _level_horizontals(n)
+    cg = cell_graph(FractalKind.SG, n)
     rx, ry = _word_rank(x_digits), _word_rank(y_digits)
     a, b = min(rx, ry), max(rx, ry)
-    hit = np.nonzero((ii == a) & (jj == b))[0]
+    hit = np.nonzero((cg.edges[:, 0] == a) & (cg.edges[:, 1] == b))[0]
     if len(hit) == 0:
         return None
-    return "II" if tt[hit[0]] else "I"
+    return "II" if cg.second_type[hit[0]] else "I"
 
 
 def conductance(params: WalkParams, x, y) -> float:
@@ -211,7 +201,6 @@ TAIL = -2  # pseudo-neighbor: a step into the untruncated subtree below
 @dataclass(eq=False)
 class WalkTables:
     tree: TreeGraph
-    params: WalkParams
     nbr: np.ndarray      # (V, W) int32, -1 padded, TAIL for tail steps
     cum: np.ndarray      # (V, W) float64 cumulative transition probabilities
     pi: np.ndarray       # (V,) total incident conductance
@@ -235,20 +224,19 @@ def _edge_arrays(params: WalkParams, depth: int) -> tuple[np.ndarray, np.ndarray
         cc_all.append(np.full(3 ** (n + 1), vertical_conductance(params, n)))
     # horizontal per level
     for n in range(1, depth + 1):
-        hi, hj, ht = _level_horizontals(n)
+        cg = cell_graph(FractalKind.SG, n)
         base = _level_offset(n)
         w = np.where(
-            ht,
+            cg.second_type,
             horizontal_conductance(params, n, "II"),
             horizontal_conductance(params, n, "I"),
         )
-        ii_all.append(base + hi)
-        jj_all.append(base + hj)
+        ii_all.append(base + cg.edges[:, 0])
+        jj_all.append(base + cg.edges[:, 1])
         cc_all.append(w)
     return np.concatenate(ii_all), np.concatenate(jj_all), np.concatenate(cc_all)
 
 
-@lru_cache(maxsize=8)
 def build_tables(params: WalkParams, depth: int, tail: bool = False) -> WalkTables:
     """Padded neighbor tables for the ball of the given depth.
 
@@ -256,8 +244,15 @@ def build_tables(params: WalkParams, depth: int, tail: bool = False) -> WalkTabl
     3*(3 lam)^(-depth) standing for the three subtree edges below; a sampled
     TAIL step must then be resolved by the caller (return with probability
     lam, escape otherwise), which reproduces the bare-subtree excursion law
-    exactly.
+    exactly.  The tables depend on (lam, C1, C2, depth, tail) only, and are
+    cached on that key: walks that differ in seed or samples share them.
     """
+    return _tables(params.lam, params.C1, params.C2, depth, tail)
+
+
+@lru_cache(maxsize=8)
+def _tables(lam: float, C1: float, C2: float, depth: int, tail: bool) -> WalkTables:
+    params = WalkParams(lam=lam, C1=C1, C2=C2)
     tg = tree_graph(depth)
     V = tg.n_vertices
     ii, jj, cc = _edge_arrays(params, depth)
@@ -285,7 +280,11 @@ def build_tables(params: WalkParams, depth: int, tail: bool = False) -> WalkTabl
     level = np.zeros(V, dtype=np.int16)
     for n in range(depth + 1):
         level[_level_offset(n) : _level_offset(n + 1)] = n
-    return WalkTables(tree=tg, params=params, nbr=nbr, cum=cum, pi=pi, level=level)
+    return WalkTables(tree=tg, nbr=nbr, cum=cum, pi=pi, level=level)
+
+
+# hit and miss counts of the table cache, read where build_tables is called
+build_tables.cache_info = _tables.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -522,9 +521,8 @@ def _graph_distance(x_digits, y_digits) -> int:
         if n >= 1:
             adj = level_adj.get(n)
             if adj is None:
-                ii, jj, _ = _level_horizontals(n)
                 adj = {}
-                for a, b in zip(ii.tolist(), jj.tolist()):
+                for a, b in cell_graph(FractalKind.SG, n).edges.tolist():
                     adj.setdefault(a, []).append(b)
                     adj.setdefault(b, []).append(a)
                 level_adj[n] = adj

@@ -168,9 +168,9 @@ def test_good_function_symmetry_and_range():
     assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
     # mirror symmetry u(1-x, y) = 1 - u(x, y)
     full = 2 * 3 ** vg.scale
-    index = vg.index
+    mirror = vg.ids_of(full - vg.xn, vg.yn)
     for i in range(vg.n_vertices):
-        j = index[(full - int(vg.xn[i]), int(vg.yn[i]))]
+        j = mirror[i]
         assert abs(vals[i] + vals[j] - 1.0) < 1e-8
     # midline sits at 1/2 by antisymmetry
     mid = good.midline_ids()

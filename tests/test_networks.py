@@ -171,7 +171,7 @@ def test_failed_factorization_raises_solver_error():
 
 
 def test_multi_rhs_solve_equals_column_solves_bitwise():
-    vg = vertex_graph(FractalKind.SC, 3, with_cells=False)
+    vg = vertex_graph(FractalKind.SC, 3)
     ii, jj, cc = graph_edge_arrays(vg)
     fixed = np.concatenate([sc_side_ids(vg, "left"), sc_side_ids(vg, "right")])
     values = np.random.default_rng(1).uniform(0.0, 1.0, (len(fixed), 5))

@@ -284,3 +284,17 @@ def test_build_tables_row_normalization():
     assert tables.cum.shape[0] == (3 ** 6 - 1) // 2
     assert np.allclose(tables.cum[:, -1], 1.0)
     assert (tables.pi > 0).all()
+
+
+def test_build_tables_cache_ignores_simulation_params():
+    # tables depend on (lam, C1, C2, depth, tail) only
+    a = _params(lam=0.37, C1=1.3, seed=1, samples=100)
+    b = _params(lam=0.37, C1=1.3, seed=2, samples=900)
+    before = build_tables.cache_info()
+    first = build_tables(a, 4, tail=True)
+    mid = build_tables.cache_info()
+    second = build_tables(b, 4, tail=True)
+    after = build_tables.cache_info()
+    assert (mid.misses - before.misses, mid.hits - before.hits) == (1, 0)
+    assert (after.misses - mid.misses, after.hits - mid.hits) == (0, 1)
+    assert second is first

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -164,21 +165,21 @@ def test_vertex_scale():
 def test_sg_cell_graph_level1_and_2():
     cg = cell_graph(SG, 1)
     assert cg.n_cells == 3
-    assert sorted(cg.edges) == [(0, 1), (0, 2), (1, 2)]
-    assert cg.edge_types == ["I", "I", "I"]
+    assert sorted(map(tuple, cg.edges.tolist())) == [(0, 1), (0, 2), (1, 2)]
+    assert cg.second_type.tolist() == [False, False, False]
     cg2 = cell_graph(SG, 2)
     assert cg2.n_cells == 9
     assert len(cg2.edges) == 12
-    types = dict(zip(cg2.edges, cg2.edge_types))
+    types = dict(zip(map(tuple, cg2.edges.tolist()), cg2.second_type.tolist()))
     # within-cell contacts are type I, across the removed middle are type II
-    assert types[(0, 1)] == "I"
-    assert sorted(t for t in cg2.edge_types if t == "II") == ["II", "II", "II"]
+    assert types[(0, 1)] is False
+    assert int(cg2.second_type.sum()) == 3
 
 
 def test_sc_cell_graph_level1_is_ring_with_corner_contacts():
     cg = cell_graph(SC, 1)
     assert cg.n_cells == 8
-    assert cg.edge_types is None
+    assert cg.second_type is None
     # ring of 8 cells: 8 side contacts; corner-only contacts are excluded
     assert len(cg.edges) == 8
     degree = np.zeros(8, dtype=int)
@@ -268,3 +269,91 @@ def test_cached_vertex_graph_identity():
 def test_vertex_graph_rejects_bad_level():
     with pytest.raises(ValueError):
         vertex_graph(SG, -1)
+
+
+# ---------------------------------------------------------------------------
+# golden arrays: sha256 of the int64 bytes, recorded from the per-cell
+# scalar builder this module's numpy builder replaced
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+VERTEX_GRAPH_DIGESTS = {
+    (SG, 0): "045221d44ec554f36ee8ab78ac74a393895db4546a261d3d8bf9489632a3b0b8",
+    (SG, 1): "ca2e99bf45cf34de94d89a9d66f02d4317cf7452be28cc9436016ac2cdd2fc24",
+    (SG, 2): "b75b3a34db83023c627d3eb620830a95fc3c6adf95a9dd494a82adeb1d7d3bf6",
+    (SG, 3): "975c4f390aa07ff96b3f3e02ff5b78c191e5f98aa97ebf3354eff35bcc34f397",
+    (SG, 4): "63e7d5e1b2bfb0fb270b65d4d4794854d370bfcaeb3cb261a7a95737aeb50bdc",
+    (SG, 5): "b0321d0ec8112430209473c200bdab18eadc86bd4a530e1027c79e575ce924e6",
+    (SG, 6): "11f54277c70026e6876b5beb71c73674be1bb44277b19bb029a2fd78a391cad3",
+    (SG, 7): "b6a984fb74bab8cd019f79a239526d7083d30305a8c3391993e75e35a08b8ab6",
+    (SG, 8): "db2e23fef9fe4cf04090f1b0b372a31248d6b6b45389b0c7200c155dea2f78ae",
+    (SC, 0): "d6daad8c4b1e56e9107dfaa9fd45db018b28e291a558e2d1c00b30baa3bad58b",
+    (SC, 1): "16f189506e48801d1494ad71976a5e391afffe662f3fb1ae09e83ecc3c23583b",
+    (SC, 2): "f8000cabddac765f5e582ebb511eb5e84dd446f3474531c816ef741d551fbdf3",
+    (SC, 3): "4dd7582456b61818c3b83862c3a67538f9a2a4b56441b495452efa454334afe5",
+    (SC, 4): "bbac1c5f61cc3625202b3d89320a1e739f6990f9a9cd01bee0b7e74e212c1366",
+}
+
+CELL_GRAPH_DIGESTS = {
+    (SG, 1): "22956dd0e4bb225c4c074261327a3ec4efa647d3b0c6d6136573985803dbda05",
+    (SG, 2): "bb207ea80faf51039ddb82b1cd3aed9cead2af07e8945d4efa02489bdb8a12cc",
+    (SG, 3): "ec0b58e4762c8231193eec0e563072880dd938aac43cf9b331bfd18567d74e75",
+    (SG, 4): "30babdc99d6c540d4b4b54ece2d7e792a25552100f99ef5210875bc719826ce2",
+    (SG, 5): "40c1963824f28820e8c7ba404a0533c5e86ff14e1f474c1d61c53491d20ea3ba",
+    (SG, 6): "90531741dd833e6d1df5ffe0cc310185bc76dda33356560bdf624239ba72b6c7",
+    (SG, 7): "236c49cc06b3462de5c29496c743b2c75bd4277d0871e28c6154370e1b010497",
+    (SG, 8): "72b73568717fcf343b5c2c039ffbe6cc4e49a357297470cf9747c40761b504ab",
+    (SG, 9): "4086d5968bd2264a992181c715435688f7637816a5631078f97c0fea6afd7847",
+    (SG, 10): "996a7343c7241366ce106fecf00d0fb3f171d4775d2ebe5d28399b58cc90ca67",
+    (SC, 1): "7a74ed419a46733e67d22e145bb8f11707c402e1b1d2f186212dee45ceced7e8",
+    (SC, 2): "611a0fb3741ef8d0df4284a7bf1994b46975993186a20f9a650b6f58eeff464b",
+    (SC, 3): "1c5d6902434849d655088a93f446851143e4cc1a6167b8b3c06f1492fed48e06",
+    (SC, 4): "141b06db1772a5eb60392ccd19eb1b6fa7f6fce04a666bc16946f462195e43cf",
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(VERTEX_GRAPH_DIGESTS))
+def test_vertex_graph_arrays_match_golden(kind, n):
+    vg = vertex_graph(kind, n)
+    got = _digest(vg.xn, vg.yn, vg.edges, vg.addr_packed)
+    assert got == VERTEX_GRAPH_DIGESTS[(kind, n)]
+
+
+@pytest.mark.parametrize("kind,n", sorted(CELL_GRAPH_DIGESTS))
+def test_cell_graph_arrays_match_golden(kind, n):
+    cg = cell_graph(kind, n)
+    arrays = (cg.edges,) if cg.second_type is None else (cg.edges, cg.second_type)
+    assert _digest(*arrays) == CELL_GRAPH_DIGESTS[(kind, n)]
+    assert not cg.edges.flags.writeable
+
+
+@pytest.mark.parametrize("kind,top", [(SG, 4), (SC, 2)])
+def test_vertex_points_match_scalar_addresses(kind, top):
+    # the vectorised builder against the independent map-composition path
+    for n in range(top + 1):
+        vg = vertex_graph(kind, n)
+        for i in range(vg.n_vertices):
+            assert vg.point(i) == point_of(kind, vg.address(i))
+
+
+def test_ids_of_rejects_non_vertices():
+    vg = vertex_graph(SC, 1)
+    assert vg.ids_of(vg.xn, vg.yn).tolist() == list(range(vg.n_vertices))
+    with pytest.raises(KeyError):
+        vg.ids_of([3], [3])  # centre of the removed middle square
+    full = 2 * 3 ** vg.scale
+    with pytest.raises(KeyError):
+        vg.ids_of([0], [full + 1])  # would alias (1, 0) in the packed key
+    with pytest.raises(KeyError):
+        vertex_graph(SG, 2).id_of(point_of(SG, (0, 0, 0, 1)))
+
+
+def test_vertex_graph_has_no_dict_index():
+    vg = vertex_graph(SG, 2)
+    assert not hasattr(vg, "index")
+    assert not hasattr(vg, "cells")
