@@ -134,7 +134,6 @@ def _walk_params(cfg: RunConfig, opts: argparse.Namespace) -> WalkParams:
             seed=cfg.seed,
             samples=samples,
             depth_cut=depth,
-            workers=cfg.threads,
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -346,14 +345,24 @@ def _run_walk(cfg: RunConfig, opts) -> ExperimentReport:
         "F": f_rows,
         "hit_dist": {"m": hit["m"], "freqs": [float(f) for f in hit["freqs"]]},
     }
+    runs = {"green_oo": mc, "hit_dist": hit}
     if params.c is not None:
-        mean, se = ctrw_lifetime(params)
+        life = ctrw_lifetime(params)
+        runs["lifetime"] = life
         tree["lifetime"] = {
-            "mean": mean,
-            "stderr": se,
+            "mean": life["mean"],
+            "stderr": life["stderr"],
             "closed_form": ctrw_lifetime_closed_form(params),
         }
-    return _report("walk", cfg, opts, tree=tree)
+    report = _report("walk", cfg, opts, tree=tree)
+    # path counts go to meta only, so the data file stays byte-stable
+    report.provenance["mc"] = {
+        name: {"paths": params.samples, "overflowed": r["overflowed"]} for name, r in runs.items()
+    }
+    cut = {name: r["overflowed"] for name, r in runs.items() if r["overflowed"]}
+    if cut:
+        print(f"walk: paths cut at step_cap {params.step_cap}: {cut}", file=sys.stderr)
+    return report
 
 
 def _run_trace(cfg: RunConfig, opts) -> ExperimentReport:
@@ -454,14 +463,13 @@ def run(subcommand: str, cfg: RunConfig, opts: Optional[argparse.Namespace] = No
 # ---------------------------------------------------------------------------
 # argument parsing
 
-_GLOBAL_OPTS = {"config", "seed", "threads", "out", "cache", "level_cap", "kind", "command"}
+_GLOBAL_OPTS = {"config", "seed", "out", "cache", "level_cap", "kind", "command"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int)
     common.add_argument("--out", help="output directory")
     common.add_argument("--cache", help="cache directory")
     common.add_argument("--level-cap", dest="level_cap", type=int)
@@ -538,8 +546,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             overrides["kind"] = opts.kind
         if opts.seed is not None:
             overrides["seed"] = opts.seed
-        if opts.threads is not None:
-            overrides["threads"] = opts.threads
         if opts.out is not None:
             overrides["out_dir"] = opts.out
         if opts.cache is not None:

@@ -35,12 +35,10 @@ class RunConfig:
     C1: float = 1.0
     C2: float = 1.0
     c: Optional[float] = None
-    a: float = 1.0
     samples: int = 100_000
     mc_samples: int = 200_000
     depth_cut: int = 12
     seed: int = 0
-    threads: int = 4
     out_dir: str = "runs"
     cache_dir: str = ".fractalforms-cache"
 
@@ -64,8 +62,6 @@ class RunConfig:
             raise ConfigError("c must be in (0, lam)")
         if self.C1 <= 0 or self.C2 <= 0:
             raise ConfigError("C1 and C2 must be positive")
-        if self.a <= 0:
-            raise ConfigError("a must be positive")
         alpha = self.fractal_kind().alpha
         bstar = self.beta_star()
         for b in self.beta_grid:
@@ -81,8 +77,6 @@ class RunConfig:
             raise ConfigError("sample budgets must be positive")
         if self.depth_cut < 2:
             raise ConfigError("depth_cut must be >= 2")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         return self
@@ -107,7 +101,7 @@ def _parse_value(name: str, raw: str):
             return float(raw)
         if name in ("kind", "out_dir", "cache_dir"):
             return raw
-        if name in ("lam", "C1", "C2", "a", "solver_tol"):
+        if name in ("lam", "C1", "C2", "solver_tol"):
             return float(raw)
         return int(raw)
     except ValueError as exc:

@@ -69,7 +69,6 @@ class ExperimentReport:
                 "git_hash": git_hash(),
                 "timestamp": _dt.datetime.now(_dt.timezone.utc).isoformat(),
                 "seed": self.config_snapshot.get("seed"),
-                "threads": self.config_snapshot.get("threads"),
             }
 
     @property

@@ -19,6 +19,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .geometry import cell_graph
 from .kinds import FractalKind
@@ -65,7 +66,6 @@ class WalkParams:
     samples: int = 100_000
     depth_cut: int = 12
     step_cap: int = 200_000
-    workers: int = 4
 
     def __post_init__(self) -> None:
         if not 0.0 < self.lam < 1.0:
@@ -76,8 +76,8 @@ class WalkParams:
             raise ValueError("c must be in (0, lam)")
         if self.depth_cut < 2:
             raise ValueError("depth_cut must be >= 2")
-        if self.samples < 1 or self.step_cap < 1 or self.workers < 1:
-            raise ValueError("samples, step_cap, workers must be positive")
+        if self.samples < 1 or self.step_cap < 1:
+            raise ValueError("samples and step_cap must be positive")
 
     def require_c(self) -> float:
         if self.c is None:
@@ -371,38 +371,76 @@ def _green_exact(params: WalkParams, depth_cut: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo engines (counter-based per-worker streams)
+# Monte Carlo engine
+#
+# Every estimator runs its paths through _run_paths.  The paths of one run
+# are split into CHUNKS fixed chunks, and chunk k draws from the counter-based
+# stream Philox(key=[seed, k]), so a seeded result depends on the seed and
+# the sample count only.
 
-def _worker_rngs(params: WalkParams) -> list[np.random.Generator]:
-    return [
-        np.random.Generator(np.random.Philox(key=[params.seed, w]))
-        for w in range(params.workers)
-    ]
-
-
-def _split(total: int, workers: int) -> list[int]:
-    base, extra = divmod(total, workers)
-    return [base + (1 if w < extra else 0) for w in range(workers)]
+CHUNKS = 4
 
 
-def _resolve_tail(
-    nxt: np.ndarray, cur: np.ndarray, rng: np.random.Generator, lam: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Replace TAIL pseudo-steps by their exact outcome.
+def _run_paths(
+    tables: WalkTables,
+    params: WalkParams,
+    samples: int,
+    *,
+    stop_level: Optional[int] = None,
+    before=None,
+    after=None,
+) -> int:
+    """Walk `samples` paths from the root; return how many hit step_cap.
 
-    A step into the bare subtree returns to the very vertex it left with
-    probability lam and escapes for good otherwise; on return the walk sits
-    at that vertex again.  Returns (next states, escaped mask).
+    With stop_level None the tables must carry tail entries, and a path
+    ends when it escapes through the tail; otherwise a path ends on its
+    first step to a word of level stop_level.  Per step, `before(idx, cur,
+    rng)` draws first, then the transition uniforms, then the tail-return
+    uniforms; `after(idx, nxt, done)` sees each step's outcome.  `idx`
+    indexes the per-path arrays of length `samples`.
     """
-    tail_mask = nxt == TAIL
-    escaped = np.zeros(len(nxt), dtype=bool)
-    if tail_mask.any():
-        back = rng.random(int(tail_mask.sum())) < lam
-        t_idx = np.nonzero(tail_mask)[0]
-        nxt = nxt.copy()
-        nxt[t_idx] = cur[t_idx]
-        escaped[t_idx[~back]] = True
-    return nxt, escaped
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    states = np.zeros(samples, dtype=np.int64)
+    active = np.ones(samples, dtype=bool)
+    base, extra = divmod(samples, CHUNKS)
+    hi = 0
+    for k in range(CHUNKS):
+        lo, hi = hi, hi + base + (k < extra)
+        rng = np.random.Generator(np.random.Philox(key=[params.seed, k]))
+        for _ in range(params.step_cap):
+            idx = lo + np.flatnonzero(active[lo:hi])
+            if len(idx) == 0:
+                break
+            cur = states[idx]
+            if before is not None:
+                before(idx, cur, rng)
+            nxt = tables.step(cur, rng)
+            if stop_level is None:
+                # a tail step comes back to the vertex it left with
+                # probability lam and escapes for good otherwise
+                done = np.zeros(len(idx), dtype=bool)
+                t_idx = np.flatnonzero(nxt == TAIL)
+                if len(t_idx):
+                    back = rng.random(len(t_idx)) < params.lam
+                    nxt[t_idx] = cur[t_idx]
+                    done[t_idx[~back]] = True
+            else:
+                done = tables.level[nxt] >= stop_level
+            states[idx] = nxt
+            if after is not None:
+                after(idx, nxt, done)
+            active[idx[done]] = False
+    return int(active.sum())
+
+
+def _mean_summary(x: np.ndarray, overflowed: int) -> dict:
+    return {
+        "mean": float(x.mean()),
+        "stderr": float(x.std(ddof=1) / math.sqrt(len(x))),
+        "paths": len(x),
+        "overflowed": overflowed,
+    }
 
 
 def green_oo(
@@ -411,8 +449,9 @@ def green_oo(
     """Expected visits to the root, target 1/(1 - lam).
 
     exact mode: closure bracket {lower, upper}; mc mode: path average with
-    standard error.  MC paths live on the working ball with tail excursions
-    resolved exactly, so the estimator is unbiased for the infinite graph.
+    standard error, path count and the number of paths cut at step_cap.
+    MC paths live on the working ball with tail excursions resolved
+    exactly, so the estimator is unbiased for the infinite graph.
     """
     depth_cut = params.depth_cut if depth_cut is None else depth_cut
     if mode == "exact":
@@ -420,30 +459,14 @@ def green_oo(
         return {"lower": lo, "upper": hi}
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
+    visits = np.ones(params.samples, dtype=np.int64)  # start counts as a visit
+
+    def count_root(idx, nxt, done):
+        visits[idx] += nxt == 0
+
     tables = build_tables(params, depth_cut, tail=True)
-    counts = []
-    for rng, n_paths in zip(_worker_rngs(params), _split(params.samples, params.workers)):
-        if n_paths == 0:
-            continue
-        states = np.zeros(n_paths, dtype=np.int64)
-        visits = np.ones(n_paths, dtype=np.int64)  # start counts as a visit
-        active = np.ones(n_paths, dtype=bool)
-        for _ in range(params.step_cap):
-            if not active.any():
-                break
-            idx = np.nonzero(active)[0]
-            nxt = tables.step(states[idx], rng)
-            nxt, escaped = _resolve_tail(nxt, states[idx], rng, params.lam)
-            states[idx] = nxt
-            visits[idx] += nxt == 0
-            active[idx[escaped]] = False
-        counts.append(visits)
-    allc = np.concatenate(counts).astype(float)
-    return {
-        "mean": float(allc.mean()),
-        "stderr": float(allc.std(ddof=1) / math.sqrt(len(allc))),
-        "paths": len(allc),
-    }
+    overflowed = _run_paths(tables, params, params.samples, after=count_root)
+    return _mean_summary(visits.astype(float), overflowed)
 
 
 def boundary_hit_distribution(
@@ -457,31 +480,15 @@ def boundary_hit_distribution(
     if m < 1 or m >= depth_cut:
         raise ValueError("need 1 <= m < depth_cut")
     samples = params.samples if samples is None else samples
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    tables = build_tables(params, depth_cut)
-    tg = tables.tree
     counts = np.zeros(3 ** m, dtype=np.int64)
-    overflowed = 0
-    for rng, n_paths in zip(_worker_rngs(params), _split(samples, params.workers)):
-        if n_paths == 0:
-            continue
-        states = np.zeros(n_paths, dtype=np.int64)
-        active = np.ones(n_paths, dtype=bool)
-        for _ in range(params.step_cap):
-            if not active.any():
-                break
-            idx = np.nonzero(active)[0]
-            nxt = tables.step(states[idx], rng)
-            states[idx] = nxt
-            arrived = tables.level[nxt] >= depth_cut
-            hit_ids = nxt[arrived]
-            if len(hit_ids):
-                # level-m prefix rank: strip depth_cut - m trailing digits
-                pref = (hit_ids - _level_offset(depth_cut)) // 3 ** (depth_cut - m)
-                np.add.at(counts, pref, 1)
-            active[idx[arrived]] = False
-        overflowed += int(active.sum())
+
+    def count_prefix(idx, nxt, done):
+        # level-m prefix rank: strip depth_cut - m trailing digits
+        pref = (nxt[done] - _level_offset(depth_cut)) // 3 ** (depth_cut - m)
+        np.add.at(counts, pref, 1)
+
+    tables = build_tables(params, depth_cut)
+    overflowed = _run_paths(tables, params, samples, stop_level=depth_cut, after=count_prefix)
     used = int(counts.sum())
     freqs = counts / used if used else counts.astype(float)
     return {
@@ -496,58 +503,28 @@ def boundary_hit_distribution(
 # ---------------------------------------------------------------------------
 # hyperbolic quantities
 
+@lru_cache(maxsize=4)
+def _ball_adjacency(depth: int) -> sp.csr_matrix:
+    # structure only: the conductances of any lam give the same edge set
+    ii, jj, _ = _edge_arrays(WalkParams(lam=0.5), depth)
+    n = tree_graph(depth).n_vertices
+    return sp.csr_matrix((np.ones(len(ii)), (ii, jj)), shape=(n, n))
+
+
 def _graph_distance(x_digits, y_digits) -> int:
-    """BFS distance in the full edge set.
+    """Shortest-path distance in the full edge set.
 
     Shortest paths never dip below the deeper endpoint's level: adjacent
     cells have adjacent (or equal) parents, so any excursion below can be
     replaced by a shorter same-level hop chain.  The search therefore runs
     on the ball of that depth.
     """
-    L = max(len(x_digits), len(y_digits))
-    tg = tree_graph(max(L, 1))
-    # adjacency on demand: parent, children, same-level
-    level_adj: dict[int, dict[int, list[int]]] = {}
-
-    def neighbors(i: int) -> list[int]:
-        n = tg.level_of(i)
-        out = []
-        r = i - _level_offset(n)
-        if n > 0:
-            out.append(_level_offset(n - 1) + r // 3)
-        if n < tg.depth:
-            off = _level_offset(n + 1)
-            out.extend(off + 3 * r + d for d in range(3))
-        if n >= 1:
-            adj = level_adj.get(n)
-            if adj is None:
-                adj = {}
-                for a, b in cell_graph(FractalKind.SG, n).edges.tolist():
-                    adj.setdefault(a, []).append(b)
-                    adj.setdefault(b, []).append(a)
-                level_adj[n] = adj
-            base = _level_offset(n)
-            out.extend(base + b for b in adj.get(r, ()))
-        return out
-
-    start = tg.id_of(x_digits)
-    goal = tg.id_of(y_digits)
-    if start == goal:
-        return 0
-    seen = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt_frontier = []
-        for i in frontier:
-            d = seen[i]
-            for j in neighbors(i):
-                if j not in seen:
-                    if j == goal:
-                        return d + 1
-                    seen[j] = d + 1
-                    nxt_frontier.append(j)
-        frontier = nxt_frontier
-    raise RuntimeError("graph is connected; unreachable")
+    L = max(len(x_digits), len(y_digits), 1)
+    tg = tree_graph(L)
+    dist = sp.csgraph.shortest_path(
+        _ball_adjacency(L), directed=False, unweighted=True, indices=tg.id_of(x_digits)
+    )
+    return int(dist[tg.id_of(y_digits)])
 
 
 def gromov_product(x, y) -> Fraction:
@@ -635,8 +612,9 @@ def ctrw_truncation_bias(params: WalkParams, depth: int) -> float:
 
 def ctrw_lifetime(
     params: WalkParams, samples: Optional[int] = None, depth_cut: Optional[int] = None
-) -> tuple[float, float]:
-    """Mean and standard error of the simulated total holding time.
+) -> dict:
+    """Mean and standard error of the simulated total holding time, with the
+    path count and the number of paths cut at step_cap.
 
     Tail excursions are resolved exactly, so the only systematic error is
     the holding time the walk would have spent below the working depth,
@@ -652,26 +630,13 @@ def ctrw_lifetime(
     for n in range(depth_cut + 1):
         sl = slice(_level_offset(n), _level_offset(n + 1))
         inv_rate[sl] = (c / lam3) ** n / tables.pi[sl]
-    totals = []
-    for rng, n_paths in zip(_worker_rngs(params), _split(samples, params.workers)):
-        if n_paths == 0:
-            continue
-        states = np.zeros(n_paths, dtype=np.int64)
-        t = np.zeros(n_paths)
-        active = np.ones(n_paths, dtype=bool)
-        for _ in range(params.step_cap):
-            if not active.any():
-                break
-            idx = np.nonzero(active)[0]
-            cur = states[idx]
-            t[idx] += rng.exponential(inv_rate[cur])
-            nxt = tables.step(cur, rng)
-            nxt, escaped = _resolve_tail(nxt, cur, rng, params.lam)
-            states[idx] = nxt
-            active[idx[escaped]] = False
-        totals.append(t)
-    allt = np.concatenate(totals)
-    return float(allt.mean()), float(allt.std(ddof=1) / math.sqrt(len(allt)))
+    t = np.zeros(samples)
+
+    def hold(idx, cur, rng):
+        t[idx] += rng.exponential(inv_rate[cur])
+
+    overflowed = _run_paths(tables, params, samples, before=hold)
+    return _mean_summary(t, overflowed)
 
 
 # ---------------------------------------------------------------------------

@@ -259,8 +259,8 @@ def test_criterion_10_ctrw_lifetime():
     ok = True
     for lam, c in ((0.5, 0.25), (0.9, 0.1)):
         p = WalkParams(lam=lam, c=c, seed=0, samples=100_000, depth_cut=12)
-        mean, stderr = ctrw_lifetime(p)
-        z = (mean - ctrw_lifetime_closed_form(p)) / stderr
+        life = ctrw_lifetime(p)
+        z = (life["mean"] - ctrw_lifetime_closed_form(p)) / life["stderr"]
         details.append(f"(lam={lam},c={c}): z={z:+.2f}")
         if abs(z) > 3.0:
             ok = False

@@ -1,3 +1,4 @@
+import functools
 import json
 import warnings
 from pathlib import Path
@@ -15,9 +16,10 @@ from fractalforms.config import (
     parse_config_text,
     serialize_config,
 )
-from fractalforms import networks
+from fractalforms import cli, networks
 from fractalforms.cli import _build_parser, main, run
 from fractalforms.reporting import ExperimentReport, experiment_id, fmt_float
+from fractalforms.treewalk import WalkParams
 
 
 # ---------------------------------------------------------------------------
@@ -320,3 +322,47 @@ def test_cli_solver_provenance_only_in_meta(tmp_path):
     plain = report.write(tmp_path / "plain")
     assert "solver" not in json.loads(plain[1].read_text())["provenance"]
     assert plain[0].read_bytes() == _csv_bytes(out)
+
+
+@pytest.mark.parametrize("key", ["threads = 2", "a = 1.0"])
+def test_cli_removed_config_keys_exit_2(tmp_path, key):
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(f"kind = sg\n{key}\n")
+    rc, out = _run(tmp_path, "resistance", "--config", str(cfgf), "--levels", "1..2")
+    assert rc == 2
+    assert not Path(out).exists()
+
+
+def test_cli_threads_flag_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        _run(tmp_path, "walk", "--threads", "2")
+    assert exc.value.code == 2
+
+
+def _walk_files(out):
+    meta = sorted(Path(out).glob("*meta.json"))
+    data = sorted(p for p in Path(out).glob("*.json") if not p.name.endswith("meta.json"))
+    return json.loads(meta[0].read_text()), data[0]
+
+
+def test_cli_walk_mc_provenance_only_in_meta(tmp_path, capsys):
+    rc, out = _run(tmp_path, "walk", "--lambda", "0.5", "--c", "0.25",
+                   "--samples", "300", "--depth-cut", "6", "--m", "1")
+    assert rc == 0
+    meta, data_path = _walk_files(out)
+    assert meta["provenance"]["mc"] == {
+        name: {"paths": 300, "overflowed": 0} for name in ("green_oo", "hit_dist", "lifetime")
+    }
+    assert "overflowed" not in data_path.read_text()
+    assert "step_cap" not in capsys.readouterr().err
+
+
+def test_cli_walk_reports_cut_paths_on_stderr(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "WalkParams", functools.partial(WalkParams, step_cap=3))
+    rc, out = _run(tmp_path, "walk", "--lambda", "0.9", "--c", "0.1",
+                   "--samples", "200", "--depth-cut", "6", "--m", "1")
+    assert rc == 0
+    mc = _walk_files(out)[0]["provenance"]["mc"]
+    assert all(mc[name]["overflowed"] > 0 for name in ("green_oo", "hit_dist", "lifetime"))
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "step_cap 3" in err[0]

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -11,6 +13,7 @@ from fractalforms.networks import resistance_from_arrays, solve_dirichlet
 from fractalforms.treewalk import (
     _closure,
     _closure_solves,
+    _graph_distance,
     _solver_allowance,
     WalkParams,
     boundary_hit_distribution,
@@ -35,7 +38,7 @@ word_st = st.text(alphabet="012", min_size=0, max_size=6)
 
 
 def _params(**kw):
-    base = dict(lam=0.5, seed=0, samples=4000, depth_cut=8, workers=2)
+    base = dict(lam=0.5, seed=0, samples=4000, depth_cut=8)
     base.update(kw)
     return WalkParams(**base)
 
@@ -176,7 +179,7 @@ def test_closure_solve_cache_ignores_simulation_params():
     assert green_oo(a, mode="exact") == green_oo(b, mode="exact")
     info = _closure_solves.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    c = _params(lam=0.4, depth_cut=5, samples=10, workers=1, step_cap=7)
+    c = _params(lam=0.4, depth_cut=5, samples=10, step_cap=7)
     hitting_prob_F("01", c)
     assert _closure_solves.cache_info().misses == 1
 
@@ -217,9 +220,10 @@ def test_ctrw_lifetime_closed_form_values():
 
 def test_ctrw_lifetime_mc_matches_closed_form():
     p = _params(lam=0.5, c=0.25, samples=6000, depth_cut=8)
-    mean, stderr = ctrw_lifetime(p)
+    out = ctrw_lifetime(p)
     expect = ctrw_lifetime_closed_form(p) - ctrw_truncation_bias(p, p.depth_cut)
-    assert abs(mean - expect) < 4.0 * stderr + 1e-9
+    assert abs(out["mean"] - expect) < 4.0 * out["stderr"] + 1e-9
+    assert (out["paths"], out["overflowed"]) == (6000, 0)
 
 
 def test_ctrw_truncation_bias_is_negligible_at_depth():
@@ -298,3 +302,52 @@ def test_build_tables_cache_ignores_simulation_params():
     assert (mid.misses - before.misses, mid.hits - before.hits) == (1, 0)
     assert (after.misses - mid.misses, after.hits - mid.hits) == (0, 1)
     assert second is first
+
+
+# sha256 of the seeded outputs below, recorded from the three per-estimator
+# loops the engine replaced, run on their default 4 streams Philox(key=[seed, k])
+MC_DIGEST = "7435a5ea82adda360e8e255ecfe737e5ad3c213db7cfaad026b2ec7af4f5846c"
+
+
+def test_mc_engine_reproduces_recorded_streams():
+    p = WalkParams(lam=0.5, c=0.25, seed=3, samples=2000, depth_cut=6)
+    g = green_oo(p, mode="mc")
+    hit = boundary_hit_distribution(p, m=2, depth_cut=6)
+    life = ctrw_lifetime(p)
+    h = hashlib.sha256()
+    h.update(np.array([g["mean"], g["stderr"]], dtype=np.float64).tobytes())
+    h.update(np.asarray(hit["counts"], dtype=np.int64).tobytes())
+    h.update(np.array([life["mean"], life["stderr"]], dtype=np.float64).tobytes())
+    assert h.hexdigest() == MC_DIGEST
+
+
+def test_green_and_lifetime_return_the_same_keys():
+    p = _params(c=0.25, samples=200, depth_cut=5)
+    keys = {"mean", "stderr", "paths", "overflowed"}
+    assert set(green_oo(p, mode="mc")) == keys
+    assert set(ctrw_lifetime(p)) == keys
+
+
+@pytest.mark.parametrize("step_cap, cut", [(20, True), (WalkParams.step_cap, False)])
+def test_every_estimator_counts_paths_cut_at_step_cap(step_cap, cut):
+    p = _params(lam=0.9, c=0.1, samples=500, depth_cut=6, step_cap=step_cap)
+    overflowed = (
+        green_oo(p, mode="mc")["overflowed"],
+        boundary_hit_distribution(p, m=1, depth_cut=6)["overflowed"],
+        ctrw_lifetime(p)["overflowed"],
+    )
+    if cut:
+        assert all(n > 0 for n in overflowed)
+    else:
+        assert overflowed == (0, 0, 0)
+
+
+# sha256 of the int64 distance matrix over all words of length <= 3 in id
+# order, recorded from the breadth-first search the csgraph call replaced
+DISTANCE_DIGEST = "0a4e9bffc0ab9ea4f2ab834ba3c8d700a681718bffef5f0c7878ff928f1e63aa"
+
+
+def test_graph_distance_matches_recorded_matrix():
+    words = [w for n in range(4) for w in itertools.product(range(3), repeat=n)]
+    D = np.array([[_graph_distance(x, y) for y in words] for x in words], dtype=np.int64)
+    assert hashlib.sha256(D.tobytes()).hexdigest() == DISTANCE_DIGEST
