@@ -21,6 +21,7 @@ from .energies import (
     cell_averages,
     cellgraph_edge_energy,
     CellFunction,
+    float_values,
     restrict_to_level,
     sc_pointwise_energy_Dn,
     sg_graph_energy_An,
@@ -116,7 +117,7 @@ def _level_energy(u_n: VertexFunction, n: int, form: BesovForm):
     if kind is FractalKind.SG:
         return sg_graph_energy_An(u_n, n)
     return cellgraph_edge_energy(
-        CellFunction(kind, n, np.asarray(cell_averages(u_n, n).values, dtype=float))
+        CellFunction(kind, n, float_values(cell_averages(u_n, n).values))
     )
 
 

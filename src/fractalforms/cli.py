@@ -178,7 +178,11 @@ def _run_resistance(cfg: RunConfig, opts) -> ExperimentReport:
         else:
             rho_hat = ""
         rows.append((n, v, ratio, rho_hat))
-    return _report("resistance", cfg, opts, columns=("n", "RnV", "ratio", "rho_hat"), rows=rows)
+    columns = ("n", "RnV", "ratio", "rho_hat")
+    if kind is FractalKind.SG:
+        columns += ("closed_form",)
+        rows = [row + (float(Fraction(5, 3) ** row[0] - 1),) for row in rows]
+    return _report("resistance", cfg, opts, columns=columns, rows=rows)
 
 
 def _run_walkdim(cfg: RunConfig, opts) -> ExperimentReport:
@@ -332,7 +336,11 @@ def _run_walk(cfg: RunConfig, opts) -> ExperimentReport:
                     "target": params.lam ** n,
                 }
             )
-    hit = boundary_hit_distribution(params, m=opts.m, samples=params.samples)
+    if not 1 <= opts.m < params.depth_cut:
+        raise ConfigError(f"--m {opts.m} outside [1, depth_cut)")
+    hit = boundary_hit_distribution(
+        params, m=opts.m, samples=params.samples, depth_cut=params.depth_cut
+    )
     tree = {
         "lambda": params.lam,
         "c": params.c,

@@ -1,14 +1,23 @@
 """Discrete energies, cell averages, and the scaling identities between them.
 
 All level-n sums run over within-cell vertex pairs counted per cell (a pair on
-a shared carpet side therefore enters once for each of the two cells).  Exact
-rational input stays exact; float input takes a vectorized path.
+a shared carpet side therefore enters once for each of the two cells).
+
+Float and exact data run the same vectorised body.  Exact data is held as
+integer numerators over one shared denominator (`RationalArray`: Python ints
+in a numpy object array, so no sum can wrap).  A sum of squared differences
+is then an integer over den^2, a level-n cell average an integer over
+den * boundary_size * n_maps^m, and the one `Fraction` is built at the end.
+A float ndarray is its own numerators; its averages divide level by level,
+as `np.mean` does.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -17,18 +26,88 @@ from .geometry import (
     SG_PAIRS,
     VertexGraph,
     _cells,
+    _full,
     cell_graph,
     vertex_scale,
 )
 from .kinds import FractalKind
 
 
+@dataclass(frozen=True, eq=False)
+class RationalArray(Sequence):
+    """Exact rationals num[i] / den over one shared denominator.
+
+    `num` is an object array of Python ints; items read back as Fractions.
+    """
+
+    num: np.ndarray
+    den: int
+
+    @classmethod
+    def of(cls, values: Iterable) -> "RationalArray":
+        """Ints, Fractions or floats (taken exactly) over their least common
+        denominator."""
+        fr = [Fraction(v) for v in values]
+        den = math.lcm(*(int(f.denominator) for f in fr))
+        return cls(
+            np.array([int(f.numerator) * (den // int(f.denominator)) for f in fr], dtype=object),
+            den,
+        )
+
+    def __len__(self) -> int:
+        return len(self.num)
+
+    def __getitem__(self, i) -> Fraction:
+        return Fraction(self.num[i], self.den)
+
+
+def _is_float(values) -> bool:
+    """Float ndarrays are float data; every other sequence holds rationals."""
+    return isinstance(values, np.ndarray) and np.issubdtype(values.dtype, np.floating)
+
+
+def _numerators(values) -> tuple[np.ndarray, Optional[int]]:
+    """(numerators, shared denominator); float data is its own numerators
+    over None."""
+    if _is_float(values):
+        return values, None
+    exact = values if isinstance(values, RationalArray) else RationalArray.of(values)
+    return exact.num, exact.den
+
+
+def _from_numerators(num: np.ndarray, den: Optional[int]):
+    return num if den is None else RationalArray(num, den)
+
+
+def float_values(values) -> np.ndarray:
+    """Float copy of a value sequence; exact values are rounded once each."""
+    num, den = _numerators(values)
+    return num if den is None else (num / den).astype(float)
+
+
+def _mean(rows: np.ndarray, den: Optional[int]) -> tuple[np.ndarray, Optional[int]]:
+    """Row means of a 2-d numerator array: floats divide now, exact sums
+    carry the row length in the denominator."""
+    total = rows.sum(axis=1)
+    if den is None:
+        return total / rows.shape[1], None
+    return total, den * rows.shape[1]
+
+
+def _square_sum(diffs: Iterable[np.ndarray], den: Optional[int]):
+    """Sum of squared numerator differences, one dot product per array added
+    in order: a float for float data, otherwise the exact Fraction over den^2."""
+    total = sum(np.dot(d, d) for d in diffs)
+    return float(total) if den is None else Fraction(total, den * den)
+
+
 @dataclass(eq=False)
 class VertexFunction:
     """Values attached to the vertices of a VertexGraph.
 
-    `values` may be a float ndarray or a list of Fractions; the energy
-    routines preserve exactness for the latter.
+    `values` may be a float ndarray or a sequence of rationals (a
+    `RationalArray`, or a list of Fractions); the energy routines preserve
+    exactness for the latter.
     """
 
     graph: VertexGraph
@@ -40,17 +119,10 @@ class VertexFunction:
 
     @property
     def is_exact(self) -> bool:
-        return not (
-            isinstance(self.values, np.ndarray)
-            and np.issubdtype(self.values.dtype, np.floating)
-        )
+        return not _is_float(self.values)
 
     def as_float_array(self) -> np.ndarray:
-        if isinstance(self.values, np.ndarray) and np.issubdtype(
-            self.values.dtype, np.floating
-        ):
-            return self.values
-        return np.array([float(v) for v in self.values], dtype=float)
+        return float_values(self.values)
 
     @classmethod
     def from_point_fn(cls, graph: VertexGraph, fn: Callable) -> "VertexFunction":
@@ -58,22 +130,12 @@ class VertexFunction:
 
     @classmethod
     def from_x_fraction(cls, graph: VertexGraph, fn: Callable) -> "VertexFunction":
-        """Exact values from the x coordinate alone (fn maps Fraction->value)."""
-        den = (
-            2 ** graph.scale
-            if graph.kind is FractalKind.SG
-            else 2 * 3 ** graph.scale
-        )
-        cache: dict[int, object] = {}
-        vals = []
-        for xn in graph.xn:
-            xn = int(xn)
-            got = cache.get(xn)
-            if got is None:
-                got = fn(Fraction(xn, den))
-                cache[xn] = got
-            vals.append(got)
-        return cls(graph, vals)
+        """Exact values from the x coordinate alone (fn maps Fraction->value),
+        evaluated once per distinct abscissa."""
+        den = _full(graph.kind, graph.scale)
+        xs, inverse = np.unique(graph.xn, return_inverse=True)
+        at_x = RationalArray.of(fn(Fraction(int(x), den)) for x in xs)
+        return cls(graph, RationalArray(at_x.num[inverse], at_x.den))
 
 
 @dataclass(eq=False)
@@ -107,20 +169,8 @@ def corner_ids_at_level(vg: VertexGraph, n: int) -> np.ndarray:
 
 def _pair_energy(u: VertexFunction, n: int, pairs) -> object:
     ids = corner_ids_at_level(u.graph, n)
-    if not u.is_exact:
-        v = u.values
-        total = 0.0
-        for a, b in pairs:
-            d = v[ids[:, a]] - v[ids[:, b]]
-            total += float(np.dot(d, d))
-        return total
-    vals = u.values
-    total = Fraction(0)
-    for row in ids:
-        for a, b in pairs:
-            d = vals[int(row[a])] - vals[int(row[b])]
-            total += d * d
-    return total
+    num, den = _numerators(u.values)
+    return _square_sum((num[ids[:, a]] - num[ids[:, b]] for a, b in pairs), den)
 
 
 # ---------------------------------------------------------------------------
@@ -171,23 +221,11 @@ def cell_averages(u: VertexFunction, n: int) -> CellFunction:
     vg = u.graph
     if not 0 <= n <= vg.level:
         raise ValueError("level out of range")
-    ids = corner_ids_at_level(vg, vg.level)
-    nb = vg.kind.boundary_size
-    k = vg.kind.n_maps
-    if not u.is_exact:
-        vals = u.values[ids].mean(axis=1)
-        for _ in range(vg.level - n):
-            vals = vals.reshape(-1, k).mean(axis=1)
-        return CellFunction(vg.kind, n, vals)
-    vals = [
-        sum(u.values[int(i)] for i in row) / Fraction(nb) for row in ids
-    ]
+    num, den = _numerators(u.values)
+    vals, den = _mean(num[corner_ids_at_level(vg, vg.level)], den)
     for _ in range(vg.level - n):
-        vals = [
-            sum(vals[i * k : (i + 1) * k]) / Fraction(k)
-            for i in range(len(vals) // k)
-        ]
-    return CellFunction(vg.kind, n, vals)
+        vals, den = _mean(vals.reshape(-1, vg.kind.n_maps), den)
+    return CellFunction(vg.kind, n, _from_numerators(vals, den))
 
 
 def sg_cell_average_Pn(u: VertexFunction, n: int) -> CellFunction:
@@ -200,21 +238,10 @@ def mean_value_Mnm(cf: CellFunction, m: int) -> CellFunction:
     """Average cell values over depth-m subtrees: l(W_{n+m}) -> l(W_n)."""
     if m < 0 or m > cf.level:
         raise ValueError("bad coarsening depth")
-    k = cf.kind.n_maps
-    vals = list(cf.values)
-    exact = not (
-        isinstance(cf.values, np.ndarray)
-        and np.issubdtype(cf.values.dtype, np.floating)
-    )
+    num, den = _numerators(cf.values)
     for _ in range(m):
-        if exact:
-            vals = [
-                sum(vals[i * k : (i + 1) * k]) / Fraction(k)
-                for i in range(len(vals) // k)
-            ]
-        else:
-            vals = list(np.asarray(vals, dtype=float).reshape(-1, k).mean(axis=1))
-    return CellFunction(cf.kind, cf.level - m, vals)
+        num, den = _mean(num.reshape(-1, cf.kind.n_maps), den)
+    return CellFunction(cf.kind, cf.level - m, _from_numerators(num, den))
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +250,8 @@ def mean_value_Mnm(cf: CellFunction, m: int) -> CellFunction:
 def cellgraph_edge_energy(cf: CellFunction):
     """Unit-weight sum of squared differences over adjacent-cell pairs."""
     edges = cell_graph(cf.kind, cf.level).edges
-    vals = cf.values
-    if isinstance(vals, np.ndarray) and np.issubdtype(vals.dtype, np.floating):
-        d = vals[edges[:, 0]] - vals[edges[:, 1]]
-        return float(np.dot(d, d))
-    total = Fraction(0)
-    for i, j in edges.tolist():
-        d = vals[i] - vals[j]
-        total += d * d
-    return total
+    num, den = _numerators(cf.values)
+    return _square_sum([num[edges[:, 0]] - num[edges[:, 1]]], den)
 
 
 def sg_graph_energy_An(u: VertexFunction, n: int):
@@ -254,7 +274,7 @@ def sc_cell_energy_bn(u: VertexFunction, n: int, rho: float):
     if u.graph.kind is not FractalKind.SC:
         raise ValueError("expected carpet data")
     e = cellgraph_edge_energy(
-        CellFunction(u.graph.kind, n, np.asarray(cell_averages(u, n).values, dtype=float))
+        CellFunction(u.graph.kind, n, float_values(cell_averages(u, n).values))
     )
     return rho ** n * e
 
@@ -269,6 +289,5 @@ def restrict_to_level(u: VertexFunction, coarse: VertexGraph) -> VertexFunction:
         idx = fine.ids_of(coarse.xn * lift, coarse.yn * lift)
     except KeyError:
         raise ValueError("coarse vertex missing from the fine graph") from None
-    if isinstance(u.values, np.ndarray):
-        return VertexFunction(coarse, u.values[idx])
-    return VertexFunction(coarse, [u.values[int(j)] for j in idx])
+    num, den = _numerators(u.values)
+    return VertexFunction(coarse, _from_numerators(num[idx], den))

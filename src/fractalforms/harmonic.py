@@ -1,7 +1,9 @@
 """Harmonic functions on both fractals.
 
 Gasket side: the exact two-parameter-per-boundary-vertex harmonic family,
-built by the five-point midpoint extension rule in rational arithmetic.
+built by the five-point midpoint extension rule: one fold of the three
+integer extension matrices 5 A_i over all level-n cells gives every value as
+an integer numerator over the boundary's common denominator times 5^n.
 Carpet side: the discrete energy minimizer with left/right plate boundary
 conditions ("good function"), the one-dimensional increasing profile f used
 for lower bounds, the digit-restricted sublattice energy used for upper
@@ -17,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .energies import (
+    RationalArray,
     VertexFunction,
     corner_ids_at_level,
     kigami_energy_En,
@@ -59,21 +62,27 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # gasket harmonic family
+#
+# Cell d's corner values are 5 A_d times its parent's corner values, over 5:
+# the three edge midpoints of a cell with corner values (x, y, z) take
+# (2x+2y+z)/5, (2x+y+2z)/5 and (x+2y+2z)/5.
 
-def _midpoints(x, y, z):
-    # one refinement step: values at the three edge midpoints
-    m01 = (2 * x + 2 * y + z) / 5
-    m02 = (2 * x + y + 2 * z) / 5
-    m12 = (x + 2 * y + 2 * z) / 5
-    return m01, m02, m12
+_EXTENSION = tuple(
+    np.array(m, dtype=object)
+    for m in (
+        ((5, 0, 0), (2, 2, 1), (2, 1, 2)),
+        ((2, 2, 1), (0, 5, 0), (1, 2, 2)),
+        ((2, 1, 2), (1, 2, 2), (0, 0, 5)),
+    )
+)
 
 
 @dataclass(frozen=True)
 class SgHarmonic:
     """Harmonic function on the gasket with prescribed corner values.
 
-    Values are exact rationals; denominators stay in powers of 5 (times
-    whatever the boundary data brings in).
+    Values are exact: at level n, integer numerators over the boundary data's
+    common denominator times 5^n.
     """
 
     boundary: tuple
@@ -88,17 +97,12 @@ class SgHarmonic:
 
     def corner_triple(self, w) -> tuple:
         """Values at the three corners of cell w, outermost first."""
-        t = self.boundary
-        for d in as_digits(w):
-            x, y, z = t
-            m01, m02, m12 = _midpoints(x, y, z)
-            if d == 0:
-                t = (x, m01, m02)
-            elif d == 1:
-                t = (m01, y, m12)
-            else:
-                t = (m02, m12, z)
-        return t
+        digits = as_digits(w)
+        start = RationalArray.of(self.boundary)
+        num = start.num
+        for d in digits:
+            num = _EXTENSION[d] @ num
+        return tuple(RationalArray(num, start.den * 5 ** len(digits)))
 
     def value_at(self, w) -> Fraction:
         """Value at the vertex addressed by the nonempty word w."""
@@ -111,23 +115,14 @@ class SgHarmonic:
         if vg.kind is not FractalKind.SG:
             raise ValueError("gasket harmonic values need a gasket graph")
         n = vg.level
-        vals: list = [None] * vg.n_vertices
-        ids = corner_ids_at_level(vg, n)
-
-        def fill(triple, depth, base):
-            if depth == n:
-                i0, i1, i2 = ids[base]
-                vals[i0], vals[i1], vals[i2] = triple
-                return
-            x, y, z = triple
-            m01, m02, m12 = _midpoints(x, y, z)
-            stride = 3 ** (n - depth - 1)
-            fill((x, m01, m02), depth + 1, base)
-            fill((m01, y, m12), depth + 1, base + stride)
-            fill((m02, m12, z), depth + 1, base + 2 * stride)
-
-        fill(self.boundary, 0, 0)
-        return VertexFunction(vg, vals)
+        start = RationalArray.of(self.boundary)
+        corners = start.num[None, :]
+        for _ in range(n):
+            # the children of cell i are 3i, 3i+1, 3i+2, as in geometry._cells
+            corners = np.stack([corners @ m.T for m in _EXTENSION], axis=1).reshape(-1, 3)
+        num = np.empty(vg.n_vertices, dtype=object)
+        num[corner_ids_at_level(vg, n)] = corners
+        return VertexFunction(vg, RationalArray(num, start.den * 5 ** n))
 
 
 def sg_harmonic(
@@ -245,23 +240,16 @@ def minimize_x_profile_level1() -> tuple[tuple[Fraction, Fraction], Fraction]:
 CANTOR_DIGITS = (0, 1, 2, 4, 5, 6)  # bottom-row and top-row cells only
 
 
-def _ring_x_energy(n: int, digits: Sequence[int], fn) -> Fraction:
-    """Sum over words in digits^n of the ring-pair energy of u = fn(x).
+def _ring_x_energy(n: int, digits: Sequence[int]) -> Fraction:
+    """Ring-pair energy of u(x, y) = x summed over the words in digits^n.
 
-    Each distinct pair of corner abscissae enters once, weighted by the
-    number of ring pairs that join them; the sum stays exact."""
-    den = 2 * 3 ** n
+    The corner abscissae are integer numerators over 2 * 3^n, and adjacent
+    ring points differ by at most one numerator step, so the int64 sum of
+    squared differences is exact."""
     _, _, cx, _ = _cells(FractalKind.SC, n, digits)
     ends = np.array(SC_PAIRS)
-    a, b = cx[:, ends[:, 0]].ravel(), cx[:, ends[:, 1]].ravel()
-    moved = a != b
-    pairs, mult = np.unique(a[moved] * (den + 1) + b[moved], return_counts=True)
-    total = Fraction(0)
-    for packed, m in zip(pairs.tolist(), mult.tolist()):
-        xa, xb = divmod(packed, den + 1)
-        d = fn(Fraction(xa, den)) - fn(Fraction(xb, den))
-        total += m * d * d
-    return total
+    d = (cx[:, ends[:, 0]] - cx[:, ends[:, 1]]).ravel()
+    return Fraction(int(np.dot(d, d)), (2 * 3 ** n) ** 2)
 
 
 def strip_energy_checks(
@@ -279,7 +267,7 @@ def strip_energy_checks(
     vg = vertex_graph(FractalKind.SC, n)
     u = VertexFunction.from_x_fraction(vg, x_profile_value)
     sc_value = sc_pointwise_energy_Dn(u, n)
-    cantor_value = _ring_x_energy(n, CANTOR_DIGITS, lambda x: x)
+    cantor_value = _ring_x_energy(n, CANTOR_DIGITS)
     return sc_value, cantor_value
 
 
@@ -417,16 +405,12 @@ def harnack_ball(
     num, den2 = _sq_dist_num(vg, center)
     r2 = r * r
     inner2 = r2 * delta * delta
-    # exact comparisons: num/den2 <= r2  <=>  num*r2.den <= r2.num*den2
-    in_ball = np.array(
-        [x * r2.denominator <= r2.numerator * den2 for x in num], dtype=bool
-    )
-    in_inner = np.array(
-        [x * inner2.denominator <= inner2.numerator * den2 for x in num], dtype=bool
-    )
-    on_sphere = np.array(
-        [x * r2.denominator == r2.numerator * den2 for x in num], dtype=bool
-    )
+    # exact comparisons on Python ints: num/den2 <= r2 <=> num*r2.den <= r2.num*den2
+    ball_num = num * r2.denominator
+    sphere_num = r2.numerator * den2
+    in_ball = ball_num <= sphere_num
+    on_sphere = ball_num == sphere_num
+    in_inner = num * inner2.denominator <= inner2.numerator * den2
     ii, jj = vg.edges[:, 0], vg.edges[:, 1]
     has_outside_neighbor = np.zeros(vg.n_vertices, dtype=bool)
     out_i = in_ball[ii] & ~in_ball[jj]

@@ -16,10 +16,10 @@ from fractalforms.config import (
     parse_config_text,
     serialize_config,
 )
-from fractalforms import cli, networks
+from fractalforms import cli, networks, treewalk
 from fractalforms.cli import _build_parser, main, run
 from fractalforms.reporting import ExperimentReport, experiment_id, fmt_float
-from fractalforms.treewalk import WalkParams
+from fractalforms.treewalk import WalkParams, build_tables
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +209,11 @@ def test_cli_resistance_values(tmp_path):
     rc, out = _run(tmp_path, "resistance", "--kind", "sg", "--levels", "1..2")
     assert rc == 0
     lines = _csv_bytes(out).decode().strip().split("\r\n")
+    assert lines[0] == "n,RnV,ratio,rho_hat,closed_form"
     rows = [ln.split(",") for ln in lines[1:]]
     assert float(rows[0][1]) == pytest.approx(2.0 / 3.0, rel=1e-12)
     assert float(rows[1][1]) == pytest.approx((5.0 / 3.0) ** 2 - 1.0, rel=1e-12)
+    assert [float(r[4]) for r in rows] == [2.0 / 3.0, 16.0 / 9.0]
 
 
 def test_cli_walkdim_sg(tmp_path):
@@ -258,6 +260,24 @@ def test_cli_walk_seeded_rerun_identical(tmp_path):
     rc2, _ = _run(tmp_path, *args)
     assert rc2 == 0
     assert jf[0].read_bytes() == first
+
+
+def test_cli_walk_first_hit_law_runs_at_depth_cut(tmp_path):
+    treewalk._tables.cache_clear()
+    rc, _ = _run(tmp_path, "walk", "--lambda", "0.5", "--c", "0.25",
+                 "--samples", "300", "--depth-cut", "6", "--m", "1")
+    assert rc == 0
+    p = WalkParams(lam=0.5, C1=RunConfig().C1, C2=RunConfig().C2)
+    hits = build_tables.cache_info().hits
+    build_tables(p, 6)  # the first-hit law's tables, built by the walk
+    assert build_tables.cache_info().hits == hits + 1
+    build_tables(p, 10)  # no depth-10 table was built
+    assert build_tables.cache_info().hits == hits + 1
+
+
+def test_cli_walk_m_beyond_depth_cut_exit_2(tmp_path):
+    rc, _ = _run(tmp_path, "walk", "--samples", "100", "--depth-cut", "6", "--m", "6")
+    assert rc == 2
 
 
 def test_cli_invalid_config_exit_2(tmp_path):

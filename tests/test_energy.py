@@ -6,7 +6,14 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from fractalforms.kinds import FractalKind
-from fractalforms.geometry import cached_vertex_graph, vertex_graph
+from fractalforms.geometry import (
+    SC_PAIRS,
+    SG_PAIRS,
+    _cells,
+    cached_vertex_graph,
+    cell_graph,
+    vertex_graph,
+)
 from fractalforms.energies import (
     CellFunction,
     VertexFunction,
@@ -24,7 +31,12 @@ from fractalforms.energies import (
     sg_graph_energy_An,
     sg_pointwise_energy_Bn,
 )
-from fractalforms.harmonic import sg_harmonic, x_profile_value
+from fractalforms.harmonic import (
+    CANTOR_DIGITS,
+    sg_harmonic,
+    strip_energy_checks,
+    x_profile_value,
+)
 
 SG = FractalKind.SG
 SC = FractalKind.SC
@@ -182,3 +194,76 @@ def test_exactness_flag():
     assert u.as_float_array().dtype == np.float64
     v = VertexFunction(vg, np.zeros(6))
     assert not v.is_exact
+
+
+# ---------------------------------------------------------------------------
+# plain Fraction loops, the reference for the common-denominator sums
+
+def _ref_pair_energy(vals, ids, pairs):
+    total = Fraction(0)
+    for row in ids:
+        for a, b in pairs:
+            d = vals[int(row[a])] - vals[int(row[b])]
+            total += d * d
+    return total
+
+
+def _ref_coarsen(vals, k, m):
+    for _ in range(m):
+        vals = [sum(vals[i * k : (i + 1) * k]) / Fraction(k) for i in range(len(vals) // k)]
+    return vals
+
+
+def _ref_cell_averages(vals, vg, n):
+    nb = vg.kind.boundary_size
+    ids = corner_ids_at_level(vg, vg.level)
+    fine = [sum(vals[int(i)] for i in row) / Fraction(nb) for row in ids]
+    return _ref_coarsen(fine, vg.kind.n_maps, vg.level - n)
+
+
+def _ref_edge_energy(vals, kind, n):
+    total = Fraction(0)
+    for i, j in cell_graph(kind, n).edges.tolist():
+        d = vals[i] - vals[j]
+        total += d * d
+    return total
+
+
+def _ref_strip_energies(n):
+    vg = cached_vertex_graph(SC, n)
+    den = 2 * 3 ** n
+    vals = [x_profile_value(Fraction(int(x), den)) for x in vg.xn]
+    strip = _ref_pair_energy(vals, corner_ids_at_level(vg, n), SC_PAIRS)
+    _, _, cx, _ = _cells(SC, n, CANTOR_DIGITS)
+    cantor = Fraction(0)
+    for row in cx.tolist():
+        for a, b in SC_PAIRS:
+            d = Fraction(row[a] - row[b], den)
+            cantor += d * d
+    return strip, cantor
+
+
+@pytest.mark.parametrize("kind, n", [(SG, 1), (SG, 3), (SG, 5), (SC, 1), (SC, 2), (SC, 3)])
+def test_exact_energies_match_fraction_reference(kind, n):
+    vg = cached_vertex_graph(kind, n)
+    rng = np.random.default_rng(100 + n)
+    nums = rng.integers(-60, 61, vg.n_vertices)
+    dens = rng.integers(1, 40, vg.n_vertices)
+    vals = [Fraction(int(p), int(q)) for p, q in zip(nums, dens)]
+    u = VertexFunction(vg, vals)
+    energy, pairs = (
+        (sg_pointwise_energy_Bn, SG_PAIRS) if kind is SG else (sc_pointwise_energy_Dn, SC_PAIRS)
+    )
+    for m in range(n + 1):
+        got = energy(u, m)
+        assert isinstance(got, Fraction)
+        assert got == _ref_pair_energy(vals, corner_ids_at_level(vg, m), pairs)
+        ref = _ref_cell_averages(vals, vg, m)
+        cf = cell_averages(u, m)
+        assert list(cf.values) == ref
+        for j in range(m + 1):
+            assert list(mean_value_Mnm(cf, j).values) == _ref_coarsen(ref, kind.n_maps, j)
+        if m >= 1:
+            assert cellgraph_edge_energy(cf) == _ref_edge_energy(ref, kind, m)
+    if kind is SC:
+        assert strip_energy_checks(n) == _ref_strip_energies(n)

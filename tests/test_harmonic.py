@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,30 @@ def test_value_at_matches_vertex_function():
     vg = u.graph
     for i in range(vg.n_vertices):
         assert u.values[i] == h.value_at(vg.address(i))
+
+
+def _ref_value(boundary, word):
+    # the five-point midpoint rule in Fraction arithmetic, one cell at a time
+    t = boundary
+    for d in word[:-1]:
+        x, y, z = t
+        m01, m02, m12 = (2 * x + 2 * y + z) / 5, (2 * x + y + 2 * z) / 5, (x + 2 * y + 2 * z) / 5
+        t = ((x, m01, m02), (m01, y, m12), (m02, m12, z))[d]
+    return t[word[-1]]
+
+
+def test_vertex_function_with_large_denominators_matches_value_at():
+    h = SgHarmonic.make(
+        Fraction(999983, 1000003), Fraction(-765432, 999979), Fraction(123457, 999961)
+    )
+    vg = cached_vertex_graph(SG, 10)
+    u = h.vertex_function(vg)
+    assert max(abs(v) for v in u.values.num) > 2 ** 63  # past any int64
+    assert kigami_energy_En(u, 10) == h.boundary_energy()
+    rng = np.random.default_rng(5)
+    for i in [0, 1, 2, vg.n_vertices - 1, *rng.integers(0, vg.n_vertices, 200).tolist()]:
+        word = tuple(vg.address(i))
+        assert u.values[i] == h.value_at(word) == _ref_value(h.boundary, word)
 
 
 def test_triadic_f_table():
@@ -215,6 +240,28 @@ def test_harnack_solve_respects_maximum_principle():
     assert inside.min() >= bvals.min() - 1e-10
     ratio = harnack_ratio(3, HARNACK_CENTER, HARNACK_R, HARNACK_DELTA, bvals, ball=ball)
     assert 1.0 <= ratio < np.inf
+
+
+@pytest.mark.parametrize(
+    "n, r, delta, expected",
+    [
+        (3, HARNACK_R, HARNACK_DELTA,
+         ((229, "2a15fe91b21e2640"), (40, "79a2e819b548aeb1"), (60, "b0b2c507f0291a76"))),
+        (4, HARNACK_R, HARNACK_DELTA,
+         ((1969, "3dcdc27c3520e49d"), (102, "0164315404c9b25c"), (462, "c44337a8a526027d"))),
+        (4, Fraction(271828, 1000003), Fraction(314159, 999983),
+         ((2488, "6b642af8c262446c"), (110, "a85fd367e2dd25e6"), (219, "1cc31310d9ce031a"))),
+    ],
+)
+def test_harnack_ball_ids_match_recorded(n, r, delta, expected):
+    # (length, sha256 prefix) of the interior, boundary and inner id arrays,
+    # recorded from a per-vertex Fraction comparison of every distance
+    ball = harnack_ball(n, HARNACK_CENTER, r, delta)
+    got = tuple(
+        (len(ids), hashlib.sha256(ids.astype(np.int64).tobytes()).hexdigest()[:16])
+        for ids in (ball.interior_ids, ball.boundary_ids, ball.inner_ids)
+    )
+    assert got == expected
 
 
 def test_harnack_ball_factors_once():
