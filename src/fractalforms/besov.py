@@ -18,11 +18,8 @@ import numpy as np
 
 from .energies import (
     VertexFunction,
-    cell_averages,
-    cellgraph_edge_energy,
-    CellFunction,
-    float_values,
     restrict_to_level,
+    sc_cell_energy_bn,
     sc_pointwise_energy_Dn,
     sg_graph_energy_An,
     sg_pointwise_energy_Bn,
@@ -116,9 +113,7 @@ def _level_energy(u_n: VertexFunction, n: int, form: BesovForm):
         return sc_pointwise_energy_Dn(u_n, n)
     if kind is FractalKind.SG:
         return sg_graph_energy_An(u_n, n)
-    return cellgraph_edge_energy(
-        CellFunction(kind, n, float_values(cell_averages(u_n, n).values))
-    )
+    return sc_cell_energy_bn(u_n, n, 1.0)
 
 
 def besov_partial_terms(u, params: BesovParams) -> list[float]:

@@ -322,6 +322,11 @@ def _run_mosco(cfg: RunConfig, opts) -> ExperimentReport:
 
 def _run_walk(cfg: RunConfig, opts) -> ExperimentReport:
     params = _walk_params(cfg, opts)
+    # the F table holds words of length up to 3, strictly inside the ball
+    if params.depth_cut < 4:
+        raise ConfigError(f"walk needs depth_cut >= 4, got {params.depth_cut}")
+    if not 1 <= opts.m < params.depth_cut:
+        raise ConfigError(f"--m {opts.m} outside [1, depth_cut)")
     exact = green_oo(params, "exact")
     mc = green_oo(params, "mc")
     f_rows = []
@@ -336,8 +341,6 @@ def _run_walk(cfg: RunConfig, opts) -> ExperimentReport:
                     "target": params.lam ** n,
                 }
             )
-    if not 1 <= opts.m < params.depth_cut:
-        raise ConfigError(f"--m {opts.m} outside [1, depth_cut)")
     hit = boundary_hit_distribution(
         params, m=opts.m, samples=params.samples, depth_cut=params.depth_cut
     )

@@ -125,10 +125,6 @@ class VertexFunction:
         return float_values(self.values)
 
     @classmethod
-    def from_point_fn(cls, graph: VertexGraph, fn: Callable) -> "VertexFunction":
-        return cls(graph, [fn(graph.point(i)) for i in range(graph.n_vertices)])
-
-    @classmethod
     def from_x_fraction(cls, graph: VertexGraph, fn: Callable) -> "VertexFunction":
         """Exact values from the x coordinate alone (fn maps Fraction->value),
         evaluated once per distinct abscissa."""

@@ -6,8 +6,10 @@ factors it with SuperLU (`splu`, minimum-degree ordering on A^T + A), and
 solves any number of right-hand sides on that factor.  Every solve checks
 |L x - b| <= tol * max(1, |b|) with tol = 1e-12 by default; a failed
 factorization or a missed residual (NaN included) raises SolverError.
-`solve_dirichlet` is the single-shot form.  Triangle-star substitutions,
-node shorting, and node cutting are exact on rational inputs.
+`solve_dirichlet` is the single-shot form, and `certify_dirichlet` makes
+the same residual check on potentials found without a solve, such as the
+tree walk's radial closures.  Triangle-star substitutions, node shorting,
+and node cutting are exact on rational inputs.
 """
 from __future__ import annotations
 
@@ -312,6 +314,41 @@ def solve_dirichlet(
     info dict with method/residual/iterations.
     """
     return DirichletSystem(n, ii, jj, cond, fixed_ids).solve(fixed_vals, tol=tol)
+
+
+def certify_dirichlet(
+    n: int,
+    ii: np.ndarray,
+    jj: np.ndarray,
+    cond: np.ndarray,
+    fixed_ids: np.ndarray,
+    u: np.ndarray,
+    method: str,
+) -> float:
+    """Residual |L u - b| on the free nodes of potentials found without a solve.
+
+    This is the check `DirichletSystem.solve` makes, for a solution computed
+    by other means; the solver log records it as one solve under `method`.
+    Raises SolverError when the residual exceeds SOLVER_TOL * max(1, |b|).
+    """
+    free = np.ones(n, dtype=bool)
+    free[fixed_ids] = False
+
+    def net_current(v):
+        f = cond * (v[ii] - v[jj])
+        return (np.bincount(ii, f, n) - np.bincount(jj, f, n))[free]
+
+    boundary = np.zeros(n)
+    boundary[fixed_ids] = u[fixed_ids]
+    bnorm = float(np.linalg.norm(net_current(boundary)))
+    res = float(np.linalg.norm(net_current(u)))
+    if not res <= SOLVER_TOL * max(1.0, bnorm):  # NaN counts as a failure
+        raise SolverError(
+            f"{method} residual {res:.3e} above tolerance {SOLVER_TOL:.1e} "
+            f"at {int(free.sum())} unknowns"
+        )
+    _record(method, solves=1, residual=res)
+    return res
 
 
 @dataclass

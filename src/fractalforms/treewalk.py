@@ -6,8 +6,15 @@ ratio to lam.  Finite truncations bracket the infinite-graph quantities: a
 closure that grounds the working sphere overstates escape, and a closure
 that replaces everything below the sphere by exact per-vertex tree-tail
 resistors carries no horizontal edges down there and so reproduces the
-infinite tree-tail exactly.  Monte Carlo runs cross-check the linear
-algebra.
+infinite tree-tail exactly.  A potential that depends only on the level
+carries no current on same-level edges, so both closures are solved as a
+series chain of levels and certified by one residual of the full closure
+Laplacian; no matrix is factored.
+
+Monte Carlo runs cross-check the linear algebra.  A vertex's transition row
+depends only on its level and on the kind of edge in each column, so the
+tables hold one cumulative row per transition class, and one lockstep loop
+steps the paths of all fixed random-stream chunks at once.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import scipy.sparse as sp
 
 from .geometry import cell_graph
 from .kinds import FractalKind
-from .networks import solve_dirichlet
+from .networks import certify_dirichlet, solve_dirichlet
 from .words import Word, as_digits
 
 __all__ = [
@@ -197,24 +204,49 @@ def conductance(params: WalkParams, x, y) -> float:
 
 TAIL = -2  # pseudo-neighbor: a step into the untruncated subtree below
 
+# the kind of an edge seen from one end; a row's class key packs the level
+# and one kind per column, at most 14 * 6^7 for the 7 columns of depth 13
+N_KINDS = 6
+PAD, CHILD, PARENT, SAME_I, SAME_II, TAIL_STEP = range(N_KINDS)
+
 
 @dataclass(eq=False)
 class WalkTables:
+    """Padded neighbor tables and per-class transition rows.
+
+    A vertex's transition row depends only on its level and on the kind of
+    edge in each column, so `cum` holds one row per transition class and
+    `cls` maps every vertex to its class.
+    """
+
     tree: TreeGraph
     nbr: np.ndarray      # (V, W) int32, -1 padded, TAIL for tail steps
-    cum: np.ndarray      # (V, W) float64 cumulative transition probabilities
+    cls: np.ndarray      # (V,) intp transition class of each vertex
+    cum: np.ndarray      # (K, W) float64 cumulative transition probabilities per class
     pi: np.ndarray       # (V,) total incident conductance
     level: np.ndarray    # (V,) int16
 
-    def step(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(states.shape[0])
-        cols = (self.cum[states] < u[:, None]).sum(axis=1)
-        return self.nbr[states, cols].astype(np.int64)
+    def __post_init__(self) -> None:
+        # the last column is 1.0, never below a uniform in [0, 1), so it is
+        # left out of the comparisons
+        self._cum_cols = np.ascontiguousarray(self.cum[:, :-1].T)
+        self._nbr_flat = self.nbr.ravel()
+
+    def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Next vertex of each path, given one transition uniform per path."""
+        c = self.cls[states]
+        flat = states * self.nbr.shape[1]
+        for col in self._cum_cols:
+            flat += col[c] < u
+        return self._nbr_flat[flat]
 
 
-def _edge_arrays(params: WalkParams, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All edges of the depth-truncated graph with conductances."""
-    ii_all, jj_all, cc_all = [], [], []
+def _edge_arrays(
+    params: WalkParams, depth: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All edges of the depth-truncated graph with conductances and kinds
+    (CHILD for a vertical edge, seen from its parent end)."""
+    ii_all, jj_all, cc_all, kind_all = [], [], [], []
     # vertical: level n parents to level n+1 children
     for n in range(depth):
         parents = np.repeat(np.arange(3 ** n, dtype=np.int64), 3)
@@ -222,6 +254,7 @@ def _edge_arrays(params: WalkParams, depth: int) -> tuple[np.ndarray, np.ndarray
         ii_all.append(_level_offset(n) + parents)
         jj_all.append(_level_offset(n + 1) + children)
         cc_all.append(np.full(3 ** (n + 1), vertical_conductance(params, n)))
+        kind_all.append(np.full(3 ** (n + 1), CHILD, dtype=np.int8))
     # horizontal per level
     for n in range(1, depth + 1):
         cg = cell_graph(FractalKind.SG, n)
@@ -234,7 +267,12 @@ def _edge_arrays(params: WalkParams, depth: int) -> tuple[np.ndarray, np.ndarray
         ii_all.append(base + cg.edges[:, 0])
         jj_all.append(base + cg.edges[:, 1])
         cc_all.append(w)
-    return np.concatenate(ii_all), np.concatenate(jj_all), np.concatenate(cc_all)
+        kind_all.append(np.where(cg.second_type, SAME_II, SAME_I).astype(np.int8))
+    return tuple(np.concatenate(a) for a in (ii_all, jj_all, cc_all, kind_all))
+
+
+def _levels(depth: int) -> np.ndarray:
+    return np.repeat(np.arange(depth + 1, dtype=np.int16), 3 ** np.arange(depth + 1))
 
 
 def build_tables(params: WalkParams, depth: int, tail: bool = False) -> WalkTables:
@@ -255,32 +293,43 @@ def _tables(lam: float, C1: float, C2: float, depth: int, tail: bool) -> WalkTab
     params = WalkParams(lam=lam, C1=C1, C2=C2)
     tg = tree_graph(depth)
     V = tg.n_vertices
-    ii, jj, cc = _edge_arrays(params, depth)
+    level = _levels(depth)
+    ii, jj, cc, kind = _edge_arrays(params, depth)
     ends = np.concatenate([ii, jj])
     oths = np.concatenate([jj, ii])
     ws = np.concatenate([cc, cc])
+    kinds = np.concatenate([kind, np.where(kind == CHILD, PARENT, kind).astype(np.int8)])
     if tail:
         sphere = tg.sphere_ids(depth)
         ends = np.concatenate([ends, sphere])
         oths = np.concatenate([oths, np.full(len(sphere), TAIL, dtype=np.int64)])
         ws = np.concatenate([ws, np.full(len(sphere), 3.0 * vertical_conductance(params, depth))])
+        kinds = np.concatenate([kinds, np.full(len(sphere), TAIL_STEP, dtype=np.int8)])
     order = np.argsort(ends, kind="stable")
-    ends_s, oths_s, ws_s = ends[order], oths[order], ws[order]
+    ends_s, ws_s = ends[order], ws[order]
     deg = np.bincount(ends, minlength=V)
     W = int(deg.max())
     starts = np.concatenate([[0], np.cumsum(deg)[:-1]])
     col = np.arange(len(ends_s)) - starts[ends_s]
     nbr = np.full((V, W), -1, dtype=np.int32)
-    wts = np.zeros((V, W), dtype=np.float64)
-    nbr[ends_s, col] = oths_s
-    wts[ends_s, col] = ws_s
+    nbr[ends_s, col] = oths[order]
+    kind_cols = np.full((V, W), PAD, dtype=np.int8)
+    kind_cols[ends_s, col] = kinds[order]
+    key = level.astype(np.int64)
+    for k in range(W):
+        key = key * N_KINDS + kind_cols[:, k]
+    _, rep, cls = np.unique(key, return_index=True, return_inverse=True)
+    # every vertex of a class has its representative's weights, so the
+    # row ops below give each vertex the bits a row of its own would get
+    is_rep = np.zeros(V, dtype=bool)
+    is_rep[rep] = True
+    at_rep = is_rep[ends_s]
+    wts = np.zeros((len(rep), W), dtype=np.float64)
+    wts[cls[ends_s[at_rep]], col[at_rep]] = ws_s[at_rep]
     pi = wts.sum(axis=1)
     cum = np.cumsum(wts, axis=1) / pi[:, None]
     cum[:, -1] = 1.0
-    level = np.zeros(V, dtype=np.int16)
-    for n in range(depth + 1):
-        level[_level_offset(n) : _level_offset(n + 1)] = n
-    return WalkTables(tree=tg, nbr=nbr, cum=cum, pi=pi, level=level)
+    return WalkTables(tree=tg, nbr=nbr, cls=cls, cum=cum, pi=pi[cls], level=level)
 
 
 # hit and miss counts of the table cache, read where build_tables is called
@@ -297,7 +346,7 @@ build_tables.cache_info = _tables.cache_info
 
 def _closure(params: WalkParams, depth: int, mode: str):
     tg = tree_graph(depth)
-    ii, jj, cc = _edge_arrays(params, depth)
+    ii, jj, cc, _ = _edge_arrays(params, depth)
     sphere = tg.sphere_ids(depth)
     if mode == "ground":
         return tg.n_vertices, ii, jj, cc, sphere
@@ -312,8 +361,9 @@ def _closure(params: WalkParams, depth: int, mode: str):
 
 
 def _solver_allowance(residual: float) -> float:
-    # widen bracket ends so linear-solver noise cannot flip a containment
-    # that holds in exact arithmetic; negligible next to the truncation gap
+    # widen bracket ends so rounding in the potentials cannot flip a
+    # containment that holds in exact arithmetic; negligible next to the
+    # truncation gap
     return 1e-9 + 1e3 * residual
 
 
@@ -321,23 +371,36 @@ def _solver_allowance(residual: float) -> float:
 def _closure_solves(
     lam: float, C1: float, C2: float, depth_cut: int
 ) -> tuple[tuple[np.ndarray, float, float], ...]:
-    """(potentials, solver allowance, resistance) per closure, ground first.
+    """(level potentials, solver allowance, resistance) per closure, ground first.
 
-    The potential at id(x) estimates the chance of reaching the root from x
-    before escaping: the root is fixed at 1, the ground at 0.  The energy
-    sum c (v_i - v_j)^2 is unchanged under v -> 1 - v, so the same solve
-    gives the root-to-ground resistance.  The key holds only what the
-    conductances depend on; the factors are dropped once solved.
+    Entry n of the potentials estimates the chance of reaching the root
+    before escaping from a word of level n: the root is fixed at 1, the
+    ground at 0, and the last entry is the ground itself.  A potential that
+    depends only on the level sends no current through a same-level edge,
+    whatever C1 and C2 are, so each closure is a series chain: level n to
+    n + 1 is 3^(n+1) parallel edges of conductance (3 lam)^(-n), and the
+    tail closure adds 3^D parallel resistors of (3 lam)^D / (3 (1 - lam)).
+    The chain's potentials, expanded to every vertex, solve the full closure
+    (its Dirichlet solution is unique); one residual of the full closure
+    Laplacian certifies them and sets the allowance.  The key holds only what
+    the conductances depend on.
     """
     params = WalkParams(lam=lam, C1=C1, C2=C2)
+    links = [3 ** (n + 1) * vertical_conductance(params, n) for n in range(depth_cut)]
     out = []
     for mode in ("ground", "tail"):
         n, ii, jj, cc, ground = _closure(params, depth_cut, mode)
-        fixed = np.concatenate([[0], ground])
-        vals = np.concatenate([[1.0], np.zeros(len(ground))])
-        v, info = solve_dirichlet(n, ii, jj, cc, fixed, vals)
-        d = v[ii] - v[jj]
-        out.append((v, _solver_allowance(info["residual"]), 1.0 / float(np.sum(cc * d * d))))
+        if mode == "tail":
+            # the closure's last edges are the tail resistors
+            links.append(3 ** depth_cut * cc[-1])
+        # resistance from each level down to the ground
+        below = np.cumsum(1.0 / np.array(links)[::-1])[::-1]
+        v = np.append(below / below[0], 0.0)
+        node_level = np.append(_levels(depth_cut), depth_cut + 1)[:n]
+        residual = certify_dirichlet(
+            n, ii, jj, cc, np.concatenate([[0], ground]), v[node_level], "radial"
+        )
+        out.append((v, _solver_allowance(residual), float(below[0])))
     return tuple(out)
 
 
@@ -346,7 +409,7 @@ def hitting_prob_F(x, params: WalkParams, depth_cut: Optional[int] = None) -> tu
 
     The grounded-sphere closure is the lower end, the tree-tail closure the
     upper end; the target closed form lam^|x| lies in between.  Ends are
-    widened by the solver allowance of their own solves.
+    widened by the solver allowance of their own closures.
     """
     depth_cut = params.depth_cut if depth_cut is None else depth_cut
     xd = as_digits(x)
@@ -357,8 +420,7 @@ def hitting_prob_F(x, params: WalkParams, depth_cut: Optional[int] = None) -> tu
     (lo_v, lo_pad, _), (hi_v, hi_pad, _) = _closure_solves(
         params.lam, params.C1, params.C2, depth_cut
     )
-    i = tree_graph(depth_cut).id_of(xd)
-    lo, hi = float(lo_v[i]) - lo_pad, float(hi_v[i]) + hi_pad
+    lo, hi = float(lo_v[len(xd)]) - lo_pad, float(hi_v[len(xd)]) + hi_pad
     return min(lo, hi), max(lo, hi)
 
 
@@ -394,44 +456,59 @@ def _run_paths(
 
     With stop_level None the tables must carry tail entries, and a path
     ends when it escapes through the tail; otherwise a path ends on its
-    first step to a word of level stop_level.  Per step, `before(idx, cur,
-    rng)` draws first, then the transition uniforms, then the tail-return
-    uniforms; `after(idx, nxt, done)` sees each step's outcome.  `idx`
+    first step to a word of level stop_level.  All chunks step in lockstep
+    over one compacted index of the live paths, ascending, so each chunk's
+    paths form one slice of it.  Per step each chunk draws from its own
+    stream, in this order: `before(idx, cur, draw)` first, then the
+    transition uniforms, then the tail-return uniforms.  `draw(f)`
+    concatenates f(rng, sl) over the chunks, where sl slices the chunk's
+    live paths; `after(idx, nxt, done)` sees each step's outcome.  `idx`
     indexes the per-path arrays of length `samples`.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    states = np.zeros(samples, dtype=np.int64)
-    active = np.ones(samples, dtype=bool)
     base, extra = divmod(samples, CHUNKS)
-    hi = 0
-    for k in range(CHUNKS):
-        lo, hi = hi, hi + base + (k < extra)
-        rng = np.random.Generator(np.random.Philox(key=[params.seed, k]))
-        for _ in range(params.step_cap):
-            idx = lo + np.flatnonzero(active[lo:hi])
-            if len(idx) == 0:
-                break
-            cur = states[idx]
-            if before is not None:
-                before(idx, cur, rng)
-            nxt = tables.step(cur, rng)
-            if stop_level is None:
-                # a tail step comes back to the vertex it left with
-                # probability lam and escapes for good otherwise
-                done = np.zeros(len(idx), dtype=bool)
-                t_idx = np.flatnonzero(nxt == TAIL)
-                if len(t_idx):
-                    back = rng.random(len(t_idx)) < params.lam
-                    nxt[t_idx] = cur[t_idx]
-                    done[t_idx[~back]] = True
-            else:
-                done = tables.level[nxt] >= stop_level
-            states[idx] = nxt
-            if after is not None:
-                after(idx, nxt, done)
-            active[idx[done]] = False
-    return int(active.sum())
+    firsts = np.cumsum([0] + [base + (k < extra) for k in range(CHUNKS)])
+    rngs = [np.random.Generator(np.random.Philox(key=[params.seed, k])) for k in range(CHUNKS)]
+    stop = None if stop_level is None else _level_offset(stop_level)  # first id at stop_level
+
+    def per_chunk(f, bounds):
+        return np.concatenate(
+            [f(rng, slice(a, b)) for rng, a, b in zip(rngs, bounds[:-1], bounds[1:])]
+        )
+
+    def uniforms(bounds):
+        return per_chunk(lambda rng, sl: rng.random(sl.stop - sl.start), bounds)
+
+    idx = np.arange(samples)
+    cur = np.zeros(samples, dtype=np.int32)
+    bounds = firsts
+    for _ in range(params.step_cap):
+        if len(idx) == 0:
+            break
+        if before is not None:
+            before(idx, cur, lambda f: per_chunk(f, bounds))
+        nxt = tables.step(cur, uniforms(bounds))
+        if stop is None:
+            # a tail step comes back to the vertex it left with
+            # probability lam and escapes for good otherwise
+            done = np.zeros(len(idx), dtype=bool)
+            t_pos = np.flatnonzero(nxt == TAIL)
+            if len(t_pos):
+                back = uniforms(np.searchsorted(t_pos, bounds)) < params.lam
+                nxt[t_pos] = cur[t_pos]
+                done[t_pos[~back]] = True
+        else:
+            done = nxt >= stop
+        if after is not None:
+            after(idx, nxt, done)
+        if done.any():
+            live = ~done
+            idx, cur = idx[live], nxt[live]
+            bounds = np.searchsorted(idx, firsts)
+        else:
+            cur = nxt
+    return len(idx)
 
 
 def _mean_summary(x: np.ndarray, overflowed: int) -> dict:
@@ -462,7 +539,7 @@ def green_oo(
     visits = np.ones(params.samples, dtype=np.int64)  # start counts as a visit
 
     def count_root(idx, nxt, done):
-        visits[idx] += nxt == 0
+        visits[idx[nxt == 0]] += 1
 
     tables = build_tables(params, depth_cut, tail=True)
     overflowed = _run_paths(tables, params, params.samples, after=count_root)
@@ -506,7 +583,7 @@ def boundary_hit_distribution(
 @lru_cache(maxsize=4)
 def _ball_adjacency(depth: int) -> sp.csr_matrix:
     # structure only: the conductances of any lam give the same edge set
-    ii, jj, _ = _edge_arrays(WalkParams(lam=0.5), depth)
+    ii, jj, _, _ = _edge_arrays(WalkParams(lam=0.5), depth)
     n = tree_graph(depth).n_vertices
     return sp.csr_matrix((np.ones(len(ii)), (ii, jj)), shape=(n, n))
 
@@ -632,8 +709,9 @@ def ctrw_lifetime(
         inv_rate[sl] = (c / lam3) ** n / tables.pi[sl]
     t = np.zeros(samples)
 
-    def hold(idx, cur, rng):
-        t[idx] += rng.exponential(inv_rate[cur])
+    def hold(idx, cur, draw):
+        scale = inv_rate[cur]
+        t[idx] += draw(lambda rng, sl: rng.exponential(scale[sl]))
 
     overflowed = _run_paths(tables, params, samples, before=hold)
     return _mean_summary(t, overflowed)
@@ -645,19 +723,17 @@ def ctrw_lifetime(
 def detailed_balance_residual(params: WalkParams, depth: int = 4) -> float:
     """Max |pi(x)P(x,y) - pi(y)P(y,x)| over the truncated graph's edges."""
     tables = build_tables(params, depth)
-    prob = np.diff(np.concatenate([np.zeros((tables.cum.shape[0], 1)), tables.cum], axis=1), axis=1)
-    worst = 0.0
-    V, W = tables.nbr.shape
-    for i in range(V):
-        for k in range(W):
-            j = int(tables.nbr[i, k])
-            if j < 0 or j < i:
-                continue
-            flow_ij = tables.pi[i] * prob[i, k]
-            back = np.nonzero(tables.nbr[j] == i)[0]
-            flow_ji = tables.pi[j] * prob[j, back[0]]
-            worst = max(worst, abs(flow_ij - flow_ji))
-    return worst
+    V = tables.nbr.shape[0]
+    prob = np.diff(tables.cum, axis=1, prepend=0.0)
+    i, k = np.nonzero(tables.nbr >= 0)
+    j = tables.nbr[i, k].astype(np.int64)
+    flow = tables.pi[i] * prob[tables.cls[i], k]
+    # the entry of each edge seen from its other end
+    key = i * V + j
+    order = np.argsort(key)
+    back = order[np.searchsorted(key, j * V + i, sorter=order)]
+    up = j > i
+    return float(np.max(np.abs(flow[up] - flow[back[up]]), initial=0.0))
 
 
 def escape_depth_profile(
@@ -676,7 +752,7 @@ def escape_depth_profile(
             if not live.any():
                 break
             idx = np.nonzero(live)[0]
-            states[idx] = tables.step(states[idx], rng)
+            states[idx] = tables.step(states[idx], rng.random(len(idx)))
             deepest[idx] = np.maximum(deepest[idx], tables.level[states[idx]])
         out.append((int(budget), float(deepest.mean())))
     return out

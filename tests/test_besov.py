@@ -7,10 +7,18 @@ from hypothesis import given, settings
 
 from fractalforms.kinds import FractalKind
 from fractalforms.geometry import cached_vertex_graph
-from fractalforms.energies import VertexFunction
+from fractalforms.energies import (
+    CellFunction,
+    VertexFunction,
+    cell_averages,
+    cellgraph_edge_energy,
+    float_values,
+    restrict_to_level,
+)
 from fractalforms.harmonic import sc_good_function, sg_harmonic
 from fractalforms.besov import (
     SG_BETA_STAR,
+    BesovForm,
     BesovParams,
     JumpKernelParams,
     besov_double_integral_mc,
@@ -108,6 +116,17 @@ def test_mc_on_carpet_good_function():
     mc, err = besov_double_integral_mc(good.fn, 2.0, samples=30000, seed=0, kind=SC)
     assert mc > 0
     assert 1.0 / 50.0 < disc / mc < 50.0
+
+
+def test_cellgraph_terms_on_carpet_are_cell_average_energies():
+    # reference: the adjacent-cell energy of the float cell averages, unscaled
+    good = sc_good_function(3)
+    params = BesovParams(beta=2.0, N=3, kind=SC, form=BesovForm.CELLGRAPH)
+    terms = besov_partial_terms(good, params)
+    for n, term in enumerate(terms, start=1):
+        u_n = good.fn if n == 3 else restrict_to_level(good.fn, cached_vertex_graph(SC, n))
+        e = cellgraph_edge_energy(CellFunction(SC, n, float_values(cell_averages(u_n, n).values)))
+        assert term == besov_weight(SC, 2.0, n) * float(e)
 
 
 def test_monotone_limit_rows_increase_toward_boundary_energy():

@@ -280,6 +280,29 @@ def test_cli_walk_m_beyond_depth_cut_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("depth_cut, m", [("2", "1"), ("3", "1"), ("6", "6"), ("6", "0")])
+def test_cli_walk_checks_arguments_before_any_work(tmp_path, monkeypatch, depth_cut, m):
+    # depth cuts 2 and 3 leave no room for the F table's words of length 3
+    def no_work(*args, **kwargs):
+        raise AssertionError("walk started work before checking its arguments")
+
+    monkeypatch.setattr(cli, "green_oo", no_work)
+    rc, out = _run(tmp_path, "walk", "--samples", "100", "--depth-cut", depth_cut, "--m", m)
+    assert rc == 2
+    assert not Path(out).exists()
+
+
+def test_cli_walk_closures_certified_without_factoring(tmp_path):
+    treewalk._closure_solves.cache_clear()  # a cached closure logs nothing
+    rc, out = _run(tmp_path, "walk", "--lambda", "0.5", "--c", "0.25",
+                   "--samples", "300", "--depth-cut", "6", "--m", "1")
+    assert rc == 0
+    solver = _walk_files(out)[0]["provenance"]["solver"]
+    assert solver["method"] == "radial"
+    assert (solver["factorizations"], solver["solves"]) == (0, 2)
+    assert 0.0 < solver["max_residual"] <= 1e-12
+
+
 def test_cli_invalid_config_exit_2(tmp_path):
     rc, _ = _run(tmp_path, "walk", "--lambda", "1.5")
     assert rc == 2

@@ -13,6 +13,7 @@ from fractalforms.networks import (
     ResistanceResult,
     SolverError,
     WeightedNetwork,
+    certify_dirichlet,
     delta_to_wye,
     effective_resistance,
     fit_log_geometric,
@@ -201,6 +202,27 @@ def test_solver_log_counts_factorizations_and_solves():
     assert log.max_residual <= 1e-12
     solve_dirichlet(3, ii, jj, cc, np.array([0, 2]), np.array([0.0, 1.0]))
     assert log.factorizations == 1  # the block is closed
+
+
+def test_certify_dirichlet_checks_potentials_found_without_a_solve():
+    vg = vertex_graph(FractalKind.SC, 2)
+    ii, jj, cc = graph_edge_arrays(vg)
+    fixed = np.concatenate([sc_side_ids(vg, "left"), sc_side_ids(vg, "right")])
+    vals = np.concatenate([np.zeros(len(fixed) // 2), np.ones(len(fixed) // 2)])
+    u, info = solve_dirichlet(vg.n_vertices, ii, jj, cc, fixed, vals)
+    with solver_log() as log:
+        res = certify_dirichlet(vg.n_vertices, ii, jj, cc, fixed, u, "closed-form")
+    assert res <= 1e-12
+    assert log.as_dict() == {
+        "method": "closed-form", "factorizations": 0, "solves": 1, "max_residual": res,
+    }
+    wrong = u.copy()
+    wrong[np.setdiff1d(np.arange(vg.n_vertices), fixed)[0]] += 1e-6
+    with pytest.raises(SolverError, match="closed-form residual"):
+        certify_dirichlet(vg.n_vertices, ii, jj, cc, fixed, wrong, "closed-form")
+    wrong[0] = np.nan
+    with pytest.raises(SolverError):
+        certify_dirichlet(vg.n_vertices, ii, jj, cc, fixed, wrong, "closed-form")
 
 
 def test_sg_word_resistance_closed_form():

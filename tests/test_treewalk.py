@@ -9,10 +9,12 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from fractalforms.networks import resistance_from_arrays, solve_dirichlet
+from fractalforms.networks import solve_dirichlet
 from fractalforms.treewalk import (
+    TAIL,
     _closure,
     _closure_solves,
+    _edge_arrays,
     _graph_distance,
     _solver_allowance,
     WalkParams,
@@ -111,6 +113,31 @@ def test_detailed_balance_small_graph():
         assert res < 1e-13
 
 
+def _detailed_balance_loop(params, depth):
+    # the per-edge loop the vectorised residual replaced, on per-vertex rows
+    tables = build_tables(params, depth)
+    cum = tables.cum[tables.cls]
+    prob = np.diff(np.concatenate([np.zeros((cum.shape[0], 1)), cum], axis=1), axis=1)
+    worst = 0.0
+    V, W = tables.nbr.shape
+    for i in range(V):
+        for k in range(W):
+            j = int(tables.nbr[i, k])
+            if j < 0 or j < i:
+                continue
+            flow_ij = tables.pi[i] * prob[i, k]
+            back = np.nonzero(tables.nbr[j] == i)[0]
+            flow_ji = tables.pi[j] * prob[j, back[0]]
+            worst = max(worst, abs(flow_ij - flow_ji))
+    return worst
+
+
+@pytest.mark.parametrize("depth", [4, 6])
+def test_detailed_balance_residual_equals_loop_reference(depth):
+    p = _params(lam=0.5, C1=2.0, C2=0.3)
+    assert detailed_balance_residual(p, depth=depth) == _detailed_balance_loop(p, depth)
+
+
 def test_hitting_prob_brackets_contain_lambda_powers():
     for lam in (0.25, 0.5):
         p = _params(lam=lam)
@@ -143,33 +170,38 @@ def test_green_exact_bracket():
         assert g["upper"] - g["lower"] < 0.05 * expect
 
 
-def test_shared_closure_solve_matches_two_solves():
-    # G_oo reads R off the hitting potentials; the reference is a separate
-    # resistance solve per closure, with the root at 0 and the ground at 1
-    p = _params(lam=0.5, depth_cut=6)
-    lo, hi = green_oo(p, mode="exact").values()
-    shared = _closure_solves(p.lam, p.C1, p.C2, 6)
-    old_ends = []
-    for mode, (v, pad, R) in zip(("ground", "tail"), shared):
-        n, ii, jj, cc, ground = _closure(p, 6, mode)
-        old = resistance_from_arrays(n, ii, jj, cc, np.array([0]), ground)
+@pytest.mark.parametrize("lam", [0.25, 0.5, 0.9])
+@pytest.mark.parametrize("C1, C2", [(1.0, 1.0), (2.0, 0.3)])
+def test_radial_closures_match_superlu_oracle(lam, C1, C2):
+    # the oracle factors each full closure and reads R off the energy
+    depth = 10
+    p = WalkParams(lam=lam, C1=C1, C2=C2, depth_cut=depth)
+    radial = _closure_solves(lam, C1, C2, depth)
+    level = np.repeat(np.arange(depth + 2), [3 ** n for n in range(depth + 1)] + [1])
+    words = ("0", "12", "021", "2101", "000000000")
+    tg = tree_graph(depth)
+    old_ends, old_f = [], []
+    for mode, (v, pad, R) in zip(("ground", "tail"), radial):
+        n, ii, jj, cc, ground = _closure(p, depth, mode)
+        fixed = np.concatenate([[0], ground])
         old_v, info = solve_dirichlet(
-            n, ii, jj, cc, np.concatenate([[0], ground]), np.concatenate([[1.0], np.zeros(len(ground))])
+            n, ii, jj, cc, fixed, np.concatenate([[1.0], np.zeros(len(ground))])
         )
-        assert abs(3.0 * R - 3.0 * old.resistance) <= 1e-12
-        assert np.max(np.abs(v - old_v)) <= 1e-12
-        assert pad == _solver_allowance(info["residual"])
-        old_pad = _solver_allowance(old.residual)
+        d = old_v[ii] - old_v[jj]
+        old_R = 1.0 / float(np.sum(cc * d * d))
+        assert np.max(np.abs(v[level[:n]] - old_v)) <= 1e-14
+        assert abs(R - old_R) <= 1e-14 * old_R
+        old_pad = _solver_allowance(info["residual"])
         sign = -1.0 if mode == "ground" else 1.0
-        old_ends.append((3.0 * old.resistance + sign * old_pad, abs(pad - old_pad)))
-    # the bracket ends move only by the change of solver allowance
-    for new, (old, dpad) in zip((lo, hi), old_ends):
-        assert abs(new - old) <= 1e-12 + dpad
-    tg = tree_graph(6)
-    for w in ("0", "12", "021", "2101"):
-        i = tg.id_of(w)
-        (lo_v, lo_pad, _), (hi_v, hi_pad, _) = shared
-        assert hitting_prob_F(w, p) == (lo_v[i] - lo_pad, hi_v[i] + hi_pad)
+        dpad = abs(pad - old_pad)
+        old_ends.append((3.0 * old_R + sign * old_pad, dpad))
+        old_f.append([(old_v[tg.id_of(w)] + sign * old_pad, dpad) for w in words])
+    # bracket ends move by rounding and by the change of solver allowance
+    for new, (old, dpad) in zip(green_oo(p, mode="exact").values(), old_ends):
+        assert abs(new - old) <= 1e-14 + dpad
+    for w, lo_old, hi_old in zip(words, *old_f):
+        for new, (old, dpad) in zip(hitting_prob_F(w, p), (lo_old, hi_old)):
+            assert abs(new - old) <= 1e-14 + dpad
 
 
 def test_closure_solve_cache_ignores_simulation_params():
@@ -285,9 +317,52 @@ def test_escape_depth_profile_increases():
 def test_build_tables_row_normalization():
     p = _params()
     tables = build_tables(p, 5)
-    assert tables.cum.shape[0] == (3 ** 6 - 1) // 2
+    assert tables.cls.shape[0] == (3 ** 6 - 1) // 2
+    assert tables.cum.shape[0] == tables.cls.max() + 1
     assert np.allclose(tables.cum[:, -1], 1.0)
     assert (tables.pi > 0).all()
+
+
+def _per_vertex_tables(params, depth, tail):
+    # the construction the class tables replaced: one float row per vertex
+    V = tree_graph(depth).n_vertices
+    ii, jj, cc, _ = _edge_arrays(params, depth)
+    ends = np.concatenate([ii, jj])
+    oths = np.concatenate([jj, ii])
+    ws = np.concatenate([cc, cc])
+    if tail:
+        sphere = tree_graph(depth).sphere_ids(depth)
+        ends = np.concatenate([ends, sphere])
+        oths = np.concatenate([oths, np.full(len(sphere), TAIL, dtype=np.int64)])
+        ws = np.concatenate([ws, np.full(len(sphere), 3.0 * vertical_conductance(params, depth))])
+    order = np.argsort(ends, kind="stable")
+    ends_s, oths_s, ws_s = ends[order], oths[order], ws[order]
+    deg = np.bincount(ends, minlength=V)
+    W = int(deg.max())
+    starts = np.concatenate([[0], np.cumsum(deg)[:-1]])
+    col = np.arange(len(ends_s)) - starts[ends_s]
+    nbr = np.full((V, W), -1, dtype=np.int32)
+    wts = np.zeros((V, W), dtype=np.float64)
+    nbr[ends_s, col] = oths_s
+    wts[ends_s, col] = ws_s
+    pi = wts.sum(axis=1)
+    cum = np.cumsum(wts, axis=1) / pi[:, None]
+    cum[:, -1] = 1.0
+    return nbr, cum, pi
+
+
+@pytest.mark.parametrize("tail", [False, True])
+def test_class_tables_match_per_vertex_rows_bitwise(tail):
+    p = _params(lam=0.5, C1=2.0, C2=0.3)
+    tables = build_tables(p, 6, tail=tail)
+    nbr, cum, pi = _per_vertex_tables(p, 6, tail)
+    assert np.array_equal(tables.nbr, nbr)
+    assert tables.cum[tables.cls].tobytes() == cum.tobytes()
+    assert tables.pi.tobytes() == pi.tobytes()
+    # every class row ends at exactly 1.0 in its last real column
+    last = (tables.nbr != -1).sum(axis=1) - 1
+    assert (tables.cum[tables.cls, last] == 1.0).all()
+    assert len(tables.cum) <= 7 * (6 + 1)  # a few classes per level, not per vertex
 
 
 def test_build_tables_cache_ignores_simulation_params():
@@ -319,6 +394,24 @@ def test_mc_engine_reproduces_recorded_streams():
     h.update(np.asarray(hit["counts"], dtype=np.int64).tobytes())
     h.update(np.array([life["mean"], life["stderr"]], dtype=np.float64).tobytes())
     assert h.hexdigest() == MC_DIGEST
+
+
+# sha256 of the depth-10 outputs at both benchmark lambdas, recorded from
+# the per-chunk loop on per-vertex tables that the lockstep engine replaced
+MC_DIGEST_DEPTH_10 = "4f1dab8405ff6a151c92c7fb0a133c549d23144088eb357899e9a3f8897ae348"
+
+
+def test_mc_engine_reproduces_recorded_streams_at_depth_10():
+    h = hashlib.sha256()
+    for lam, c, m in ((0.5, 0.25, 2), (0.8, 0.5, 3)):
+        p = WalkParams(lam=lam, c=c, seed=7, samples=2000, depth_cut=10)
+        g = green_oo(p, mode="mc")
+        hit = boundary_hit_distribution(p, m=m, depth_cut=10)
+        life = ctrw_lifetime(p)
+        h.update(np.array([g["mean"], g["stderr"]], dtype=np.float64).tobytes())
+        h.update(np.asarray(hit["counts"], dtype=np.int64).tobytes())
+        h.update(np.array([life["mean"], life["stderr"]], dtype=np.float64).tobytes())
+    assert h.hexdigest() == MC_DIGEST_DEPTH_10
 
 
 def test_green_and_lifetime_return_the_same_keys():
