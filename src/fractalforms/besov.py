@@ -2,8 +2,13 @@
 
 The discrete semi-norm is a weighted sum of per-level graph energies; the
 integral form is the singular double integral against the product of the
-self-similar measures, estimated by Monte Carlo.  The walk dimension comes
-out of the geometric decay rate of the energy sequence.
+self-similar measures, estimated by Monte Carlo.  One Monte Carlo pass serves
+a whole beta grid: the draws, distances and value differences depend on
+(u, samples, seed, kind, depth) only, and each beta weights them in turn.
+Graph-bound data is read at each sampled cell's base corner through the
+cell's rank among the level-`depth` words, so any depth up to the data's
+level is sampled correctly.  The walk dimension comes out of the geometric
+decay rate of the energy sequence.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 
 from .energies import (
     VertexFunction,
+    corner_ids_at_level,
     restrict_to_level,
     sc_cell_energy_bn,
     sc_pointwise_energy_Dn,
@@ -161,18 +167,24 @@ def _digit_tables(kind: FractalKind) -> tuple[np.ndarray, np.ndarray, int]:
         return np.array(SG_AX), np.array(SG_AY), 2
     return np.array(SC_OX), np.array(SC_OY), 3
 
-def _anchor_coords(kind: FractalKind, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integer coordinates of each row's cell base corner (digits: m x d)."""
+def _anchor_coords(
+    kind: FractalKind, digits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer coordinates of each row's cell base corner at
+    vertex_scale(kind, d), and the cell's rank among the level-d words, which
+    is its index in geometry._cells (digits: m x d)."""
     ax, ay, mul = _digit_tables(kind)
     gx = np.zeros(digits.shape[0], dtype=np.int64)
     gy = np.zeros(digits.shape[0], dtype=np.int64)
+    rank = np.zeros(digits.shape[0], dtype=np.int64)
     for c in range(digits.shape[1]):
         d = digits[:, c]
         gx = mul * gx + ax[d]
         gy = mul * gy + ay[d]
+        rank = kind.n_maps * rank + d
     if kind is FractalKind.SG:
-        return gx, gy
-    return 2 * gx, 2 * gy
+        return gx, gy, rank
+    return 2 * gx, 2 * gy, rank
 
 
 def _sq_dist_from_anchors(kind: FractalKind, gx1, gy1, gx2, gy2, depth: int) -> np.ndarray:
@@ -205,75 +217,86 @@ def _sg_harmonic_values(h: SgHarmonic, digits: np.ndarray) -> np.ndarray:
     return X
 
 
-def _graph_lookup_values(u: VertexFunction, gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    return u.as_float_array()[u.graph.ids_of(gx, gy)]
-
-
 def besov_double_integral_mc(
     u,
-    beta: float,
+    beta,
     samples: int = 200_000,
     seed: int = 0,
     kind: Optional[FractalKind] = None,
     depth: Optional[int] = None,
-) -> tuple[float, float]:
+):
     """Stratified Monte Carlo estimate of the singular double integral.
 
-    Returns (estimate, stderr).  Graph-bound data caps the depth at its own
-    level; the harmonic family and coordinate callables evaluate at any
-    depth.
+    Returns (estimate, stderr), or a list of such pairs when `beta` is a
+    sequence.  The draws, distances and value differences do not depend on
+    beta, so one pass serves the whole grid; each beta's result is bitwise
+    the one a scalar call with the same seed returns.  Graph-bound data caps
+    the depth at its own level and reads each sample's base-corner value by
+    cell rank from the level-`depth` corner table, so any depth up to the
+    graph's level reads the right vertices; the harmonic family and
+    coordinate callables evaluate at any depth.
     """
+    graph_fn = None
     if isinstance(u, SgHarmonic):
         kind = FractalKind.SG
-        evaluate = lambda digs, gx, gy: _sg_harmonic_values(u, digs)
     elif isinstance(u, ScGoodFunction):
         kind = FractalKind.SC
-        depth = min(depth or MC_DEPTH_DEFAULT[kind], u.level)
-        evaluate = lambda digs, gx, gy: _graph_lookup_values(u.fn, gx, gy)
+        graph_fn = u.fn
     elif isinstance(u, VertexFunction):
         kind = u.graph.kind
-        depth = min(depth or MC_DEPTH_DEFAULT[kind], u.graph.level)
-        evaluate = lambda digs, gx, gy: _graph_lookup_values(u, gx, gy)
+        graph_fn = u
     elif callable(u):
         if kind is None:
             raise ValueError("callable input needs an explicit kind")
-        scale_den = None
-        def evaluate(digs, gx, gy, _u=u):
-            nonlocal scale_den
-            if scale_den is None:
-                s = digs.shape[1] + 1 if kind is FractalKind.SG else digs.shape[1]
-                scale_den = float(2 ** s) if kind is FractalKind.SG else 2.0 * 3.0 ** s
-            if kind is FractalKind.SG:
-                return np.asarray(_u(gx / scale_den, gy * math.sqrt(3.0) / scale_den))
-            return np.asarray(_u(gx / scale_den, gy / scale_den))
     else:
         raise TypeError(f"cannot sample {type(u).__name__}")
+    if graph_fn is not None:
+        depth = min(depth or MC_DEPTH_DEFAULT[kind], graph_fn.graph.level)
     if depth is None:
         depth = MC_DEPTH_DEFAULT[kind]
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if samples < 2 * depth:
         raise ValueError("need at least two samples per stratum")
+    scalar = np.ndim(beta) == 0
+    betas = [beta] if scalar else list(beta)
     crit = (
         SG_BETA_STAR
         if kind is FractalKind.SG
         else sc_beta_star(SC_RHO_NUMERIC)
     )
-    if beta >= crit:
-        warnings.warn(
-            f"beta={beta} at or above the critical exponent {crit:.6f}: "
-            "the integral may be infinite; the estimate reflects only the "
-            "sampled depth",
-            RuntimeWarning,
-            stacklevel=2,
+    for b in betas:
+        if b >= crit:
+            warnings.warn(
+                f"beta={b} at or above the critical exponent {crit:.6f}: "
+                "the integral may be infinite; the estimate reflects only the "
+                "sampled depth",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+
+    if isinstance(u, SgHarmonic):
+        evaluate = lambda digs, gx, gy, rank: _sg_harmonic_values(u, digs)
+    elif graph_fn is not None:
+        base_values = graph_fn.as_float_array()[
+            corner_ids_at_level(graph_fn.graph, depth)[:, 0]
+        ]
+        evaluate = lambda digs, gx, gy, rank: base_values[rank]
+    elif kind is FractalKind.SG:
+        scale_den = float(2 ** (depth + 1))
+        evaluate = lambda digs, gx, gy, rank: np.asarray(
+            u(gx / scale_den, gy * math.sqrt(3.0) / scale_den)
         )
+    else:
+        scale_den = 2.0 * 3.0 ** depth
+        evaluate = lambda digs, gx, gy, rank: np.asarray(u(gx / scale_den, gy / scale_den))
 
     K = kind.n_maps
-    expo = (kind.alpha + beta) / 2.0
+    expos = [(kind.alpha + b) / 2.0 for b in betas]
     rng = np.random.default_rng(seed)
     per = samples // depth
-    est = 0.0
-    var = 0.0
+    est = [0.0] * len(betas)
+    var = [0.0] * len(betas)
     for k in range(depth):
         # common prefix of length k, distinct next digits, free tails
         p_k = (1.0 - 1.0 / K) / K ** k
@@ -286,17 +309,17 @@ def besov_double_integral_mc(
         t2 = rng.integers(0, K, size=(per, tail_len))
         digs1 = np.concatenate([common, d1[:, None], t1], axis=1)
         digs2 = np.concatenate([common, d2[:, None], t2], axis=1)
-        gx1, gy1 = _anchor_coords(kind, digs1)
-        gx2, gy2 = _anchor_coords(kind, digs2)
+        gx1, gy1, rank1 = _anchor_coords(kind, digs1)
+        gx2, gy2, rank2 = _anchor_coords(kind, digs2)
         sq = _sq_dist_from_anchors(kind, gx1, gy1, gx2, gy2, depth)
-        v1 = evaluate(digs1, gx1, gy1)
-        v2 = evaluate(digs2, gx2, gy2)
-        du = v1 - v2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = np.where(sq > 0.0, du * du / sq ** expo, 0.0)
-        est += p_k * float(f.mean())
-        var += p_k ** 2 * float(f.var(ddof=1)) / per
-    return est, math.sqrt(var)
+        du = evaluate(digs1, gx1, gy1, rank1) - evaluate(digs2, gx2, gy2, rank2)
+        for i, expo in enumerate(expos):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f = np.where(sq > 0.0, du * du / sq ** expo, 0.0)
+            est[i] += p_k * float(f.mean())
+            var[i] += p_k ** 2 * float(f.var(ddof=1)) / per
+    pairs = [(e, math.sqrt(v)) for e, v in zip(est, var)]
+    return pairs[0] if scalar else pairs
 
 
 # ---------------------------------------------------------------------------

@@ -285,14 +285,15 @@ def _run_besov(cfg: RunConfig, opts) -> ExperimentReport:
     N = opts.depth if opts.depth is not None else (6 if kind is FractalKind.SG else 4)
     _check_levels([N], cfg.level_cap())
     fn = _function_for(opts.function, kind, max(N, 4), cfg)
-    rows = []
-    for beta in betas:
-        discrete = besov_partial_sum(fn, BesovParams(beta=beta, N=N, kind=kind))
-        mc, se = besov_double_integral_mc(
-            fn, beta, samples=cfg.mc_samples, seed=cfg.seed, kind=kind
-        )
-        ratio = discrete / mc if mc > 0 else ""
-        rows.append((beta, discrete, mc, se, ratio))
+    discrete = [besov_partial_sum(fn, BesovParams(beta=b, N=N, kind=kind)) for b in betas]
+    # one Monte Carlo pass serves the whole grid
+    estimates = besov_double_integral_mc(
+        fn, betas, samples=cfg.mc_samples, seed=cfg.seed, kind=kind
+    )
+    rows = [
+        (beta, d, mc, se, d / mc if mc > 0 else "")
+        for beta, d, (mc, se) in zip(betas, discrete, estimates)
+    ]
     return _report(
         "besov",
         cfg,

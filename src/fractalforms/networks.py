@@ -159,15 +159,13 @@ class WeightedNetwork:
 # ---------------------------------------------------------------------------
 # Dirichlet solver on edge arrays
 
-def _components_from(n: int, ii, jj, seeds) -> np.ndarray:
-    """Mark nodes sharing a connected component with any seed."""
+def _component_labels(n: int, ii, jj) -> np.ndarray:
+    """Connected-component label of every node; an isolated node is alone."""
     if len(ii) == 0:
-        out = np.zeros(n, dtype=bool)
-        out[np.asarray(seeds, dtype=np.int64)] = True
-        return out
+        return np.arange(n)
     g = sp.coo_matrix((np.ones(len(ii)), (ii, jj)), shape=(n, n))
     _, labels = sp.csgraph.connected_components(g, directed=False)
-    return np.isin(labels, labels[np.asarray(seeds, dtype=np.int64)])
+    return labels
 
 
 @dataclass
@@ -215,15 +213,19 @@ class DirichletSystem:
 
     The free-free block of the Laplacian is assembled and factored once;
     `solve` then takes any number of fixed-value vectors.  Nodes in no
-    component of a fixed node are not free: their potential is 0.
+    component of a fixed node are not free: their potential is 0.  A caller
+    that has already labelled the components of these edges passes `labels`
+    so they are not labelled twice.
     """
 
-    def __init__(self, n: int, ii, jj, cond, fixed_ids) -> None:
+    def __init__(self, n: int, ii, jj, cond, fixed_ids, *, labels=None) -> None:
         self.n = n
         self.fixed_ids = np.asarray(fixed_ids, dtype=np.int64)
         isfixed = np.zeros(n, dtype=bool)
         isfixed[self.fixed_ids] = True
-        free_mask = _components_from(n, ii, jj, self.fixed_ids) & ~isfixed
+        if labels is None:
+            labels = _component_labels(n, ii, jj)
+        free_mask = np.isin(labels, labels[self.fixed_ids]) & ~isfixed
         self.free = np.nonzero(free_mask)[0]
         self._lu = None
         if len(self.free) == 0:
@@ -307,13 +309,16 @@ def solve_dirichlet(
     fixed_ids: np.ndarray,
     fixed_vals: np.ndarray,
     tol: float = SOLVER_TOL,
+    *,
+    labels=None,
 ) -> tuple[np.ndarray, dict]:
     """Minimize sum c_e (u_i - u_j)^2 subject to the fixed values.
 
     Returns potentials for all n nodes (unreached components sit at 0) and an
-    info dict with method/residual/iterations.
+    info dict with method/residual/iterations.  `labels` are the edges'
+    component labels when the caller has them (see DirichletSystem).
     """
-    return DirichletSystem(n, ii, jj, cond, fixed_ids).solve(fixed_vals, tol=tol)
+    return DirichletSystem(n, ii, jj, cond, fixed_ids, labels=labels).solve(fixed_vals, tol=tol)
 
 
 def certify_dirichlet(
@@ -385,13 +390,14 @@ def resistance_from_arrays(
     if set(map(int, A_ids)) & set(map(int, B_ids)):
         raise ValueError("terminal sets overlap")
 
-    reach_A = _components_from(n, ii, jj, A_ids)
-    if not reach_A[B_ids].any():
+    # one labelling serves the reachability test and the solver's free set
+    labels = _component_labels(n, ii, jj)
+    if not np.isin(labels[B_ids], labels[A_ids]).any():
         return ResistanceResult(math.inf, 0.0, "disconnected", 0.0, None)
 
     fixed = np.concatenate([A_ids, B_ids])
     vals = np.concatenate([np.zeros(len(A_ids)), np.ones(len(B_ids))])
-    u, info = solve_dirichlet(n, ii, jj, cond, fixed, vals, tol=tol)
+    u, info = solve_dirichlet(n, ii, jj, cond, fixed, vals, tol=tol, labels=labels)
     d = u[ii] - u[jj]
     energy = float(np.sum(cond * d * d))
     if energy <= 0:

@@ -16,6 +16,7 @@ import hashlib
 import json
 import subprocess
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -26,10 +27,13 @@ def fmt_float(x: Any) -> str:
     return str(x)
 
 
+@lru_cache(maxsize=1)
 def git_hash() -> str:
+    """Commit of the checkout this module was loaded from, resolved once per
+    process; "unknown" outside a git checkout."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", "-C", str(Path(__file__).resolve().parent), "rev-parse", "HEAD"],
             capture_output=True,
             text=True,
             timeout=10,

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from .geometry import cell_graph
 from .kinds import FractalKind
-from .networks import certify_dirichlet, solve_dirichlet
+from .networks import _record, certify_dirichlet, solve_dirichlet
 from .words import Word, as_digits
 
 __all__ = [
@@ -370,8 +370,9 @@ def _solver_allowance(residual: float) -> float:
 @lru_cache(maxsize=8)
 def _closure_solves(
     lam: float, C1: float, C2: float, depth_cut: int
-) -> tuple[tuple[np.ndarray, float, float], ...]:
-    """(level potentials, solver allowance, resistance) per closure, ground first.
+) -> tuple[tuple[np.ndarray, float, float, float], ...]:
+    """(level potentials, solver allowance, resistance, certificate residual)
+    per closure, ground first.
 
     Entry n of the potentials estimates the chance of reaching the root
     before escaping from a word of level n: the root is fixed at 1, the
@@ -383,7 +384,8 @@ def _closure_solves(
     The chain's potentials, expanded to every vertex, solve the full closure
     (its Dirichlet solution is unique); one residual of the full closure
     Laplacian certifies them and sets the allowance.  The key holds only what
-    the conductances depend on.
+    the conductances depend on; callers go through _certified_closures, which
+    logs a cached certificate again.
     """
     params = WalkParams(lam=lam, C1=C1, C2=C2)
     links = [3 ** (n + 1) * vertical_conductance(params, n) for n in range(depth_cut)]
@@ -400,8 +402,21 @@ def _closure_solves(
         residual = certify_dirichlet(
             n, ii, jj, cc, np.concatenate([[0], ground]), v[node_level], "radial"
         )
-        out.append((v, _solver_allowance(residual), float(below[0])))
+        out.append((v, _solver_allowance(residual), float(below[0]), residual))
     return tuple(out)
+
+
+def _certified_closures(params: WalkParams, depth_cut: int):
+    """_closure_solves for the walk's conductances.  A cache hit makes no new
+    solve, so it records each certificate's residual under method `radial`
+    with no solve, and the run log shows what the brackets were widened by.
+    """
+    hits = _closure_solves.cache_info().hits
+    closures = _closure_solves(params.lam, params.C1, params.C2, depth_cut)
+    if _closure_solves.cache_info().hits > hits:
+        for *_, residual in closures:
+            _record("radial", residual=residual)
+    return closures
 
 
 def hitting_prob_F(x, params: WalkParams, depth_cut: Optional[int] = None) -> tuple[float, float]:
@@ -417,17 +432,13 @@ def hitting_prob_F(x, params: WalkParams, depth_cut: Optional[int] = None) -> tu
         raise ValueError("x must sit strictly inside the working ball")
     if len(xd) == 0:
         return 1.0, 1.0
-    (lo_v, lo_pad, _), (hi_v, hi_pad, _) = _closure_solves(
-        params.lam, params.C1, params.C2, depth_cut
-    )
+    (lo_v, lo_pad, _, _), (hi_v, hi_pad, _, _) = _certified_closures(params, depth_cut)
     lo, hi = float(lo_v[len(xd)]) - lo_pad, float(hi_v[len(xd)]) + hi_pad
     return min(lo, hi), max(lo, hi)
 
 
 def _green_exact(params: WalkParams, depth_cut: int) -> tuple[float, float]:
-    (_, lo_pad, lo_r), (_, hi_pad, hi_r) = _closure_solves(
-        params.lam, params.C1, params.C2, depth_cut
-    )
+    (_, lo_pad, lo_r, _), (_, hi_pad, hi_r, _) = _certified_closures(params, depth_cut)
     lo, hi = 3.0 * lo_r - lo_pad, 3.0 * hi_r + hi_pad
     return min(lo, hi), max(lo, hi)
 
@@ -711,7 +722,7 @@ def ctrw_lifetime(
 
     def hold(idx, cur, draw):
         scale = inv_rate[cur]
-        t[idx] += draw(lambda rng, sl: rng.exponential(scale[sl]))
+        t[idx] += draw(lambda rng, sl: rng.standard_exponential(sl.stop - sl.start) * scale[sl])
 
     overflowed = _run_paths(tables, params, samples, before=hold)
     return _mean_summary(t, overflowed)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fractalforms.energies import (
     float_values,
     restrict_to_level,
 )
-from fractalforms.harmonic import sc_good_function, sg_harmonic
+from fractalforms.harmonic import SgHarmonic, sc_good_function, sg_harmonic
 from fractalforms.besov import (
     SG_BETA_STAR,
     BesovForm,
@@ -100,6 +101,53 @@ def test_mc_warns_at_or_above_critical():
     u = sg_harmonic(0, 1, 0, 4)
     with pytest.warns(RuntimeWarning):
         besov_double_integral_mc(u, SG_BETA_STAR, samples=1000, seed=0, kind=SG)
+
+
+def test_mc_reads_graph_values_by_cell_rank_below_the_graph_level():
+    # a depth below the graph's level samples the level-`depth` base corners,
+    # where the level-6 and level-4 harmonic functions agree exactly
+    deep = sg_harmonic(0, 1, Fraction(1, 3), 6)
+    shallow = sg_harmonic(0, 1, Fraction(1, 3), 4)
+    a = besov_double_integral_mc(deep, 0.9, samples=20_000, seed=3, depth=4)
+    b = besov_double_integral_mc(shallow, 0.9, samples=20_000, seed=3)
+    assert a == b
+    good = sc_good_function(3)
+    coarse = restrict_to_level(good.fn, cached_vertex_graph(SC, 2))
+    a = besov_double_integral_mc(good, 2.0, samples=4_000, seed=5, depth=2)
+    b = besov_double_integral_mc(coarse, 2.0, samples=4_000, seed=5)
+    assert a == b
+    # at the graph's own level the estimates are the ones recorded before the
+    # rank gather replaced the coordinate lookup
+    assert besov_double_integral_mc(deep, 0.9, samples=20_000, seed=3) == (
+        0.5255507175888771,
+        0.008795157306673379,
+    )
+    assert besov_double_integral_mc(good, 2.0, samples=4_000, seed=5) == (
+        6.778122850560673,
+        0.29242187479430576,
+    )
+
+
+@pytest.mark.parametrize(
+    "make, kind",
+    [
+        (lambda: sg_harmonic(0, 1, Fraction(1, 3), 5), SG),
+        (lambda: sc_good_function(3), SC),
+        (lambda: SgHarmonic.make(0, 1, Fraction(1, 3)), SG),
+        (lambda: (lambda x, y: x * x + y), SC),
+    ],
+    ids=["VertexFunction", "ScGoodFunction", "SgHarmonic", "callable"],
+)
+def test_mc_beta_sequence_equals_scalar_calls_bitwise(make, kind):
+    u = make()
+    betas = (0.9, 1.5, 2.0)
+    grid = besov_double_integral_mc(u, betas, samples=6_000, seed=11, kind=kind, depth=5)
+    scalar = [
+        besov_double_integral_mc(u, b, samples=6_000, seed=11, kind=kind, depth=5)
+        for b in betas
+    ]
+    assert grid == scalar
+    assert isinstance(scalar[0], tuple) and len(scalar[0]) == 2
 
 
 def test_mc_comparable_to_discrete_sum():

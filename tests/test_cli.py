@@ -16,7 +16,7 @@ from fractalforms.config import (
     parse_config_text,
     serialize_config,
 )
-from fractalforms import cli, networks, treewalk
+from fractalforms import cli, networks, reporting, treewalk
 from fractalforms.cli import _build_parser, main, run
 from fractalforms.reporting import ExperimentReport, experiment_id, fmt_float
 from fractalforms.treewalk import WalkParams, build_tables
@@ -180,6 +180,30 @@ def test_report_csv_and_meta(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI end to end
 
+def test_git_hash_resolved_once_per_process_in_the_package_checkout(tmp_path, monkeypatch):
+    calls = []
+    real = reporting.subprocess.run
+
+    def counting(argv, **kwargs):
+        calls.append(argv)
+        return real(argv, **kwargs)
+
+    monkeypatch.setattr(reporting.subprocess, "run", counting)
+    reporting.git_hash.cache_clear()
+    try:
+        for k in range(2):
+            report = ExperimentReport("demo", {"seed": k}, columns=("a",), rows=[(k,)])
+            report.write(tmp_path / str(k))
+        assert len(calls) == 1
+        assert calls[0][:3] == ["git", "-C", str(Path(reporting.__file__).resolve().parent)]
+        # outside a checkout the hash is unknown
+        reporting.git_hash.cache_clear()
+        monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-repo"))
+        assert reporting.git_hash() == "unknown"
+    finally:
+        reporting.git_hash.cache_clear()
+
+
 def _run(tmp_path, *args):
     out = tmp_path / "out"
     cache = tmp_path / "cache"
@@ -301,6 +325,23 @@ def test_cli_walk_closures_certified_without_factoring(tmp_path):
     assert solver["method"] == "radial"
     assert (solver["factorizations"], solver["solves"]) == (0, 2)
     assert 0.0 < solver["max_residual"] <= 1e-12
+
+
+def test_cli_walk_cached_closures_log_their_certificate(tmp_path):
+    # the second walk reads its closures from the cache: no new solve, but
+    # the same method and the residual its brackets are widened by
+    treewalk._closure_solves.cache_clear()
+    args = ("walk", "--lambda", "0.5", "--c", "0.25",
+            "--samples", "300", "--depth-cut", "6", "--m", "1")
+    solvers = []
+    for run_dir in ("first", "second"):
+        rc, out = _run(tmp_path / run_dir, *args)
+        assert rc == 0
+        solvers.append(_walk_files(out)[0]["provenance"]["solver"])
+    first, second = solvers
+    assert first["method"] == second["method"] == "radial"
+    assert first["max_residual"] == second["max_residual"] > 0.0
+    assert (first["solves"], second["solves"]) == (2, 0)
 
 
 def test_cli_invalid_config_exit_2(tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -143,8 +144,29 @@ def test_disconnected_terminals_infinite_resistance():
     ii = np.array([0, 2])
     jj = np.array([1, 3])
     cc = np.array([1.0, 1.0])
-    res = resistance_from_arrays(4, ii, jj, cc, np.array([0]), np.array([2]))
+    with solver_log() as log:
+        res = resistance_from_arrays(4, ii, jj, cc, np.array([0]), np.array([2]))
     assert res.is_infinite
+    assert (res.method, res.residual) == ("disconnected", 0.0)
+    assert (log.factorizations, log.solves) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "resistance",
+    [lambda: sg_word_resistance(3), lambda: sc_RnV(2)],
+    ids=["sg_word_resistance", "sc_RnV"],
+)
+def test_resistance_labels_components_once(monkeypatch, resistance):
+    calls = []
+    real = csgraph.connected_components
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "connected_components", counting)
+    assert math.isfinite(resistance().resistance)
+    assert len(calls) == 1
 
 
 def test_solve_dirichlet_zero_off_reached_component():

@@ -181,7 +181,7 @@ def test_radial_closures_match_superlu_oracle(lam, C1, C2):
     words = ("0", "12", "021", "2101", "000000000")
     tg = tree_graph(depth)
     old_ends, old_f = [], []
-    for mode, (v, pad, R) in zip(("ground", "tail"), radial):
+    for mode, (v, pad, R, _) in zip(("ground", "tail"), radial):
         n, ii, jj, cc, ground = _closure(p, depth, mode)
         fixed = np.concatenate([[0], ground])
         old_v, info = solve_dirichlet(
