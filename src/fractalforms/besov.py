@@ -325,7 +325,7 @@ def besov_double_integral_mc(
 # ---------------------------------------------------------------------------
 # monotone limit of the rescaled sums
 
-def _geometric_tail(terms: Sequence[float], tol: float) -> tuple[float, float]:
+def _geometric_tail(terms: Sequence[float]) -> tuple[float, float]:
     """(tail value, residual bound) extending a geometrically decaying tail.
 
     Uses the last observed term ratio; exact for exactly geometric data."""
@@ -338,7 +338,7 @@ def _geometric_tail(terms: Sequence[float], tol: float) -> tuple[float, float]:
     # residual: drift of the observed ratios
     qprev = terms[-2] / terms[-3] if len(terms) >= 3 and terms[-3] != 0 else q
     drift = abs(q - qprev)
-    bound = tail * drift / max(1.0 - q, tol)
+    bound = tail * drift / max(1.0 - q, 1e-10)  # stays finite as q nears 1
     return tail, bound
 
 
@@ -346,7 +346,6 @@ def sg_monotone_limit(
     u,
     beta_grid: Sequence[float],
     probe_levels: int = 6,
-    tol: float = 1e-10,
 ) -> list[tuple[float, float, float]]:
     """Rows (beta, (1 - 2^beta/5) * E_beta, tail_bound) on the gasket.
 
@@ -371,7 +370,7 @@ def sg_monotone_limit(
     for b in beta_grid:
         lam_factor = 1.0 - 2.0 ** b / 5.0
         terms = [besov_weight(FractalKind.SG, b, n) * e for n, e in enumerate(energies, 1)]
-        tail, bound = _geometric_tail(terms, tol)
+        tail, bound = _geometric_tail(terms)
         rows.append((float(b), lam_factor * (sum(terms) + tail), lam_factor * bound))
     return rows
 

@@ -3,12 +3,14 @@
 Each subcommand computes one family of quantities and writes a CSV or JSON
 report plus a meta sidecar through the reporting module.  Exit codes: 0 ok,
 2 invalid configuration or parameters, 3 resource cap exceeded, 4 linear
-solver failure (a factorization failed or a residual exceeded solver_tol).
+solver failure (a factorization failed or a residual exceeded the fixed
+tolerance networks.SOLVER_TOL).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -79,13 +81,17 @@ class ResourceCapError(RuntimeError):
 
 def _parse_levels(text: str) -> list[int]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ConfigError(f"empty level range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(x) for x in text.split(",")]
+    try:
+        if ".." in text:
+            lo, hi = (int(x) for x in text.split("..", 1))
+            levels = list(range(lo, hi + 1))
+        else:
+            levels = [int(x) for x in text.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"bad level list {text!r}") from e
+    if not levels:
+        raise ConfigError(f"empty level range {text!r}")
+    return levels
 
 
 def _check_levels(levels, cap: int) -> None:
@@ -96,23 +102,30 @@ def _check_levels(levels, cap: int) -> None:
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(","))
+    try:
+        return tuple(float(x) for x in text.split(","))
+    except ValueError as e:
+        raise ConfigError(f"bad number list {text!r}") from e
 
 
-def _function_for(name: str, kind: FractalKind, level: int, cfg: RunConfig):
+def _parse_boundary(text: str) -> list[Fraction]:
+    """Three gasket corner values, each rounded to a denominator <= 10^6."""
+    triple = _parse_floats(text)
+    if len(triple) != 3 or not all(map(math.isfinite, triple)):
+        raise ConfigError(f"a boundary takes three finite values, got {text!r}")
+    return [Fraction(t).limit_denominator(10**6) for t in triple]
+
+
+def _function_for(name: str, kind: FractalKind, level: int):
     """Test-function selector: harmonic:a,b,c | goodfn | x."""
     if name.startswith("harmonic:"):
         if kind is not FractalKind.SG:
             raise ConfigError("harmonic boundary functions live on the gasket")
-        triple = _parse_floats(name.split(":", 1)[1])
-        if len(triple) != 3:
-            raise ConfigError("harmonic takes three boundary values")
-        vals = [Fraction(t).limit_denominator(10**6) for t in triple]
-        return sg_harmonic(*vals, level)
+        return sg_harmonic(*_parse_boundary(name.split(":", 1)[1]), level)
     if name == "goodfn":
         if kind is not FractalKind.SC:
             raise ConfigError("goodfn lives on the carpet")
-        return sc_good_function(level, tol=cfg.solver_tol)
+        return sc_good_function(level)
     if name == "x":
         return lambda px, py: px
     raise ConfigError(f"unknown function name {name!r}")
@@ -152,7 +165,7 @@ def _run_resistance(cfg: RunConfig, opts) -> ExperimentReport:
     values = []
     for n in levels:
         if kind is FractalKind.SG:
-            res = sg_word_resistance(n, tol=cfg.solver_tol)
+            res = sg_word_resistance(n)
         else:
             if n <= GRAPH_CACHE_MAX_LEVEL:
                 vg = cache.get_or_build(
@@ -161,7 +174,7 @@ def _run_resistance(cfg: RunConfig, opts) -> ExperimentReport:
                 )
             else:
                 vg = vertex_graph(kind, n)
-            res = sc_RnV(vg, tol=cfg.solver_tol)
+            res = sc_RnV(vg)
         values.append(res.resistance)
     if opts.timing:
         print(
@@ -190,7 +203,7 @@ def _run_walkdim(cfg: RunConfig, opts) -> ExperimentReport:
     levels = _parse_levels(opts.levels)
     _check_levels(levels, cfg.level_cap())
     top = max(levels)
-    fn = _function_for(opts.function, kind, top, cfg)
+    fn = _function_for(opts.function, kind, top)
     energies = []
     if kind is FractalKind.SG:
         base = 2
@@ -204,7 +217,7 @@ def _run_walkdim(cfg: RunConfig, opts) -> ExperimentReport:
         if opts.function != "goodfn":
             raise ConfigError("walkdim on the carpet uses the goodfn family")
         for n in levels:
-            g = sc_good_function(n, tol=cfg.solver_tol)
+            g = sc_good_function(n)
             energies.append(g.energy)
     rows = []
     for i, (n, e) in enumerate(zip(levels, energies)):
@@ -221,12 +234,8 @@ def _run_energy(cfg: RunConfig, opts) -> ExperimentReport:
     levels = _parse_levels(opts.levels)
     _check_levels(levels, cfg.level_cap())
     if kind is FractalKind.SG:
-        triple = _parse_floats(opts.boundary)
-        if len(triple) != 3:
-            raise ConfigError("boundary needs three values")
-        vals = [Fraction(t).limit_denominator(10**6) for t in triple]
         top = max(levels)
-        uf = sg_harmonic(*vals, top)
+        uf = sg_harmonic(*_parse_boundary(opts.boundary), top)
         from .energies import kigami_energy_En, sg_graph_energy_An
 
         rows = []
@@ -255,7 +264,7 @@ def _run_goodfn(cfg: RunConfig, opts) -> ExperimentReport:
         raise ConfigError("goodfn runs on the carpet; pass kind=sc")
     n = opts.level
     _check_levels([n], cfg.level_cap())
-    g = sc_good_function(n, tol=cfg.solver_tol)
+    g = sc_good_function(n)
     tree = g.values_json_dict()
     tree["resistance"] = 1.0 / g.energy
     return _report("goodfn", cfg, opts, tree=tree)
@@ -274,7 +283,7 @@ def _run_harnack(cfg: RunConfig, opts) -> ExperimentReport:
         ball = harnack_ball(n, center, r, delta)
         for trial in range(opts.trials):
             bvals = rng.uniform(0.0, 1.0, len(ball.boundary_ids))
-            ratio = harnack_ratio(n, center, r, delta, bvals, ball=ball, tol=cfg.solver_tol)
+            ratio = harnack_ratio(n, center, r, delta, bvals, ball=ball)
             rows.append((n, trial, ratio))
     return _report("harnack", cfg, opts, columns=("level", "trial", "ratio"), rows=rows)
 
@@ -284,8 +293,12 @@ def _run_besov(cfg: RunConfig, opts) -> ExperimentReport:
     betas = cfg.beta_grid or _parse_floats(opts.beta_grid)
     N = opts.depth if opts.depth is not None else (6 if kind is FractalKind.SG else 4)
     _check_levels([N], cfg.level_cap())
-    fn = _function_for(opts.function, kind, max(N, 4), cfg)
-    discrete = [besov_partial_sum(fn, BesovParams(beta=b, N=N, kind=kind)) for b in betas]
+    try:
+        params = [BesovParams(beta=b, N=N, kind=kind) for b in betas]
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    fn = _function_for(opts.function, kind, max(N, 4))
+    discrete = [besov_partial_sum(fn, p) for p in params]
     # one Monte Carlo pass serves the whole grid
     estimates = besov_double_integral_mc(
         fn, betas, samples=cfg.mc_samples, seed=cfg.seed, kind=kind
@@ -312,9 +325,7 @@ def _run_mosco(cfg: RunConfig, opts) -> ExperimentReport:
     else:
         betas = tuple(np.linspace(alpha + 0.05, SG_BETA_STAR - 0.005, opts.points))
     _check_levels([opts.depth], cfg.level_cap())
-    triple = _parse_floats(opts.boundary)
-    vals = [Fraction(t).limit_denominator(10**6) for t in triple]
-    h = sg_harmonic(*vals, opts.depth)
+    h = sg_harmonic(*_parse_boundary(opts.boundary), opts.depth)
     rows = sg_monotone_limit(h, betas, probe_levels=opts.depth)
     return _report(
         "mosco", cfg, opts, columns=("beta", "value", "tail_bound"), rows=list(rows)
@@ -342,9 +353,7 @@ def _run_walk(cfg: RunConfig, opts) -> ExperimentReport:
                     "target": params.lam ** n,
                 }
             )
-    hit = boundary_hit_distribution(
-        params, m=opts.m, samples=params.samples, depth_cut=params.depth_cut
-    )
+    hit = boundary_hit_distribution(params, m=opts.m)
     tree = {
         "lambda": params.lam,
         "c": params.c,
@@ -381,7 +390,7 @@ def _run_trace(cfg: RunConfig, opts) -> ExperimentReport:
     if cfg.kind != "sg":
         raise ConfigError("the trace comparison runs on the gasket")
     _check_levels([opts.depth], cfg.level_cap())
-    fn = _function_for(opts.function, FractalKind.SG, opts.depth, cfg)
+    fn = _function_for(opts.function, FractalKind.SG, opts.depth)
     try:
         sg_sum, interval_sum = interval_trace_check(fn, opts.beta1, N=opts.depth)
     except ValueError as e:

@@ -29,7 +29,6 @@ class RunConfig:
     kind: str = "sg"
     level_cap_sg: int = SG_LEVEL_CAP
     level_cap_sc: int = SC_LEVEL_CAP
-    solver_tol: float = 1e-12
     beta_grid: tuple[float, ...] = ()
     lam: float = 0.5
     C1: float = 1.0
@@ -69,10 +68,11 @@ class RunConfig:
                 raise ConfigError(
                     f"beta grid entry {b} outside ({alpha:.6f}, {bstar:.6f})"
                 )
-        if self.level_cap_sg < 1 or self.level_cap_sc < 1:
-            raise ConfigError("level caps must be >= 1")
-        if self.solver_tol <= 0:
-            raise ConfigError("solver_tol must be positive")
+        # a config may lower the package's level caps, never raise them
+        if not 1 <= self.level_cap_sg <= SG_LEVEL_CAP:
+            raise ConfigError(f"level_cap_sg must be in [1, {SG_LEVEL_CAP}]")
+        if not 1 <= self.level_cap_sc <= SC_LEVEL_CAP:
+            raise ConfigError(f"level_cap_sc must be in [1, {SC_LEVEL_CAP}]")
         if self.samples < 1 or self.mc_samples < 2:
             raise ConfigError("sample budgets must be positive")
         if self.depth_cut < 2:
@@ -101,7 +101,7 @@ def _parse_value(name: str, raw: str):
             return float(raw)
         if name in ("kind", "out_dir", "cache_dir"):
             return raw
-        if name in ("lam", "C1", "C2", "solver_tol"):
+        if name in ("lam", "C1", "C2"):
             return float(raw)
         return int(raw)
     except ValueError as exc:

@@ -125,12 +125,10 @@ class SgHarmonic:
         return VertexFunction(vg, RationalArray(num, start.den * 5 ** n))
 
 
-def sg_harmonic(
-    x0, x1, x2, n: int, graph: Optional[VertexGraph] = None, max_level: int = SG_LEVEL_CAP
-) -> VertexFunction:
+def sg_harmonic(x0, x1, x2, n: int, graph: Optional[VertexGraph] = None) -> VertexFunction:
     """Exact harmonic values on the level-n gasket vertex set."""
-    if not 0 <= n <= max_level:
-        raise ValueError(f"level {n} outside [0, {max_level}]")
+    if not 0 <= n <= SG_LEVEL_CAP:
+        raise ValueError(f"level {n} outside [0, {SG_LEVEL_CAP}]")
     vg = graph if graph is not None else vertex_graph(FractalKind.SG, n)
     if vg.level != n:
         raise ValueError("graph level does not match n")
@@ -252,9 +250,7 @@ def _ring_x_energy(n: int, digits: Sequence[int]) -> Fraction:
     return Fraction(int(np.dot(d, d)), (2 * 3 ** n) ** 2)
 
 
-def strip_energy_checks(
-    n: int, max_level: int = SC_LEVEL_CAP
-) -> tuple[Fraction, Fraction]:
+def strip_energy_checks(n: int) -> tuple[Fraction, Fraction]:
     """Two exact level-n carpet energies.
 
     First: the full per-cell pair energy of U(x,y) = f(x), computed on the
@@ -262,8 +258,8 @@ def strip_energy_checks(
     cells whose digits avoid the two mid-row maps (a Cantor set of rows).
     Expected closed forms: (6/7)^n and (2/3)^n.
     """
-    if not 1 <= n <= max_level:
-        raise ValueError(f"level {n} outside [1, {max_level}]")
+    if not 1 <= n <= SC_LEVEL_CAP:
+        raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
     vg = vertex_graph(FractalKind.SC, n)
     u = VertexFunction.from_x_fraction(vg, x_profile_value)
     sc_value = sc_pointwise_energy_Dn(u, n)
@@ -304,19 +300,14 @@ class ScGoodFunction:
         }
 
 
-def sc_good_function(
-    n: int,
-    graph: Optional[VertexGraph] = None,
-    max_level: int = SC_LEVEL_CAP,
-    **solver_kw,
-) -> ScGoodFunction:
+def sc_good_function(n: int, graph: Optional[VertexGraph] = None) -> ScGoodFunction:
     """Solve the left/right plate problem on the level-n carpet graph.
 
     Conductances are the per-cell pair counts, so the minimized quadratic is
     exactly the level-n pair energy and its minimum is 1/R_n^V.
     """
-    if not 1 <= n <= max_level:
-        raise ValueError(f"level {n} outside [1, {max_level}]")
+    if not 1 <= n <= SC_LEVEL_CAP:
+        raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
     vg = graph if graph is not None else vertex_graph(FractalKind.SC, n)
     if vg.kind is not FractalKind.SC or vg.level != n:
         raise ValueError("graph does not match the requested level")
@@ -325,7 +316,7 @@ def sc_good_function(
     ii, jj, cc = graph_edge_arrays(vg)
     fixed_ids = np.concatenate([left, right])
     fixed_vals = np.concatenate([np.zeros(len(left)), np.ones(len(right))])
-    u, info = solve_dirichlet(vg.n_vertices, ii, jj, cc, fixed_ids, fixed_vals, **solver_kw)
+    u, info = solve_dirichlet(vg.n_vertices, ii, jj, cc, fixed_ids, fixed_vals)
     du = u[ii] - u[jj]
     energy = float(np.dot(cc * du, du))
     return ScGoodFunction(level=n, fn=VertexFunction(vg, u), energy=energy, info=info)
@@ -386,15 +377,13 @@ def _sq_dist_num(vg: VertexGraph, center) -> tuple[np.ndarray, int]:
     return dx * dx + dy * dy, full * full
 
 
-def harnack_ball(
-    n_or_graph, center, r, delta, max_level: int = SC_LEVEL_CAP
-) -> HarnackBall:
+def harnack_ball(n_or_graph, center, r, delta) -> HarnackBall:
     if isinstance(n_or_graph, VertexGraph):
         vg = n_or_graph
     else:
         n = int(n_or_graph)
-        if not 1 <= n <= max_level:
-            raise ValueError(f"level {n} outside [1, {max_level}]")
+        if not 1 <= n <= SC_LEVEL_CAP:
+            raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
         vg = vertex_graph(FractalKind.SC, n)
     r = Fraction(r)
     delta = Fraction(delta)
@@ -430,7 +419,7 @@ def harnack_ball(
     )
 
 
-def harnack_solve(ball: HarnackBall, boundary_values, **solver_kw) -> np.ndarray:
+def harnack_solve(ball: HarnackBall, boundary_values) -> np.ndarray:
     """Potentials on the whole graph (zero off the ball), harmonic on the
     interior for the pair-count conductances, boundary data in id order."""
     bvals = np.asarray(boundary_values, dtype=float)
@@ -442,12 +431,12 @@ def harnack_solve(ball: HarnackBall, boundary_values, **solver_kw) -> np.ndarray
         raise ValueError("boundary values must be nonnegative")
     if not np.any(bvals > 0):
         raise ValueError("boundary values must not be identically zero")
-    u, _ = ball.system().solve(bvals, **solver_kw)
+    u, _ = ball.system().solve(bvals)
     return u
 
 
 def harnack_ratio(
-    n, center, r, delta, boundary_values, ball: Optional[HarnackBall] = None, **solver_kw
+    n, center, r, delta, boundary_values, ball: Optional[HarnackBall] = None
 ) -> float:
     """Max/min of the ball-harmonic extension over the shrunken ball.
 
@@ -457,7 +446,7 @@ def harnack_ratio(
         ball = harnack_ball(n, center, r, delta)
     if len(ball.inner_ids) == 0:
         raise ValueError("no vertices inside the shrunken ball")
-    u = harnack_solve(ball, boundary_values, **solver_kw)
+    u = harnack_solve(ball, boundary_values)
     inner = u[ball.inner_ids]
     lo = float(inner.min())
     hi = float(inner.max())

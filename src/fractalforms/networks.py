@@ -4,7 +4,8 @@ The solver contract is shared by every consumer in the package: one sparse
 direct path.  `DirichletSystem` assembles the free-free Laplacian block once,
 factors it with SuperLU (`splu`, minimum-degree ordering on A^T + A), and
 solves any number of right-hand sides on that factor.  Every solve checks
-|L x - b| <= tol * max(1, |b|) with tol = 1e-12 by default; a failed
+|L x - b| <= SOLVER_TOL * max(1, |b|) with the fixed SOLVER_TOL = 1e-12, the
+package's only residual tolerance (no call takes another); a failed
 factorization or a missed residual (NaN included) raises SolverError.
 `solve_dirichlet` is the single-shot form, and `certify_dirichlet` makes
 the same residual check on potentials found without a solve, such as the
@@ -272,12 +273,12 @@ class DirichletSystem:
         )
         return L, load
 
-    def solve(self, values, tol: float = SOLVER_TOL) -> tuple[np.ndarray, dict]:
+    def solve(self, values) -> tuple[np.ndarray, dict]:
         """Potentials for fixed values in `fixed_ids` order.
 
         `values` is one vector, or a matrix with one column per right-hand
         side; the potentials have the matching shape with n rows.  Raises
-        SolverError when a residual exceeds tol * max(1, |load|).
+        SolverError when a residual exceeds SOLVER_TOL * max(1, |load|).
         """
         values = np.asarray(values, dtype=float)
         u = np.zeros((self.n,) + values.shape[1:])
@@ -290,11 +291,12 @@ class DirichletSystem:
         x = self._lu.solve(b)
         bnorm = np.linalg.norm(b, axis=0)
         res = np.linalg.norm(self._L @ x - b, axis=0)
-        bad = ~(res <= tol * np.maximum(1.0, bnorm))  # NaN counts as a failure
+        bad = ~(res <= SOLVER_TOL * np.maximum(1.0, bnorm))  # NaN counts as a failure
         worst = float(np.max(res))
         if np.any(bad):
             raise SolverError(
-                f"splu residual {worst:.3e} above tolerance {tol:.1e} at {len(self.free)} unknowns"
+                f"splu residual {worst:.3e} above tolerance {SOLVER_TOL:.1e} "
+                f"at {len(self.free)} unknowns"
             )
         _record("splu", solves=n_rhs, residual=worst)
         u[self.free] = x
@@ -308,7 +310,6 @@ def solve_dirichlet(
     cond: np.ndarray,
     fixed_ids: np.ndarray,
     fixed_vals: np.ndarray,
-    tol: float = SOLVER_TOL,
     *,
     labels=None,
 ) -> tuple[np.ndarray, dict]:
@@ -318,7 +319,7 @@ def solve_dirichlet(
     info dict with method/residual/iterations.  `labels` are the edges'
     component labels when the caller has them (see DirichletSystem).
     """
-    return DirichletSystem(n, ii, jj, cond, fixed_ids, labels=labels).solve(fixed_vals, tol=tol)
+    return DirichletSystem(n, ii, jj, cond, fixed_ids, labels=labels).solve(fixed_vals)
 
 
 def certify_dirichlet(
@@ -362,23 +363,13 @@ class ResistanceResult:
     energy: float
     method: str
     residual: float
-    potentials: np.ndarray | None = None
 
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.resistance)
 
 
-def resistance_from_arrays(
-    n: int,
-    ii,
-    jj,
-    cond,
-    A_ids,
-    B_ids,
-    keep_potentials: bool = False,
-    tol: float = SOLVER_TOL,
-) -> ResistanceResult:
+def resistance_from_arrays(n: int, ii, jj, cond, A_ids, B_ids) -> ResistanceResult:
     """Effective resistance between node sets A (potential 0) and B (1)."""
     ii = np.asarray(ii, dtype=np.int64)
     jj = np.asarray(jj, dtype=np.int64)
@@ -393,27 +384,18 @@ def resistance_from_arrays(
     # one labelling serves the reachability test and the solver's free set
     labels = _component_labels(n, ii, jj)
     if not np.isin(labels[B_ids], labels[A_ids]).any():
-        return ResistanceResult(math.inf, 0.0, "disconnected", 0.0, None)
+        return ResistanceResult(math.inf, 0.0, "disconnected", 0.0)
 
     fixed = np.concatenate([A_ids, B_ids])
     vals = np.concatenate([np.zeros(len(A_ids)), np.ones(len(B_ids))])
-    u, info = solve_dirichlet(n, ii, jj, cond, fixed, vals, tol=tol, labels=labels)
+    u, info = solve_dirichlet(n, ii, jj, cond, fixed, vals, labels=labels)
     d = u[ii] - u[jj]
     energy = float(np.sum(cond * d * d))
-    if energy <= 0:
-        return ResistanceResult(math.inf, energy, info["method"], info["residual"])
-    return ResistanceResult(
-        1.0 / energy,
-        energy,
-        info["method"],
-        info["residual"],
-        u if keep_potentials else None,
-    )
+    resistance = 1.0 / energy if energy > 0 else math.inf
+    return ResistanceResult(resistance, energy, info["method"], info["residual"])
 
 
-def effective_resistance(
-    net: WeightedNetwork, A: Iterable, B: Iterable, **kw
-) -> ResistanceResult:
+def effective_resistance(net: WeightedNetwork, A: Iterable, B: Iterable) -> ResistanceResult:
     nodes = net.nodes()
     at = {v: i for i, v in enumerate(nodes)}
     m = len(net.conductances)
@@ -424,7 +406,7 @@ def effective_resistance(
         ii[e], jj[e], cc[e] = at[a], at[b], float(c)
     A_ids = np.array([at[v] for v in A], dtype=np.int64)
     B_ids = np.array([at[v] for v in B], dtype=np.int64)
-    return resistance_from_arrays(len(nodes), ii, jj, cc, A_ids, B_ids, **kw)
+    return resistance_from_arrays(len(nodes), ii, jj, cc, A_ids, B_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +417,7 @@ def graph_edge_arrays(vg: VertexGraph) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return e[:, 0], e[:, 1], e[:, 2].astype(float)
 
 
-def sg_word_resistance(n: int, **kw) -> ResistanceResult:
+def sg_word_resistance(n: int) -> ResistanceResult:
     """Resistance between the repeated-digit cells 0^n and 1^n on the
     unit-conductance level-n cell graph (both edge types, weight 1).
 
@@ -448,11 +430,11 @@ def sg_word_resistance(n: int, **kw) -> ResistanceResult:
     ii, jj = cg.edges[:, 0], cg.edges[:, 1]
     a, b = 0, (3 ** n - 1) // 2
     return resistance_from_arrays(
-        cg.n_cells, ii, jj, np.ones(len(ii)), np.array([a]), np.array([b]), **kw
+        cg.n_cells, ii, jj, np.ones(len(ii)), np.array([a]), np.array([b])
     )
 
 
-def sg_vertex_corner_resistance(vg_or_level, **kw) -> ResistanceResult:
+def sg_vertex_corner_resistance(vg_or_level) -> ResistanceResult:
     """Resistance between the two bottom corners of the level-n vertex graph
     with unit conductances (scale-invariant up to the (5/3)^n weight)."""
     vg = (
@@ -463,11 +445,11 @@ def sg_vertex_corner_resistance(vg_or_level, **kw) -> ResistanceResult:
     p0, p1, _ = sg_corner_ids(vg)
     ii, jj, cc = graph_edge_arrays(vg)
     return resistance_from_arrays(
-        vg.n_vertices, ii, jj, cc, np.array([p0]), np.array([p1]), **kw
+        vg.n_vertices, ii, jj, cc, np.array([p0]), np.array([p1])
     )
 
 
-def sc_RnV(vg_or_level, **kw) -> ResistanceResult:
+def sc_RnV(vg_or_level) -> ResistanceResult:
     """Left-to-right resistance of the level-n carpet graph with the
     per-cell pair counting as conductances (1 on free sides, 2 on shared)."""
     vg = (
@@ -478,7 +460,7 @@ def sc_RnV(vg_or_level, **kw) -> ResistanceResult:
     left = sc_side_ids(vg, "left")
     right = sc_side_ids(vg, "right")
     ii, jj, cc = graph_edge_arrays(vg)
-    return resistance_from_arrays(vg.n_vertices, ii, jj, cc, left, right, **kw)
+    return resistance_from_arrays(vg.n_vertices, ii, jj, cc, left, right)
 
 
 # ---------------------------------------------------------------------------

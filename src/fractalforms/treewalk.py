@@ -1,15 +1,15 @@
 """Random walk on the rooted ternary tree augmented by same-level edges.
 
-Vertices are all words up to a working depth; the conductance of an edge at
-level n decays like (3*lam)^(-n), which tunes the walk's per-level return
-ratio to lam.  Finite truncations bracket the infinite-graph quantities: a
-closure that grounds the working sphere overstates escape, and a closure
-that replaces everything below the sphere by exact per-vertex tree-tail
-resistors carries no horizontal edges down there and so reproduces the
-infinite tree-tail exactly.  A potential that depends only on the level
-carries no current on same-level edges, so both closures are solved as a
-series chain of levels and certified by one residual of the full closure
-Laplacian; no matrix is factored.
+Vertices are all words up to the working depth `WalkParams.depth_cut`; the
+conductance of an edge at level n decays like (3*lam)^(-n), which tunes the
+walk's per-level return ratio to lam.  Finite truncations bracket the
+infinite-graph quantities: a closure that grounds the working sphere
+overstates escape, and a closure that replaces everything below the sphere
+by exact per-vertex tree-tail resistors carries no horizontal edges down
+there and so reproduces the infinite tree-tail exactly.  A potential that
+depends only on the level carries no current on same-level edges, so both
+closures are solved as a series chain of levels and certified by one
+residual of the full closure Laplacian; no matrix is factored.
 
 Monte Carlo runs cross-check the linear algebra.  A vertex's transition row
 depends only on its level and on the kind of edge in each column, so the
@@ -62,7 +62,8 @@ class WalkParams:
 
     `lam` is the per-level return ratio; C1/C2 weight the two kinds of
     same-level adjacency; `c` (needed only by the continuous-time lifetime)
-    must stay below lam.
+    must stay below lam.  `depth_cut` is the working depth of every
+    estimator: none takes a depth of its own.
     """
 
     lam: float
@@ -219,7 +220,6 @@ class WalkTables:
     `cls` maps every vertex to its class.
     """
 
-    tree: TreeGraph
     nbr: np.ndarray      # (V, W) int32, -1 padded, TAIL for tail steps
     cls: np.ndarray      # (V,) intp transition class of each vertex
     cum: np.ndarray      # (K, W) float64 cumulative transition probabilities per class
@@ -329,7 +329,7 @@ def _tables(lam: float, C1: float, C2: float, depth: int, tail: bool) -> WalkTab
     pi = wts.sum(axis=1)
     cum = np.cumsum(wts, axis=1) / pi[:, None]
     cum[:, -1] = 1.0
-    return WalkTables(tree=tg, nbr=nbr, cls=cls, cum=cum, pi=pi[cls], level=level)
+    return WalkTables(nbr=nbr, cls=cls, cum=cum, pi=pi[cls], level=level)
 
 
 # hit and miss counts of the table cache, read where build_tables is called
@@ -406,40 +406,35 @@ def _closure_solves(
     return tuple(out)
 
 
-def _certified_closures(params: WalkParams, depth_cut: int):
-    """_closure_solves for the walk's conductances.  A cache hit makes no new
-    solve, so it records each certificate's residual under method `radial`
-    with no solve, and the run log shows what the brackets were widened by.
+def _certified_closures(params: WalkParams):
+    """_closure_solves for the walk's conductances and depth cut.  A cache
+    hit makes no new solve, so it records each certificate's residual under
+    method `radial` with no solve, and the run log shows what the brackets
+    were widened by.
     """
     hits = _closure_solves.cache_info().hits
-    closures = _closure_solves(params.lam, params.C1, params.C2, depth_cut)
+    closures = _closure_solves(params.lam, params.C1, params.C2, params.depth_cut)
     if _closure_solves.cache_info().hits > hits:
         for *_, residual in closures:
             _record("radial", residual=residual)
     return closures
 
 
-def hitting_prob_F(x, params: WalkParams, depth_cut: Optional[int] = None) -> tuple[float, float]:
+def hitting_prob_F(x, params: WalkParams) -> tuple[float, float]:
     """Bracket for the probability of ever reaching the root from word x.
 
     The grounded-sphere closure is the lower end, the tree-tail closure the
-    upper end; the target closed form lam^|x| lies in between.  Ends are
-    widened by the solver allowance of their own closures.
+    upper end, both on the ball of radius params.depth_cut; the target
+    closed form lam^|x| lies in between.  Ends are widened by the solver
+    allowance of their own closures.
     """
-    depth_cut = params.depth_cut if depth_cut is None else depth_cut
     xd = as_digits(x)
-    if len(xd) > depth_cut - 1:
+    if len(xd) > params.depth_cut - 1:
         raise ValueError("x must sit strictly inside the working ball")
     if len(xd) == 0:
         return 1.0, 1.0
-    (lo_v, lo_pad, _, _), (hi_v, hi_pad, _, _) = _certified_closures(params, depth_cut)
+    (lo_v, lo_pad, _, _), (hi_v, hi_pad, _, _) = _certified_closures(params)
     lo, hi = float(lo_v[len(xd)]) - lo_pad, float(hi_v[len(xd)]) + hi_pad
-    return min(lo, hi), max(lo, hi)
-
-
-def _green_exact(params: WalkParams, depth_cut: int) -> tuple[float, float]:
-    (_, lo_pad, lo_r, _), (_, hi_pad, hi_r, _) = _certified_closures(params, depth_cut)
-    lo, hi = 3.0 * lo_r - lo_pad, 3.0 * hi_r + hi_pad
     return min(lo, hi), max(lo, hi)
 
 
@@ -531,20 +526,19 @@ def _mean_summary(x: np.ndarray, overflowed: int) -> dict:
     }
 
 
-def green_oo(
-    params: WalkParams, mode: str = "exact", depth_cut: Optional[int] = None
-) -> dict:
+def green_oo(params: WalkParams, mode: str = "exact") -> dict:
     """Expected visits to the root, target 1/(1 - lam).
 
     exact mode: closure bracket {lower, upper}; mc mode: path average with
     standard error, path count and the number of paths cut at step_cap.
-    MC paths live on the working ball with tail excursions resolved
-    exactly, so the estimator is unbiased for the infinite graph.
+    MC paths live on the ball of radius params.depth_cut with tail
+    excursions resolved exactly, so the estimator is unbiased for the
+    infinite graph.
     """
-    depth_cut = params.depth_cut if depth_cut is None else depth_cut
     if mode == "exact":
-        lo, hi = _green_exact(params, depth_cut)
-        return {"lower": lo, "upper": hi}
+        (_, lo_pad, lo_r, _), (_, hi_pad, hi_r, _) = _certified_closures(params)
+        lo, hi = 3.0 * lo_r - lo_pad, 3.0 * hi_r + hi_pad
+        return {"lower": min(lo, hi), "upper": max(lo, hi)}
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
     visits = np.ones(params.samples, dtype=np.int64)  # start counts as a visit
@@ -552,19 +546,16 @@ def green_oo(
     def count_root(idx, nxt, done):
         visits[idx[nxt == 0]] += 1
 
-    tables = build_tables(params, depth_cut, tail=True)
+    tables = build_tables(params, params.depth_cut, tail=True)
     overflowed = _run_paths(tables, params, params.samples, after=count_root)
     return _mean_summary(visits.astype(float), overflowed)
 
 
-def boundary_hit_distribution(
-    params: WalkParams,
-    m: int,
-    samples: Optional[int] = None,
-    depth_cut: int = 10,
-) -> dict:
+def boundary_hit_distribution(params: WalkParams, m: int, samples: Optional[int] = None) -> dict:
     """Empirical distribution of the level-m prefix of the first word reached
-    at the working depth (the finite-budget proxy for the limit word)."""
+    at the working depth params.depth_cut (the finite-budget proxy for the
+    limit word).  `samples` defaults to params.samples."""
+    depth_cut = params.depth_cut
     if m < 1 or m >= depth_cut:
         raise ValueError("need 1 <= m < depth_cut")
     samples = params.samples if samples is None else samples
@@ -632,20 +623,15 @@ def rho_a(x, y, a: float) -> float:
     return math.exp(-a * float(gromov_product(xd, yd)))
 
 
-def martin_kernel_check(
-    params: WalkParams,
-    xs: Sequence,
-    xis_as_deep_words: Sequence,
-    depth_cut: Optional[int] = None,
-) -> dict:
+def martin_kernel_check(params: WalkParams, xs: Sequence, xis_as_deep_words: Sequence) -> dict:
     """Spread of K(x, xi) / (lam^|x| (3/lam)^(x^xi)) over the given pairs.
 
-    K is estimated from the tree-tail closure: one potential solve per xi
-    with the root as reference.  The comparison target is an asymptotic
-    equivalence, so the statistic to watch is the ratio spread staying inside
-    a fixed bracket.
+    K is estimated from the tree-tail closure of the ball of radius
+    params.depth_cut: one potential solve per xi with the root as reference.
+    The comparison target is an asymptotic equivalence, so the statistic to
+    watch is the ratio spread staying inside a fixed bracket.
     """
-    depth_cut = params.depth_cut if depth_cut is None else depth_cut
+    depth_cut = params.depth_cut
     lam = params.lam
     xis = [as_digits(w) for w in xis_as_deep_words]
     xs = [as_digits(w) for w in xs]
@@ -698,19 +684,18 @@ def ctrw_truncation_bias(params: WalkParams, depth: int) -> float:
     return c ** (depth + 1) / (3.0 * (1.0 - params.lam) * (1.0 - c))
 
 
-def ctrw_lifetime(
-    params: WalkParams, samples: Optional[int] = None, depth_cut: Optional[int] = None
-) -> dict:
+def ctrw_lifetime(params: WalkParams, samples: Optional[int] = None) -> dict:
     """Mean and standard error of the simulated total holding time, with the
-    path count and the number of paths cut at step_cap.
+    path count and the number of paths cut at step_cap; `samples` defaults
+    to params.samples.
 
     Tail excursions are resolved exactly, so the only systematic error is
-    the holding time the walk would have spent below the working depth,
-    bounded by ctrw_truncation_bias and far below the standard error at the
-    default depth.
+    the holding time the walk would have spent below the working depth
+    params.depth_cut, bounded by ctrw_truncation_bias and far below the
+    standard error at the default depth.
     """
     c = params.require_c()
-    depth_cut = params.depth_cut if depth_cut is None else depth_cut
+    depth_cut = params.depth_cut
     samples = params.samples if samples is None else samples
     tables = build_tables(params, depth_cut, tail=True)
     inv_rate = np.empty(tables.pi.shape)

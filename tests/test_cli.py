@@ -43,6 +43,11 @@ def test_config_rejects_bad_values():
         RunConfig(beta_grid=(1.0,)).validate()  # below the admissible window
     with pytest.raises(ConfigError):
         RunConfig(seed=-1).validate()
+    # a config may lower the level caps 12/7, never raise them
+    with pytest.raises(ConfigError):
+        RunConfig(level_cap_sg=13).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(kind="sc", level_cap_sc=8).validate()
 
 
 def test_config_roundtrip_through_text():
@@ -408,11 +413,29 @@ def test_cli_solver_provenance_only_in_meta(tmp_path):
     assert plain[0].read_bytes() == _csv_bytes(out)
 
 
-@pytest.mark.parametrize("key", ["threads = 2", "a = 1.0"])
+@pytest.mark.parametrize("key", ["threads = 2", "a = 1.0", "solver_tol = 1e-9"])
 def test_cli_removed_config_keys_exit_2(tmp_path, key):
     cfgf = tmp_path / "run.cfg"
     cfgf.write_text(f"kind = sg\n{key}\n")
     rc, out = _run(tmp_path, "resistance", "--config", str(cfgf), "--levels", "1..2")
+    assert rc == 2
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "resistance --levels x",
+        "besov --beta-grid abc",
+        "besov --beta-grid -1",
+        "mosco --boundary 0,1",
+        "energy --boundary 0,nan,1",
+        "energy --kind sg --levels 13 --level-cap 13",
+        "goodfn --kind sc --level 8 --level-cap 8",
+    ],
+)
+def test_cli_bad_arguments_exit_2_without_data(tmp_path, argv):
+    rc, out = _run(tmp_path, *argv.split())
     assert rc == 2
     assert not Path(out).exists()
 

@@ -387,7 +387,7 @@ MC_DIGEST = "7435a5ea82adda360e8e255ecfe737e5ad3c213db7cfaad026b2ec7af4f5846c"
 def test_mc_engine_reproduces_recorded_streams():
     p = WalkParams(lam=0.5, c=0.25, seed=3, samples=2000, depth_cut=6)
     g = green_oo(p, mode="mc")
-    hit = boundary_hit_distribution(p, m=2, depth_cut=6)
+    hit = boundary_hit_distribution(p, m=2)
     life = ctrw_lifetime(p)
     h = hashlib.sha256()
     h.update(np.array([g["mean"], g["stderr"]], dtype=np.float64).tobytes())
@@ -406,7 +406,7 @@ def test_mc_engine_reproduces_recorded_streams_at_depth_10():
     for lam, c, m in ((0.5, 0.25, 2), (0.8, 0.5, 3)):
         p = WalkParams(lam=lam, c=c, seed=7, samples=2000, depth_cut=10)
         g = green_oo(p, mode="mc")
-        hit = boundary_hit_distribution(p, m=m, depth_cut=10)
+        hit = boundary_hit_distribution(p, m=m)
         life = ctrw_lifetime(p)
         h.update(np.array([g["mean"], g["stderr"]], dtype=np.float64).tobytes())
         h.update(np.asarray(hit["counts"], dtype=np.int64).tobytes())
@@ -426,7 +426,7 @@ def test_every_estimator_counts_paths_cut_at_step_cap(step_cap, cut):
     p = _params(lam=0.9, c=0.1, samples=500, depth_cut=6, step_cap=step_cap)
     overflowed = (
         green_oo(p, mode="mc")["overflowed"],
-        boundary_hit_distribution(p, m=1, depth_cut=6)["overflowed"],
+        boundary_hit_distribution(p, m=1)["overflowed"],
         ctrw_lifetime(p)["overflowed"],
     )
     if cut:
