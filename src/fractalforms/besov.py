@@ -30,18 +30,9 @@ from .energies import (
     sg_graph_energy_An,
     sg_pointwise_energy_Bn,
 )
-from .geometry import cached_vertex_graph
+from .geometry import cached_vertex_graph, float_sq_dist, vertex_scale
 from .harmonic import ScGoodFunction, SgHarmonic
-from .kinds import (
-    SC_OX,
-    SC_OY,
-    SC_RHO_NUMERIC,
-    SG_AX,
-    SG_AY,
-    SG_BETA_STAR,
-    FractalKind,
-    sc_beta_star,
-)
+from .kinds import SG_BETA_STAR, FractalKind
 from .networks import fit_log_geometric
 
 __all__ = [
@@ -75,8 +66,8 @@ class BesovParams:
     form: BesovForm = BesovForm.POINTWISE
 
     def __post_init__(self) -> None:
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if self.N < 1:
             raise ValueError("truncation level must be >= 1")
 
@@ -84,9 +75,7 @@ class BesovParams:
 def besov_weight(kind: FractalKind, beta: float, n: int) -> float:
     """base^((beta-alpha)n): 2^(beta n)/3^n on the gasket, 3^(beta n)/8^n on
     the carpet."""
-    if kind is FractalKind.SG:
-        return 2.0 ** (beta * n) / 3.0 ** n
-    return 3.0 ** (beta * n) / 8.0 ** n
+    return float(kind.base) ** (beta * n) / float(kind.n_maps) ** n
 
 
 def _as_vertex_function(u, kind: FractalKind, N: int) -> VertexFunction:
@@ -162,37 +151,25 @@ def classify_tail(terms: Sequence[float]) -> str:
 # coincide) contribute zero; that truncation error is the acknowledged bias
 # of the depth cutoff.
 
-def _digit_tables(kind: FractalKind) -> tuple[np.ndarray, np.ndarray, int]:
-    if kind is FractalKind.SG:
-        return np.array(SG_AX), np.array(SG_AY), 2
-    return np.array(SC_OX), np.array(SC_OY), 3
-
 def _anchor_coords(
     kind: FractalKind, digits: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integer coordinates of each row's cell base corner at
     vertex_scale(kind, d), and the cell's rank among the level-d words, which
     is its index in geometry._cells (digits: m x d)."""
-    ax, ay, mul = _digit_tables(kind)
+    lat = kind.lattice
+    ox, oy = np.array(lat.ox), np.array(lat.oy)
     gx = np.zeros(digits.shape[0], dtype=np.int64)
     gy = np.zeros(digits.shape[0], dtype=np.int64)
     rank = np.zeros(digits.shape[0], dtype=np.int64)
     for c in range(digits.shape[1]):
         d = digits[:, c]
-        gx = mul * gx + ax[d]
-        gy = mul * gy + ay[d]
+        gx = kind.base * gx + ox[d]
+        gy = kind.base * gy + oy[d]
         rank = kind.n_maps * rank + d
-    if kind is FractalKind.SG:
-        return gx, gy, rank
-    return 2 * gx, 2 * gy, rank
-
-
-def _sq_dist_from_anchors(kind: FractalKind, gx1, gy1, gx2, gy2, depth: int) -> np.ndarray:
-    dx = (gx1 - gx2).astype(float)
-    dy = (gy1 - gy2).astype(float)
-    if kind is FractalKind.SG:
-        return (dx * dx + 3.0 * dy * dy) / 4.0 ** (depth + 1)
-    return (dx * dx + dy * dy) / (4.0 * 9.0 ** depth)
+    gx *= lat.corner_mul
+    gy *= lat.corner_mul
+    return gx, gy, rank
 
 
 def _sg_harmonic_values(h: SgHarmonic, digits: np.ndarray) -> np.ndarray:
@@ -260,11 +237,8 @@ def besov_double_integral_mc(
         raise ValueError("need at least two samples per stratum")
     scalar = np.ndim(beta) == 0
     betas = [beta] if scalar else list(beta)
-    crit = (
-        SG_BETA_STAR
-        if kind is FractalKind.SG
-        else sc_beta_star(SC_RHO_NUMERIC)
-    )
+    crit = kind.beta_star
+    scale = vertex_scale(kind, depth)  # of the anchors' numerators
     for b in betas:
         if b >= crit:
             warnings.warn(
@@ -282,14 +256,10 @@ def besov_double_integral_mc(
             corner_ids_at_level(graph_fn.graph, depth)[:, 0]
         ]
         evaluate = lambda digs, gx, gy, rank: base_values[rank]
-    elif kind is FractalKind.SG:
-        scale_den = float(2 ** (depth + 1))
-        evaluate = lambda digs, gx, gy, rank: np.asarray(
-            u(gx / scale_den, gy * math.sqrt(3.0) / scale_den)
-        )
     else:
-        scale_den = 2.0 * 3.0 ** depth
-        evaluate = lambda digs, gx, gy, rank: np.asarray(u(gx / scale_den, gy / scale_den))
+        den = float(kind.unit(scale))
+        y_factor = kind.lattice.y_factor
+        evaluate = lambda digs, gx, gy, rank: np.asarray(u(gx / den, gy * y_factor / den))
 
     K = kind.n_maps
     expos = [(kind.alpha + b) / 2.0 for b in betas]
@@ -311,7 +281,7 @@ def besov_double_integral_mc(
         digs2 = np.concatenate([common, d2[:, None], t2], axis=1)
         gx1, gy1, rank1 = _anchor_coords(kind, digs1)
         gx2, gy2, rank2 = _anchor_coords(kind, digs2)
-        sq = _sq_dist_from_anchors(kind, gx1, gy1, gx2, gy2, depth)
+        sq = float_sq_dist(kind, gx1, gy1, gx2, gy2, scale)
         du = evaluate(digs1, gx1, gy1, rank1) - evaluate(digs2, gx2, gy2, rank2)
         for i, expo in enumerate(expos):
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -394,12 +364,10 @@ def walkdim_estimate(
 ) -> float:
     """alpha + log(1/sigma)/log(base) from the fitted geometric ratio sigma
     of the level energies."""
-    if base == 2:
-        alpha = FractalKind.SG.alpha
-    elif base == 3:
-        alpha = FractalKind.SC.alpha
-    else:
+    kinds = {k.base: k for k in FractalKind}
+    if base not in kinds:
         raise ValueError("base must be 2 or 3")
+    alpha = kinds[base].alpha
     values = list(values)
     if len(values) < 3:
         raise ValueError("need at least 3 terms")

@@ -202,28 +202,25 @@ def _run_walkdim(cfg: RunConfig, opts) -> ExperimentReport:
     kind = cfg.fractal_kind()
     levels = _parse_levels(opts.levels)
     _check_levels(levels, cfg.level_cap())
-    top = max(levels)
-    fn = _function_for(opts.function, kind, top)
-    energies = []
     if kind is FractalKind.SG:
-        base = 2
+        top = max(levels)
+        fn = _function_for(opts.function, kind, top)
         if not isinstance(fn, VertexFunction):
             raise ConfigError("walkdim on the gasket needs a harmonic function")
+        energies = []
         for n in levels:
             u_n = fn if n == top else restrict_to_level(fn, cached_vertex_graph(kind, n))
             energies.append(float(sg_pointwise_energy_Bn(u_n, n)))
     else:
-        base = 3
         if opts.function != "goodfn":
             raise ConfigError("walkdim on the carpet uses the goodfn family")
-        for n in levels:
-            g = sc_good_function(n)
-            energies.append(g.energy)
+        # one solve per level: each level's energy is its own good function's
+        energies = [sc_good_function(n).energy for n in levels]
     rows = []
     for i, (n, e) in enumerate(zip(levels, energies)):
         ratio = "" if i == 0 else e / energies[i - 1]
         beta_hat = (
-            walkdim_estimate(energies[: i + 1], base, ns=levels[: i + 1]) if i >= 2 else ""
+            walkdim_estimate(energies[: i + 1], kind.base, ns=levels[: i + 1]) if i >= 2 else ""
         )
         rows.append((n, e, ratio, beta_hat))
     return _report("walkdim", cfg, opts, columns=("n", "energy", "ratio", "beta_hat"), rows=rows)
@@ -290,14 +287,19 @@ def _run_harnack(cfg: RunConfig, opts) -> ExperimentReport:
 
 def _run_besov(cfg: RunConfig, opts) -> ExperimentReport:
     kind = cfg.fractal_kind()
-    betas = cfg.beta_grid or _parse_floats(opts.beta_grid)
+    # the flag wins over the config file, which wins over the default grid
+    if opts.beta_grid is not None:
+        betas = _parse_floats(opts.beta_grid)
+    else:
+        betas = cfg.beta_grid or (1.9, 2.0, 2.1)
     N = opts.depth if opts.depth is not None else (6 if kind is FractalKind.SG else 4)
-    _check_levels([N], cfg.level_cap())
+    level = max(N, 4)  # the level the test function is built at
+    _check_levels([level], cfg.level_cap())
     try:
         params = [BesovParams(beta=b, N=N, kind=kind) for b in betas]
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    fn = _function_for(opts.function, kind, max(N, 4))
+    fn = _function_for(opts.function, kind, level)
     discrete = [besov_partial_sum(fn, p) for p in params]
     # one Monte Carlo pass serves the whole grid
     estimates = besov_double_integral_mc(
@@ -519,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=50)
 
     sp = sub.add_parser("besov", parents=[common])
-    sp.add_argument("--beta-grid", dest="beta_grid", default="1.9,2.0,2.1")
+    sp.add_argument("--beta-grid", dest="beta_grid", default=None)
     sp.add_argument("--function", default=None)
     sp.add_argument("--depth", type=int, default=None)
 
@@ -572,9 +574,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if opts.cache is not None:
             overrides["cache_dir"] = opts.cache
         if opts.level_cap is not None:
-            effective_kind = overrides.get("kind", cfg.kind)
-            key = "level_cap_sg" if effective_kind == "sg" else "level_cap_sc"
-            overrides[key] = opts.level_cap
+            overrides[f"level_cap_{overrides.get('kind', cfg.kind)}"] = opts.level_cap
         cfg = apply_overrides(cfg, **overrides)
         report = run(opts.command, cfg, opts)
         paths = report.write(cfg.out_dir)

@@ -10,14 +10,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
-from .kinds import (
-    SC_LEVEL_CAP,
-    SC_RHO_NUMERIC,
-    SG_BETA_STAR,
-    SG_LEVEL_CAP,
-    FractalKind,
-    sc_beta_star,
-)
+from .kinds import SC_LEVEL_CAP, SG_LEVEL_CAP, FractalKind
 
 
 class ConfigError(ValueError):
@@ -42,15 +35,13 @@ class RunConfig:
     cache_dir: str = ".fractalforms-cache"
 
     def fractal_kind(self) -> FractalKind:
-        return FractalKind.SG if self.kind == "sg" else FractalKind.SC
+        return FractalKind(self.kind)
 
     def level_cap(self) -> int:
-        return self.level_cap_sg if self.kind == "sg" else self.level_cap_sc
+        return getattr(self, f"level_cap_{self.kind}")
 
     def beta_star(self) -> float:
-        if self.kind == "sg":
-            return SG_BETA_STAR
-        return sc_beta_star(SC_RHO_NUMERIC)
+        return self.fractal_kind().beta_star
 
     def validate(self) -> "RunConfig":
         if self.kind not in ("sg", "sc"):

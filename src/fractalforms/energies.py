@@ -26,7 +26,6 @@ from .geometry import (
     SG_PAIRS,
     VertexGraph,
     _cells,
-    _full,
     cell_graph,
     vertex_scale,
 )
@@ -128,7 +127,7 @@ class VertexFunction:
     def from_x_fraction(cls, graph: VertexGraph, fn: Callable) -> "VertexFunction":
         """Exact values from the x coordinate alone (fn maps Fraction->value),
         evaluated once per distinct abscissa."""
-        den = _full(graph.kind, graph.scale)
+        den = graph.kind.unit(graph.scale)
         xs, inverse = np.unique(graph.xn, return_inverse=True)
         at_x = RationalArray.of(fn(Fraction(int(x), den)) for x in xs)
         return cls(graph, RationalArray(at_x.num[inverse], at_x.den))

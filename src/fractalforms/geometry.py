@@ -7,6 +7,12 @@ Vertices are stored with integer numerators at a fixed per-level scale:
 * carpet, level n: point = (xn / (2*3**n), yn / (2*3**n)), so corners and edge
   midpoints of every cell are integer pairs.
 
+Both read the family's record in `kinds`: the unit side kind.unit(scale),
+the float y factor, the y weight of the metric, the vertex-scale shift and
+the digit offsets.  Coordinates, distances, the contraction maps and the
+builder are one code path for both families; only the cell adjacency rule
+(squares meeting along sides, triangles at corners) branches on the family.
+
 Equality, hashing, and deduplication therefore never touch floats.  The
 canonical (minimal-scale) form divides out the base while possible; cell
 adjacency and vertex identity are decided on the fixed-scale numerators.
@@ -15,8 +21,8 @@ One builder, `_cells`, folds the digit tables into the integer offsets and
 corner numerators of all level-n cells in word order; the vertex graph, the
 cell graph and the energies' corner tables all read it.  Vertex ids follow
 first appearance in that scan.  A point is looked up by its packed key
-x * (full + 1) + y (full = the unit side at the graph's scale) in the
-graph's sorted keys.
+x * (full + 1) + y (full = kind.unit(scale), the unit side at the graph's
+scale) in the graph's sorted keys.
 """
 from __future__ import annotations
 
@@ -24,12 +30,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .kinds import SC_OX, SC_OY, SG_AX, SG_AY, FractalKind
+from .kinds import FractalKind
 from .words import Word, check_word, unpack_word
 
 
@@ -60,23 +65,17 @@ class ExactPoint:
 
     @property
     def x(self) -> Fraction:
-        if self.kind is FractalKind.SG:
-            return Fraction(self.xn, 2 ** self.scale)
-        return Fraction(self.xn, 2 * 3 ** self.scale)
+        return Fraction(self.xn, self.kind.unit(self.scale))
 
     @property
     def y_coeff(self) -> Fraction:
-        """For the gasket: y = y_coeff * sqrt(3). For the carpet: y itself."""
-        if self.kind is FractalKind.SG:
-            return Fraction(self.yn, 2 ** self.scale)
-        return Fraction(self.yn, 2 * 3 ** self.scale)
+        """y / y_factor: for the gasket y = y_coeff * sqrt(3), for the carpet
+        y itself."""
+        return Fraction(self.yn, self.kind.unit(self.scale))
 
     def as_floats(self) -> tuple[float, float]:
-        if self.kind is FractalKind.SG:
-            s = 2.0 ** -self.scale
-            return self.xn * s, self.yn * sqrt(3.0) * s
-        s = 1.0 / (2 * 3 ** self.scale)
-        return self.xn * s, self.yn * s
+        s = 1.0 / self.kind.unit(self.scale)
+        return self.xn * s, self.yn * self.kind.lattice.y_factor * s
 
     def sq_dist(self, other: "ExactPoint") -> Fraction:
         """Exact squared Euclidean distance."""
@@ -85,36 +84,28 @@ class ExactPoint:
         m = max(self.scale, other.scale)
         ax, ay = self.lifted(m)
         bx, by = other.lifted(m)
-        dx, dy = ax - bx, ay - by
-        if self.kind is FractalKind.SG:
-            return Fraction(dx * dx + 3 * dy * dy, 4 ** m)
-        return Fraction(dx * dx + dy * dy, 4 * 9 ** m)
+        return Fraction(self.kind.sq_norm(ax - bx, ay - by), self.kind.unit(m) ** 2)
 
 
 def base_point(kind: FractalKind, i: int) -> ExactPoint:
     """The i-th generator fixed-boundary point (image of itself at level 0)."""
     if not 0 <= i < kind.n_maps:
         raise ValueError("digit out of range")
-    if kind is FractalKind.SG:
-        return ExactPoint.make(kind, SG_AX[i], SG_AY[i], 1)
-    return ExactPoint.make(kind, SC_OX[i], SC_OY[i], 0)
+    lat = kind.lattice
+    return ExactPoint.make(kind, lat.ox[i], lat.oy[i], lat.scale_shift)
 
 
 def apply_map(kind: FractalKind, digit: int, p: ExactPoint) -> ExactPoint:
     """One contraction step f_digit applied to an exact point."""
     if p.kind is not kind:
         raise ValueError("point kind mismatch")
-    if kind is FractalKind.SG:
-        # f_i(x) = (x + p_i)/2 on the (1, sqrt(3)) lattice
-        m = max(p.scale, 1)
-        px, py = p.lifted(m)
-        f = 2 ** (m - 1)
-        return ExactPoint.make(kind, px + SG_AX[digit] * f, py + SG_AY[digit] * f, m + 1)
-    # f_i(x) = (x + 2 p_i)/3; numerators live over 2*3**scale
-    off = 2 * 3 ** p.scale
-    return ExactPoint.make(
-        kind, p.xn + SC_OX[digit] * off, p.yn + SC_OY[digit] * off, p.scale + 1
-    )
+    # f_i(x) = (x + (base-1) p_i)/base, p_i = o_i / unit(shift): at scale m+1
+    # the numerators are x's at scale m plus o_i * unit(m - shift)
+    lat = kind.lattice
+    m = max(p.scale, lat.scale_shift)
+    px, py = p.lifted(m)
+    f = kind.unit(m - lat.scale_shift)
+    return ExactPoint.make(kind, px + lat.ox[digit] * f, py + lat.oy[digit] * f, m + 1)
 
 
 def point_of(kind: FractalKind, w) -> ExactPoint:
@@ -138,12 +129,14 @@ SC_PAIRS = tuple((i, (i + 1) % 8) for i in range(8))
 
 
 def vertex_scale(kind: FractalKind, level: int) -> int:
-    return level + 1 if kind is FractalKind.SG else level
+    return level + kind.lattice.scale_shift
 
 
-def _full(kind: FractalKind, scale: int) -> int:
-    """Largest coordinate numerator at a scale (the unit side)."""
-    return 2 ** scale if kind is FractalKind.SG else 2 * 3 ** scale
+def float_sq_dist(kind: FractalKind, x1, y1, x2, y2, scale: int) -> np.ndarray:
+    """Float squared distances between integer numerator arrays at a scale."""
+    dx = (x1 - x2).astype(float)
+    dy = (y1 - y2).astype(float)
+    return kind.sq_norm(dx, dy) / float(kind.unit(scale) ** 2)
 
 
 def _cells(
@@ -154,13 +147,11 @@ def _cells(
     (gx, gy) are the int64 cell offsets, folded one digit at a time as
     g <- base * g + table[digit], so a cell's index is its word's rank among
     the words over `digits` (default: all maps).  (cx, cy) are the
-    (cells, boundary_size) corner numerators at vertex_scale(kind, n):
-    g + SG_A on the gasket, 2 g + SC_O on the carpet.
+    (cells, boundary_size) corner numerators at vertex_scale(kind, n),
+    corner_mul * g + (ox, oy): g + o on the gasket, 2 g + o on the carpet.
     """
-    if kind is FractalKind.SG:
-        ox, oy, corner_mul = SG_AX, SG_AY, 1
-    else:
-        ox, oy, corner_mul = SC_OX, SC_OY, 2
+    lat = kind.lattice
+    ox, oy, corner_mul = lat.ox, lat.oy, lat.corner_mul
     digits = range(kind.n_maps) if digits is None else digits
     tx = np.array([ox[d] for d in digits], dtype=np.int64)
     ty = np.array([oy[d] for d in digits], dtype=np.int64)
@@ -235,7 +226,7 @@ def cell_graph(kind: FractalKind, n: int) -> CellGraph:
         edges, _ = _unique_pairs(np.concatenate(a), np.concatenate(b), len(cells))
     else:
         # gasket cells meet at single corner points, each shared by two cells
-        key = (cx * (_full(kind, n + 1) + 1) + cy).ravel()
+        key = (cx * (kind.unit(n + 1) + 1) + cy).ravel()
         order = np.argsort(key, kind="stable")
         sorted_key = key[order]
         same = sorted_key[1:] == sorted_key[:-1]
@@ -294,7 +285,7 @@ class VertexGraph:
     def ids_of(self, xn, yn) -> np.ndarray:
         """Ids of the vertices with numerators (xn, yn) at the graph's scale,
         in the shape of the input.  Raises KeyError if any is not a vertex."""
-        full = _full(self.kind, self.scale)
+        full = self.kind.unit(self.scale)
         if self._lookup is None:
             key = self.xn * (full + 1) + self.yn
             order = np.argsort(key)
@@ -315,11 +306,8 @@ class VertexGraph:
         return int(self.ids_of(*p.lifted(self.scale)))
 
     def float_coords(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.kind is FractalKind.SG:
-            s = 2.0 ** -self.scale
-            return self.xn * s, self.yn * (sqrt(3.0) * s)
-        s = 1.0 / (2 * 3 ** self.scale)
-        return self.xn * s, self.yn * s
+        s = 1.0 / self.kind.unit(self.scale)
+        return self.xn * s, self.yn * (self.kind.lattice.y_factor * s)
 
 
 @lru_cache(maxsize=24)
@@ -343,7 +331,7 @@ def vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
     # corner-sized temporaries are dropped as soon as they are used: at the
     # level caps each is about 130 MB and together they set the peak memory
     _, _, cx, cy = _cells(kind, n)
-    full = _full(kind, vertex_scale(kind, n))
+    full = kind.unit(vertex_scale(kind, n))
     key = cx.ravel()
     key *= full + 1
     key += cy.ravel()
@@ -393,7 +381,7 @@ def sg_corner_ids(vg: VertexGraph) -> tuple[int, int, int]:
 def sc_side_ids(vg: VertexGraph, side: str) -> np.ndarray:
     """Vertex ids on one side of the unit square: left/right/bottom/top."""
     assert vg.kind is FractalKind.SC
-    full = 2 * 3 ** vg.scale
+    full = vg.kind.unit(vg.scale)
     if side == "left":
         mask = vg.xn == 0
     elif side == "right":

@@ -30,6 +30,7 @@ from .geometry import (
     SC_PAIRS,
     VertexGraph,
     _cells,
+    float_sq_dist,
     sc_side_ids,
     vertex_graph,
 )
@@ -125,14 +126,11 @@ class SgHarmonic:
         return VertexFunction(vg, RationalArray(num, start.den * 5 ** n))
 
 
-def sg_harmonic(x0, x1, x2, n: int, graph: Optional[VertexGraph] = None) -> VertexFunction:
+def sg_harmonic(x0, x1, x2, n: int) -> VertexFunction:
     """Exact harmonic values on the level-n gasket vertex set."""
     if not 0 <= n <= SG_LEVEL_CAP:
         raise ValueError(f"level {n} outside [0, {SG_LEVEL_CAP}]")
-    vg = graph if graph is not None else vertex_graph(FractalKind.SG, n)
-    if vg.level != n:
-        raise ValueError("graph level does not match n")
-    return SgHarmonic.make(x0, x1, x2).vertex_function(vg)
+    return SgHarmonic.make(x0, x1, x2).vertex_function(vertex_graph(FractalKind.SG, n))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +245,7 @@ def _ring_x_energy(n: int, digits: Sequence[int]) -> Fraction:
     _, _, cx, _ = _cells(FractalKind.SC, n, digits)
     ends = np.array(SC_PAIRS)
     d = (cx[:, ends[:, 0]] - cx[:, ends[:, 1]]).ravel()
-    return Fraction(int(np.dot(d, d)), (2 * 3 ** n) ** 2)
+    return Fraction(int(np.dot(d, d)), FractalKind.SC.unit(n) ** 2)
 
 
 def strip_energy_checks(n: int) -> tuple[Fraction, Fraction]:
@@ -300,7 +298,7 @@ class ScGoodFunction:
         }
 
 
-def sc_good_function(n: int, graph: Optional[VertexGraph] = None) -> ScGoodFunction:
+def sc_good_function(n: int) -> ScGoodFunction:
     """Solve the left/right plate problem on the level-n carpet graph.
 
     Conductances are the per-cell pair counts, so the minimized quadratic is
@@ -308,9 +306,7 @@ def sc_good_function(n: int, graph: Optional[VertexGraph] = None) -> ScGoodFunct
     """
     if not 1 <= n <= SC_LEVEL_CAP:
         raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
-    vg = graph if graph is not None else vertex_graph(FractalKind.SC, n)
-    if vg.kind is not FractalKind.SC or vg.level != n:
-        raise ValueError("graph does not match the requested level")
+    vg = vertex_graph(FractalKind.SC, n)
     left = sc_side_ids(vg, "left")
     right = sc_side_ids(vg, "right")
     ii, jj, cc = graph_edge_arrays(vg)
@@ -361,37 +357,25 @@ class HarnackBall:
         return self._system
 
 
-def _sq_dist_num(vg: VertexGraph, center) -> tuple[np.ndarray, int]:
-    """Integer squared distances to the center times a common denominator.
-
-    Returns (num, den2) with dist^2 = num / den2 exactly.  Center coordinates
-    must have denominators dividing the vertex grid."""
-    cx, cy = Fraction(center[0]), Fraction(center[1])
-    full = 2 * 3 ** vg.scale
-    cxn = cx * full
-    cyn = cy * full
-    if cxn.denominator != 1 or cyn.denominator != 1:
-        raise ValueError("center must lie on the vertex coordinate grid")
-    dx = vg.xn.astype(object) - int(cxn)
-    dy = vg.yn.astype(object) - int(cyn)
-    return dx * dx + dy * dy, full * full
-
-
-def harnack_ball(n_or_graph, center, r, delta) -> HarnackBall:
-    if isinstance(n_or_graph, VertexGraph):
-        vg = n_or_graph
-    else:
-        n = int(n_or_graph)
-        if not 1 <= n <= SC_LEVEL_CAP:
-            raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
-        vg = vertex_graph(FractalKind.SC, n)
+def harnack_ball(n: int, center, r, delta) -> HarnackBall:
+    n = int(n)
+    if not 1 <= n <= SC_LEVEL_CAP:
+        raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
+    vg = vertex_graph(FractalKind.SC, n)
     r = Fraction(r)
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0,1)")
     if r <= 0:
         raise ValueError("r must be positive")
-    num, den2 = _sq_dist_num(vg, center)
+    # exact squared distances to the center: num / den2, integers on the
+    # vertex grid, which the center must lie on
+    full = vg.kind.unit(vg.scale)
+    cxn, cyn = Fraction(center[0]) * full, Fraction(center[1]) * full
+    if cxn.denominator != 1 or cyn.denominator != 1:
+        raise ValueError("center must lie on the vertex coordinate grid")
+    num = vg.kind.sq_norm(vg.xn.astype(object) - int(cxn), vg.yn.astype(object) - int(cyn))
+    den2 = full * full
     r2 = r * r
     inner2 = r2 * delta * delta
     # exact comparisons on Python ints: num/den2 <= r2 <=> num*r2.den <= r2.num*den2
@@ -488,12 +472,7 @@ def holder_constant(
         ok = ri != rj
         ii = np.concatenate([ii, ri[ok]])
         jj = np.concatenate([jj, rj[ok]])
-    dx = vg.xn[ii].astype(float) - vg.xn[jj].astype(float)
-    dy = vg.yn[ii].astype(float) - vg.yn[jj].astype(float)
-    if kind is FractalKind.SG:
-        sq = (dx * dx + 3.0 * dy * dy) / 4.0 ** vg.scale
-    else:
-        sq = (dx * dx + dy * dy) / (4.0 * 9.0 ** vg.scale)
+    sq = float_sq_dist(kind, vg.xn[ii], vg.yn[ii], vg.xn[jj], vg.yn[jj], vg.scale)
     du = vals[ii] - vals[jj]
     expo = (beta - kind.alpha) / 2.0
     quot = du * du / (energy * sq ** expo)

@@ -434,14 +434,10 @@ def sg_word_resistance(n: int) -> ResistanceResult:
     )
 
 
-def sg_vertex_corner_resistance(vg_or_level) -> ResistanceResult:
+def sg_vertex_corner_resistance(n: int) -> ResistanceResult:
     """Resistance between the two bottom corners of the level-n vertex graph
     with unit conductances (scale-invariant up to the (5/3)^n weight)."""
-    vg = (
-        vg_or_level
-        if isinstance(vg_or_level, VertexGraph)
-        else vertex_graph(FractalKind.SG, int(vg_or_level))
-    )
+    vg = vertex_graph(FractalKind.SG, int(n))
     p0, p1, _ = sg_corner_ids(vg)
     ii, jj, cc = graph_edge_arrays(vg)
     return resistance_from_arrays(

@@ -359,6 +359,14 @@ def test_cli_level_cap_exit_3(tmp_path):
     assert rc == 3
 
 
+def test_cli_besov_level_cap_covers_the_test_function_level(tmp_path):
+    # the sampling depth 2 is within the cap, but the good function is
+    # built at level max(depth, 4) = 4
+    rc, out = _run(tmp_path, "besov", "--kind", "sc", "--level-cap", "3", "--depth", "2")
+    assert rc == 3
+    assert not Path(out).exists()
+
+
 def test_cli_bad_function_exit_2(tmp_path):
     rc, _ = _run(tmp_path, "walkdim", "--kind", "sg", "--levels", "1..3",
                  "--function", "nonsense:1")
@@ -374,6 +382,25 @@ def test_cli_config_file_with_flag_override(tmp_path):
     meta = sorted(Path(out).glob("*meta.json"))[0]
     body = json.loads(meta.read_text())
     assert body["config"]["seed"] == 5
+
+
+def test_cli_besov_beta_grid_flag_beats_config(tmp_path):
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("kind = sg\nbeta_grid = 1.7\nmc_samples = 240\n")
+    base = ["besov", "--config", str(cfgf), "--depth", "2", "--function", "x"]
+    for flag, beta in ((["--beta-grid", "2.2"], 2.2), ([], 1.7)):
+        rc, out = _run(tmp_path / str(beta), *base, *flag)
+        assert rc == 0
+        rows = _csv_bytes(out).decode().strip().split("\r\n")[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [beta]
+
+
+def test_cli_walkdim_sc_solves_each_level_once(tmp_path):
+    levels = [1, 2, 3, 4]
+    rc, out = _run(tmp_path, "walkdim", "--kind", "sc", "--levels", "1..4")
+    assert rc == 0
+    meta = json.loads(sorted(Path(out).glob("*meta.json"))[0].read_text())
+    assert meta["provenance"]["solver"]["factorizations"] == len(levels)
 
 
 def test_cli_cache_reused_across_runs(tmp_path):
@@ -432,6 +459,8 @@ def test_cli_removed_config_keys_exit_2(tmp_path, key):
         "energy --boundary 0,nan,1",
         "energy --kind sg --levels 13 --level-cap 13",
         "goodfn --kind sc --level 8 --level-cap 8",
+        "besov --beta-grid nan",
+        "besov --beta-grid inf",
     ],
 )
 def test_cli_bad_arguments_exit_2_without_data(tmp_path, argv):
