@@ -272,6 +272,8 @@ def _run_harnack(cfg: RunConfig, opts) -> ExperimentReport:
         raise ConfigError("the Harnack experiment runs on the carpet; pass kind=sc")
     levels = _parse_levels(opts.levels)
     _check_levels(levels, cfg.level_cap())
+    if opts.trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {opts.trials}")
     center = (Fraction(1, 2), Fraction(1, 3))
     r, delta = Fraction(1, 4), Fraction(1, 2)
     rng = np.random.default_rng(cfg.seed)
@@ -321,6 +323,8 @@ def _run_besov(cfg: RunConfig, opts) -> ExperimentReport:
 def _run_mosco(cfg: RunConfig, opts) -> ExperimentReport:
     if cfg.kind != "sg":
         raise ConfigError("the monotone-limit experiment runs on the gasket")
+    if opts.points < 1:
+        raise ConfigError(f"--points must be >= 1, got {opts.points}")
     alpha = FractalKind.SG.alpha
     if cfg.beta_grid:
         betas = cfg.beta_grid

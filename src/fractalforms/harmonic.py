@@ -313,8 +313,8 @@ def sc_good_function(n: int) -> ScGoodFunction:
     fixed_ids = np.concatenate([left, right])
     fixed_vals = np.concatenate([np.zeros(len(left)), np.ones(len(right))])
     u, info = solve_dirichlet(vg.n_vertices, ii, jj, cc, fixed_ids, fixed_vals)
-    du = u[ii] - u[jj]
-    energy = float(np.dot(cc * du, du))
+    d = u[ii] - u[jj]
+    energy = float(np.sum(cc * d * d))  # summed as resistance_from_arrays sums it
     return ScGoodFunction(level=n, fn=VertexFunction(vg, u), energy=energy, info=info)
 
 

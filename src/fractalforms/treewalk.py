@@ -20,7 +20,7 @@ steps the paths of all fixed random-stream chunks at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -31,12 +31,10 @@ import scipy.sparse as sp
 from .geometry import cell_graph
 from .kinds import FractalKind
 from .networks import _record, certify_dirichlet, solve_dirichlet
-from .words import Word, as_digits
+from .words import as_digits, pack_word
 
 __all__ = [
     "WalkParams",
-    "TreeGraph",
-    "tree_graph",
     "conductance",
     "vertical_conductance",
     "horizontal_conductance",
@@ -101,57 +99,16 @@ def _level_offset(n: int) -> int:
     return (3 ** n - 1) // 2
 
 
-def _word_rank(digits: Sequence[int]) -> int:
-    r = 0
-    for d in digits:
-        r = 3 * r + d
-    return r
+def _word_id(w) -> int:
+    """Vertex id of a word: the words shorter than it come first, then the
+    words of its own level in radix order.  The ball of depth D holds the
+    ids below _level_offset(D + 1)."""
+    digits = as_digits(w)
+    return _level_offset(len(digits)) + pack_word(FractalKind.SG, digits)
 
 
-@dataclass(eq=False)
-class TreeGraph:
-    """All words of levels 0..depth with vertical and same-level edges."""
-
-    depth: int
-
-    @property
-    def n_vertices(self) -> int:
-        return _level_offset(self.depth + 1)
-
-    def id_of(self, w) -> int:
-        digits = as_digits(w)
-        if len(digits) > self.depth:
-            raise ValueError(f"word deeper than the working depth {self.depth}")
-        return _level_offset(len(digits)) + _word_rank(digits)
-
-    def word_of(self, i: int) -> Word:
-        if not 0 <= i < self.n_vertices:
-            raise ValueError("vertex id out of range")
-        n = 0
-        while _level_offset(n + 1) <= i:
-            n += 1
-        r = i - _level_offset(n)
-        digits = []
-        for _ in range(n):
-            digits.append(r % 3)
-            r //= 3
-        return Word(tuple(reversed(digits)))
-
-    def level_of(self, i: int) -> int:
-        n = 0
-        while _level_offset(n + 1) <= i:
-            n += 1
-        return n
-
-    def sphere_ids(self, n: int) -> np.ndarray:
-        return np.arange(_level_offset(n), _level_offset(n + 1), dtype=np.int64)
-
-
-@lru_cache(maxsize=6)
-def tree_graph(depth: int) -> TreeGraph:
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return TreeGraph(depth)
+def _sphere(n: int) -> np.ndarray:
+    return np.arange(_level_offset(n), _level_offset(n + 1), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +136,7 @@ def _horizontal_type(x_digits, y_digits) -> Optional[str]:
     if n != len(y_digits) or n < 1:
         return None
     cg = cell_graph(FractalKind.SG, n)
-    rx, ry = _word_rank(x_digits), _word_rank(y_digits)
+    rx, ry = pack_word(FractalKind.SG, x_digits), pack_word(FractalKind.SG, y_digits)
     a, b = min(rx, ry), max(rx, ry)
     hit = np.nonzero((cg.edges[:, 0] == a) & (cg.edges[:, 1] == b))[0]
     if len(hit) == 0:
@@ -224,7 +181,6 @@ class WalkTables:
     cls: np.ndarray      # (V,) intp transition class of each vertex
     cum: np.ndarray      # (K, W) float64 cumulative transition probabilities per class
     pi: np.ndarray       # (V,) total incident conductance
-    level: np.ndarray    # (V,) int16
 
     def __post_init__(self) -> None:
         # the last column is 1.0, never below a uniform in [0, 1), so it is
@@ -275,8 +231,8 @@ def _levels(depth: int) -> np.ndarray:
     return np.repeat(np.arange(depth + 1, dtype=np.int16), 3 ** np.arange(depth + 1))
 
 
-def build_tables(params: WalkParams, depth: int, tail: bool = False) -> WalkTables:
-    """Padded neighbor tables for the ball of the given depth.
+def build_tables(params: WalkParams, tail: bool = False) -> WalkTables:
+    """Padded neighbor tables for the ball of radius params.depth_cut.
 
     With tail=True the working-sphere rows carry one pseudo-entry of weight
     3*(3 lam)^(-depth) standing for the three subtree edges below; a sampled
@@ -285,22 +241,20 @@ def build_tables(params: WalkParams, depth: int, tail: bool = False) -> WalkTabl
     exactly.  The tables depend on (lam, C1, C2, depth, tail) only, and are
     cached on that key: walks that differ in seed or samples share them.
     """
-    return _tables(params.lam, params.C1, params.C2, depth, tail)
+    return _tables(params.lam, params.C1, params.C2, params.depth_cut, tail)
 
 
 @lru_cache(maxsize=8)
 def _tables(lam: float, C1: float, C2: float, depth: int, tail: bool) -> WalkTables:
     params = WalkParams(lam=lam, C1=C1, C2=C2)
-    tg = tree_graph(depth)
-    V = tg.n_vertices
-    level = _levels(depth)
+    V = _level_offset(depth + 1)
     ii, jj, cc, kind = _edge_arrays(params, depth)
     ends = np.concatenate([ii, jj])
     oths = np.concatenate([jj, ii])
     ws = np.concatenate([cc, cc])
     kinds = np.concatenate([kind, np.where(kind == CHILD, PARENT, kind).astype(np.int8)])
     if tail:
-        sphere = tg.sphere_ids(depth)
+        sphere = _sphere(depth)
         ends = np.concatenate([ends, sphere])
         oths = np.concatenate([oths, np.full(len(sphere), TAIL, dtype=np.int64)])
         ws = np.concatenate([ws, np.full(len(sphere), 3.0 * vertical_conductance(params, depth))])
@@ -315,7 +269,7 @@ def _tables(lam: float, C1: float, C2: float, depth: int, tail: bool) -> WalkTab
     nbr[ends_s, col] = oths[order]
     kind_cols = np.full((V, W), PAD, dtype=np.int8)
     kind_cols[ends_s, col] = kinds[order]
-    key = level.astype(np.int64)
+    key = _levels(depth).astype(np.int64)
     for k in range(W):
         key = key * N_KINDS + kind_cols[:, k]
     _, rep, cls = np.unique(key, return_index=True, return_inverse=True)
@@ -329,7 +283,7 @@ def _tables(lam: float, C1: float, C2: float, depth: int, tail: bool) -> WalkTab
     pi = wts.sum(axis=1)
     cum = np.cumsum(wts, axis=1) / pi[:, None]
     cum[:, -1] = 1.0
-    return WalkTables(nbr=nbr, cls=cls, cum=cum, pi=pi[cls], level=level)
+    return WalkTables(nbr=nbr, cls=cls, cum=cum, pi=pi[cls])
 
 
 # hit and miss counts of the table cache, read where build_tables is called
@@ -345,13 +299,13 @@ build_tables.cache_info = _tables.cache_info
 # (3 lam)^D / (3 (1 - lam)).
 
 def _closure(params: WalkParams, depth: int, mode: str):
-    tg = tree_graph(depth)
     ii, jj, cc, _ = _edge_arrays(params, depth)
-    sphere = tg.sphere_ids(depth)
+    sphere = _sphere(depth)
+    V = _level_offset(depth + 1)
     if mode == "ground":
-        return tg.n_vertices, ii, jj, cc, sphere
+        return V, ii, jj, cc, sphere
     if mode == "tail":
-        ground = tg.n_vertices
+        ground = V  # one node past the ball
         tail_conductance = 3.0 * (1.0 - params.lam) / (3.0 * params.lam) ** depth
         ii = np.concatenate([ii, sphere])
         jj = np.concatenate([jj, np.full(len(sphere), ground, dtype=np.int64)])
@@ -546,7 +500,7 @@ def green_oo(params: WalkParams, mode: str = "exact") -> dict:
     def count_root(idx, nxt, done):
         visits[idx[nxt == 0]] += 1
 
-    tables = build_tables(params, params.depth_cut, tail=True)
+    tables = build_tables(params, tail=True)
     overflowed = _run_paths(tables, params, params.samples, after=count_root)
     return _mean_summary(visits.astype(float), overflowed)
 
@@ -566,7 +520,7 @@ def boundary_hit_distribution(params: WalkParams, m: int, samples: Optional[int]
         pref = (nxt[done] - _level_offset(depth_cut)) // 3 ** (depth_cut - m)
         np.add.at(counts, pref, 1)
 
-    tables = build_tables(params, depth_cut)
+    tables = build_tables(params)
     overflowed = _run_paths(tables, params, samples, stop_level=depth_cut, after=count_prefix)
     used = int(counts.sum())
     freqs = counts / used if used else counts.astype(float)
@@ -586,7 +540,7 @@ def boundary_hit_distribution(params: WalkParams, m: int, samples: Optional[int]
 def _ball_adjacency(depth: int) -> sp.csr_matrix:
     # structure only: the conductances of any lam give the same edge set
     ii, jj, _, _ = _edge_arrays(WalkParams(lam=0.5), depth)
-    n = tree_graph(depth).n_vertices
+    n = _level_offset(depth + 1)
     return sp.csr_matrix((np.ones(len(ii)), (ii, jj)), shape=(n, n))
 
 
@@ -599,11 +553,10 @@ def _graph_distance(x_digits, y_digits) -> int:
     on the ball of that depth.
     """
     L = max(len(x_digits), len(y_digits), 1)
-    tg = tree_graph(L)
     dist = sp.csgraph.shortest_path(
-        _ball_adjacency(L), directed=False, unweighted=True, indices=tg.id_of(x_digits)
+        _ball_adjacency(L), directed=False, unweighted=True, indices=_word_id(x_digits)
     )
-    return int(dist[tg.id_of(y_digits)])
+    return int(dist[_word_id(y_digits)])
 
 
 def gromov_product(x, y) -> Fraction:
@@ -635,21 +588,20 @@ def martin_kernel_check(params: WalkParams, xs: Sequence, xis_as_deep_words: Seq
     lam = params.lam
     xis = [as_digits(w) for w in xis_as_deep_words]
     xs = [as_digits(w) for w in xs]
-    need = max((len(w) for w in xis), default=0)
-    if need > depth_cut - 2:
+    if max((len(w) for w in xis), default=0) > depth_cut - 2:
         raise ValueError("depth_cut too small for the deep words")
+    if max((len(x) for x in xs), default=0) > depth_cut:
+        raise ValueError("x deeper than the working depth")
     n, ii, jj, cc, ground = _closure(params, depth_cut, "tail")
-    tg = tree_graph(depth_cut)
     rows = []
     for xi in xis:
-        xi_id = tg.id_of(xi)
-        fixed = np.concatenate([[xi_id], ground])
+        fixed = np.concatenate([[_word_id(xi)], ground])
         vals = np.concatenate([[1.0], np.zeros(len(ground))])
         v, _ = solve_dirichlet(n, ii, jj, cc, fixed, vals)
         if v[0] <= 0:
             raise RuntimeError("root potential vanished; depth too small")
         for x in xs:
-            K = float(v[tg.id_of(x)] / v[0])
+            K = float(v[_word_id(x)] / v[0])
             gp = float(gromov_product(x, xi))
             target = lam ** len(x) * (3.0 / lam) ** gp
             rows.append(
@@ -697,7 +649,7 @@ def ctrw_lifetime(params: WalkParams, samples: Optional[int] = None) -> dict:
     c = params.require_c()
     depth_cut = params.depth_cut
     samples = params.samples if samples is None else samples
-    tables = build_tables(params, depth_cut, tail=True)
+    tables = build_tables(params, tail=True)
     inv_rate = np.empty(tables.pi.shape)
     lam3 = 3.0 * params.lam
     for n in range(depth_cut + 1):
@@ -716,9 +668,10 @@ def ctrw_lifetime(params: WalkParams, samples: Optional[int] = None) -> dict:
 # ---------------------------------------------------------------------------
 # structural checks
 
-def detailed_balance_residual(params: WalkParams, depth: int = 4) -> float:
-    """Max |pi(x)P(x,y) - pi(y)P(y,x)| over the truncated graph's edges."""
-    tables = build_tables(params, depth)
+def detailed_balance_residual(params: WalkParams) -> float:
+    """Max |pi(x)P(x,y) - pi(y)P(y,x)| over the edges of the ball of radius
+    params.depth_cut."""
+    tables = build_tables(params)
     V = tables.nbr.shape[0]
     prob = np.diff(tables.cum, axis=1, prepend=0.0)
     i, k = np.nonzero(tables.nbr >= 0)
@@ -732,23 +685,28 @@ def detailed_balance_residual(params: WalkParams, depth: int = 4) -> float:
     return float(np.max(np.abs(flow[up] - flow[back[up]]), initial=0.0))
 
 
-def escape_depth_profile(
-    params: WalkParams, step_budgets: Sequence[int], samples: int = 2000
-) -> list[tuple[int, float]]:
-    """Mean maximal level reached within each step budget (transience proxy)."""
-    depth = params.depth_cut
-    tables = build_tables(params, depth)
-    out = []
-    rng = np.random.Generator(np.random.Philox(key=[params.seed, 977]))
-    for budget in step_budgets:
-        states = np.zeros(samples, dtype=np.int64)
-        deepest = np.zeros(samples, dtype=np.int64)
-        for _ in range(budget):
-            live = tables.level[states] < depth
-            if not live.any():
-                break
-            idx = np.nonzero(live)[0]
-            states[idx] = tables.step(states[idx], rng.random(len(idx)))
-            deepest[idx] = np.maximum(deepest[idx], tables.level[states[idx]])
-        out.append((int(budget), float(deepest.mean())))
-    return out
+def escape_depth_profile(params: WalkParams, step_budgets: Sequence[int]) -> list[tuple[int, float]]:
+    """Mean maximal level reached within each step budget (transience proxy).
+
+    One run of params.samples paths, stopped at params.depth_cut and capped
+    at the largest budget, serves every budget, so the profile is monotone;
+    a budget reached after every path has stopped reads the final mean.
+    """
+    budgets = [int(b) for b in step_budgets]
+    if min(budgets, default=1) < 1:
+        raise ValueError("step budgets must be >= 1")
+    level = _levels(params.depth_cut)
+    deepest = np.zeros(params.samples, dtype=np.int16)
+    means, steps = {}, 0
+
+    def record(idx, nxt, done):
+        nonlocal steps
+        deepest[idx] = np.maximum(deepest[idx], level[nxt])
+        steps += 1
+        if steps in budgets:
+            means[steps] = float(deepest.mean())
+
+    run = replace(params, step_cap=max(budgets, default=1))
+    _run_paths(build_tables(params), run, params.samples, stop_level=params.depth_cut, after=record)
+    final = float(deepest.mean())
+    return [(b, means.get(b, final)) for b in budgets]

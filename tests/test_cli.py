@@ -1,6 +1,7 @@
 import functools
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -296,11 +297,11 @@ def test_cli_walk_first_hit_law_runs_at_depth_cut(tmp_path):
     rc, _ = _run(tmp_path, "walk", "--lambda", "0.5", "--c", "0.25",
                  "--samples", "300", "--depth-cut", "6", "--m", "1")
     assert rc == 0
-    p = WalkParams(lam=0.5, C1=RunConfig().C1, C2=RunConfig().C2)
+    p = WalkParams(lam=0.5, C1=RunConfig().C1, C2=RunConfig().C2, depth_cut=6)
     hits = build_tables.cache_info().hits
-    build_tables(p, 6)  # the first-hit law's tables, built by the walk
+    build_tables(p)  # the first-hit law's tables, built by the walk
     assert build_tables.cache_info().hits == hits + 1
-    build_tables(p, 10)  # no depth-10 table was built
+    build_tables(replace(p, depth_cut=10))  # no depth-10 table was built
     assert build_tables.cache_info().hits == hits + 1
 
 
@@ -461,6 +462,10 @@ def test_cli_removed_config_keys_exit_2(tmp_path, key):
         "goodfn --kind sc --level 8 --level-cap 8",
         "besov --beta-grid nan",
         "besov --beta-grid inf",
+        "mosco --points -2",
+        "mosco --points 0",
+        "harnack --kind sc --levels 3 --trials 0",
+        "harnack --kind sc --levels 3 --trials -1",
     ],
 )
 def test_cli_bad_arguments_exit_2_without_data(tmp_path, argv):

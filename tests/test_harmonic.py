@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from fractalforms.kinds import FractalKind
 from fractalforms.geometry import cached_vertex_graph, sg_corner_ids, vertex_graph
 from fractalforms.energies import VertexFunction, kigami_energy_En, sc_pointwise_energy_Dn
-from fractalforms.networks import solver_log
+from fractalforms.networks import sc_RnV, solver_log
 from fractalforms.harmonic import (
     SgHarmonic,
     half_triadic_f,
@@ -184,6 +184,12 @@ def test_good_function_matches_plate_resistance():
         assert good.energy == pytest.approx(
             float(sc_pointwise_energy_Dn(good.fn, n)), rel=1e-9)
         assert r > 1.0  # the carpet plate resistance exceeds the square's
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_good_function_energy_is_the_resistance_bit_for_bit(n):
+    # goodfn and resistance solve the same plate problem and sum it alike
+    assert 1.0 / sc_good_function(n).energy == sc_RnV(n).resistance
 
 
 def test_good_function_symmetry_and_range():

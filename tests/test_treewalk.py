@@ -9,6 +9,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from fractalforms.kinds import FractalKind
 from fractalforms.networks import solve_dirichlet
 from fractalforms.treewalk import (
     TAIL,
@@ -16,7 +17,11 @@ from fractalforms.treewalk import (
     _closure_solves,
     _edge_arrays,
     _graph_distance,
+    _level_offset,
+    _levels,
     _solver_allowance,
+    _sphere,
+    _word_id,
     WalkParams,
     boundary_hit_distribution,
     build_tables,
@@ -32,9 +37,9 @@ from fractalforms.treewalk import (
     horizontal_conductance,
     martin_kernel_check,
     rho_a,
-    tree_graph,
     vertical_conductance,
 )
+from fractalforms.words import unpack_word
 
 word_st = st.text(alphabet="012", min_size=0, max_size=6)
 
@@ -60,22 +65,23 @@ def test_params_validation():
         WalkParams(lam=0.5).require_c()
 
 
-def test_tree_graph_ids_and_levels():
-    tg = tree_graph(4)
-    assert tg.id_of("") == 0
-    assert tg.id_of("0") == 1
-    assert tg.id_of("2") == 3
-    assert tg.id_of("00") == 4
-    assert str(tg.word_of(tg.id_of("0212"))) == "0212"
-    assert tg.level_of(tg.id_of("0212")) == 4
-    assert len(tg.sphere_ids(2)) == 9
+def test_tree_ids_and_levels():
+    assert _word_id("") == 0
+    assert _word_id("0") == 1
+    assert _word_id("2") == 3
+    assert _word_id("00") == 4
+    assert _levels(4)[_word_id("0212")] == 4
+    assert len(_sphere(2)) == 9
+    assert _sphere(4)[-1] == _level_offset(5) - 1 == len(_levels(4)) - 1
 
 
 @given(word_st)
 @settings(max_examples=60)
 def test_tree_id_roundtrip(w):
-    tg = tree_graph(6)
-    assert tuple(tg.word_of(tg.id_of(w))) == tuple(int(d) for d in w)
+    # the id alone gives back the level and, through unpack_word, the word
+    i = _word_id(w)
+    n = int(_levels(6)[i])
+    assert unpack_word(FractalKind.SG, i - _level_offset(n), n) == tuple(int(d) for d in w)
 
 
 def test_conductance_values():
@@ -109,13 +115,13 @@ def test_horizontal_edges_match_cell_contacts():
 
 def test_detailed_balance_small_graph():
     for lam in (0.3, 0.5, 0.9):
-        res = detailed_balance_residual(_params(lam=lam), depth=4)
+        res = detailed_balance_residual(_params(lam=lam, depth_cut=4))
         assert res < 1e-13
 
 
-def _detailed_balance_loop(params, depth):
+def _detailed_balance_loop(params):
     # the per-edge loop the vectorised residual replaced, on per-vertex rows
-    tables = build_tables(params, depth)
+    tables = build_tables(params)
     cum = tables.cum[tables.cls]
     prob = np.diff(np.concatenate([np.zeros((cum.shape[0], 1)), cum], axis=1), axis=1)
     worst = 0.0
@@ -134,8 +140,8 @@ def _detailed_balance_loop(params, depth):
 
 @pytest.mark.parametrize("depth", [4, 6])
 def test_detailed_balance_residual_equals_loop_reference(depth):
-    p = _params(lam=0.5, C1=2.0, C2=0.3)
-    assert detailed_balance_residual(p, depth=depth) == _detailed_balance_loop(p, depth)
+    p = _params(lam=0.5, C1=2.0, C2=0.3, depth_cut=depth)
+    assert detailed_balance_residual(p) == _detailed_balance_loop(p)
 
 
 def test_hitting_prob_brackets_contain_lambda_powers():
@@ -179,7 +185,6 @@ def test_radial_closures_match_superlu_oracle(lam, C1, C2):
     radial = _closure_solves(lam, C1, C2, depth)
     level = np.repeat(np.arange(depth + 2), [3 ** n for n in range(depth + 1)] + [1])
     words = ("0", "12", "021", "2101", "000000000")
-    tg = tree_graph(depth)
     old_ends, old_f = [], []
     for mode, (v, pad, R, _) in zip(("ground", "tail"), radial):
         n, ii, jj, cc, ground = _closure(p, depth, mode)
@@ -195,7 +200,7 @@ def test_radial_closures_match_superlu_oracle(lam, C1, C2):
         sign = -1.0 if mode == "ground" else 1.0
         dpad = abs(pad - old_pad)
         old_ends.append((3.0 * old_R + sign * old_pad, dpad))
-        old_f.append([(old_v[tg.id_of(w)] + sign * old_pad, dpad) for w in words])
+        old_f.append([(old_v[_word_id(w)] + sign * old_pad, dpad) for w in words])
     # bracket ends move by rounding and by the change of solver allowance
     for new, (old, dpad) in zip(green_oo(p, mode="exact").values(), old_ends):
         assert abs(new - old) <= 1e-14 + dpad
@@ -304,19 +309,33 @@ def test_martin_kernel_comparable_to_target():
     assert out["ratio_min"] > 1.0 / 10.0
     assert out["ratio_max"] < 10.0
     assert out["spread"] == pytest.approx(out["ratio_max"] / out["ratio_min"])
+    with pytest.raises(ValueError):  # an x below the ball has no vertex id
+        martin_kernel_check(_params(depth_cut=4), xs=["00000"], xis_as_deep_words=["00"])
 
 
 def test_escape_depth_profile_increases():
-    p = _params(lam=0.5, depth_cut=10)
-    profile = escape_depth_profile(p, step_budgets=(30, 100, 300), samples=400)
+    p = _params(lam=0.5, depth_cut=10, samples=400)
+    profile = escape_depth_profile(p, step_budgets=(30, 100, 300))
     depths = [d for _, d in profile]
     assert depths[0] < depths[-1]
     assert all(a <= b + 1e-9 for a, b in zip(depths, depths[1:]))
 
 
+def test_escape_depth_profile_budgets_read_the_same_paths():
+    # every budget reads one run, so a budget's value ignores the others;
+    # at lam = 0.9 some paths are still short of the cut after 300 steps
+    p = _params(lam=0.9, depth_cut=10, samples=400)
+    both = escape_depth_profile(p, step_budgets=(30, 300))
+    alone = escape_depth_profile(p, step_budgets=(300,))
+    assert both[1] == alone[0]
+    assert both[1][0] == 300
+    with pytest.raises(ValueError):
+        escape_depth_profile(p, step_budgets=(0, 300))
+
+
 def test_build_tables_row_normalization():
-    p = _params()
-    tables = build_tables(p, 5)
+    p = _params(depth_cut=5)
+    tables = build_tables(p)
     assert tables.cls.shape[0] == (3 ** 6 - 1) // 2
     assert tables.cum.shape[0] == tables.cls.max() + 1
     assert np.allclose(tables.cum[:, -1], 1.0)
@@ -325,13 +344,13 @@ def test_build_tables_row_normalization():
 
 def _per_vertex_tables(params, depth, tail):
     # the construction the class tables replaced: one float row per vertex
-    V = tree_graph(depth).n_vertices
+    V = _level_offset(depth + 1)
     ii, jj, cc, _ = _edge_arrays(params, depth)
     ends = np.concatenate([ii, jj])
     oths = np.concatenate([jj, ii])
     ws = np.concatenate([cc, cc])
     if tail:
-        sphere = tree_graph(depth).sphere_ids(depth)
+        sphere = _sphere(depth)
         ends = np.concatenate([ends, sphere])
         oths = np.concatenate([oths, np.full(len(sphere), TAIL, dtype=np.int64)])
         ws = np.concatenate([ws, np.full(len(sphere), 3.0 * vertical_conductance(params, depth))])
@@ -353,8 +372,8 @@ def _per_vertex_tables(params, depth, tail):
 
 @pytest.mark.parametrize("tail", [False, True])
 def test_class_tables_match_per_vertex_rows_bitwise(tail):
-    p = _params(lam=0.5, C1=2.0, C2=0.3)
-    tables = build_tables(p, 6, tail=tail)
+    p = _params(lam=0.5, C1=2.0, C2=0.3, depth_cut=6)
+    tables = build_tables(p, tail=tail)
     nbr, cum, pi = _per_vertex_tables(p, 6, tail)
     assert np.array_equal(tables.nbr, nbr)
     assert tables.cum[tables.cls].tobytes() == cum.tobytes()
@@ -367,12 +386,12 @@ def test_class_tables_match_per_vertex_rows_bitwise(tail):
 
 def test_build_tables_cache_ignores_simulation_params():
     # tables depend on (lam, C1, C2, depth, tail) only
-    a = _params(lam=0.37, C1=1.3, seed=1, samples=100)
-    b = _params(lam=0.37, C1=1.3, seed=2, samples=900)
+    a = _params(lam=0.37, C1=1.3, seed=1, samples=100, depth_cut=4)
+    b = _params(lam=0.37, C1=1.3, seed=2, samples=900, depth_cut=4)
     before = build_tables.cache_info()
-    first = build_tables(a, 4, tail=True)
+    first = build_tables(a, tail=True)
     mid = build_tables.cache_info()
-    second = build_tables(b, 4, tail=True)
+    second = build_tables(b, tail=True)
     after = build_tables.cache_info()
     assert (mid.misses - before.misses, mid.hits - before.hits) == (1, 0)
     assert (after.misses - mid.misses, after.hits - mid.hits) == (0, 1)
