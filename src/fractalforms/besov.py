@@ -31,7 +31,7 @@ from .energies import (
     sg_pointwise_energy_Bn,
 )
 from .geometry import cached_vertex_graph, float_sq_dist, vertex_scale
-from .harmonic import ScGoodFunction, SgHarmonic
+from .harmonic import SgHarmonic
 from .kinds import SG_BETA_STAR, FractalKind
 from .networks import fit_log_geometric
 
@@ -83,12 +83,6 @@ def _as_vertex_function(u, kind: FractalKind, N: int) -> VertexFunction:
         if kind is not FractalKind.SG:
             raise ValueError("harmonic-family input is gasket data")
         return u.vertex_function(cached_vertex_graph(kind, N))
-    if isinstance(u, ScGoodFunction):
-        if kind is not FractalKind.SC:
-            raise ValueError("good-function input is carpet data")
-        if u.level < N:
-            raise ValueError(f"good function level {u.level} < N={N}")
-        return u.fn
     if isinstance(u, VertexFunction):
         if u.graph.kind is not kind or u.graph.level < N:
             raise ValueError("vertex data does not cover the requested levels")
@@ -216,9 +210,6 @@ def besov_double_integral_mc(
     graph_fn = None
     if isinstance(u, SgHarmonic):
         kind = FractalKind.SG
-    elif isinstance(u, ScGoodFunction):
-        kind = FractalKind.SC
-        graph_fn = u.fn
     elif isinstance(u, VertexFunction):
         kind = u.graph.kind
         graph_fn = u

@@ -28,7 +28,6 @@ def _key_stem(key: CacheKey) -> str:
 class Cache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.hits = 0
         self.misses = 0
 
@@ -66,6 +65,7 @@ class Cache:
     def put(self, key: CacheKey, obj: Any) -> None:
         blob_path, sum_path = self._paths(key)
         blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        self.root.mkdir(parents=True, exist_ok=True)
         blob_path.write_bytes(blob)
         sum_path.write_text(hashlib.sha256(blob).hexdigest() + "\n")
 

@@ -125,7 +125,7 @@ def _function_for(name: str, kind: FractalKind, level: int):
     if name == "goodfn":
         if kind is not FractalKind.SC:
             raise ConfigError("goodfn lives on the carpet")
-        return sc_good_function(level)
+        return sc_good_function(level).fn
     if name == "x":
         return lambda px, py: px
     raise ConfigError(f"unknown function name {name!r}")
@@ -214,8 +214,8 @@ def _run_walkdim(cfg: RunConfig, opts) -> ExperimentReport:
     else:
         if opts.function != "goodfn":
             raise ConfigError("walkdim on the carpet uses the goodfn family")
-        # one solve per level: each level's energy is its own good function's
-        energies = [sc_good_function(n).energy for n in levels]
+        # one plate solve per level; its energy is 1/R_n^V and no potential is kept
+        energies = [sc_RnV(n).energy for n in levels]
     rows = []
     for i, (n, e) in enumerate(zip(levels, energies)):
         ratio = "" if i == 0 else e / energies[i - 1]
@@ -421,12 +421,14 @@ def _run_trace(cfg: RunConfig, opts) -> ExperimentReport:
 
 
 def _run_kernel(cfg: RunConfig, opts) -> ExperimentReport:
+    if (opts.x is None) != (opts.y is None):
+        raise ConfigError("kernel takes both --x and --y, or neither")
     try:
         params = JumpKernelParams(
             i=opts.i, delta_i=opts.delta, beta_i=opts.beta_i, gamma=opts.gamma
         )
         depth = params.required_depth()
-        if opts.x is None or opts.y is None:
+        if opts.x is None:
             x = "0" * depth
             y = "0" + "1" * (depth - 1)
         else:

@@ -64,8 +64,8 @@ class RunConfig:
             raise ConfigError(f"level_cap_sg must be in [1, {SG_LEVEL_CAP}]")
         if not 1 <= self.level_cap_sc <= SC_LEVEL_CAP:
             raise ConfigError(f"level_cap_sc must be in [1, {SC_LEVEL_CAP}]")
-        if self.samples < 1 or self.mc_samples < 2:
-            raise ConfigError("sample budgets must be positive")
+        if self.samples < 2 or self.mc_samples < 2:
+            raise ConfigError("sample budgets must be >= 2")
         if self.depth_cut < 2:
             raise ConfigError("depth_cut must be >= 2")
         if self.seed < 0:

@@ -31,7 +31,6 @@ from .geometry import (
     VertexGraph,
     _cells,
     float_sq_dist,
-    sc_side_ids,
     vertex_graph,
 )
 from .kinds import (
@@ -40,7 +39,7 @@ from .kinds import (
     SG_LEVEL_CAP,
     FractalKind,
 )
-from .networks import DirichletSystem, graph_edge_arrays, solve_dirichlet
+from .networks import DirichletSystem, graph_edge_arrays, sc_RnV
 from .words import Word, as_digits
 
 __all__ = [
@@ -273,22 +272,15 @@ class ScGoodFunction:
     """Discrete minimizer of the level-n pair energy with plate boundary
     conditions: 0 on the left side, 1 on the right."""
 
-    level: int
     fn: VertexFunction
     energy: float
-    info: dict = field(repr=False, default_factory=dict)
 
     @property
-    def graph(self) -> VertexGraph:
-        return self.fn.graph
-
-    def midline_ids(self) -> np.ndarray:
-        vg = self.graph
-        return np.nonzero(vg.xn == 3 ** vg.scale)[0]
+    def level(self) -> int:
+        return self.fn.graph.level
 
     def values_json_dict(self) -> dict:
-        vg = self.graph
-        x, y = vg.float_coords()
+        x, y = self.fn.graph.float_coords()
         return {
             "level": self.level,
             "energy": self.energy,
@@ -299,7 +291,7 @@ class ScGoodFunction:
 
 
 def sc_good_function(n: int) -> ScGoodFunction:
-    """Solve the left/right plate problem on the level-n carpet graph.
+    """The potential of the R_n^V plate solve on the level-n carpet graph.
 
     Conductances are the per-cell pair counts, so the minimized quadratic is
     exactly the level-n pair energy and its minimum is 1/R_n^V.
@@ -307,15 +299,8 @@ def sc_good_function(n: int) -> ScGoodFunction:
     if not 1 <= n <= SC_LEVEL_CAP:
         raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
     vg = vertex_graph(FractalKind.SC, n)
-    left = sc_side_ids(vg, "left")
-    right = sc_side_ids(vg, "right")
-    ii, jj, cc = graph_edge_arrays(vg)
-    fixed_ids = np.concatenate([left, right])
-    fixed_vals = np.concatenate([np.zeros(len(left)), np.ones(len(right))])
-    u, info = solve_dirichlet(vg.n_vertices, ii, jj, cc, fixed_ids, fixed_vals)
-    d = u[ii] - u[jj]
-    energy = float(np.sum(cc * d * d))  # summed as resistance_from_arrays sums it
-    return ScGoodFunction(level=n, fn=VertexFunction(vg, u), energy=energy, info=info)
+    res = sc_RnV(vg)
+    return ScGoodFunction(VertexFunction(vg, res.potential), res.energy)
 
 
 # ---------------------------------------------------------------------------

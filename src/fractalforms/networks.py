@@ -18,7 +18,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -363,6 +363,7 @@ class ResistanceResult:
     energy: float
     method: str
     residual: float
+    potential: Optional[np.ndarray] = field(repr=False, compare=False)  # None when disconnected
 
     @property
     def is_infinite(self) -> bool:
@@ -370,7 +371,8 @@ class ResistanceResult:
 
 
 def resistance_from_arrays(n: int, ii, jj, cond, A_ids, B_ids) -> ResistanceResult:
-    """Effective resistance between node sets A (potential 0) and B (1)."""
+    """Effective resistance between node sets A (potential 0) and B (1),
+    with the potential that carries it."""
     ii = np.asarray(ii, dtype=np.int64)
     jj = np.asarray(jj, dtype=np.int64)
     cond = np.asarray(cond, dtype=float)
@@ -384,7 +386,7 @@ def resistance_from_arrays(n: int, ii, jj, cond, A_ids, B_ids) -> ResistanceResu
     # one labelling serves the reachability test and the solver's free set
     labels = _component_labels(n, ii, jj)
     if not np.isin(labels[B_ids], labels[A_ids]).any():
-        return ResistanceResult(math.inf, 0.0, "disconnected", 0.0)
+        return ResistanceResult(math.inf, 0.0, "disconnected", 0.0, None)
 
     fixed = np.concatenate([A_ids, B_ids])
     vals = np.concatenate([np.zeros(len(A_ids)), np.ones(len(B_ids))])
@@ -392,7 +394,7 @@ def resistance_from_arrays(n: int, ii, jj, cond, A_ids, B_ids) -> ResistanceResu
     d = u[ii] - u[jj]
     energy = float(np.sum(cond * d * d))
     resistance = 1.0 / energy if energy > 0 else math.inf
-    return ResistanceResult(resistance, energy, info["method"], info["residual"])
+    return ResistanceResult(resistance, energy, info["method"], info["residual"], u)
 
 
 def effective_resistance(net: WeightedNetwork, A: Iterable, B: Iterable) -> ResistanceResult:

@@ -82,8 +82,10 @@ class WalkParams:
             raise ValueError("c must be in (0, lam)")
         if self.depth_cut < 2:
             raise ValueError("depth_cut must be >= 2")
-        if self.samples < 1 or self.step_cap < 1:
-            raise ValueError("samples and step_cap must be positive")
+        if self.samples < 2:  # the standard errors divide by samples - 1
+            raise ValueError(f"samples must be >= 2, got {self.samples}")
+        if self.step_cap < 1:
+            raise ValueError("step_cap must be positive")
 
     def require_c(self) -> float:
         if self.c is None:

@@ -111,8 +111,8 @@ def test_mc_reads_graph_values_by_cell_rank_below_the_graph_level():
     a = besov_double_integral_mc(deep, 0.9, samples=20_000, seed=3, depth=4)
     b = besov_double_integral_mc(shallow, 0.9, samples=20_000, seed=3)
     assert a == b
-    good = sc_good_function(3)
-    coarse = restrict_to_level(good.fn, cached_vertex_graph(SC, 2))
+    good = sc_good_function(3).fn
+    coarse = restrict_to_level(good, cached_vertex_graph(SC, 2))
     a = besov_double_integral_mc(good, 2.0, samples=4_000, seed=5, depth=2)
     b = besov_double_integral_mc(coarse, 2.0, samples=4_000, seed=5)
     assert a == b
@@ -132,7 +132,7 @@ def test_mc_reads_graph_values_by_cell_rank_below_the_graph_level():
     "make, kind",
     [
         (lambda: sg_harmonic(0, 1, Fraction(1, 3), 5), SG),
-        (lambda: sc_good_function(3), SC),
+        (lambda: sc_good_function(3).fn, SC),
         (lambda: SgHarmonic.make(0, 1, Fraction(1, 3)), SG),
         (lambda: (lambda x, y: x * x + y), SC),
     ],
@@ -168,11 +168,11 @@ def test_mc_on_carpet_good_function():
 
 def test_cellgraph_terms_on_carpet_are_cell_average_energies():
     # reference: the adjacent-cell energy of the float cell averages, unscaled
-    good = sc_good_function(3)
+    good = sc_good_function(3).fn
     params = BesovParams(beta=2.0, N=3, kind=SC, form=BesovForm.CELLGRAPH)
     terms = besov_partial_terms(good, params)
     for n, term in enumerate(terms, start=1):
-        u_n = good.fn if n == 3 else restrict_to_level(good.fn, cached_vertex_graph(SC, n))
+        u_n = good if n == 3 else restrict_to_level(good, cached_vertex_graph(SC, n))
         e = cellgraph_edge_energy(CellFunction(SC, n, float_values(cell_averages(u_n, n).values)))
         assert term == besov_weight(SC, 2.0, n) * float(e)
 

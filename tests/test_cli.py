@@ -44,6 +44,8 @@ def test_config_rejects_bad_values():
         RunConfig(beta_grid=(1.0,)).validate()  # below the admissible window
     with pytest.raises(ConfigError):
         RunConfig(seed=-1).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(samples=1).validate()  # one path has no standard error
     # a config may lower the level caps 12/7, never raise them
     with pytest.raises(ConfigError):
         RunConfig(level_cap_sg=13).validate()
@@ -210,11 +212,18 @@ def test_git_hash_resolved_once_per_process_in_the_package_checkout(tmp_path, mo
         reporting.git_hash.cache_clear()
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON (RFC 8259)")
+
+
 def _run(tmp_path, *args):
+    """Run the CLI; every JSON file in the output directory must parse strictly."""
     out = tmp_path / "out"
     cache = tmp_path / "cache"
     argv = list(args) + ["--out", str(out), "--cache", str(cache)]
     rc = main(argv)
+    for path in sorted(Path(out).glob("*.json")):
+        json.loads(path.read_text(), parse_constant=_reject_constant)
     return rc, out
 
 
@@ -413,6 +422,12 @@ def test_cli_cache_reused_across_runs(tmp_path):
     assert {p.name for p in cache_dir.iterdir()} == files_before
 
 
+def test_cli_gasket_resistance_leaves_the_cache_dir_uncreated(tmp_path):
+    rc, _ = _run(tmp_path, "resistance", "--kind", "sg", "--levels", "1..2")
+    assert rc == 0
+    assert not (tmp_path / "cache").exists()
+
+
 def test_cli_solver_failure_exit_4(tmp_path, monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
@@ -466,6 +481,10 @@ def test_cli_removed_config_keys_exit_2(tmp_path, key):
         "mosco --points 0",
         "harnack --kind sc --levels 3 --trials 0",
         "harnack --kind sc --levels 3 --trials -1",
+        "kernel --x 0",
+        "kernel --y 0",
+        "walk --samples 1",
+        "walk --samples 0",
     ],
 )
 def test_cli_bad_arguments_exit_2_without_data(tmp_path, argv):

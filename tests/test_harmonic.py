@@ -192,9 +192,17 @@ def test_good_function_energy_is_the_resistance_bit_for_bit(n):
     assert 1.0 / sc_good_function(n).energy == sc_RnV(n).resistance
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_good_function_is_the_resistance_potential_bitwise(n):
+    # the good function is the potential of the R_n^V plate solve, not a second solve
+    values, potential = sc_good_function(n).fn.values, sc_RnV(n).potential
+    assert values.dtype == potential.dtype == np.float64
+    assert values.tobytes() == potential.tobytes()
+
+
 def test_good_function_symmetry_and_range():
     good = sc_good_function(2)
-    vg = good.graph
+    vg = good.fn.graph
     vals = good.fn.as_float_array()
     assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
     # mirror symmetry u(1-x, y) = 1 - u(x, y)
@@ -204,7 +212,7 @@ def test_good_function_symmetry_and_range():
         j = mirror[i]
         assert abs(vals[i] + vals[j] - 1.0) < 1e-8
     # midline sits at 1/2 by antisymmetry
-    mid = good.midline_ids()
+    mid = np.nonzero(vg.xn == full // 2)[0]
     assert np.allclose(vals[mid], 0.5, atol=1e-8)
 
 

@@ -51,7 +51,7 @@ def _lattice_outputs() -> list[str]:
     good = sc_good_function(3)
     mc(sg_harmonic(0, 1, 0, 4), [1.9, 2.1])
     mc(SgHarmonic.make(1, 0, 2), [1.9, 2.1])
-    mc(good, [1.9, 2.05])
+    mc(good.fn, [1.9, 2.05])
     mc(good.fn, [1.9, 2.05], depth=2)
     for kind in (SG, SC):
         mc(lambda px, py: px * px + 0.5 * py, [1.9, 2.0], kind=kind)
