@@ -4,7 +4,7 @@ Each subcommand computes one family of quantities and writes a CSV or JSON
 report plus a meta sidecar through the reporting module.  Exit codes: 0 ok,
 2 invalid configuration or parameters, 3 resource cap exceeded, 4 linear
 solver failure (a factorization failed or a residual exceeded the fixed
-tolerance networks.SOLVER_TOL).
+tolerance networks.SOLVER_TOL) or a result that is not finite.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ from .harmonic import (
 )
 from .kinds import FractalKind, SG_BETA_STAR
 from .networks import SolverError, rho_estimate, sc_RnV, sg_word_resistance, solver_log
-from .reporting import ExperimentReport
+from .reporting import ExperimentReport, NonFiniteResultError
 from .treewalk import (
+    DEPTH_CAP,
     WalkParams,
     boundary_hit_distribution,
     ctrw_lifetime,
@@ -136,8 +137,8 @@ def _walk_params(cfg: RunConfig, opts: argparse.Namespace) -> WalkParams:
     c = cfg.c if getattr(opts, "c", None) is None else opts.c
     samples = cfg.samples if getattr(opts, "samples", None) is None else opts.samples
     depth = cfg.depth_cut if getattr(opts, "depth_cut", None) is None else opts.depth_cut
-    if depth > 13:
-        raise ResourceCapError(f"depth_cut {depth} beyond the working cap 13")
+    if depth > DEPTH_CAP:
+        raise ResourceCapError(f"depth_cut {depth} beyond the working cap {DEPTH_CAP}")
     try:
         return WalkParams(
             lam=lam,
@@ -598,6 +599,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 3
     except SolverError as e:
         print(f"solver failure: {e}", file=sys.stderr)
+        return 4
+    except NonFiniteResultError as e:
+        print(f"non-finite result: {e}", file=sys.stderr)
         return 4
 
 

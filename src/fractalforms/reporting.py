@@ -52,6 +52,11 @@ def experiment_id(subcommand: str, config_snapshot: dict) -> str:
     return f"{subcommand}-{hashlib.sha256(blob).hexdigest()[:12]}"
 
 
+class NonFiniteResultError(ValueError):
+    """A data tree holds NaN or an infinity, which JSON (RFC 8259) cannot
+    carry; maps to exit code 4."""
+
+
 @dataclass
 class ExperimentReport:
     experiment: str
@@ -80,6 +85,16 @@ class ExperimentReport:
         return experiment_id(self.experiment, self.config_snapshot)
 
     def write(self, out_dir: str | Path) -> list[Path]:
+        # a data tree is serialised before anything is created, so one that
+        # JSON cannot carry leaves no file behind
+        text = None
+        if self.tree is not None:
+            try:
+                text = json.dumps(
+                    self.tree, sort_keys=True, indent=1, ensure_ascii=False, allow_nan=False
+                )
+            except ValueError as e:
+                raise NonFiniteResultError(f"{self.experiment}: {e}") from e
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         eid = self.experiment_id
@@ -94,8 +109,7 @@ class ExperimentReport:
         else:
             data_path = out / f"{eid}.json"
             with open(data_path, "w", encoding="utf-8") as fh:
-                json.dump(self.tree, fh, sort_keys=True, indent=1, ensure_ascii=False)
-                fh.write("\n")
+                fh.write(text + "\n")
         paths.append(data_path)
         meta_path = out / f"{eid}.meta.json"
         with open(meta_path, "w", encoding="utf-8") as fh:

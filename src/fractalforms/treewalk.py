@@ -34,6 +34,7 @@ from .networks import _record, certify_dirichlet, solve_dirichlet
 from .words import as_digits, pack_word
 
 __all__ = [
+    "DEPTH_CAP",
     "WalkParams",
     "conductance",
     "vertical_conductance",
@@ -164,8 +165,11 @@ def conductance(params: WalkParams, x, y) -> float:
 
 TAIL = -2  # pseudo-neighbor: a step into the untruncated subtree below
 
+# deepest working depth a run may ask for
+DEPTH_CAP = 13
+
 # the kind of an edge seen from one end; a row's class key packs the level
-# and one kind per column, at most 14 * 6^7 for the 7 columns of depth 13
+# and one kind per column, below (DEPTH_CAP + 1) * 6^7 for the 7 columns
 N_KINDS = 6
 PAD, CHILD, PARENT, SAME_I, SAME_II, TAIL_STEP = range(N_KINDS)
 
@@ -199,12 +203,9 @@ class WalkTables:
         return self._nbr_flat[flat]
 
 
-def _edge_arrays(
-    params: WalkParams, depth: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All edges of the depth-truncated graph with conductances and kinds
-    (CHILD for a vertical edge, seen from its parent end)."""
-    ii_all, jj_all, cc_all, kind_all = [], [], [], []
+def _edge_arrays(params: WalkParams, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All edges of the depth-truncated graph with their conductances."""
+    ii_all, jj_all, cc_all = [], [], []
     # vertical: level n parents to level n+1 children
     for n in range(depth):
         parents = np.repeat(np.arange(3 ** n, dtype=np.int64), 3)
@@ -212,7 +213,6 @@ def _edge_arrays(
         ii_all.append(_level_offset(n) + parents)
         jj_all.append(_level_offset(n + 1) + children)
         cc_all.append(np.full(3 ** (n + 1), vertical_conductance(params, n)))
-        kind_all.append(np.full(3 ** (n + 1), CHILD, dtype=np.int8))
     # horizontal per level
     for n in range(1, depth + 1):
         cg = cell_graph(FractalKind.SG, n)
@@ -225,63 +225,99 @@ def _edge_arrays(
         ii_all.append(base + cg.edges[:, 0])
         jj_all.append(base + cg.edges[:, 1])
         cc_all.append(w)
-        kind_all.append(np.where(cg.second_type, SAME_II, SAME_I).astype(np.int8))
-    return tuple(np.concatenate(a) for a in (ii_all, jj_all, cc_all, kind_all))
+    return tuple(np.concatenate(a) for a in (ii_all, jj_all, cc_all))
 
 
 def _levels(depth: int) -> np.ndarray:
     return np.repeat(np.arange(depth + 1, dtype=np.int16), 3 ** np.arange(depth + 1))
 
 
-def build_tables(params: WalkParams, tail: bool = False) -> WalkTables:
+def build_tables(params: WalkParams) -> WalkTables:
     """Padded neighbor tables for the ball of radius params.depth_cut.
 
-    With tail=True the working-sphere rows carry one pseudo-entry of weight
+    The working-sphere rows carry one pseudo-entry of weight
     3*(3 lam)^(-depth) standing for the three subtree edges below; a sampled
-    TAIL step must then be resolved by the caller (return with probability
-    lam, escape otherwise), which reproduces the bare-subtree excursion law
-    exactly.  The tables depend on (lam, C1, C2, depth, tail) only, and are
-    cached on that key: walks that differ in seed or samples share them.
+    TAIL step must be resolved by the caller (return with probability lam,
+    escape otherwise), which reproduces the bare-subtree excursion law
+    exactly.  A walk that stops on its first step into the sphere never
+    reads a sphere row, so every estimator shares one table.  The tables
+    depend on (lam, C1, C2, depth) only, and are cached on that key: walks
+    that differ in seed or samples share them.
     """
-    return _tables(params.lam, params.C1, params.C2, params.depth_cut, tail)
+    return _tables(params.lam, params.C1, params.C2, params.depth_cut)
+
+
+def _append_runs(rows, kinds, col, ends, others, edge_kinds) -> None:
+    """Write each row's entries after its `col` filled columns, in the order
+    given; `ends` (the local row of each entry) must be grouped ascending."""
+    count = np.bincount(ends, minlength=len(col))
+    at = np.arange(len(ends))
+    at -= (np.cumsum(count) - count - col)[ends]
+    rows[ends, at] = others
+    kinds[ends, at] = edge_kinds
+    col += count
 
 
 @lru_cache(maxsize=8)
-def _tables(lam: float, C1: float, C2: float, depth: int, tail: bool) -> WalkTables:
+def _tables(lam: float, C1: float, C2: float, depth: int) -> WalkTables:
+    """Fill the tables one level at a time from the level's cell graph.
+
+    A row lists the children, the same-level neighbours of larger id, the
+    parent, the same-level neighbours of smaller id (each run ascending) and,
+    on the sphere, the tail entry.  A class key leads with the level, so the
+    classes of one level, offset by those of the levels above, are numbered
+    as one sort of all keys would number them.  A class row's weights follow
+    from its level and kinds alone, so every vertex gets the bits a row of
+    its own would get.
+    """
     params = WalkParams(lam=lam, C1=C1, C2=C2)
+    graphs = [None] + [cell_graph(FractalKind.SG, n) for n in range(1, depth + 1)]
+    # children, parent, same-level neighbours and tail entry of the fullest row
+    W = max(
+        3 * (n < depth) + (n > 0) + (n == depth)
+        + (int(np.bincount(g.edges.ravel()).max()) if g is not None else 0)
+        for n, g in enumerate(graphs)
+    )
     V = _level_offset(depth + 1)
-    ii, jj, cc, kind = _edge_arrays(params, depth)
-    ends = np.concatenate([ii, jj])
-    oths = np.concatenate([jj, ii])
-    ws = np.concatenate([cc, cc])
-    kinds = np.concatenate([kind, np.where(kind == CHILD, PARENT, kind).astype(np.int8)])
-    if tail:
-        sphere = _sphere(depth)
-        ends = np.concatenate([ends, sphere])
-        oths = np.concatenate([oths, np.full(len(sphere), TAIL, dtype=np.int64)])
-        ws = np.concatenate([ws, np.full(len(sphere), 3.0 * vertical_conductance(params, depth))])
-        kinds = np.concatenate([kinds, np.full(len(sphere), TAIL_STEP, dtype=np.int8)])
-    order = np.argsort(ends, kind="stable")
-    ends_s, ws_s = ends[order], ws[order]
-    deg = np.bincount(ends, minlength=V)
-    W = int(deg.max())
-    starts = np.concatenate([[0], np.cumsum(deg)[:-1]])
-    col = np.arange(len(ends_s)) - starts[ends_s]
     nbr = np.full((V, W), -1, dtype=np.int32)
-    nbr[ends_s, col] = oths[order]
-    kind_cols = np.full((V, W), PAD, dtype=np.int8)
-    kind_cols[ends_s, col] = kinds[order]
-    key = _levels(depth).astype(np.int64)
-    for k in range(W):
-        key = key * N_KINDS + kind_cols[:, k]
-    _, rep, cls = np.unique(key, return_index=True, return_inverse=True)
-    # every vertex of a class has its representative's weights, so the
-    # row ops below give each vertex the bits a row of its own would get
-    is_rep = np.zeros(V, dtype=bool)
-    is_rep[rep] = True
-    at_rep = is_rep[ends_s]
-    wts = np.zeros((len(rep), W), dtype=np.float64)
-    wts[cls[ends_s[at_rep]], col[at_rep]] = ws_s[at_rep]
+    cls = np.empty(V, dtype=np.intp)
+    class_wts = []
+    for n, g in enumerate(graphs):
+        o, m = _level_offset(n), 3 ** n
+        here = np.arange(m)
+        rows = nbr[o : o + m]
+        kinds = np.full((m, W), PAD, dtype=np.int8)
+        col = np.zeros(m, dtype=np.intp)  # filled columns of each row
+        w = np.zeros(N_KINDS)  # conductance of each kind at this level
+        if n < depth:
+            rows[:, :3] = _level_offset(n + 1) + 3 * here[:, None] + np.arange(3)
+            kinds[:, :3] = CHILD
+            col += 3
+            w[CHILD] = vertical_conductance(params, n)
+        if g is not None:
+            # edges are sorted by (a, b) with a < b
+            a, b = g.edges[:, 0], g.edges[:, 1]
+            same = np.where(g.second_type, SAME_II, SAME_I).astype(np.int8)
+            _append_runs(rows, kinds, col, a, o + b, same)
+            rows[here, col] = _level_offset(n - 1) + here // 3
+            kinds[here, col] = PARENT
+            col += 1
+            by_b = np.argsort(b, kind="stable")
+            _append_runs(rows, kinds, col, b[by_b], o + a[by_b], same[by_b])
+            w[PARENT] = vertical_conductance(params, n - 1)
+            w[SAME_I] = horizontal_conductance(params, n, "I")
+            w[SAME_II] = horizontal_conductance(params, n, "II")
+        if n == depth:
+            rows[here, col] = TAIL
+            kinds[here, col] = TAIL_STEP
+            w[TAIL_STEP] = 3.0 * vertical_conductance(params, depth)
+        key = np.full(m, n, dtype=np.int64)
+        for k in range(W):
+            key = key * N_KINDS + kinds[:, k]
+        _, rep, inv = np.unique(key, return_index=True, return_inverse=True)
+        cls[o : o + m] = inv + sum(map(len, class_wts))
+        class_wts.append(w[kinds[rep]])
+    wts = np.concatenate(class_wts)
     pi = wts.sum(axis=1)
     cum = np.cumsum(wts, axis=1) / pi[:, None]
     cum[:, -1] = 1.0
@@ -301,7 +337,7 @@ build_tables.cache_info = _tables.cache_info
 # (3 lam)^D / (3 (1 - lam)).
 
 def _closure(params: WalkParams, depth: int, mode: str):
-    ii, jj, cc, _ = _edge_arrays(params, depth)
+    ii, jj, cc = _edge_arrays(params, depth)
     sphere = _sphere(depth)
     V = _level_offset(depth + 1)
     if mode == "ground":
@@ -416,16 +452,16 @@ def _run_paths(
 ) -> int:
     """Walk `samples` paths from the root; return how many hit step_cap.
 
-    With stop_level None the tables must carry tail entries, and a path
-    ends when it escapes through the tail; otherwise a path ends on its
-    first step to a word of level stop_level.  All chunks step in lockstep
-    over one compacted index of the live paths, ascending, so each chunk's
-    paths form one slice of it.  Per step each chunk draws from its own
-    stream, in this order: `before(idx, cur, draw)` first, then the
-    transition uniforms, then the tail-return uniforms.  `draw(f)`
-    concatenates f(rng, sl) over the chunks, where sl slices the chunk's
-    live paths; `after(idx, nxt, done)` sees each step's outcome.  `idx`
-    indexes the per-path arrays of length `samples`.
+    With stop_level None a path ends when it escapes through the tail;
+    otherwise it ends on its first step to a word of level stop_level, so a
+    stop at the working sphere never reads a sphere row or a tail entry.
+    All chunks step in lockstep over one compacted index of the live paths,
+    ascending, so each chunk's paths form one slice of it.  Per step each
+    chunk draws from its own stream, in this order: `before(idx, cur, draw)`
+    first, then the transition uniforms, then the tail-return uniforms.
+    `draw(f)` concatenates f(rng, sl) over the chunks, where sl slices the
+    chunk's live paths; `after(idx, nxt, done)` sees each step's outcome.
+    `idx` indexes the per-path arrays of length `samples`.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -502,7 +538,7 @@ def green_oo(params: WalkParams, mode: str = "exact") -> dict:
     def count_root(idx, nxt, done):
         visits[idx[nxt == 0]] += 1
 
-    tables = build_tables(params, tail=True)
+    tables = build_tables(params)
     overflowed = _run_paths(tables, params, params.samples, after=count_root)
     return _mean_summary(visits.astype(float), overflowed)
 
@@ -541,7 +577,7 @@ def boundary_hit_distribution(params: WalkParams, m: int, samples: Optional[int]
 @lru_cache(maxsize=4)
 def _ball_adjacency(depth: int) -> sp.csr_matrix:
     # structure only: the conductances of any lam give the same edge set
-    ii, jj, _, _ = _edge_arrays(WalkParams(lam=0.5), depth)
+    ii, jj, _ = _edge_arrays(WalkParams(lam=0.5), depth)
     n = _level_offset(depth + 1)
     return sp.csr_matrix((np.ones(len(ii)), (ii, jj)), shape=(n, n))
 
@@ -651,7 +687,7 @@ def ctrw_lifetime(params: WalkParams, samples: Optional[int] = None) -> dict:
     c = params.require_c()
     depth_cut = params.depth_cut
     samples = params.samples if samples is None else samples
-    tables = build_tables(params, tail=True)
+    tables = build_tables(params)
     inv_rate = np.empty(tables.pi.shape)
     lam3 = 3.0 * params.lam
     for n in range(depth_cut + 1):

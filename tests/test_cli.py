@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import warnings
 from dataclasses import replace
@@ -301,6 +302,19 @@ def test_cli_walk_seeded_rerun_identical(tmp_path):
     assert jf[0].read_bytes() == first
 
 
+# sha256 of the walk data file below, recorded from the walk tables that
+# sorted one global list of directed edges before they were built level by level
+WALK_DATA_DIGEST = "ee118880b182f868fa266fe215e6aee75bb533fbf9861eace092caedf2b3b0ca"
+
+
+def test_cli_walk_data_file_is_pinned(tmp_path):
+    rc, out = _run(tmp_path, "walk", "--lambda", "0.5", "--c", "0.25",
+                   "--samples", "300", "--depth-cut", "6", "--seed", "1")
+    assert rc == 0
+    _, data_path = _walk_files(out)
+    assert hashlib.sha256(data_path.read_bytes()).hexdigest() == WALK_DATA_DIGEST
+
+
 def test_cli_walk_first_hit_law_runs_at_depth_cut(tmp_path):
     treewalk._tables.cache_clear()
     rc, _ = _run(tmp_path, "walk", "--lambda", "0.5", "--c", "0.25",
@@ -308,7 +322,7 @@ def test_cli_walk_first_hit_law_runs_at_depth_cut(tmp_path):
     assert rc == 0
     p = WalkParams(lam=0.5, C1=RunConfig().C1, C2=RunConfig().C2, depth_cut=6)
     hits = build_tables.cache_info().hits
-    build_tables(p)  # the first-hit law's tables, built by the walk
+    build_tables(p)  # the one table the walk built, first hits included
     assert build_tables.cache_info().hits == hits + 1
     build_tables(replace(p, depth_cut=10))  # no depth-10 table was built
     assert build_tables.cache_info().hits == hits + 1
@@ -367,6 +381,30 @@ def test_cli_invalid_config_exit_2(tmp_path):
 def test_cli_level_cap_exit_3(tmp_path):
     rc, _ = _run(tmp_path, "resistance", "--kind", "sc", "--levels", "1..9")
     assert rc == 3
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cli_walk_depth_cap_exit_3_without_data(tmp_path, source):
+    depth = str(treewalk.DEPTH_CAP + 1)
+    if source == "flag":
+        args = ("walk", "--depth-cut", depth)
+    else:
+        cfgf = tmp_path / "run.cfg"
+        cfgf.write_text(f"depth_cut = {depth}\n")
+        args = ("walk", "--config", str(cfgf))
+    rc, out = _run(tmp_path, *args)
+    assert rc == 3
+    assert not Path(out).exists()
+
+
+def test_cli_non_finite_result_exit_4_without_data(tmp_path, monkeypatch):
+    def nan_walk(cfg, opts):
+        return cli._report("walk", cfg, opts, tree={"mean": float("nan")})
+
+    monkeypatch.setitem(cli._HANDLERS, "walk", nan_walk)
+    rc, out = _run(tmp_path, "walk")
+    assert rc == 4
+    assert not list(Path(out).glob("*.json"))
 
 
 def test_cli_besov_level_cap_covers_the_test_function_level(tmp_path):

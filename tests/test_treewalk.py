@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from fractalforms import treewalk
+from fractalforms.geometry import cell_graph
 from fractalforms.kinds import FractalKind
 from fractalforms.networks import solve_dirichlet
 from fractalforms.treewalk import (
@@ -345,7 +348,7 @@ def test_build_tables_row_normalization():
 def _per_vertex_tables(params, depth, tail):
     # the construction the class tables replaced: one float row per vertex
     V = _level_offset(depth + 1)
-    ii, jj, cc, _ = _edge_arrays(params, depth)
+    ii, jj, cc = _edge_arrays(params, depth)
     ends = np.concatenate([ii, jj])
     oths = np.concatenate([jj, ii])
     ws = np.concatenate([cc, cc])
@@ -372,12 +375,15 @@ def _per_vertex_tables(params, depth, tail):
 
 @pytest.mark.parametrize("tail", [False, True])
 def test_class_tables_match_per_vertex_rows_bitwise(tail):
+    # without tail entries the oracle holds the rows below the sphere, the
+    # only rows a walk that stops at the sphere reads
     p = _params(lam=0.5, C1=2.0, C2=0.3, depth_cut=6)
-    tables = build_tables(p, tail=tail)
+    tables = build_tables(p)
     nbr, cum, pi = _per_vertex_tables(p, 6, tail)
-    assert np.array_equal(tables.nbr, nbr)
-    assert tables.cum[tables.cls].tobytes() == cum.tobytes()
-    assert tables.pi.tobytes() == pi.tobytes()
+    rows = slice(None) if tail else slice(_level_offset(6))
+    assert np.array_equal(tables.nbr[rows], nbr[rows])
+    assert tables.cum[tables.cls[rows]].tobytes() == cum[rows].tobytes()
+    assert tables.pi[rows].tobytes() == pi[rows].tobytes()
     # every class row ends at exactly 1.0 in its last real column
     last = (tables.nbr != -1).sum(axis=1) - 1
     assert (tables.cum[tables.cls, last] == 1.0).all()
@@ -385,17 +391,34 @@ def test_class_tables_match_per_vertex_rows_bitwise(tail):
 
 
 def test_build_tables_cache_ignores_simulation_params():
-    # tables depend on (lam, C1, C2, depth, tail) only
+    # tables depend on (lam, C1, C2, depth) only
     a = _params(lam=0.37, C1=1.3, seed=1, samples=100, depth_cut=4)
     b = _params(lam=0.37, C1=1.3, seed=2, samples=900, depth_cut=4)
     before = build_tables.cache_info()
-    first = build_tables(a, tail=True)
+    first = build_tables(a)
     mid = build_tables.cache_info()
-    second = build_tables(b, tail=True)
+    second = build_tables(b)
     after = build_tables.cache_info()
     assert (mid.misses - before.misses, mid.hits - before.hits) == (1, 0)
     assert (after.misses - mid.misses, after.hits - mid.hits) == (0, 1)
     assert second is first
+
+
+def test_build_tables_peak_memory_is_a_few_tables():
+    # the level-by-level build holds one level's scratch next to the tables;
+    # one global sort of all directed edges peaked at 11x the tables
+    depth = 8
+    for n in range(1, depth + 1):
+        cell_graph(FractalKind.SG, n)
+    treewalk._tables.cache_clear()
+    tracemalloc.start()
+    try:
+        tables = build_tables(_params(lam=0.5, C1=2.0, C2=0.3, depth_cut=depth))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in (tables.nbr, tables.cls, tables.cum, tables.pi))
+    assert peak <= 4 * size
 
 
 # sha256 of the seeded outputs below, recorded from the three per-estimator
