@@ -74,8 +74,12 @@ class BesovParams:
 
 def besov_weight(kind: FractalKind, beta: float, n: int) -> float:
     """base^((beta-alpha)n): 2^(beta n)/3^n on the gasket, 3^(beta n)/8^n on
-    the carpet."""
-    return float(kind.base) ** (beta * n) / float(kind.n_maps) ** n
+    the carpet; inf where the power overflows, as numpy would give, so the
+    sums it weights come out non-finite and are refused when written."""
+    try:
+        return float(kind.base) ** (beta * n) / float(kind.n_maps) ** n
+    except OverflowError:
+        return math.inf
 
 
 def _as_vertex_function(u, kind: FractalKind, N: int) -> VertexFunction:

@@ -10,19 +10,22 @@ Vertices are stored with integer numerators at a fixed per-level scale:
 Both read the family's record in `kinds`: the unit side kind.unit(scale),
 the float y factor, the y weight of the metric, the vertex-scale shift and
 the digit offsets.  Coordinates, distances, the contraction maps and the
-builder are one code path for both families; only the cell adjacency rule
-(squares meeting along sides, triangles at corners) branches on the family.
+builder are one code path for both families; only the cell graph branches
+on the family.
 
 Equality, hashing, and deduplication therefore never touch floats.  The
-canonical (minimal-scale) form divides out the base while possible; cell
-adjacency and vertex identity are decided on the fixed-scale numerators.
+canonical (minimal-scale) form divides out the base while possible; vertex
+identity and the carpet's cell adjacency are decided on the fixed-scale
+numerators.
 
 One builder, `_cells`, folds the digit tables into the integer offsets and
 corner numerators of all level-n cells in word order; the vertex graph, the
-cell graph and the energies' corner tables all read it.  Vertex ids follow
-first appearance in that scan.  A point is looked up by its packed key
-x * (full + 1) + y (full = kind.unit(scale), the unit side at the graph's
-scale) in the graph's sorted keys.
+carpet's cell graph and the energies' corner tables all read it.  Vertex ids
+follow first appearance in that scan.  A point is looked up by its packed
+key x * (full + 1) + y (full = kind.unit(scale), the unit side at the
+graph's scale) in the graph's sorted keys.  The gasket's cell graph reads no
+corners: its level n is three copies of level n - 1 glued at three points,
+so it is built from the cached level below.
 """
 from __future__ import annotations
 
@@ -204,40 +207,78 @@ class CellGraph:
 
 @lru_cache(maxsize=32)
 def cell_graph(kind: FractalKind, n: int) -> CellGraph:
+    """The level-n cell graph, shared through this cache.
+
+    The gasket's level n >= 2 is three copies of level n - 1 glued at three
+    points (its self-similarity), so it is built from the cached level
+    below, with no corner arrays and no sort: copy i is the level below
+    shifted by i * 3^(n-1), and each pair i < j adds one contact edge
+    between the cells i j^(n-1) and j i^(n-1).  Both cells' addressed
+    vertices are the contact point f_i(p_j) = f_j(p_i), so a contact edge
+    is type II; the three edges of level 1 join distinct corners and are
+    type I.  A contact edge goes after copy i's rows that start at or
+    before its first cell, which keeps the rows sorted by (i, j).  The
+    carpet reads `_cells`.
+    """
     if n < 1:
         raise ValueError("cell graph needs level >= 1")
-    gx, gy, cx, cy = _cells(kind, n)
-    cells = np.arange(len(gx), dtype=np.int64)
-    second = None
-    if kind is FractalKind.SC:
-        # same-size axis-aligned squares: 1-dimensional contact means the grid
-        # coordinates differ by one step in exactly one axis
-        side = 3 ** n
-        key = gx * side + gy
-        order = np.argsort(key)
-        sorted_key = key[order]
-        a, b = [], []
-        for dx, dy in ((1, 0), (0, 1)):
-            nx, ny = gx + dx, gy + dy
-            pos, hit = _search(sorted_key, nx * side + ny)
-            hit &= (nx < side) & (ny < side)
-            a.append(cells[hit])
-            b.append(order[pos[hit]])
-        edges, _ = _unique_pairs(np.concatenate(a), np.concatenate(b), len(cells))
-    else:
-        # gasket cells meet at single corner points, each shared by two cells
-        key = (cx * (kind.unit(n + 1) + 1) + cy).ravel()
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        same = sorted_key[1:] == sorted_key[:-1]
-        owner = order // 3
-        edges, _ = _unique_pairs(owner[:-1][same], owner[1:][same], len(cells))
-        # a cell's addressed vertex f_w(p_{w[-1]}) is its corner w[-1]
-        own = key.reshape(-1, 3)[cells, cells % 3]
-        second = own[edges[:, 0]] == own[edges[:, 1]]
+    if kind is FractalKind.SG:
+        edges, second = _sg_cell_edges(n)
+        edges.flags.writeable = False
         second.flags.writeable = False
+        return CellGraph(kind, n, edges, second)
+    # same-size axis-aligned squares: 1-dimensional contact means the grid
+    # coordinates differ by one step in exactly one axis
+    gx, gy, _, _ = _cells(kind, n)
+    cells = np.arange(len(gx), dtype=np.int64)
+    side = 3 ** n
+    key = gx * side + gy
+    order = np.argsort(key)
+    sorted_key = key[order]
+    a, b = [], []
+    for dx, dy in ((1, 0), (0, 1)):
+        nx, ny = gx + dx, gy + dy
+        pos, hit = _search(sorted_key, nx * side + ny)
+        hit &= (nx < side) & (ny < side)
+        a.append(cells[hit])
+        b.append(order[pos[hit]])
+    edges, _ = _unique_pairs(np.concatenate(a), np.concatenate(b), len(cells))
     edges.flags.writeable = False
-    return CellGraph(kind, n, edges, second)
+    return CellGraph(kind, n, edges, None)
+
+
+def _sg_cell_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Edges and type-II flags of the gasket's level-n cell graph, written
+    straight into the output arrays from the cached level below."""
+    if n == 1:
+        return np.array(SG_PAIRS, dtype=np.int64), np.zeros(3, dtype=bool)
+    below = cell_graph(FractalKind.SG, n - 1)
+    m = 3 ** (n - 1)
+    firsts = below.edges[:, 0]
+    edges = np.empty((3 * len(firsts) + 3, 2), dtype=np.int64)
+    second = np.empty(len(edges), dtype=bool)
+    at = 0
+
+    def copy(i, start, stop):
+        nonlocal at
+        end = at + stop - start
+        np.add(below.edges[start:stop], i * m, out=edges[at:end])
+        second[at:end] = below.second_type[start:stop]
+        at = end
+
+    for i in range(3):
+        start = 0
+        for j in range(i + 1, 3):
+            # the cells i j^(n-1) and j i^(n-1); j^(n-1) has rank j (m-1)/2
+            a, b = i * m + j * (m - 1) // 2, j * m + i * (m - 1) // 2
+            stop = int(np.searchsorted(firsts, a - i * m, side="right"))
+            copy(i, start, stop)
+            edges[at] = a, b
+            second[at] = True
+            at += 1
+            start = stop
+        copy(i, start, len(firsts))
+    return edges, second
 
 
 # ---------------------------------------------------------------------------

@@ -324,9 +324,7 @@ def solve_dirichlet(
 
 def certify_dirichlet(
     n: int,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    cond: np.ndarray,
+    blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
     fixed_ids: np.ndarray,
     u: np.ndarray,
     method: str,
@@ -335,19 +333,32 @@ def certify_dirichlet(
 
     This is the check `DirichletSystem.solve` makes, for a solution computed
     by other means; the solver log records it as one solve under `method`.
+    The edges come as (ii, jj, cond) blocks, read once and in order, so a
+    caller can hand over a large network one piece at a time.  Each node's
+    out-current and in-current are summed edge by edge in block order and
+    subtracted at the end, which gives the bits one bincount over the
+    concatenated edges would give, however the edges are split.
     Raises SolverError when the residual exceeds SOLVER_TOL * max(1, |b|).
     """
     free = np.ones(n, dtype=bool)
     free[fixed_ids] = False
-
-    def net_current(v):
-        f = cond * (v[ii] - v[jj])
-        return (np.bincount(ii, f, n) - np.bincount(jj, f, n))[free]
-
     boundary = np.zeros(n)
     boundary[fixed_ids] = u[fixed_ids]
-    bnorm = float(np.linalg.norm(net_current(boundary)))
-    res = float(np.linalg.norm(net_current(u)))
+    # out- and in-currents of u, then of its boundary values alone
+    out_u, in_u, out_b, in_b = np.zeros((4, n))
+    for ii, jj, cond in blocks:
+        for v, out, into in ((u, out_u, in_u), (boundary, out_b, in_b)):
+            f = v[ii]
+            f -= v[jj]
+            f *= cond
+            np.add.at(out, ii, f)
+            np.add.at(into, jj, f)
+        del ii, jj, cond, f  # before the next block is made
+    # with an axis, norm sums the squares in numpy, as DirichletSystem.solve
+    # does; without one it calls the BLAS dot, whose worker threads wake for
+    # each call and spin on past it, slowing the caller on a busy machine
+    bnorm = float(np.linalg.norm((out_b - in_b)[free], axis=0))
+    res = float(np.linalg.norm((out_u - in_u)[free], axis=0))
     if not res <= SOLVER_TOL * max(1.0, bnorm):  # NaN counts as a failure
         raise SolverError(
             f"{method} residual {res:.3e} above tolerance {SOLVER_TOL:.1e} "

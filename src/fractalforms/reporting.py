@@ -14,6 +14,7 @@ import csv
 import datetime as _dt
 import hashlib
 import json
+import math
 import subprocess
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -53,8 +54,8 @@ def experiment_id(subcommand: str, config_snapshot: dict) -> str:
 
 
 class NonFiniteResultError(ValueError):
-    """A data tree holds NaN or an infinity, which JSON (RFC 8259) cannot
-    carry; maps to exit code 4."""
+    """A data tree or a CSV row holds NaN or an infinity, which JSON (RFC
+    8259) cannot carry and no reader of the CSV expects; maps to exit code 4."""
 
 
 @dataclass
@@ -85,10 +86,15 @@ class ExperimentReport:
         return experiment_id(self.experiment, self.config_snapshot)
 
     def write(self, out_dir: str | Path) -> list[Path]:
-        # a data tree is serialised before anything is created, so one that
-        # JSON cannot carry leaves no file behind
+        # the data is checked before anything is created, so a non-finite
+        # float leaves no file behind
         text = None
-        if self.tree is not None:
+        if self.rows is not None:
+            for row in self.rows:
+                for name, x in zip(self.columns, row):
+                    if isinstance(x, float) and not math.isfinite(x):
+                        raise NonFiniteResultError(f"{self.experiment}: {name} = {x}")
+        else:
             try:
                 text = json.dumps(
                     self.tree, sort_keys=True, indent=1, ensure_ascii=False, allow_nan=False

@@ -9,7 +9,10 @@ by exact per-vertex tree-tail resistors carries no horizontal edges down
 there and so reproduces the infinite tree-tail exactly.  A potential that
 depends only on the level carries no current on same-level edges, so both
 closures are solved as a series chain of levels and certified by one
-residual of the full closure Laplacian; no matrix is factored.
+residual of the full closure Laplacian, summed over the closure's edges one
+level's block at a time; no matrix is factored and no array of all the
+closure's edges is built.  The same-level edges are the gasket's cell
+graphs, each built from the one below.
 
 Monte Carlo runs cross-check the linear algebra.  A vertex's transition row
 depends only on its level and on the kind of edge in each column, so the
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -203,29 +206,48 @@ class WalkTables:
         return self._nbr_flat[flat]
 
 
-def _edge_arrays(params: WalkParams, depth: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All edges of the depth-truncated graph with their conductances."""
-    ii_all, jj_all, cc_all = [], [], []
+def _edge_blocks(params: WalkParams, depth: int, mode: str = "ground") -> Iterator[tuple]:
+    """The edges of a closure of the depth-truncated graph, as (ii, jj,
+    conductance) blocks: the vertical edges level by level, then the
+    horizontal edges level by level, then in tail mode the tail resistors
+    from the sphere to the ground node past the ball.  Every closure edge
+    array is read from here, in this order."""
+    # no block is kept in a local, so only the block in use is alive
     # vertical: level n parents to level n+1 children
     for n in range(depth):
-        parents = np.repeat(np.arange(3 ** n, dtype=np.int64), 3)
-        children = np.arange(3 ** (n + 1), dtype=np.int64)
-        ii_all.append(_level_offset(n) + parents)
-        jj_all.append(_level_offset(n + 1) + children)
-        cc_all.append(np.full(3 ** (n + 1), vertical_conductance(params, n)))
+        yield (
+            _level_offset(n) + np.arange(3 ** (n + 1), dtype=np.int64) // 3,
+            _level_offset(n + 1) + np.arange(3 ** (n + 1), dtype=np.int64),
+            np.full(3 ** (n + 1), vertical_conductance(params, n)),
+        )
     # horizontal per level
     for n in range(1, depth + 1):
         cg = cell_graph(FractalKind.SG, n)
         base = _level_offset(n)
-        w = np.where(
-            cg.second_type,
-            horizontal_conductance(params, n, "II"),
-            horizontal_conductance(params, n, "I"),
+        yield (
+            base + cg.edges[:, 0],
+            base + cg.edges[:, 1],
+            np.where(
+                cg.second_type,
+                horizontal_conductance(params, n, "II"),
+                horizontal_conductance(params, n, "I"),
+            ),
         )
-        ii_all.append(base + cg.edges[:, 0])
-        jj_all.append(base + cg.edges[:, 1])
-        cc_all.append(w)
-    return tuple(np.concatenate(a) for a in (ii_all, jj_all, cc_all))
+    if mode == "tail":
+        sphere = _sphere(depth)
+        yield (
+            sphere,
+            np.full(len(sphere), _level_offset(depth + 1), dtype=np.int64),
+            np.full(len(sphere), _tail_conductance(params, depth)),
+        )
+
+
+def _edge_arrays(
+    params: WalkParams, depth: int, mode: str = "ground"
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All edges of a closure (by default of the depth-truncated graph
+    alone) with their conductances."""
+    return tuple(np.concatenate(a) for a in zip(*_edge_blocks(params, depth, mode)))
 
 
 def _levels(depth: int) -> np.ndarray:
@@ -336,20 +358,23 @@ build_tables.cache_info = _tables.cache_info
 # vertex through the exact resistance of its own infinite subtree,
 # (3 lam)^D / (3 (1 - lam)).
 
-def _closure(params: WalkParams, depth: int, mode: str):
-    ii, jj, cc = _edge_arrays(params, depth)
-    sphere = _sphere(depth)
+def _tail_conductance(params: WalkParams, depth: int) -> float:
+    return 3.0 * (1.0 - params.lam) / (3.0 * params.lam) ** depth
+
+
+def _closure_ground(depth: int, mode: str) -> tuple[int, np.ndarray]:
+    """Node count and grounded nodes of a closure."""
     V = _level_offset(depth + 1)
     if mode == "ground":
-        return V, ii, jj, cc, sphere
+        return V, _sphere(depth)
     if mode == "tail":
-        ground = V  # one node past the ball
-        tail_conductance = 3.0 * (1.0 - params.lam) / (3.0 * params.lam) ** depth
-        ii = np.concatenate([ii, sphere])
-        jj = np.concatenate([jj, np.full(len(sphere), ground, dtype=np.int64)])
-        cc = np.concatenate([cc, np.full(len(sphere), tail_conductance)])
-        return ground + 1, ii, jj, cc, np.array([ground], dtype=np.int64)
+        return V + 1, np.array([V], dtype=np.int64)  # one node past the ball
     raise ValueError(f"unknown closure {mode!r}")
+
+
+def _closure(params: WalkParams, depth: int, mode: str):
+    n, ground = _closure_ground(depth, mode)
+    return (n, *_edge_arrays(params, depth, mode), ground)
 
 
 def _solver_allowance(residual: float) -> float:
@@ -375,7 +400,9 @@ def _closure_solves(
     tail closure adds 3^D parallel resistors of (3 lam)^D / (3 (1 - lam)).
     The chain's potentials, expanded to every vertex, solve the full closure
     (its Dirichlet solution is unique); one residual of the full closure
-    Laplacian certifies them and sets the allowance.  The key holds only what
+    Laplacian certifies them and sets the allowance.  The residual is summed
+    over the closure's edge blocks one level at a time, so no array of all
+    the closure's edges is built.  The key holds only what
     the conductances depend on; callers go through _certified_closures, which
     logs a cached certificate again.
     """
@@ -383,16 +410,19 @@ def _closure_solves(
     links = [3 ** (n + 1) * vertical_conductance(params, n) for n in range(depth_cut)]
     out = []
     for mode in ("ground", "tail"):
-        n, ii, jj, cc, ground = _closure(params, depth_cut, mode)
+        n, ground = _closure_ground(depth_cut, mode)
         if mode == "tail":
-            # the closure's last edges are the tail resistors
-            links.append(3 ** depth_cut * cc[-1])
+            links.append(3 ** depth_cut * _tail_conductance(params, depth_cut))
         # resistance from each level down to the ground
         below = np.cumsum(1.0 / np.array(links)[::-1])[::-1]
         v = np.append(below / below[0], 0.0)
         node_level = np.append(_levels(depth_cut), depth_cut + 1)[:n]
         residual = certify_dirichlet(
-            n, ii, jj, cc, np.concatenate([[0], ground]), v[node_level], "radial"
+            n,
+            _edge_blocks(params, depth_cut, mode),
+            np.concatenate([[0], ground]),
+            v[node_level],
+            "radial",
         )
         out.append((v, _solver_allowance(residual), float(below[0]), residual))
     return tuple(out)

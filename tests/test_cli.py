@@ -186,6 +186,14 @@ def test_report_csv_and_meta(tmp_path):
     assert "git_hash" in meta["provenance"]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("inf")])
+def test_report_csv_refuses_non_finite_floats_before_creating_files(tmp_path, bad):
+    rep = ExperimentReport("demo", {"seed": 0}, columns=("n", "value"), rows=[(1, 0.5), (2, bad)])
+    with pytest.raises(reporting.NonFiniteResultError, match="demo: value = "):
+        rep.write(tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # CLI end to end
 
@@ -405,6 +413,17 @@ def test_cli_non_finite_result_exit_4_without_data(tmp_path, monkeypatch):
     rc, out = _run(tmp_path, "walk")
     assert rc == 4
     assert not list(Path(out).glob("*.json"))
+
+
+@pytest.mark.parametrize("beta", ["150", "170", "200"])
+def test_cli_besov_overflow_exit_4_without_data(tmp_path, beta):
+    # 150: mc_stderr overflows; 170: mc_estimate too (and the ratio reads 0);
+    # 200: the weight 2^(beta n) / 3^n itself overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notes
+        rc, out = _run(tmp_path, "besov", "--kind", "sg", "--depth", "6", "--beta-grid", beta)
+    assert rc == 4
+    assert not Path(out).exists()
 
 
 def test_cli_besov_level_cap_covers_the_test_function_level(tmp_path):

@@ -226,25 +226,54 @@ def test_solver_log_counts_factorizations_and_solves():
     assert log.factorizations == 1  # the block is closed
 
 
-def test_certify_dirichlet_checks_potentials_found_without_a_solve():
-    vg = vertex_graph(FractalKind.SC, 2)
+def _sc_plate(level):
+    vg = vertex_graph(FractalKind.SC, level)
     ii, jj, cc = graph_edge_arrays(vg)
     fixed = np.concatenate([sc_side_ids(vg, "left"), sc_side_ids(vg, "right")])
     vals = np.concatenate([np.zeros(len(fixed) // 2), np.ones(len(fixed) // 2)])
-    u, info = solve_dirichlet(vg.n_vertices, ii, jj, cc, fixed, vals)
+    u, _ = solve_dirichlet(vg.n_vertices, ii, jj, cc, fixed, vals)
+    return vg.n_vertices, (ii, jj, cc), fixed, u
+
+
+def test_certify_dirichlet_checks_potentials_found_without_a_solve():
+    n, edges, fixed, u = _sc_plate(2)
     with solver_log() as log:
-        res = certify_dirichlet(vg.n_vertices, ii, jj, cc, fixed, u, "closed-form")
+        res = certify_dirichlet(n, [edges], fixed, u, "closed-form")
     assert res <= 1e-12
     assert log.as_dict() == {
         "method": "closed-form", "factorizations": 0, "solves": 1, "max_residual": res,
     }
     wrong = u.copy()
-    wrong[np.setdiff1d(np.arange(vg.n_vertices), fixed)[0]] += 1e-6
+    wrong[np.setdiff1d(np.arange(n), fixed)[0]] += 1e-6
     with pytest.raises(SolverError, match="closed-form residual"):
-        certify_dirichlet(vg.n_vertices, ii, jj, cc, fixed, wrong, "closed-form")
+        certify_dirichlet(n, [edges], fixed, wrong, "closed-form")
     wrong[0] = np.nan
     with pytest.raises(SolverError):
-        certify_dirichlet(vg.n_vertices, ii, jj, cc, fixed, wrong, "closed-form")
+        certify_dirichlet(n, [edges], fixed, wrong, "closed-form")
+
+
+def test_certify_dirichlet_blocks_give_the_one_block_residual_bitwise():
+    n, edges, fixed, u = _sc_plate(4)
+    # shuffled, so that blocks add several currents to a node that already
+    # holds some; summing each block apart rounds differently here
+    order = np.random.default_rng(0).permutation(len(edges[0]))
+    edges = tuple(a[order] for a in edges)
+    one = certify_dirichlet(n, [edges], fixed, u, "closed-form")
+    cuts = [0, 1, 9, 9, 200, 1500, 1503, len(edges[0])]  # uneven, one empty
+
+    def blocks():
+        return (tuple(a[lo:hi] for a in edges) for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+    assert certify_dirichlet(n, blocks(), fixed, u, "closed-form") == one
+    # the one-block residual is the bincount over all edges
+    ii, jj, cc = edges
+    f = cc * (u[ii] - u[jj])
+    free = np.setdiff1d(np.arange(n), fixed)
+    assert one == float(np.linalg.norm((np.bincount(ii, f, n) - np.bincount(jj, f, n))[free]))
+    wrong = u.copy()
+    wrong[free[0]] += 1e-6
+    with pytest.raises(SolverError, match="closed-form residual"):
+        certify_dirichlet(n, blocks(), fixed, wrong, "closed-form")
 
 
 def test_sg_word_resistance_closed_form():

@@ -421,6 +421,22 @@ def test_build_tables_peak_memory_is_a_few_tables():
     assert peak <= 4 * size
 
 
+def test_closure_certificate_peak_memory_is_a_few_ball_vectors():
+    # the certificate sums one level's edge block at a time; the global edge
+    # arrays of both closures peaked at 25.6 vectors of the ball
+    depth = 8
+    for n in range(1, depth + 1):
+        cell_graph(FractalKind.SG, n)
+    _closure_solves.cache_clear()
+    tracemalloc.start()
+    try:
+        _closure_solves(0.5, 2.0, 0.3, depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 8 * _level_offset(depth + 1)
+
+
 # sha256 of the seeded outputs below, recorded from the three per-estimator
 # loops the engine replaced, run on their default 4 streams Philox(key=[seed, k])
 MC_DIGEST = "7435a5ea82adda360e8e255ecfe737e5ad3c213db7cfaad026b2ec7af4f5846c"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -310,6 +311,8 @@ CELL_GRAPH_DIGESTS = {
     (SG, 8): "72b73568717fcf343b5c2c039ffbe6cc4e49a357297470cf9747c40761b504ab",
     (SG, 9): "4086d5968bd2264a992181c715435688f7637816a5631078f97c0fea6afd7847",
     (SG, 10): "996a7343c7241366ce106fecf00d0fb3f171d4775d2ebe5d28399b58cc90ca67",
+    (SG, 11): "f5b2413fbb9a71edd66b9f8c06cc889c5400151f4285efb9c1af209ec73db82d",
+    (SG, 12): "042340bd3edf287bce6382a7c8b1c76db3df6b6a271e2cbffdb3734d884b7b18",
     (SC, 1): "7a74ed419a46733e67d22e145bb8f11707c402e1b1d2f186212dee45ceced7e8",
     (SC, 2): "611a0fb3741ef8d0df4284a7bf1994b46975993186a20f9a650b6f58eeff464b",
     (SC, 3): "1c5d6902434849d655088a93f446851143e4cc1a6167b8b3c06f1492fed48e06",
@@ -330,6 +333,21 @@ def test_cell_graph_arrays_match_golden(kind, n):
     arrays = (cg.edges,) if cg.second_type is None else (cg.edges, cg.second_type)
     assert _digest(*arrays) == CELL_GRAPH_DIGESTS[(kind, n)]
     assert not cg.edges.flags.writeable
+
+
+def test_gasket_cell_graph_peak_memory_is_about_its_own_arrays():
+    # level 11 is built from the cached level 10 straight into its output;
+    # the corner arrays and global sort of the whole level peaked at 11.4x
+    cell_graph.cache_clear()
+    for n in range(1, 11):
+        cell_graph(SG, n)
+    tracemalloc.start()
+    try:
+        cg = cell_graph(SG, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (cg.edges.nbytes + cg.second_type.nbytes)
 
 
 @pytest.mark.parametrize("kind,top", [(SG, 4), (SC, 2)])
