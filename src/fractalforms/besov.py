@@ -209,7 +209,8 @@ def besov_double_integral_mc(
     the depth at its own level and reads each sample's base-corner value by
     cell rank from the level-`depth` corner table, so any depth up to the
     graph's level reads the right vertices; the harmonic family and
-    coordinate callables evaluate at any depth.
+    coordinate callables evaluate at any depth.  A beta whose Monte Carlo
+    variance leaves the float range reads (inf, inf).
     """
     graph_fn = None
     if isinstance(u, SgHarmonic):
@@ -279,11 +280,16 @@ def besov_double_integral_mc(
         sq = float_sq_dist(kind, gx1, gy1, gx2, gy2, scale)
         du = evaluate(digs1, gx1, gy1, rank1) - evaluate(digs2, gx2, gy2, rank2)
         for i, expo in enumerate(expos):
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # past a large enough beta the integrand, or its squares in the
+            # variance, leave the float range: the variance is then inf or nan
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 f = np.where(sq > 0.0, du * du / sq ** expo, 0.0)
-            est[i] += p_k * float(f.mean())
-            var[i] += p_k ** 2 * float(f.var(ddof=1)) / per
-    pairs = [(e, math.sqrt(v)) for e, v in zip(est, var)]
+                est[i] += p_k * float(f.mean())
+                var[i] += p_k ** 2 * float(f.var(ddof=1)) / per
+    pairs = [
+        (e, math.sqrt(v)) if math.isfinite(v) else (math.inf, math.inf)
+        for e, v in zip(est, var)
+    ]
     return pairs[0] if scalar else pairs
 
 

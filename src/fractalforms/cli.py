@@ -59,7 +59,7 @@ from .treewalk import (
 )
 from .words import enumerate_words
 
-GRAPH_CACHE_VERSION = 2
+GRAPH_CACHE_VERSION = 3
 GRAPH_CACHE_MAX_LEVEL = 5
 
 SUBCOMMANDS = (
@@ -437,7 +437,11 @@ def _run_kernel(cfg: RunConfig, opts) -> ExperimentReport:
         C, a = jump_kernel_Ci(x, y, params)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    rows = [(opts.i, opts.delta, opts.gamma, opts.beta_i, x, y, float(C), a)]
+    try:
+        c_float = float(C)
+    except OverflowError:  # as for a_i: the writer refuses the row (exit 4)
+        c_float = math.inf
+    rows = [(opts.i, opts.delta, opts.gamma, opts.beta_i, x, y, c_float, a)]
     return _report(
         "kernel",
         cfg,

@@ -73,9 +73,6 @@ class RunConfig:
         return self
 
 
-_BOOLISH = {"true": True, "false": False, "1": True, "0": False}
-
-
 def _parse_value(name: str, raw: str):
     ftypes = {f.name: f.type for f in fields(RunConfig)}
     if name not in ftypes:
@@ -118,20 +115,6 @@ def load_config(path: str | Path) -> RunConfig:
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
     return parse_config_text(p.read_text())
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        if f.name == "beta_grid":
-            v = ",".join(repr(x) for x in v)
-        elif f.name == "c":
-            v = "none" if v is None else repr(v)
-        elif isinstance(v, float):
-            v = repr(v)
-        lines.append(f"{f.name}={v}")
-    return "\n".join(lines) + "\n"
 
 
 def config_dict(cfg: RunConfig) -> dict:

@@ -2,6 +2,9 @@
 
 All level-n sums run over within-cell vertex pairs counted per cell (a pair on
 a shared carpet side therefore enters once for each of the two cells).
+A level-n cell's corner ids are rows of the graph's one corner table
+(`VertexGraph.corners`), picked by index, and restriction to a coarser graph
+scatters the same rows, so no coordinate is searched.
 
 Float and exact data run the same vectorised body.  Exact data is held as
 integer numerators over one shared denominator (`RationalArray`: Python ints
@@ -21,14 +24,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .geometry import (
-    SC_PAIRS,
-    SG_PAIRS,
-    VertexGraph,
-    _cells,
-    cell_graph,
-    vertex_scale,
-)
+from .geometry import SC_PAIRS, SG_PAIRS, VertexGraph, cell_graph
 from .kinds import FractalKind
 
 
@@ -152,14 +148,16 @@ class CellFunction:
 def corner_ids_at_level(vg: VertexGraph, n: int) -> np.ndarray:
     """(n_cells, boundary_size) vertex ids of every level-n cell's corners.
 
-    Requires n <= vg.level; level-n vertices are a subset of the graph's.
+    Requires n <= vg.level.  Corner i of the level-n cell w is the fixed point
+    of map i, so it is corner i of the graph's cell w i^k (k = vg.level - n),
+    whose rank is w m^k + i (m^k - 1)/(m - 1) for m maps.
     """
     if not 0 <= n <= vg.level:
         raise ValueError(f"level {n} outside graph range 0..{vg.level}")
-    kind = vg.kind
-    lift = kind.base ** (vg.scale - vertex_scale(kind, n))
-    _, _, cx, cy = _cells(kind, n)
-    return vg.ids_of(cx * lift, cy * lift)
+    m, corner = vg.kind.n_maps, np.arange(vg.kind.boundary_size)
+    mk = m ** (vg.level - n)
+    rows = np.arange(m ** n)[:, None] * mk + corner * ((mk - 1) // (m - 1))
+    return vg.corners[rows, corner]
 
 
 def _pair_energy(u: VertexFunction, n: int, pairs) -> object:
@@ -275,14 +273,12 @@ def sc_cell_energy_bn(u: VertexFunction, n: int, rho: float):
 
 
 def restrict_to_level(u: VertexFunction, coarse: VertexGraph) -> VertexFunction:
-    """Values of u on the coarser vertex set (a subset as point sets)."""
+    """Values of u on the coarser vertex set (a subset as point sets): each
+    coarse cell corner reads the same corner in the fine graph."""
     fine = u.graph
-    if coarse.kind is not fine.kind or coarse.scale > fine.scale:
+    if coarse.kind is not fine.kind or coarse.level > fine.level:
         raise ValueError("restriction needs a coarser graph of the same kind")
-    lift = fine.kind.base ** (fine.scale - coarse.scale)
-    try:
-        idx = fine.ids_of(coarse.xn * lift, coarse.yn * lift)
-    except KeyError:
-        raise ValueError("coarse vertex missing from the fine graph") from None
+    idx = np.empty(coarse.n_vertices, dtype=fine.corners.dtype)
+    idx[coarse.corners] = corner_ids_at_level(fine, coarse.level)
     num, den = _numerators(u.values)
     return VertexFunction(coarse, _from_numerators(num[idx], den))

@@ -19,17 +19,18 @@ identity and the carpet's cell adjacency are decided on the fixed-scale
 numerators.
 
 One builder, `_cells`, folds the digit tables into the integer offsets and
-corner numerators of all level-n cells in word order; the vertex graph, the
-carpet's cell graph and the energies' corner tables all read it.  Vertex ids
-follow first appearance in that scan.  A point is looked up by its packed
-key x * (full + 1) + y (full = kind.unit(scale), the unit side at the
-graph's scale) in the graph's sorted keys.  The gasket's cell graph reads no
-corners: its level n is three copies of level n - 1 glued at three points,
-so it is built from the cached level below.
+corner numerators of all level-n cells in word order; the vertex graph and
+the carpet's cell graph read it.  Vertex ids follow first appearance in that
+scan, and the vertex graph keeps the scan's (cells, boundary_size) id table
+as `corners`: corner i of a cell is the fixed point of map i, so every
+coarser level's corner ids are rows of that one table.  A point is looked up
+by its packed key x * (full + 1) + y (full = kind.unit(scale), the unit side
+at the graph's scale) in the graph's sorted keys.  The gasket's cell graph
+reads no corners: its level n is three copies of level n - 1 glued at three
+points, so it is built from the cached level below.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -175,8 +176,9 @@ def _search(sorted_keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _unique_pairs(a: np.ndarray, b: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct unordered id pairs as (m, 2) int64 rows (min, max) sorted by
-    (min, max), and how often each occurs."""
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    (min, max), and how often each occurs.  Ids are packed as lo * size + hi
+    in int64, whatever the input dtype: in int32 it wraps at carpet level 5."""
+    lo, hi = np.minimum(a, b, dtype=np.int64), np.maximum(a, b, dtype=np.int64)
     packed, mult = np.unique(lo * size + hi, return_counts=True)
     return np.stack([packed // size, packed % size], axis=1), mult
 
@@ -290,7 +292,8 @@ class VertexGraph:
 
     Vertex ids follow first appearance while scanning the cells in word order
     and each cell's corners in boundary order, so the stored address of a
-    vertex is its lexicographically smallest level-(n+1) word.  Lookup by
+    vertex is its lexicographically smallest level-(n+1) word, and
+    `corners[w, i]` is the id of corner i of the cell of rank w.  Lookup by
     coordinates (`ids_of`) bisects the packed keys x * (full + 1) + y, sorted
     once per graph on first use.  Edge multiplicity counts how many cells
     contribute the pair: 1 on the gasket, 1 or 2 on the carpet.
@@ -302,6 +305,7 @@ class VertexGraph:
     yn: np.ndarray
     edges: np.ndarray         # (m, 3) int64 rows (i, j, mult), i < j
     addr_packed: np.ndarray   # canonical level-(n+1) address, radix-packed
+    corners: np.ndarray       # (cells, boundary_size) int32 ids, cells in word order
     _lookup: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False
     )
@@ -318,10 +322,7 @@ class VertexGraph:
         return ExactPoint.make(self.kind, int(self.xn[i]), int(self.yn[i]), self.scale)
 
     def address(self, i: int) -> Word:
-        packed = int(self.addr_packed[i])
-        if packed < 0:
-            raise ValueError("addresses were not stored for this graph")
-        return Word(unpack_word(self.kind, packed, self.level + 1))
+        return Word(unpack_word(self.kind, int(self.addr_packed[i]), self.level + 1))
 
     def ids_of(self, xn, yn) -> np.ndarray:
         """Ids of the vertices with numerators (xn, yn) at the graph's scale,
@@ -379,17 +380,17 @@ def vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
     del cx, cy
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     order = np.argsort(first)  # ids in order of first appearance
-    rank = np.empty_like(order)
+    rank = np.empty(len(order), dtype=np.int32)
     rank[order] = np.arange(len(order))
     addr = first[order]
     xn, yn = np.divmod(key[addr], full + 1)
     del key, first, order
-    ids = rank[inverse].reshape(-1, kind.boundary_size)
+    corners = rank[inverse].reshape(-1, kind.boundary_size)
     del inverse, rank
     pairs = SG_PAIRS if kind is FractalKind.SG else SC_PAIRS
     ends = np.array(pairs)
     edges, mult = _unique_pairs(
-        ids[:, ends[:, 0]].ravel(), ids[:, ends[:, 1]].ravel(), len(xn)
+        corners[:, ends[:, 0]].ravel(), corners[:, ends[:, 1]].ravel(), len(xn)
     )
     return VertexGraph(
         kind=kind,
@@ -398,6 +399,7 @@ def vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
         yn=yn,
         edges=np.column_stack([edges, mult]),
         addr_packed=addr,
+        corners=corners,
     )
 
 
@@ -434,54 +436,6 @@ def sc_side_ids(vg: VertexGraph, side: str) -> np.ndarray:
     else:
         raise ValueError(f"unknown side {side!r}")
     return np.nonzero(mask)[0]
-
-
-# ---------------------------------------------------------------------------
-# serialization (vertex triples are canonical minimal-scale forms)
-
-def graph_to_json_dict(vg: VertexGraph) -> dict:
-    verts = []
-    for i in range(vg.n_vertices):
-        p = vg.point(i)
-        verts.append([p.xn, p.yn, p.scale])
-    return {
-        "kind": vg.kind.value,
-        "level": vg.level,
-        "vertices": verts,
-        "edges": [[int(i), int(j), int(m)] for i, j, m in vg.edges],
-    }
-
-
-def graph_from_json_dict(d: dict) -> VertexGraph:
-    kind = FractalKind(d["kind"])
-    level = int(d["level"])
-    s = vertex_scale(kind, level)
-    xs, ys = [], []
-    for xn, yn, sc in d["vertices"]:
-        lx, ly = ExactPoint(kind, int(xn), int(yn), int(sc)).lifted(s)
-        xs.append(lx)
-        ys.append(ly)
-    edges = np.asarray([[int(a), int(b), int(m)] for a, b, m in d["edges"]],
-                       dtype=np.int64).reshape(-1, 3)
-    return VertexGraph(
-        kind=kind,
-        level=level,
-        xn=np.asarray(xs, dtype=np.int64),
-        yn=np.asarray(ys, dtype=np.int64),
-        edges=edges,
-        addr_packed=np.full(len(xs), -1, dtype=np.int64),  # addresses not stored
-    )
-
-
-def write_graph_json(vg: VertexGraph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_json_dict(vg), fh, separators=(",", ":"))
-        fh.write("\n")
-
-
-def read_graph_json(path) -> VertexGraph:
-    with open(path) as fh:
-        return graph_from_json_dict(json.load(fh))
 
 
 def sg_vertex_count(n: int) -> int:

@@ -38,8 +38,7 @@ class Lattice:
     beta_star: float        # critical Besov exponent
 
 
-# Carpet resistance growth factor: provable window and the numerical value.
-SC_RHO_WINDOW = (7.0 / 6.0, 3.0 / 2.0)
+# Carpet resistance growth factor: the numerical value.
 SC_RHO_NUMERIC = 1.25148
 
 # Default level guards: beyond these the graphs stop fitting desk budgets.

@@ -286,7 +286,7 @@ class DirichletSystem:
         n_rhs = 1 if values.ndim == 1 else values.shape[1]
         if self._lu is None:
             _record("trivial", solves=n_rhs)
-            return u, {"method": "trivial", "residual": 0.0, "iterations": 0}
+            return u, {"method": "trivial", "residual": 0.0}
         b = self._load @ values
         x = self._lu.solve(b)
         bnorm = np.linalg.norm(b, axis=0)
@@ -300,7 +300,7 @@ class DirichletSystem:
             )
         _record("splu", solves=n_rhs, residual=worst)
         u[self.free] = x
-        return u, {"method": "splu", "residual": worst, "iterations": 0}
+        return u, {"method": "splu", "residual": worst}
 
 
 def solve_dirichlet(
@@ -316,8 +316,8 @@ def solve_dirichlet(
     """Minimize sum c_e (u_i - u_j)^2 subject to the fixed values.
 
     Returns potentials for all n nodes (unreached components sit at 0) and an
-    info dict with method/residual/iterations.  `labels` are the edges'
-    component labels when the caller has them (see DirichletSystem).
+    info dict with method/residual.  `labels` are the edges' component labels
+    when the caller has them (see DirichletSystem).
     """
     return DirichletSystem(n, ii, jj, cond, fixed_ids, labels=labels).solve(fixed_vals)
 

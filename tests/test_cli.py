@@ -16,7 +16,6 @@ from fractalforms.config import (
     config_dict,
     load_config,
     parse_config_text,
-    serialize_config,
 )
 from fractalforms import cli, networks, reporting, treewalk
 from fractalforms.cli import _build_parser, main, run
@@ -54,19 +53,20 @@ def test_config_rejects_bad_values():
         RunConfig(kind="sc", level_cap_sc=8).validate()
 
 
-def test_config_roundtrip_through_text():
-    cfg = RunConfig(kind="sc", lam=0.7, c=0.2, beta_grid=(1.9, 2.0), seed=9,
-                    samples=1234, out_dir="x/y")
-    text = serialize_config(cfg)
-    back = parse_config_text(text)
-    assert back == cfg
+def test_parse_config_text_reads_every_value_type():
+    text = ("kind=sc\nlam=0.7\nc=0.2\nbeta_grid=1.9,2.0\nseed=9\n"
+            "samples=1234\nout_dir=x/y\ncache_dir=z\n")
+    assert parse_config_text(text) == RunConfig(
+        kind="sc", lam=0.7, c=0.2, beta_grid=(1.9, 2.0), seed=9,
+        samples=1234, out_dir="x/y", cache_dir="z",
+    )
 
 
-def test_config_roundtrip_none_c():
-    cfg = RunConfig(c=None)
-    back = parse_config_text(serialize_config(cfg))
-    assert back.c is None
-    assert back == cfg
+def test_parse_config_text_none_c():
+    for raw in ("none", ""):
+        cfg = parse_config_text(f"c={raw}\n")
+        assert cfg.c is None
+        assert cfg == RunConfig(c=None)
 
 
 def test_parse_config_text_comments_and_errors():
@@ -310,17 +310,60 @@ def test_cli_walk_seeded_rerun_identical(tmp_path):
     assert jf[0].read_bytes() == first
 
 
-# sha256 of the walk data file below, recorded from the walk tables that
-# sorted one global list of directed edges before they were built level by level
+# sha256 of the walk data file, recorded from the walk tables that sorted one
+# global list of directed edges before they were built level by level
 WALK_DATA_DIGEST = "ee118880b182f868fa266fe215e6aee75bb533fbf9861eace092caedf2b3b0ca"
 
+# sha256 of each subcommand's data file at seed 1, by argument list.  The rows
+# run in order on one cache directory, so the second carpet resistance run
+# reads its graphs back from the cache.  The first eleven rows are the
+# benchmark workloads (copied, not imported, so Tier-1 does not depend on
+# the harness); goodfn and kernel are the subcommands no workload runs.  The
+# *.meta.json sidecars hold a timestamp and the git hash and are not pinned.
+DATA_DIGESTS = (
+    (("resistance", "--kind", "sc", "--levels", "1..4"),
+     "cc8491d8de9e214bb921edeeee013417b6981e65fac22dcdebeafd7df62eb611"),
+    (("harnack", "--kind", "sc", "--levels", "3,4", "--trials", "20"),
+     "18c321363f347a408e54df944855c38260e413634b048e4be7616eb52fd4a8ef"),
+    (("resistance", "--kind", "sc", "--levels", "1..4"),
+     "cc8491d8de9e214bb921edeeee013417b6981e65fac22dcdebeafd7df62eb611"),
+    (("energy", "--kind", "sg", "--levels", "1..8"),
+     "3cb1479185c35e60f42b92f7c83bf1fd464dd93dd7e239c00b7ce2019785892f"),
+    (("walkdim", "--kind", "sg", "--levels", "1..8"),
+     "8a55a5d6354abc8be0b1636368362e1f02fe997f573d85d9fbd0465cb94193e2"),
+    (("mosco", "--depth", "7"),
+     "3279eda461bc9460bfb3477804f3c3503fd3d1ac6701c130c266311e00c0a5c1"),
+    (("trace", "--depth", "7"),
+     "f2e9aa85692e8f3a61e1f9052855f50a8f928a2e6ed3b58c2a1e93476b188ec5"),
+    (("besov", "--kind", "sg", "--depth", "6"),
+     "fe41523b6670d6fa5c473144641141f39b47787712cad669c1ed67209e4c51ba"),
+    (("energy", "--kind", "sc", "--levels", "1..4"),
+     "9fae53ed24fab4948a0bfbd4c04f5e8bbee7472ce44a64bfe56535c1fa3e7896"),
+    (("walk", "--lambda", "0.5", "--c", "0.25", "--samples", "20000", "--depth-cut", "10"),
+     "8beece0d3869b116539907fbad07b6d60279a73f2993f7440b0607d1d65688ad"),
+    (("walk", "--lambda", "0.8", "--c", "0.5", "--samples", "50000", "--depth-cut", "10",
+      "--m", "3"),
+     "e93d84d6d6c1dd5f4b82786162c36de664b6e40f407aebe1a1ecc2432403b168"),
+    (("goodfn", "--kind", "sc", "--level", "3"),
+     "baee8656f78ff70952fa66b6098246843235fa8225c1465ef69276040e1b8b83"),
+    (("kernel",),
+     "6da9739e5c6817b98c401b143359700f05139abcd3ff672a162cfd5a1b9a3cbf"),
+    (("walk", "--lambda", "0.5", "--c", "0.25", "--samples", "300", "--depth-cut", "6"),
+     WALK_DATA_DIGEST),
+)
 
-def test_cli_walk_data_file_is_pinned(tmp_path):
-    rc, out = _run(tmp_path, "walk", "--lambda", "0.5", "--c", "0.25",
-                   "--samples", "300", "--depth-cut", "6", "--seed", "1")
-    assert rc == 0
-    _, data_path = _walk_files(out)
-    assert hashlib.sha256(data_path.read_bytes()).hexdigest() == WALK_DATA_DIGEST
+
+def test_cli_data_files_are_pinned(tmp_path):
+    moved = []
+    for k, (args, digest) in enumerate(DATA_DIGESTS):
+        out = tmp_path / "out" / str(k)
+        rc = main([*args, "--seed", "1", "--out", str(out), "--cache", str(tmp_path / "cache")])
+        data = [p for p in sorted(out.iterdir()) if not p.name.endswith(".meta.json")]
+        assert rc == 0 and len(data) == 1, args
+        got = hashlib.sha256(data[0].read_bytes()).hexdigest()
+        if got != digest:
+            moved.append(f"{' '.join(args)} -> {data[0].name}: {got}")
+    assert not moved, "data files moved:\n" + "\n".join(moved)
 
 
 def test_cli_walk_first_hit_law_runs_at_depth_cut(tmp_path):
@@ -417,11 +460,21 @@ def test_cli_non_finite_result_exit_4_without_data(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("beta", ["150", "170", "200"])
 def test_cli_besov_overflow_exit_4_without_data(tmp_path, beta):
-    # 150: mc_stderr overflows; 170: mc_estimate too (and the ratio reads 0);
-    # 200: the weight 2^(beta n) / 3^n itself overflows
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow notes
+    # 150 and 170: the Monte Carlo variance overflows, so the beta reads
+    # (inf, inf); 200: the weight 2^(beta n) / 3^n itself overflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc, out = _run(tmp_path, "besov", "--kind", "sg", "--depth", "6", "--beta-grid", beta)
+    assert rc == 4
+    assert not Path(out).exists()
+    # the critical-exponent warning is the only one: no numpy overflow note
+    assert [str(w.message) for w in caught if "critical exponent" not in str(w.message)] == []
+
+
+@pytest.mark.parametrize("flag", [("--i", "99"), ("--gamma", "2000")], ids=["i", "gamma"])
+def test_cli_kernel_overflow_exit_4_without_data(tmp_path, flag):
+    # C_i is an exact int too large for a float; it reads inf, as a_i does
+    rc, out = _run(tmp_path, "kernel", *flag)
     assert rc == 4
     assert not Path(out).exists()
 

@@ -13,6 +13,7 @@ from fractalforms.geometry import (
     cached_vertex_graph,
     cell_graph,
     vertex_graph,
+    vertex_scale,
 )
 from fractalforms.energies import (
     CellFunction,
@@ -91,6 +92,34 @@ def test_corner_ids_shape():
     assert ids.shape == (9, 3)
     wg = cached_vertex_graph(SC, 1)
     assert corner_ids_at_level(wg, 1).shape == (8, 8)
+
+
+def _searched_corner_ids(vg, n):
+    """Reference: the level-n corner numerators lifted to the graph's scale
+    and looked up by coordinates."""
+    lift = vg.kind.base ** (vg.scale - vertex_scale(vg.kind, n))
+    _, _, cx, cy = _cells(vg.kind, n)
+    return vg.ids_of(cx * lift, cy * lift)
+
+
+@pytest.mark.parametrize("kind,top", [(SG, 10), (SC, 4)])
+def test_corner_ids_gather_matches_coordinate_search(kind, top):
+    vg = cached_vertex_graph(kind, top)
+    assert vg.corners.dtype == np.int32
+    assert vg.corners.shape == (kind.n_maps ** top, kind.boundary_size)
+    for n in range(top + 1):
+        assert np.array_equal(corner_ids_at_level(vg, n), _searched_corner_ids(vg, n))
+
+
+@pytest.mark.parametrize("kind,top", [(SG, 6), (SC, 3)])
+def test_restrict_to_level_matches_coordinate_lookup(kind, top):
+    fine = cached_vertex_graph(kind, top)
+    u = VertexFunction(fine, np.arange(fine.n_vertices, dtype=float))
+    for n in range(top + 1):
+        coarse = cached_vertex_graph(kind, n)
+        lift = kind.base ** (fine.scale - coarse.scale)
+        want = fine.ids_of(coarse.xn * lift, coarse.yn * lift)
+        assert np.array_equal(restrict_to_level(u, coarse).values, want)
 
 
 def test_cell_average_level1_exact():

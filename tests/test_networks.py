@@ -137,7 +137,6 @@ def test_series_resistance_and_potentials():
     u, info = solve_dirichlet(3, ii, jj, cc, np.array([0, 2]), np.array([0.0, 1.0]))
     assert abs(u[1] - 0.5) < 1e-12
     assert info["method"] == "splu"
-    assert info["iterations"] == 0
 
 
 def test_disconnected_terminals_infinite_resistance():

@@ -1,5 +1,4 @@
 import hashlib
-import json
 import tracemalloc
 
 import numpy as np
@@ -22,16 +21,12 @@ from fractalforms.geometry import (
     canonical_address,
     cached_vertex_graph,
     cell_graph,
-    graph_from_json_dict,
-    graph_to_json_dict,
     point_of,
-    read_graph_json,
     sc_side_ids,
     sg_corner_ids,
     sg_vertex_count,
     vertex_graph,
     vertex_scale,
-    write_graph_json,
 )
 
 SG = FractalKind.SG
@@ -241,24 +236,6 @@ def test_canonical_address_is_lexicographically_minimal(digits):
     assert len(addr) == n + 1
     assert point_of(SG, addr).lifted(n + 2) == p.lifted(n + 2)
     assert tuple(addr) <= tuple(digits) + (digits[-1],)
-
-
-@pytest.mark.parametrize("kind,n", [(SG, 2), (SC, 1)])
-def test_graph_json_roundtrip(kind, n, tmp_path):
-    vg = vertex_graph(kind, n)
-    d = graph_to_json_dict(vg)
-    json.dumps(d)  # serializable
-    back = graph_from_json_dict(d)
-    assert back.kind is vg.kind
-    assert back.level == vg.level
-    assert (back.xn == vg.xn).all()
-    assert (back.yn == vg.yn).all()
-    assert (back.edges == vg.edges).all()
-    path = tmp_path / "graph.json"
-    write_graph_json(vg, path)
-    again = read_graph_json(path)
-    assert (again.xn == vg.xn).all()
-    assert (again.edges == vg.edges).all()
 
 
 def test_cached_vertex_graph_identity():
