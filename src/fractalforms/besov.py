@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .energies import (
     sg_pointwise_energy_Bn,
 )
 from .geometry import cached_vertex_graph, float_sq_dist, vertex_scale
-from .harmonic import SgHarmonic
 from .kinds import SG_BETA_STAR, FractalKind
 from .networks import fit_log_geometric
 
@@ -45,6 +44,7 @@ __all__ = [
     "sg_monotone_limit",
     "walkdim_estimate",
     "interval_trace_check",
+    "KERNEL_DEPTH_CAP",
     "JumpKernelParams",
     "jump_kernel_Ci",
     "discounted_monotone_value",
@@ -82,13 +82,18 @@ def besov_weight(kind: FractalKind, beta: float, n: int) -> float:
         return math.inf
 
 
+def _check_kind(u: VertexFunction, kind: Optional[FractalKind]) -> None:
+    if kind is not None and u.graph.kind is not kind:
+        raise ValueError(
+            f"vertex data lives on the {u.graph.kind.value} graph, "
+            f"not on the requested {kind.value}"
+        )
+
+
 def _as_vertex_function(u, kind: FractalKind, N: int) -> VertexFunction:
-    if isinstance(u, SgHarmonic):
-        if kind is not FractalKind.SG:
-            raise ValueError("harmonic-family input is gasket data")
-        return u.vertex_function(cached_vertex_graph(kind, N))
     if isinstance(u, VertexFunction):
-        if u.graph.kind is not kind or u.graph.level < N:
+        _check_kind(u, kind)
+        if u.graph.level < N:
             raise ValueError("vertex data does not cover the requested levels")
         return u
     if callable(u):
@@ -170,28 +175,6 @@ def _anchor_coords(
     return gx, gy, rank
 
 
-def _sg_harmonic_values(h: SgHarmonic, digits: np.ndarray) -> np.ndarray:
-    """Vectorized harmonic values at the base corners of the rows' cells."""
-    a, b, c = (float(v) for v in h.boundary)
-    m = digits.shape[0]
-    X = np.full(m, a)
-    Y = np.full(m, b)
-    Z = np.full(m, c)
-    for col in range(digits.shape[1]):
-        d = digits[:, col]
-        m01 = (2 * X + 2 * Y + Z) / 5.0
-        m02 = (2 * X + Y + 2 * Z) / 5.0
-        m12 = (X + 2 * Y + 2 * Z) / 5.0
-        is0 = d == 0
-        is1 = d == 1
-        is2 = d == 2
-        Xn = np.where(is0, X, np.where(is1, m01, m02))
-        Yn = np.where(is0, m01, np.where(is1, Y, m12))
-        Zn = np.where(is0, m02, np.where(is1, m12, Z))
-        X, Y, Z = Xn, Yn, Zn
-    return X
-
-
 def besov_double_integral_mc(
     u,
     beta,
@@ -208,14 +191,13 @@ def besov_double_integral_mc(
     the one a scalar call with the same seed returns.  Graph-bound data caps
     the depth at its own level and reads each sample's base-corner value by
     cell rank from the level-`depth` corner table, so any depth up to the
-    graph's level reads the right vertices; the harmonic family and
-    coordinate callables evaluate at any depth.  A beta whose Monte Carlo
-    variance leaves the float range reads (inf, inf).
+    graph's level reads the right vertices; coordinate callables evaluate at
+    any depth.  A beta whose Monte Carlo variance leaves the float range
+    reads (inf, inf).
     """
     graph_fn = None
-    if isinstance(u, SgHarmonic):
-        kind = FractalKind.SG
-    elif isinstance(u, VertexFunction):
+    if isinstance(u, VertexFunction):
+        _check_kind(u, kind)
         kind = u.graph.kind
         graph_fn = u
     elif callable(u):
@@ -245,17 +227,15 @@ def besov_double_integral_mc(
                 stacklevel=2,
             )
 
-    if isinstance(u, SgHarmonic):
-        evaluate = lambda digs, gx, gy, rank: _sg_harmonic_values(u, digs)
-    elif graph_fn is not None:
+    if graph_fn is not None:
         base_values = graph_fn.as_float_array()[
             corner_ids_at_level(graph_fn.graph, depth)[:, 0]
         ]
-        evaluate = lambda digs, gx, gy, rank: base_values[rank]
+        evaluate = lambda gx, gy, rank: base_values[rank]
     else:
         den = float(kind.unit(scale))
         y_factor = kind.lattice.y_factor
-        evaluate = lambda digs, gx, gy, rank: np.asarray(u(gx / den, gy * y_factor / den))
+        evaluate = lambda gx, gy, rank: np.asarray(u(gx / den, gy * y_factor / den))
 
     K = kind.n_maps
     expos = [(kind.alpha + b) / 2.0 for b in betas]
@@ -278,7 +258,7 @@ def besov_double_integral_mc(
         gx1, gy1, rank1 = _anchor_coords(kind, digs1)
         gx2, gy2, rank2 = _anchor_coords(kind, digs2)
         sq = float_sq_dist(kind, gx1, gy1, gx2, gy2, scale)
-        du = evaluate(digs1, gx1, gy1, rank1) - evaluate(digs2, gx2, gy2, rank2)
+        du = evaluate(gx1, gy1, rank1) - evaluate(gx2, gy2, rank2)
         for i, expo in enumerate(expos):
             # past a large enough beta the integrand, or its squares in the
             # variance, leave the float range: the variance is then inf or nan
@@ -416,19 +396,23 @@ def interval_trace_check(
 # ---------------------------------------------------------------------------
 # jump kernel pointwise evaluation
 
+# longest digit words the kernel evaluates: matching two words reads each
+# run once, at most about depth^2/13 digits (0.4 s at the cap, worst case)
+KERNEL_DEPTH_CAP = 10_000
+
+
 @dataclass(frozen=True)
 class JumpKernelParams:
     """Approximation-step parameters for the bounded-kernel construction.
 
-    Phi maps the step index to the truncation level of the outer sum and must
-    satisfy (1 - 2^beta_i/5) * Phi(i) >= i.
+    Phi(i), the truncation level of the outer sum, is the least integer with
+    (1 - 2^beta_i/5) * Phi(i) >= i.
     """
 
     i: int
     delta_i: float
     gamma: int
     beta_i: float
-    Phi: Optional[Callable[[int], int]] = None
 
     def __post_init__(self) -> None:
         alpha = FractalKind.SG.alpha
@@ -445,13 +429,8 @@ class JumpKernelParams:
                 "gamma too small: needs gamma > alpha and "
                 "gamma > 2*alpha/(beta_i - alpha)"
             )
-        slack = 1.0 - 2.0 ** self.beta_i / 5.0
-        if slack * self.phi_value() < self.i - 1e-12:
-            raise ValueError("Phi violates (1 - 2^beta_i/5) * Phi(i) >= i")
 
     def phi_value(self) -> int:
-        if self.Phi is not None:
-            return int(self.Phi(self.i))
         slack = 1.0 - 2.0 ** self.beta_i / 5.0
         return math.ceil(self.i / slack)
 

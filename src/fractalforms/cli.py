@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .besov import (
+    KERNEL_DEPTH_CAP,
     BesovParams,
     besov_double_integral_mc,
     besov_partial_sum,
@@ -429,6 +430,10 @@ def _run_kernel(cfg: RunConfig, opts) -> ExperimentReport:
             i=opts.i, delta_i=opts.delta, beta_i=opts.beta_i, gamma=opts.gamma
         )
         depth = params.required_depth()
+        if depth > KERNEL_DEPTH_CAP:
+            raise ResourceCapError(
+                f"kernel words of {depth} digits beyond the cap {KERNEL_DEPTH_CAP}"
+            )
         if opts.x is None:
             x = "0" * depth
             y = "0" + "1" * (depth - 1)
@@ -487,7 +492,7 @@ def run(subcommand: str, cfg: RunConfig, opts: Optional[argparse.Namespace] = No
     if opts is None:
         opts = _build_parser().parse_args([subcommand])
     if getattr(opts, "function", None) is None and subcommand in ("walkdim", "besov"):
-        opts.function = _default_function(subcommand, cfg.kind)
+        opts.function = _default_function(cfg.kind)
     with solver_log() as log:
         report = _HANDLERS[subcommand](cfg, opts)
     report.provenance["solver"] = log.as_dict()
@@ -564,10 +569,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _default_function(command: str, kind: str) -> str:
-    if command in ("walkdim", "besov"):
-        return "harmonic:0,1,0" if kind == "sg" else "goodfn"
-    return "harmonic:0,1,0"
+def _default_function(kind: str) -> str:
+    return "harmonic:0,1,0" if kind == "sg" else "goodfn"
 
 
 def main(argv: Optional[list[str]] = None) -> int:

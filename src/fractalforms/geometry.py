@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .kinds import FractalKind
-from .words import Word, check_word, unpack_word
+from .words import check_word, unpack_word
 
 
 @dataclass(frozen=True)
@@ -321,8 +321,8 @@ class VertexGraph:
     def point(self, i: int) -> ExactPoint:
         return ExactPoint.make(self.kind, int(self.xn[i]), int(self.yn[i]), self.scale)
 
-    def address(self, i: int) -> Word:
-        return Word(unpack_word(self.kind, int(self.addr_packed[i]), self.level + 1))
+    def address(self, i: int) -> tuple[int, ...]:
+        return unpack_word(self.kind, int(self.addr_packed[i]), self.level + 1)
 
     def ids_of(self, xn, yn) -> np.ndarray:
         """Ids of the vertices with numerators (xn, yn) at the graph's scale,
@@ -403,7 +403,7 @@ def vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
     )
 
 
-def canonical_address(kind: FractalKind, p: ExactPoint, n: int) -> Word:
+def canonical_address(kind: FractalKind, p: ExactPoint, n: int) -> tuple[int, ...]:
     """Lexicographically smallest level-(n+1) word addressing vertex p of the
     level-n graph.  Raises KeyError if p is not a level-n vertex."""
     vg = cached_vertex_graph(kind, n)

@@ -40,7 +40,7 @@ from .kinds import (
     FractalKind,
 )
 from .networks import DirichletSystem, graph_edge_arrays, sc_RnV
-from .words import Word, as_digits
+from .words import as_digits
 
 __all__ = [
     "SgHarmonic",
@@ -318,9 +318,6 @@ class HarnackBall:
     """
 
     graph: VertexGraph
-    center: tuple
-    r: Fraction
-    delta: Fraction
     interior_ids: np.ndarray
     boundary_ids: np.ndarray
     inner_ids: np.ndarray
@@ -379,9 +376,6 @@ def harnack_ball(n: int, center, r, delta) -> HarnackBall:
     interior_mask = in_ball & ~boundary_mask
     return HarnackBall(
         graph=vg,
-        center=(Fraction(center[0]), Fraction(center[1])),
-        r=r,
-        delta=delta,
         interior_ids=np.nonzero(interior_mask)[0],
         boundary_ids=np.nonzero(boundary_mask)[0],
         inner_ids=np.nonzero(in_inner)[0],

@@ -372,8 +372,6 @@ def certify_dirichlet(
 class ResistanceResult:
     resistance: float
     energy: float
-    method: str
-    residual: float
     potential: Optional[np.ndarray] = field(repr=False, compare=False)  # None when disconnected
 
     @property
@@ -397,15 +395,15 @@ def resistance_from_arrays(n: int, ii, jj, cond, A_ids, B_ids) -> ResistanceResu
     # one labelling serves the reachability test and the solver's free set
     labels = _component_labels(n, ii, jj)
     if not np.isin(labels[B_ids], labels[A_ids]).any():
-        return ResistanceResult(math.inf, 0.0, "disconnected", 0.0, None)
+        return ResistanceResult(math.inf, 0.0, None)
 
     fixed = np.concatenate([A_ids, B_ids])
     vals = np.concatenate([np.zeros(len(A_ids)), np.ones(len(B_ids))])
-    u, info = solve_dirichlet(n, ii, jj, cond, fixed, vals, labels=labels)
+    u, _ = solve_dirichlet(n, ii, jj, cond, fixed, vals, labels=labels)
     d = u[ii] - u[jj]
     energy = float(np.sum(cond * d * d))
     resistance = 1.0 / energy if energy > 0 else math.inf
-    return ResistanceResult(resistance, energy, info["method"], info["residual"], u)
+    return ResistanceResult(resistance, energy, u)
 
 
 def effective_resistance(net: WeightedNetwork, A: Iterable, B: Iterable) -> ResistanceResult:

@@ -2,64 +2,19 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .kinds import FractalKind
 
 
-@dataclass(frozen=True, order=True)
-class Word:
-    """Immutable digit string; level = number of digits."""
-
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        assert all(isinstance(d, int) and d >= 0 for d in self.digits)
-
-    @property
-    def level(self) -> int:
-        return len(self.digits)
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.digits)
-
-    def __getitem__(self, i):
-        got = self.digits[i]
-        return Word(got) if isinstance(i, slice) else got
-
-    def __add__(self, other: "Word | Sequence[int]") -> "Word":
-        return Word(self.digits + tuple(as_digits(other)))
-
-    def child(self, d: int) -> "Word":
-        return Word(self.digits + (d,))
-
-    def parent(self) -> "Word":
-        if not self.digits:
-            raise ValueError("root word has no parent")
-        return Word(self.digits[:-1])
-
-    @classmethod
-    def from_string(cls, s: str) -> "Word":
-        return cls(tuple(int(ch) for ch in s))
-
-    def __str__(self) -> str:
-        return "".join(str(d) for d in self.digits) if self.digits else "()"
-
-
-def as_digits(w: "Word | Sequence[int] | str") -> tuple[int, ...]:
-    """Coerce word-like input (Word, tuple/list, or digit string) to a tuple."""
-    if isinstance(w, Word):
-        return w.digits
+def as_digits(w: "Sequence[int] | str") -> tuple[int, ...]:
+    """Coerce word-like input (tuple/list, or digit string) to a tuple."""
     if isinstance(w, str):
         return tuple(int(ch) for ch in w)
     return tuple(int(d) for d in w)
 
 
-def check_word(kind: FractalKind, w: "Word | Sequence[int] | str") -> tuple[int, ...]:
+def check_word(kind: FractalKind, w: "Sequence[int] | str") -> tuple[int, ...]:
     digits = as_digits(w)
     k = kind.n_maps
     for d in digits:

@@ -16,7 +16,7 @@ from fractalforms.energies import (
     float_values,
     restrict_to_level,
 )
-from fractalforms.harmonic import SgHarmonic, sc_good_function, sg_harmonic
+from fractalforms.harmonic import sc_good_function, sg_harmonic
 from fractalforms.besov import (
     SG_BETA_STAR,
     BesovForm,
@@ -133,10 +133,9 @@ def test_mc_reads_graph_values_by_cell_rank_below_the_graph_level():
     [
         (lambda: sg_harmonic(0, 1, Fraction(1, 3), 5), SG),
         (lambda: sc_good_function(3).fn, SC),
-        (lambda: SgHarmonic.make(0, 1, Fraction(1, 3)), SG),
         (lambda: (lambda x, y: x * x + y), SC),
     ],
-    ids=["VertexFunction", "ScGoodFunction", "SgHarmonic", "callable"],
+    ids=["VertexFunction", "ScGoodFunction", "callable"],
 )
 def test_mc_beta_sequence_equals_scalar_calls_bitwise(make, kind):
     u = make()
@@ -164,6 +163,20 @@ def test_mc_on_carpet_good_function():
     mc, err = besov_double_integral_mc(good.fn, 2.0, samples=30000, seed=0, kind=SC)
     assert mc > 0
     assert 1.0 / 50.0 < disc / mc < 50.0
+
+
+@pytest.mark.parametrize(
+    "u, kind",
+    [(lambda: sc_good_function(3).fn, SG), (lambda: sg_harmonic(0, 1, 0, 4), SC)],
+    ids=["carpet-data-as-sg", "gasket-data-as-sc"],
+)
+def test_vertex_data_of_the_other_kind_is_refused(u, kind):
+    fn = u()
+    match = rf"on the {fn.graph.kind.value} graph, not on the requested {kind.value}"
+    with pytest.raises(ValueError, match=match):
+        besov_double_integral_mc(fn, 1.5, samples=400, kind=kind)
+    with pytest.raises(ValueError, match=match):
+        besov_partial_sum(fn, BesovParams(beta=1.5, N=2, kind=kind))
 
 
 def test_cellgraph_terms_on_carpet_are_cell_average_energies():
@@ -312,8 +325,6 @@ def test_jump_kernel_validation():
         _kernel_params(gamma=2)  # below 2*alpha/(beta_i - alpha)
     with pytest.raises(ValueError):
         _kernel_params(i=0)
-    with pytest.raises(ValueError):
-        _kernel_params(Phi=lambda i: 1)  # too shallow for the slack
 
 
 def test_jump_kernel_phi_default_meets_constraint():

@@ -471,12 +471,22 @@ def test_cli_besov_overflow_exit_4_without_data(tmp_path, beta):
     assert [str(w.message) for w in caught if "critical exponent" not in str(w.message)] == []
 
 
-@pytest.mark.parametrize("flag", [("--i", "99"), ("--gamma", "2000")], ids=["i", "gamma"])
+@pytest.mark.parametrize(
+    "flag", [("--i", "2", "--gamma", "170"), ("--gamma", "700")], ids=["i", "gamma"]
+)
 def test_cli_kernel_overflow_exit_4_without_data(tmp_path, flag):
-    # C_i is an exact int too large for a float; it reads inf, as a_i does
+    # C_i = 3^(2 gamma i) is an exact int too large for a float; it reads
+    # inf, as a_i does.  Both words stay below besov.KERNEL_DEPTH_CAP.
     rc, out = _run(tmp_path, "kernel", *flag)
     assert rc == 4
     assert not Path(out).exists()
+
+
+def test_cli_kernel_words_below_the_cap_run(tmp_path):
+    rc, out = _run(tmp_path, "kernel", "--gamma", "100")
+    assert rc == 0
+    row = _csv_bytes(out).decode().split("\r\n")[1].split(",")
+    assert len(row[4]) == len(row[5]) == 1313
 
 
 def test_cli_besov_level_cap_covers_the_test_function_level(tmp_path):
@@ -575,31 +585,60 @@ def test_cli_removed_config_keys_exit_2(tmp_path, key):
     assert not Path(out).exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "resistance --levels x",
-        "besov --beta-grid abc",
-        "besov --beta-grid -1",
-        "mosco --boundary 0,1",
-        "energy --boundary 0,nan,1",
-        "energy --kind sg --levels 13 --level-cap 13",
-        "goodfn --kind sc --level 8 --level-cap 8",
-        "besov --beta-grid nan",
-        "besov --beta-grid inf",
-        "mosco --points -2",
-        "mosco --points 0",
-        "harnack --kind sc --levels 3 --trials 0",
-        "harnack --kind sc --levels 3 --trials -1",
-        "kernel --x 0",
-        "kernel --y 0",
-        "walk --samples 1",
-        "walk --samples 0",
-    ],
+# each subcommand's level, depth or step argument at its boundary values:
+# (0, negative, nan, inf, malformed) exit 2 and one past the cap exits 3
+_BOUNDARY_FLAGS = (
+    ("resistance --kind sg --levels", "13", "1..x"),
+    ("walkdim --kind sg --levels", "13", "1,,2"),
+    ("energy --kind sg --levels", "13", "3.."),
+    ("goodfn --kind sc --level", "8", "3,4"),
+    ("harnack --kind sc --levels", "8", "3;4"),
+    ("besov --kind sg --depth", "13", "6x"),
+    ("mosco --depth", "13", "6.5"),
+    ("walk --depth-cut", "14", "6,7"),
+    ("trace --depth", "13", "--"),
+    ("kernel --i", "40", "1e3"),
 )
-def test_cli_bad_arguments_exit_2_without_data(tmp_path, argv):
-    rc, out = _run(tmp_path, *argv.split())
-    assert rc == 2
+EXIT_CODES = (
+    ("resistance --levels x", 2),
+    ("besov --beta-grid abc", 2),
+    ("besov --beta-grid -1", 2),
+    ("mosco --boundary 0,1", 2),
+    ("energy --boundary 0,nan,1", 2),
+    ("energy --kind sg --levels 13 --level-cap 13", 2),
+    ("goodfn --kind sc --level 8 --level-cap 8", 2),
+    ("besov --beta-grid nan", 2),
+    ("besov --beta-grid inf", 2),
+    ("mosco --points -2", 2),
+    ("mosco --points 0", 2),
+    ("harnack --kind sc --levels 3 --trials 0", 2),
+    ("harnack --kind sc --levels 3 --trials -1", 2),
+    ("kernel --x 0", 2),
+    ("kernel --y 0", 2),
+    ("walk --samples 1", 2),
+    ("walk --samples 0", 2),
+    *(
+        (f"{flag} {value}", 2)
+        for flag, _, malformed in _BOUNDARY_FLAGS
+        for value in ("0", "-1", "nan", "inf", malformed)
+    ),
+    *((f"{flag} {above}", 3) for flag, above, _ in _BOUNDARY_FLAGS),
+    ("kernel --i 1000", 3),
+    ("kernel --i 99", 3),
+    ("kernel --gamma 2000", 3),
+)
+
+
+@pytest.mark.parametrize("argv, code", EXIT_CODES, ids=[argv for argv, _ in EXIT_CODES])
+def test_cli_bad_arguments_exit_2_without_data(tmp_path, capsys, argv, code):
+    """Each row ends in its documented exit code, with no traceback and no
+    data file; argparse's own refusals exit 2 through SystemExit."""
+    try:
+        rc, out = _run(tmp_path, *argv.split())
+    except SystemExit as e:
+        rc, out = e.code, tmp_path / "out"
+    assert rc == code
+    assert "Traceback" not in capsys.readouterr().err
     assert not Path(out).exists()
 
 

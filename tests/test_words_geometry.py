@@ -8,7 +8,6 @@ from hypothesis import given, settings
 
 from fractalforms.kinds import FractalKind
 from fractalforms.words import (
-    Word,
     as_digits,
     check_word,
     enumerate_words,
@@ -37,13 +36,7 @@ sc_digits = st.lists(st.integers(0, 7), max_size=5)
 
 
 def test_word_basics():
-    w = Word.from_string("0212")
-    assert len(w) == 4
-    assert str(w) == "0212"
-    assert w.parent() == Word((0, 2, 1))
-    assert w.child(1) == Word((0, 2, 1, 2, 1))
     assert as_digits("012") == (0, 1, 2)
-    assert as_digits(w) == (0, 2, 1, 2)
     assert as_digits([1, 0]) == (1, 0)
 
 
