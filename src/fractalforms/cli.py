@@ -439,6 +439,9 @@ def _run_kernel(cfg: RunConfig, opts) -> ExperimentReport:
             y = "0" + "1" * (depth - 1)
         else:
             x, y = opts.x, opts.y
+            for flag, word in (("--x", x), ("--y", y)):
+                if not set(word) <= set("012"):
+                    raise ConfigError(f"{flag} takes the digits 0, 1 and 2 only, got {word!r}")
         C, a = jump_kernel_Ci(x, y, params)
     except ValueError as e:
         raise ConfigError(str(e)) from e

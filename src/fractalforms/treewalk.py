@@ -16,13 +16,17 @@ graphs, each built from the one below.
 
 Monte Carlo runs cross-check the linear algebra.  A vertex's transition row
 depends only on its level and on the kind of edge in each column, so the
-tables hold one cumulative row per transition class, and one lockstep loop
-steps the paths of all fixed random-stream chunks at once.
+tables hold one cumulative row per transition class.  The fixed
+random-stream chunks run as two halves, each stepping its chunks in
+lockstep, the second half in a forked child.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -466,9 +470,28 @@ def hitting_prob_F(x, params: WalkParams) -> tuple[float, float]:
 # Every estimator runs its paths through _run_paths.  The paths of one run
 # are split into CHUNKS fixed chunks, and chunk k draws from the counter-based
 # stream Philox(key=[seed, k]), so a seeded result depends on the seed and
-# the sample count only.
+# the sample count only.  A chunk's draws never depend on the other chunks,
+# so chunks 0-1 and chunks 2-3 run as two halves, the second in a child
+# forked once the tables exist, and the bits do not depend on whether it was
+# forked.  Forking, not threads: the GIL is held between the many small
+# numpy calls of a step, so two threads ran no faster than one.
 
 CHUNKS = 4
+
+
+def _shared(shape, dtype) -> np.ndarray:
+    """A zeroed array over an anonymous shared mapping: writes made in a
+    forked child reach the parent."""
+    dtype = np.dtype(dtype)
+    count = int(np.prod(shape))
+    buf = mmap.mmap(-1, max(count * dtype.itemsize, 1))
+    return np.frombuffer(buf, dtype, count=count).reshape(shape)
+
+
+def _can_fork() -> bool:
+    """Whether a forked child can run the second half on a core of its own."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
 
 
 def _run_paths(
@@ -485,58 +508,94 @@ def _run_paths(
     With stop_level None a path ends when it escapes through the tail;
     otherwise it ends on its first step to a word of level stop_level, so a
     stop at the working sphere never reads a sphere row or a tail entry.
-    All chunks step in lockstep over one compacted index of the live paths,
-    ascending, so each chunk's paths form one slice of it.  Per step each
-    chunk draws from its own stream, in this order: `before(idx, cur, draw)`
-    first, then the transition uniforms, then the tail-return uniforms.
-    `draw(f)` concatenates f(rng, sl) over the chunks, where sl slices the
-    chunk's live paths; `after(idx, nxt, done)` sees each step's outcome.
-    `idx` indexes the per-path arrays of length `samples`.
+    The second half runs in a forked child when there is a second core to
+    run it on and paths to run, and in this process after the first half
+    otherwise.  Within a half the chunks step in lockstep over one compacted
+    index of the half's live paths, ascending, so each chunk's paths form
+    one slice of it.  Per step each chunk draws from its own stream, in this
+    order: `before(idx, cur, draw)` first, then the transition uniforms,
+    then the tail-return uniforms.  `draw(f)` concatenates f(rng, sl) over
+    the half's chunks, where sl slices the chunk's live paths; `after(idx,
+    nxt, done)` sees each step's outcome.  `idx` indexes the per-path arrays
+    of length `samples`; a hook may write only to those entries of arrays
+    made by `_shared`, and must not print or call into BLAS.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     base, extra = divmod(samples, CHUNKS)
     firsts = np.cumsum([0] + [base + (k < extra) for k in range(CHUNKS)])
-    rngs = [np.random.Generator(np.random.Philox(key=[params.seed, k])) for k in range(CHUNKS)]
     stop = None if stop_level is None else _level_offset(stop_level)  # first id at stop_level
 
-    def per_chunk(f, bounds):
-        return np.concatenate(
-            [f(rng, slice(a, b)) for rng, a, b in zip(rngs, bounds[:-1], bounds[1:])]
-        )
+    def run_half(chunks: range) -> int:
+        """Step the paths of `chunks`; return how many hit step_cap."""
+        rngs = [np.random.Generator(np.random.Philox(key=[params.seed, k])) for k in chunks]
+        starts = firsts[chunks.start : chunks.stop + 1]
 
-    def uniforms(bounds):
-        return per_chunk(lambda rng, sl: rng.random(sl.stop - sl.start), bounds)
+        def per_chunk(f, bounds):
+            return np.concatenate(
+                [f(rng, slice(a, b)) for rng, a, b in zip(rngs, bounds[:-1], bounds[1:])]
+            )
 
-    idx = np.arange(samples)
-    cur = np.zeros(samples, dtype=np.int32)
-    bounds = firsts
-    for _ in range(params.step_cap):
-        if len(idx) == 0:
-            break
-        if before is not None:
-            before(idx, cur, lambda f: per_chunk(f, bounds))
-        nxt = tables.step(cur, uniforms(bounds))
-        if stop is None:
-            # a tail step comes back to the vertex it left with
-            # probability lam and escapes for good otherwise
-            done = np.zeros(len(idx), dtype=bool)
-            t_pos = np.flatnonzero(nxt == TAIL)
-            if len(t_pos):
-                back = uniforms(np.searchsorted(t_pos, bounds)) < params.lam
-                nxt[t_pos] = cur[t_pos]
-                done[t_pos[~back]] = True
-        else:
-            done = nxt >= stop
-        if after is not None:
-            after(idx, nxt, done)
-        if done.any():
-            live = ~done
-            idx, cur = idx[live], nxt[live]
-            bounds = np.searchsorted(idx, firsts)
-        else:
-            cur = nxt
-    return len(idx)
+        def uniforms(bounds):
+            return per_chunk(lambda rng, sl: rng.random(sl.stop - sl.start), bounds)
+
+        idx = np.arange(starts[0], starts[-1])
+        cur = np.zeros(len(idx), dtype=np.int32)
+        bounds = starts - starts[0]
+        for _ in range(params.step_cap):
+            if len(idx) == 0:
+                break
+            if before is not None:
+                before(idx, cur, lambda f: per_chunk(f, bounds))
+            nxt = tables.step(cur, uniforms(bounds))
+            if stop is None:
+                # a tail step comes back to the vertex it left with
+                # probability lam and escapes for good otherwise
+                done = np.zeros(len(idx), dtype=bool)
+                t_pos = np.flatnonzero(nxt == TAIL)
+                if len(t_pos):
+                    back = uniforms(np.searchsorted(t_pos, bounds)) < params.lam
+                    nxt[t_pos] = cur[t_pos]
+                    done[t_pos[~back]] = True
+            else:
+                done = nxt >= stop
+            if after is not None:
+                after(idx, nxt, done)
+            if done.any():
+                live = ~done
+                idx, cur = idx[live], nxt[live]
+                bounds = np.searchsorted(idx, starts)
+            else:
+                cur = nxt
+        return len(idx)
+
+    first, second = range(0, CHUNKS // 2), range(CHUNKS // 2, CHUNKS)
+    if firsts[second.start] == samples or not _can_fork():
+        return run_half(first) + run_half(second)
+    overflowed = _shared(1, np.int64)
+    pid = os.fork()
+    if pid == 0:
+        # The child runs element-wise numpy code only: no BLAS (whose worker
+        # threads are not copied by fork), no import, no output.  os._exit
+        # skips the flush of stdout buffers inherited from the parent, which
+        # would print the parent's pending output twice.
+        try:
+            overflowed[0] = run_half(second)
+            status = 0
+        except BaseException:
+            status = 1
+        finally:
+            os._exit(status)
+    try:
+        cut = run_half(first)
+        _, status = os.waitpid(pid, 0)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if status != 0:
+        raise RuntimeError(f"the second half of the walk's paths failed (wait status {status})")
+    return cut + int(overflowed[0])
 
 
 def _mean_summary(x: np.ndarray, overflowed: int) -> dict:
@@ -563,7 +622,8 @@ def green_oo(params: WalkParams, mode: str = "exact") -> dict:
         return {"lower": min(lo, hi), "upper": max(lo, hi)}
     if mode != "mc":
         raise ValueError(f"unknown mode {mode!r}")
-    visits = np.ones(params.samples, dtype=np.int64)  # start counts as a visit
+    visits = _shared(params.samples, np.int64)
+    visits += 1  # the start counts as a visit
 
     def count_root(idx, nxt, done):
         visits[idx[nxt == 0]] += 1
@@ -581,15 +641,16 @@ def boundary_hit_distribution(params: WalkParams, m: int, samples: Optional[int]
     if m < 1 or m >= depth_cut:
         raise ValueError("need 1 <= m < depth_cut")
     samples = params.samples if samples is None else samples
-    counts = np.zeros(3 ** m, dtype=np.int64)
+    prefix = _shared(samples, np.int64)
+    prefix -= 1  # -1 until the path stops
 
-    def count_prefix(idx, nxt, done):
+    def record_prefix(idx, nxt, done):
         # level-m prefix rank: strip depth_cut - m trailing digits
-        pref = (nxt[done] - _level_offset(depth_cut)) // 3 ** (depth_cut - m)
-        np.add.at(counts, pref, 1)
+        prefix[idx[done]] = (nxt[done] - _level_offset(depth_cut)) // 3 ** (depth_cut - m)
 
     tables = build_tables(params)
-    overflowed = _run_paths(tables, params, samples, stop_level=depth_cut, after=count_prefix)
+    overflowed = _run_paths(tables, params, samples, stop_level=depth_cut, after=record_prefix)
+    counts = np.bincount(prefix[prefix >= 0], minlength=3 ** m)
     used = int(counts.sum())
     freqs = counts / used if used else counts.astype(float)
     return {
@@ -723,7 +784,7 @@ def ctrw_lifetime(params: WalkParams, samples: Optional[int] = None) -> dict:
     for n in range(depth_cut + 1):
         sl = slice(_level_offset(n), _level_offset(n + 1))
         inv_rate[sl] = (c / lam3) ** n / tables.pi[sl]
-    t = np.zeros(samples)
+    t = _shared(samples, np.float64)
 
     def hold(idx, cur, draw):
         scale = inv_rate[cur]
@@ -759,22 +820,24 @@ def escape_depth_profile(params: WalkParams, step_budgets: Sequence[int]) -> lis
     One run of params.samples paths, stopped at params.depth_cut and capped
     at the largest budget, serves every budget, so the profile is monotone;
     a budget reached after every path has stopped reads the final mean.
+    Each path records the step at which it first reached each level, and
+    its deepest level within budget b is the largest level reached by step b.
     """
     budgets = [int(b) for b in step_budgets]
     if min(budgets, default=1) < 1:
         raise ValueError("step budgets must be >= 1")
+    cap = max(budgets, default=1)
     level = _levels(params.depth_cut)
-    deepest = np.zeros(params.samples, dtype=np.int16)
-    means, steps = {}, 0
+    taken = _shared(params.samples, np.int32)
+    reached = _shared((params.samples, params.depth_cut + 1), np.int32)
+    reached[:, 1:] = cap + 1  # the root's level 0 is reached at step 0
 
     def record(idx, nxt, done):
-        nonlocal steps
-        deepest[idx] = np.maximum(deepest[idx], level[nxt])
-        steps += 1
-        if steps in budgets:
-            means[steps] = float(deepest.mean())
+        taken[idx] += 1
+        lev = level[nxt]
+        reached[idx, lev] = np.minimum(reached[idx, lev], taken[idx])
 
-    run = replace(params, step_cap=max(budgets, default=1))
+    run = replace(params, step_cap=cap)
     _run_paths(build_tables(params), run, params.samples, stop_level=params.depth_cut, after=record)
-    final = float(deepest.mean())
-    return [(b, means.get(b, final)) for b in budgets]
+    levels = np.arange(params.depth_cut + 1)
+    return [(b, float(np.where(reached <= b, levels, 0).max(axis=1).mean())) for b in budgets]

@@ -615,6 +615,8 @@ EXIT_CODES = (
     ("harnack --kind sc --levels 3 --trials -1", 2),
     ("kernel --x 0", 2),
     ("kernel --y 0", 2),
+    ("kernel --x 0a --y 01", 2),
+    ("kernel --x 01 --y 0-", 2),
     ("walk --samples 1", 2),
     ("walk --samples 0", 2),
     *(
@@ -640,6 +642,27 @@ def test_cli_bad_arguments_exit_2_without_data(tmp_path, capsys, argv, code):
     assert rc == code
     assert "Traceback" not in capsys.readouterr().err
     assert not Path(out).exists()
+
+
+# full-length words (91 digits at the default i, gamma) whose only fault is
+# one character that int() reads as a digit or that is no digit at all
+_KERNEL_WORDS = "0" * 91, "0" + "1" * 90
+
+
+@pytest.mark.parametrize(
+    "flag, bad",
+    [("--x", "0" * 90 + "\u0661"), ("--y", "\uff10" + "1" * 90), ("--x", "0a" + "0" * 89)],
+    ids=["x-arabic-indic-one", "y-fullwidth-zero", "x-letter"],
+)
+def test_cli_kernel_names_the_word_with_a_non_ternary_digit(tmp_path, capsys, flag, bad):
+    x, y = (bad, _KERNEL_WORDS[1]) if flag == "--x" else (_KERNEL_WORDS[0], bad)
+    rc, out = _run(tmp_path, "kernel", "--x", x, "--y", y)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{flag} takes the digits 0, 1 and 2 only" in err
+    assert not Path(out).exists()
+    # the same words with the fault mended are accepted
+    assert _run(tmp_path, "kernel", "--x", _KERNEL_WORDS[0], "--y", _KERNEL_WORDS[1])[0] == 0
 
 
 def test_cli_threads_flag_rejected(tmp_path):
