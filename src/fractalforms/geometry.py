@@ -413,9 +413,15 @@ def canonical_address(kind: FractalKind, p: ExactPoint, n: int) -> tuple[int, ..
 # ---------------------------------------------------------------------------
 # boundary selectors
 
+def require_kind(vg: VertexGraph, kind: FractalKind) -> None:
+    """Raise ValueError unless the graph belongs to `kind`."""
+    if vg.kind is not kind:
+        raise ValueError(f"expected a {kind.value} vertex graph, got {vg.kind.value}")
+
+
 def sg_corner_ids(vg: VertexGraph) -> tuple[int, int, int]:
     """Ids of the three outer corners (0,0), (1,0), (1/2, sqrt(3)/2)."""
-    assert vg.kind is FractalKind.SG
+    require_kind(vg, FractalKind.SG)
     s = vg.scale
     ids = vg.ids_of([0, 2 ** s, 2 ** (s - 1)], [0, 0, 2 ** (s - 1)])
     return tuple(int(i) for i in ids)
@@ -423,7 +429,7 @@ def sg_corner_ids(vg: VertexGraph) -> tuple[int, int, int]:
 
 def sc_side_ids(vg: VertexGraph, side: str) -> np.ndarray:
     """Vertex ids on one side of the unit square: left/right/bottom/top."""
-    assert vg.kind is FractalKind.SC
+    require_kind(vg, FractalKind.SC)
     full = vg.kind.unit(vg.scale)
     if side == "left":
         mask = vg.xn == 0

@@ -294,7 +294,9 @@ def sc_good_function(n: int) -> ScGoodFunction:
     """The potential of the R_n^V plate solve on the level-n carpet graph.
 
     Conductances are the per-cell pair counts, so the minimized quadratic is
-    exactly the level-n pair energy and its minimum is 1/R_n^V.
+    exactly the level-n pair energy and its minimum is 1/R_n^V.  The plate
+    is solved on the quadrant x, y <= 1/2 and the values elsewhere are its
+    reflections (see `sc_RnV`): exactly 1/2 on x = 1/2 and even in y.
     """
     if not 1 <= n <= SC_LEVEL_CAP:
         raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")

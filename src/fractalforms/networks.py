@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 from .geometry import (
     VertexGraph,
     cell_graph,
-    sc_side_ids,
+    require_kind,
     sg_corner_ids,
     vertex_graph,
 )
@@ -458,16 +458,43 @@ def sg_vertex_corner_resistance(n: int) -> ResistanceResult:
 
 def sc_RnV(vg_or_level) -> ResistanceResult:
     """Left-to-right resistance of the level-n carpet graph with the
-    per-cell pair counting as conductances (1 on free sides, 2 on shared)."""
+    per-cell pair counting as conductances (1 on free sides, 2 on shared),
+    and the potential (0 on the left side, 1 on the right) that carries it.
+
+    The plate potential v is odd about x = 1/2 and even about y = 1/2, so
+    only the closed quadrant Q = {x, y <= 1/2} is solved: the edges with
+    both ends in Q, 0 on x = 0 and 1 on x = 1/2, which is 2 v there.  Every
+    edge lies in one of the four mirror images of Q: edges are steps of one
+    numerator along cell sides, which sit at even numerators, and 1/2 is
+    the odd numerator m = 3^n, so no edge runs along x = 1/2 or y = 1/2 and
+    no weight is shared.  The Neumann condition on y = 1/2 holds by itself,
+    and the full energy is 4 E_Q(v) = E_Q(2 v), the quadrant solve's own.
+    The potential on the whole graph is read back through the reflections:
+    half the quadrant solution at each vertex's mirror image in Q, and one
+    minus that for x > 1/2.
+    """
     vg = (
         vg_or_level
         if isinstance(vg_or_level, VertexGraph)
         else vertex_graph(FractalKind.SC, int(vg_or_level))
     )
-    left = sc_side_ids(vg, "left")
-    right = sc_side_ids(vg, "right")
+    require_kind(vg, FractalKind.SC)
+    m = vg.kind.unit(vg.scale) // 2
+    inside = (vg.xn <= m) & (vg.yn <= m)
+    local = np.cumsum(inside) - 1  # quadrant id of each vertex in Q
+    xq = vg.xn[inside]
     ii, jj, cc = graph_edge_arrays(vg)
-    return resistance_from_arrays(vg.n_vertices, ii, jj, cc, left, right)
+    keep = inside[ii] & inside[jj]
+    res = resistance_from_arrays(
+        len(xq), local[ii[keep]], local[jj[keep]], cc[keep],
+        np.flatnonzero(xq == 0), np.flatnonzero(xq == m),
+    )
+    del ii, jj, cc, keep  # edge-sized; gone before the vertex-sized reflection
+    mirror = vg.ids_of(np.minimum(vg.xn, 2 * m - vg.xn), np.minimum(vg.yn, 2 * m - vg.yn))
+    v = 0.5 * res.potential[local[mirror]]
+    right = vg.xn > m
+    v[right] = 1.0 - v[right]
+    return ResistanceResult(res.resistance, res.energy, v)
 
 
 # ---------------------------------------------------------------------------

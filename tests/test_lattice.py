@@ -6,6 +6,8 @@ Hölder quotient all read the per-family constants in `kinds`; the digest
 below is a sha256 of their outputs, recorded before those constants were
 gathered into one table and recorded again, on that same code, without the
 Monte Carlo call on the harmonic-family input that `besov` no longer takes.
+It was recorded a third time when the carpet plate came to be solved on one
+quadrant, which moves the good function's values in their last bits.
 """
 import hashlib
 import warnings
@@ -21,7 +23,7 @@ from fractalforms.kinds import FractalKind
 SG = FractalKind.SG
 SC = FractalKind.SC
 
-LATTICE_DIGEST = "84b0dd208a02ab669bfb88aee2a72324fa723f05b6f5b4e74124e63937ca43b7"
+LATTICE_DIGEST = "3818b8f31134e2bb8614c7c618f0afa4e0b4d2cef74bdf08cd98ef090ca201d8"
 
 
 def _lattice_outputs() -> list[str]:

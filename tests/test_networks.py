@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
+import scipy.sparse.linalg as spla
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
@@ -298,9 +299,61 @@ def test_sc_RnV_level1_value():
 
 def test_sc_RnV_accepts_prebuilt_graph():
     vg = vertex_graph(FractalKind.SC, 2)
-    a = sc_RnV(2).resistance
-    b = sc_RnV(vg).resistance
-    assert abs(a - b) < 1e-12
+    a, b = sc_RnV(2), sc_RnV(vg)
+    assert a.resistance == b.resistance and a.energy == b.energy
+    assert np.array_equal(a.potential, b.potential)
+
+
+def test_sc_RnV_rejects_a_gasket_graph():
+    with pytest.raises(ValueError, match="expected a sc vertex graph"):
+        sc_RnV(vertex_graph(FractalKind.SG, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sc_RnV_quadrant_solve_matches_the_full_graph_oracle(n):
+    vg = vertex_graph(FractalKind.SC, n)
+    m = 3 ** n
+    xn, yn = vg.xn, vg.yn
+    ii, jj, cc = graph_edge_arrays(vg)
+    # no edge runs along x = 1/2 or y = 1/2, so no weight is shared between quadrants
+    assert not np.any((xn[ii] == xn[jj]) & (xn[ii] == m))
+    assert not np.any((yn[ii] == yn[jj]) & (yn[ii] == m))
+    oracle = resistance_from_arrays(
+        vg.n_vertices, ii, jj, cc, sc_side_ids(vg, "left"), sc_side_ids(vg, "right")
+    )
+    got = sc_RnV(vg)
+    assert abs(got.resistance - oracle.resistance) <= 1e-15 * oracle.resistance
+    assert abs(got.energy - oracle.energy) <= 1e-15 * oracle.energy
+    # both solves pass the residual check |L x - b| <= 1e-12 |b|; the plate's
+    # condition number grows with the level, and the two potentials part by
+    # the full solve's own rounding: 6.4e-13 at n = 5
+    v = got.potential
+    assert np.max(np.abs(v - oracle.potential)) <= 1e-11
+    # the reflections hold by construction: exactly, up to the rounding of 1 - (1 - v)
+    assert np.all(v[xn == m] == 0.5)
+    assert np.array_equal(v[vg.ids_of(xn, 2 * m - yn)], v)
+    mirror = vg.ids_of(2 * m - xn, yn)
+    assert np.max(np.abs(v[mirror] - (1.0 - v))) <= 2.3e-16
+
+
+def test_sc_RnV_factors_once_on_a_quadrant(monkeypatch):
+    sizes = []
+    real = spla.splu
+
+    def recording(A, *args, **kwargs):
+        sizes.append(A.shape[0])
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    vg = vertex_graph(FractalKind.SC, 4)
+    m = 3 ** 4
+    with solver_log() as log:
+        sc_RnV(vg)
+    assert (log.factorizations, log.solves) == (1, 1)
+    # the free vertices of the quadrant x, y <= 1/2: 3,728 of V = 15,240
+    quadrant_free = (vg.xn > 0) & (vg.xn < m) & (vg.yn <= m)
+    assert sizes == [int(quadrant_free.sum())]
+    assert 0.24 * vg.n_vertices < sizes[0] <= vg.n_vertices / 4
 
 
 def test_fit_log_geometric_recovers_exact_ratio():

@@ -211,6 +211,13 @@ def test_sc_side_ids_symmetric():
         sc_side_ids(vg, "top_left")
 
 
+def test_boundary_selectors_name_the_kind_they_expect():
+    with pytest.raises(ValueError, match="expected a sc vertex graph, got sg"):
+        sc_side_ids(vertex_graph(SG, 2), "left")
+    with pytest.raises(ValueError, match="expected a sg vertex graph, got sc"):
+        sg_corner_ids(vertex_graph(SC, 1))
+
+
 @given(st.integers(0, 14))
 def test_address_id_roundtrip(i):
     vg = cached_vertex_graph(SG, 2)
