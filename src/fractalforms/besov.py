@@ -103,29 +103,27 @@ def _as_vertex_function(u, kind: FractalKind, N: int) -> VertexFunction:
     raise TypeError(f"cannot evaluate {type(u).__name__} on the vertex sets")
 
 
-def _level_energy(u_n: VertexFunction, n: int, form: BesovForm):
-    kind = u_n.graph.kind
-    if form is BesovForm.POINTWISE:
+def _level_energy(u: VertexFunction, n: int, form: BesovForm):
+    kind = u.graph.kind
+    if form is BesovForm.POINTWISE:  # level n's corners, read from u's own graph
         if kind is FractalKind.SG:
-            return sg_pointwise_energy_Bn(u_n, n)
-        return sc_pointwise_energy_Dn(u_n, n)
+            return sg_pointwise_energy_Bn(u, n)
+        return sc_pointwise_energy_Dn(u, n)
+    # cell averages are means over the graph's finest cells: restrict first
+    if n != u.graph.level:
+        u = restrict_to_level(u, cached_vertex_graph(kind, n))
     if kind is FractalKind.SG:
-        return sg_graph_energy_An(u_n, n)
-    return sc_cell_energy_bn(u_n, n, 1.0)
+        return sg_graph_energy_An(u, n)
+    return sc_cell_energy_bn(u, n, 1.0)
 
 
 def besov_partial_terms(u, params: BesovParams) -> list[float]:
     """Per-level weighted energies, n = 1..N."""
     uf = _as_vertex_function(u, params.kind, params.N)
-    terms = []
-    for n in range(1, params.N + 1):
-        if n == uf.graph.level:
-            u_n = uf
-        else:
-            u_n = restrict_to_level(uf, cached_vertex_graph(params.kind, n))
-        e = _level_energy(u_n, n, params.form)
-        terms.append(besov_weight(params.kind, params.beta, n) * float(e))
-    return terms
+    return [
+        besov_weight(params.kind, params.beta, n) * float(_level_energy(uf, n, params.form))
+        for n in range(1, params.N + 1)
+    ]
 
 
 def besov_partial_sum(u, params: BesovParams) -> float:
@@ -309,14 +307,7 @@ def sg_monotone_limit(
         if not alpha < b < SG_BETA_STAR:
             raise ValueError(f"beta={b} outside ({alpha}, {SG_BETA_STAR})")
     uf = _as_vertex_function(u, FractalKind.SG, probe_levels)
-    energies = []
-    for n in range(1, probe_levels + 1):
-        u_n = (
-            uf
-            if n == uf.graph.level
-            else restrict_to_level(uf, cached_vertex_graph(FractalKind.SG, n))
-        )
-        energies.append(float(sg_pointwise_energy_Bn(u_n, n)))
+    energies = [float(sg_pointwise_energy_Bn(uf, n)) for n in range(1, probe_levels + 1)]
     rows = []
     for b in beta_grid:
         lam_factor = 1.0 - 2.0 ** b / 5.0

@@ -10,6 +10,7 @@ tolerance networks.SOLVER_TOL) or a result that is not finite.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -93,7 +94,9 @@ def _parse_levels(text: str) -> list[int]:
         raise ConfigError(f"bad level list {text!r}") from e
     if not levels:
         raise ConfigError(f"empty level range {text!r}")
-    return levels
+    if len(set(levels)) != len(levels):  # the fits across levels would be singular
+        raise ConfigError(f"level list {text!r} repeats a level")
+    return sorted(levels)
 
 
 def _check_levels(levels, cap: int) -> None:
@@ -133,22 +136,13 @@ def _function_for(name: str, kind: FractalKind, level: int):
     raise ConfigError(f"unknown function name {name!r}")
 
 
-def _walk_params(cfg: RunConfig, opts: argparse.Namespace) -> WalkParams:
-    lam = cfg.lam if getattr(opts, "lam", None) is None else opts.lam
-    c = cfg.c if getattr(opts, "c", None) is None else opts.c
-    samples = cfg.samples if getattr(opts, "samples", None) is None else opts.samples
-    depth = cfg.depth_cut if getattr(opts, "depth_cut", None) is None else opts.depth_cut
-    if depth > DEPTH_CAP:
-        raise ResourceCapError(f"depth_cut {depth} beyond the working cap {DEPTH_CAP}")
+def _walk_params(cfg: RunConfig) -> WalkParams:
+    if cfg.depth_cut > DEPTH_CAP:
+        raise ResourceCapError(f"depth_cut {cfg.depth_cut} beyond the working cap {DEPTH_CAP}")
     try:
         return WalkParams(
-            lam=lam,
-            C1=cfg.C1,
-            C2=cfg.C2,
-            c=c,
-            seed=cfg.seed,
-            samples=samples,
-            depth_cut=depth,
+            lam=cfg.lam, C1=cfg.C1, C2=cfg.C2, c=cfg.c,
+            seed=cfg.seed, samples=cfg.samples, depth_cut=cfg.depth_cut,
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -209,10 +203,8 @@ def _run_walkdim(cfg: RunConfig, opts) -> ExperimentReport:
         fn = _function_for(opts.function, kind, top)
         if not isinstance(fn, VertexFunction):
             raise ConfigError("walkdim on the gasket needs a harmonic function")
-        energies = []
-        for n in levels:
-            u_n = fn if n == top else restrict_to_level(fn, cached_vertex_graph(kind, n))
-            energies.append(float(sg_pointwise_energy_Bn(u_n, n)))
+        # each level's corners are read from the top graph's corner table
+        energies = [float(sg_pointwise_energy_Bn(fn, n)) for n in levels]
     else:
         if opts.function != "goodfn":
             raise ConfigError("walkdim on the carpet uses the goodfn family")
@@ -291,7 +283,10 @@ def _run_harnack(cfg: RunConfig, opts) -> ExperimentReport:
 
 def _run_besov(cfg: RunConfig, opts) -> ExperimentReport:
     kind = cfg.fractal_kind()
-    # the flag wins over the config file, which wins over the default grid
+    # The one flag merged in a handler, not in run: a config's beta_grid must
+    # sit inside (alpha, beta*), but the flag's grid may leave it, and a beta
+    # whose sums overflow is then refused when written (exit 4), not as a bad
+    # config (2).  The flag wins over the config file, then the default grid.
     if opts.beta_grid is not None:
         betas = _parse_floats(opts.beta_grid)
     else:
@@ -341,7 +336,7 @@ def _run_mosco(cfg: RunConfig, opts) -> ExperimentReport:
 
 
 def _run_walk(cfg: RunConfig, opts) -> ExperimentReport:
-    params = _walk_params(cfg, opts)
+    params = _walk_params(cfg)
     # the F table holds words of length up to 3, strictly inside the ball
     if params.depth_cut < 4:
         raise ConfigError(f"walk needs depth_cut >= 4, got {params.depth_cut}")
@@ -477,7 +472,8 @@ def _report(subcommand, cfg, opts, columns=None, rows=None, tree=None) -> Experi
     snapshot = config_dict(cfg)
     snapshot["subcommand"] = subcommand
     snapshot["options"] = {
-        k: v for k, v in sorted(vars(opts).items()) if k not in _GLOBAL_OPTS and v is not None
+        k: v for k, v in sorted(vars(opts).items())
+        if v is not None and k not in _CONFIG_FLAGS and k not in ("config", "command")
     }
     return ExperimentReport(
         experiment=subcommand,
@@ -489,11 +485,16 @@ def _report(subcommand, cfg, opts, columns=None, rows=None, tree=None) -> Experi
 
 
 def run(subcommand: str, cfg: RunConfig, opts: Optional[argparse.Namespace] = None) -> ExperimentReport:
-    """Dispatch a subcommand with an already-validated config."""
+    """Dispatch a subcommand with the config flags of `opts` folded into
+    `cfg`, so the handler runs with the config its meta records."""
     if subcommand not in _HANDLERS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     if opts is None:
         opts = _build_parser().parse_args([subcommand])
+    kind = getattr(opts, "kind", None) or cfg.kind
+    cfg = apply_overrides(  # flags win over the config file
+        cfg, **{key.format(kind=kind): getattr(opts, f, None) for f, key in _CONFIG_FLAGS.items()}
+    )
     if getattr(opts, "function", None) is None and subcommand in ("walkdim", "besov"):
         opts.function = _default_function(cfg.kind)
     with solver_log() as log:
@@ -505,9 +506,15 @@ def run(subcommand: str, cfg: RunConfig, opts: Optional[argparse.Namespace] = No
 # ---------------------------------------------------------------------------
 # argument parsing
 
-_GLOBAL_OPTS = {"config", "seed", "out", "cache", "level_cap", "kind", "command"}
+# flag -> the RunConfig key it sets; --level-cap sets the cap of the run's kind
+_CONFIG_FLAGS = {
+    "kind": "kind", "seed": "seed", "out": "out_dir", "cache": "cache_dir",
+    "level_cap": "level_cap_{kind}", "lam": "lam", "c": "c", "samples": "samples",
+    "depth_cut": "depth_cut",
+}
 
 
+@functools.cache  # argparse does not change a parser by parsing with it
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
@@ -577,25 +584,11 @@ def _default_function(kind: str) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    opts = parser.parse_args(argv)
+    opts = _build_parser().parse_args(argv)
     try:
         cfg = load_config(opts.config) if opts.config else RunConfig()
-        overrides = {}
-        if opts.kind is not None:
-            overrides["kind"] = opts.kind
-        if opts.seed is not None:
-            overrides["seed"] = opts.seed
-        if opts.out is not None:
-            overrides["out_dir"] = opts.out
-        if opts.cache is not None:
-            overrides["cache_dir"] = opts.cache
-        if opts.level_cap is not None:
-            overrides[f"level_cap_{overrides.get('kind', cfg.kind)}"] = opts.level_cap
-        cfg = apply_overrides(cfg, **overrides)
         report = run(opts.command, cfg, opts)
-        paths = report.write(cfg.out_dir)
-        for path in paths:
+        for path in report.write(report.config_snapshot["out_dir"]):
             print(path)
         return 0
     except ConfigError as e:

@@ -470,8 +470,9 @@ def sc_RnV(vg_or_level) -> ResistanceResult:
     no weight is shared.  The Neumann condition on y = 1/2 holds by itself,
     and the full energy is 4 E_Q(v) = E_Q(2 v), the quadrant solve's own.
     The potential on the whole graph is read back through the reflections:
-    half the quadrant solution at each vertex's mirror image in Q, and one
-    minus that for x > 1/2.
+    half the quadrant solution at each vertex's mirror image in Q (found in
+    a dense table of quadrant ids by numerators), and one minus that for
+    x > 1/2.
     """
     vg = (
         vg_or_level
@@ -490,8 +491,12 @@ def sc_RnV(vg_or_level) -> ResistanceResult:
         np.flatnonzero(xq == 0), np.flatnonzero(xq == m),
     )
     del ii, jj, cc, keep  # edge-sized; gone before the vertex-sized reflection
-    mirror = vg.ids_of(np.minimum(vg.xn, 2 * m - vg.xn), np.minimum(vg.yn, 2 * m - vg.yn))
-    v = 0.5 * res.potential[local[mirror]]
+    # quadrant id by numerators; a mirror image that is no vertex reads the
+    # out-of-range id len(xq) and raises
+    qid = np.full((m + 1, m + 1), len(xq), dtype=np.int32)
+    qid[xq, vg.yn[inside]] = np.arange(len(xq))
+    mirror = qid[np.minimum(vg.xn, 2 * m - vg.xn), np.minimum(vg.yn, 2 * m - vg.yn)]
+    v = 0.5 * res.potential[mirror]
     right = vg.xn > m
     v[right] = 1.0 - v[right]
     return ResistanceResult(res.resistance, res.energy, v)

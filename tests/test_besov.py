@@ -15,6 +15,8 @@ from fractalforms.energies import (
     cellgraph_edge_energy,
     float_values,
     restrict_to_level,
+    sc_pointwise_energy_Dn,
+    sg_pointwise_energy_Bn,
 )
 from fractalforms.harmonic import sc_good_function, sg_harmonic
 from fractalforms.besov import (
@@ -190,6 +192,22 @@ def test_cellgraph_terms_on_carpet_are_cell_average_energies():
         u_n = good if n == 3 else restrict_to_level(good, cached_vertex_graph(SC, n))
         e = cellgraph_edge_energy(CellFunction(SC, n, float_values(cell_averages(u_n, n).values)))
         assert term == besov_weight(SC, 2.0, n) * float(e)
+
+
+@pytest.mark.parametrize(
+    "u", [lambda: sg_harmonic(0, 1, 0, 5), lambda: sc_good_function(3).fn], ids=["sg", "sc"]
+)
+def test_pointwise_terms_read_from_the_top_graph_equal_restricted_ones(u):
+    # reference: each level's energy on the graph of that level, as the
+    # terms were computed before they read the top graph's corner table
+    fn = u()
+    kind, top = fn.graph.kind, fn.graph.level
+    energy = sg_pointwise_energy_Bn if kind is SG else sc_pointwise_energy_Dn
+    terms = besov_partial_terms(fn, BesovParams(beta=2.0, N=top, kind=kind))
+    for n, term in enumerate(terms, start=1):
+        u_n = fn if n == top else restrict_to_level(fn, cached_vertex_graph(kind, n))
+        assert energy(fn, n) == energy(u_n, n)
+        assert term == besov_weight(kind, 2.0, n) * float(energy(u_n, n))
 
 
 def test_monotone_limit_rows_increase_toward_boundary_energy():

@@ -515,6 +515,47 @@ def test_cli_config_file_with_flag_override(tmp_path):
     meta = sorted(Path(out).glob("*meta.json"))[0]
     body = json.loads(meta.read_text())
     assert body["config"]["seed"] == 5
+    # the walk's own flags win too, and the meta's config holds what ran,
+    # whether a value came from a flag or from the config file
+    walk_keys = ("lam", "c", "samples", "depth_cut")
+    cfgf.write_text("lam = 0.7\nsamples = 300\n")
+    for flags, ran in (
+        (("--lambda", "0.8", "--c", "0.5", "--samples", "300", "--depth-cut", "6"),
+         (0.8, 0.5, 300, 6)),
+        (("--depth-cut", "6"), (0.7, None, 300, 6)),
+    ):
+        rc, out = _run(tmp_path / str(ran[0]), "walk", "--config", str(cfgf), *flags)
+        assert rc == 0
+        meta, data_path = _walk_files(out)
+        assert tuple(meta["config"][k] for k in walk_keys) == ran
+        assert not set(walk_keys) & set(meta["config"]["options"])
+        assert json.loads(data_path.read_text())["lambda"] == ran[0]
+
+
+def test_cli_run_folds_the_flags_as_main_does(tmp_path):
+    argv = ["walk", "--lambda", "0.8", "--c", "0.5", "--samples", "300", "--depth-cut", "6",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    meta, data_path = _walk_files(tmp_path / "out")
+    report = run("walk", RunConfig(), _build_parser().parse_args(argv))
+    assert report.config_snapshot == meta["config"]
+    assert data_path.name == f"{report.experiment_id}.json"
+
+
+def test_cli_builds_one_parser_per_process(tmp_path):
+    cli._build_parser.cache_clear()
+    for k in range(2):
+        rc, _ = _run(tmp_path / str(k), "resistance", "--kind", "sg", "--levels", "1..2")
+        assert rc == 0
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_cli_levels_run_in_ascending_order(tmp_path):
+    rc, shuffled = _run(tmp_path / "shuffled", "resistance", "--kind", "sg", "--levels", "3,1,2")
+    rc2, ordered = _run(tmp_path / "ordered", "resistance", "--kind", "sg", "--levels", "1..3")
+    assert rc == rc2 == 0
+    assert _csv_bytes(shuffled) == _csv_bytes(ordered)
 
 
 def test_cli_besov_beta_grid_flag_beats_config(tmp_path):
@@ -622,6 +663,11 @@ EXIT_CODES = (
     ("kernel --x 01 --y 0-", 2),
     ("walk --samples 1", 2),
     ("walk --samples 0", 2),
+    # a repeated level would make the fits across levels singular
+    ("resistance --kind sg --levels 2,2,2", 2),
+    ("walkdim --kind sg --levels 3,3,3", 2),
+    ("energy --kind sg --levels 1,2,1", 2),
+    ("harnack --kind sc --levels 3,3", 2),
     *(
         (f"{flag} {value}", 2)
         for flag, _, malformed in _BOUNDARY_FLAGS

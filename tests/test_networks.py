@@ -336,6 +336,22 @@ def test_sc_RnV_quadrant_solve_matches_the_full_graph_oracle(n):
     assert np.max(np.abs(v[mirror] - (1.0 - v))) <= 2.3e-16
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_sc_RnV_reflects_as_the_coordinate_search_did(n):
+    vg = vertex_graph(FractalKind.SC, n)
+    v = sc_RnV(vg).potential
+    assert vg._lookup is None  # the graph carries no sorted search keys
+    # the reflection the quadrant-id table replaced: each mirror image found
+    # by ids_of, reading the half quadrant solution v on x, y <= 1/2
+    m = 3 ** n
+    inside = (vg.xn <= m) & (vg.yn <= m)
+    mirror = vg.ids_of(np.minimum(vg.xn, 2 * m - vg.xn), np.minimum(vg.yn, 2 * m - vg.yn))
+    want = v[inside][(np.cumsum(inside) - 1)[mirror]]
+    right = vg.xn > m
+    want[right] = 1.0 - want[right]
+    assert np.array_equal(v, want)
+
+
 def test_sc_RnV_factors_once_on_a_quadrant(monkeypatch):
     sizes = []
     real = spla.splu
