@@ -5,10 +5,15 @@ integral form is the singular double integral against the product of the
 self-similar measures, estimated by Monte Carlo.  One Monte Carlo pass serves
 a whole beta grid: the draws, distances and value differences depend on
 (u, samples, seed, kind, depth) only, and each beta weights them in turn.
+Each sample is a pair of depth-digit words with a common prefix; every drawn
+digit block is folded once (one gather and one dot product), and the prefix
+cancels from the pair's coordinate difference, so it is folded only for the
+values: as a rank for graph-bound data, as coordinates for a callable.
 Graph-bound data is read at each sampled cell's base corner through the
 cell's rank among the level-`depth` words, so any depth up to the data's
-level is sampled correctly.  The walk dimension comes out of the geometric
-decay rate of the energy sequence.
+level is sampled correctly.  The estimator uses depth * (samples // depth)
+samples, one equal share per stratum.  The walk dimension comes out of the
+geometric decay rate of the energy sequence.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "besov_partial_sum",
     "classify_tail",
     "besov_double_integral_mc",
+    "mc_depth",
     "sg_monotone_limit",
     "walkdim_estimate",
     "interval_trace_check",
@@ -152,25 +158,22 @@ def classify_tail(terms: Sequence[float]) -> str:
 # coincide) contribute zero; that truncation error is the acknowledged bias
 # of the depth cutoff.
 
-def _anchor_coords(
-    kind: FractalKind, digits: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integer coordinates of each row's cell base corner at
-    vertex_scale(kind, d), and the cell's rank among the level-d words, which
-    is its index in geometry._cells (digits: m x d)."""
-    lat = kind.lattice
-    ox, oy = np.array(lat.ox), np.array(lat.oy)
-    gx = np.zeros(digits.shape[0], dtype=np.int64)
-    gy = np.zeros(digits.shape[0], dtype=np.int64)
-    rank = np.zeros(digits.shape[0], dtype=np.int64)
-    for c in range(digits.shape[1]):
-        d = digits[:, c]
-        gx = kind.base * gx + ox[d]
-        gy = kind.base * gy + oy[d]
-        rank = kind.n_maps * rank + d
-    gx *= lat.corner_mul
-    gy *= lat.corner_mul
-    return gx, gy, rank
+def _fold(digits: np.ndarray, base: int, table: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each row of `digits` (m x L) folded as g <- base * g + table[digit]
+    (table: the identity when None), in one gather and one dot product with
+    the powers base**(L-1), ..., 1; a zero-width block folds to 0."""
+    vals = digits if table is None else table[digits]
+    return vals @ base ** np.arange(digits.shape[1] - 1, -1, -1)
+
+
+def mc_depth(u, kind: FractalKind, depth: Optional[int] = None) -> int:
+    """The depth besov_double_integral_mc samples at: `depth`, or the kind's
+    default when None, capped at graph-bound data's own level."""
+    if depth is None:
+        depth = MC_DEPTH_DEFAULT[kind]
+    if isinstance(u, VertexFunction):
+        depth = min(depth, u.graph.level)
+    return depth
 
 
 def besov_double_integral_mc(
@@ -186,12 +189,20 @@ def besov_double_integral_mc(
     Returns (estimate, stderr), or a list of such pairs when `beta` is a
     sequence.  The draws, distances and value differences do not depend on
     beta, so one pass serves the whole grid; each beta's result is bitwise
-    the one a scalar call with the same seed returns.  Graph-bound data caps
-    the depth at its own level and reads each sample's base-corner value by
-    cell rank from the level-`depth` corner table, so any depth up to the
-    graph's level reads the right vertices; coordinate callables evaluate at
-    any depth.  A beta whose Monte Carlo variance leaves the float range
-    reads (inf, inf).
+    the one a scalar call with the same seed returns.  Each of the depth
+    strata (mc_depth) draws samples // depth pairs, so depth * (samples //
+    depth) samples are used and the remainder is not drawn.
+
+    Stratum k's words share a prefix of length k, then differ in digits d1,
+    d2 and free tails of length t.  Each drawn block is folded once, and the
+    prefix cancels from the coordinate difference corner_mul * (base**t *
+    (o[d1] - o[d2]) + g(tail1) - g(tail2)), so it is folded only where the
+    values need it.  Graph-bound data caps the depth at its own level and
+    reads each sample's base-corner value by its cell's rank among the
+    level-`depth` words, so any depth up to the graph's level reads the
+    right vertices; coordinate callables are evaluated at the base corner's
+    absolute coordinates, at any depth.  A beta whose Monte Carlo variance
+    leaves the float range reads (inf, inf).
     """
     graph_fn = None
     if isinstance(u, VertexFunction):
@@ -203,18 +214,17 @@ def besov_double_integral_mc(
             raise ValueError("callable input needs an explicit kind")
     else:
         raise TypeError(f"cannot sample {type(u).__name__}")
-    if graph_fn is not None:
-        depth = min(depth or MC_DEPTH_DEFAULT[kind], graph_fn.graph.level)
-    if depth is None:
-        depth = MC_DEPTH_DEFAULT[kind]
+    depth = mc_depth(u, kind, depth)
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if samples < 2 * depth:
-        raise ValueError("need at least two samples per stratum")
+        raise ValueError(
+            f"need at least two samples per stratum, got {samples} for {depth} strata"
+        )
     scalar = np.ndim(beta) == 0
     betas = [beta] if scalar else list(beta)
     crit = kind.beta_star
-    scale = vertex_scale(kind, depth)  # of the anchors' numerators
+    scale = vertex_scale(kind, depth)  # of the base corners' numerators
     for b in betas:
         if b >= crit:
             warnings.warn(
@@ -225,17 +235,17 @@ def besov_double_integral_mc(
                 stacklevel=2,
             )
 
+    lat = kind.lattice
+    K, base, mul = kind.n_maps, kind.base, lat.corner_mul
+    ox, oy = np.array(lat.ox), np.array(lat.oy)
     if graph_fn is not None:
         base_values = graph_fn.as_float_array()[
             corner_ids_at_level(graph_fn.graph, depth)[:, 0]
         ]
-        evaluate = lambda gx, gy, rank: base_values[rank]
-    else:
-        den = float(kind.unit(scale))
-        y_factor = kind.lattice.y_factor
-        evaluate = lambda gx, gy, rank: np.asarray(u(gx / den, gy * y_factor / den))
+    else:  # at the base corner's numerators (x, y) / corner_mul
+        den, y_factor = float(kind.unit(scale)), lat.y_factor
+        value = lambda x, y: np.asarray(u(mul * x / den, mul * y * y_factor / den))
 
-    K = kind.n_maps
     expos = [(kind.alpha + b) / 2.0 for b in betas]
     rng = np.random.default_rng(seed)
     per = samples // depth
@@ -251,12 +261,25 @@ def besov_double_integral_mc(
         tail_len = depth - k - 1
         t1 = rng.integers(0, K, size=(per, tail_len))
         t2 = rng.integers(0, K, size=(per, tail_len))
-        digs1 = np.concatenate([common, d1[:, None], t1], axis=1)
-        digs2 = np.concatenate([common, d2[:, None], t2], axis=1)
-        gx1, gy1, rank1 = _anchor_coords(kind, digs1)
-        gx2, gy2, rank2 = _anchor_coords(kind, digs2)
-        sq = float_sq_dist(kind, gx1, gy1, gx2, gy2, scale)
-        du = evaluate(gx1, gy1, rank1) - evaluate(gx2, gy2, rank2)
+        # each word's offset below the common prefix, which cancels from the
+        # coordinate difference: its digit, then its tail
+        top = base ** tail_len
+        x1 = top * ox[d1] + _fold(t1, base, ox)
+        y1 = top * oy[d1] + _fold(t1, base, oy)
+        x2 = top * ox[d2] + _fold(t2, base, ox)
+        y2 = top * oy[d2] + _fold(t2, base, oy)
+        sq = float_sq_dist(kind, mul * (x1 - x2), mul * (y1 - y2), scale)
+        if graph_fn is not None:
+            head = _fold(common, K) * K ** (tail_len + 1)
+            low = K ** tail_len
+            du = (
+                base_values[head + low * d1 + _fold(t1, K)]
+                - base_values[head + low * d2 + _fold(t2, K)]
+            )
+        else:
+            hx = _fold(common, base, ox) * (top * base)
+            hy = _fold(common, base, oy) * (top * base)
+            du = value(hx + x1, hy + y1) - value(hx + x2, hy + y2)
         for i, expo in enumerate(expos):
             # past a large enough beta the integrand, or its squares in the
             # variance, leave the float range: the variance is then inf or nan

@@ -27,6 +27,7 @@ from .besov import (
     interval_trace_check,
     JumpKernelParams,
     jump_kernel_Ci,
+    mc_depth,
     sg_monotone_limit,
     walkdim_estimate,
 )
@@ -301,20 +302,29 @@ def _run_besov(cfg: RunConfig, opts) -> ExperimentReport:
     fn = _function_for(opts.function, kind, level)
     discrete = [besov_partial_sum(fn, p) for p in params]
     # one Monte Carlo pass serves the whole grid
-    estimates = besov_double_integral_mc(
-        fn, betas, samples=cfg.mc_samples, seed=cfg.seed, kind=kind
-    )
+    try:
+        estimates = besov_double_integral_mc(
+            fn, betas, samples=cfg.mc_samples, seed=cfg.seed, kind=kind
+        )
+    except ValueError as e:  # mc_samples below two samples per stratum
+        raise ConfigError(f"mc_samples: {e}") from e
     rows = [
         (beta, d, mc, se, d / mc if mc > 0 else "")
         for beta, d, (mc, se) in zip(betas, discrete, estimates)
     ]
-    return _report(
+    report = _report(
         "besov",
         cfg,
         opts,
         columns=("beta", "discrete_sum", "mc_estimate", "mc_stderr", "ratio"),
         rows=rows,
     )
+    # the sampling goes to meta only, so the data file stays byte-stable
+    depth = mc_depth(fn, kind)
+    report.provenance["mc"] = {
+        "depth": depth, "samples_used": depth * (cfg.mc_samples // depth)
+    }
+    return report
 
 
 def _run_mosco(cfg: RunConfig, opts) -> ExperimentReport:

@@ -136,11 +136,9 @@ def vertex_scale(kind: FractalKind, level: int) -> int:
     return level + kind.lattice.scale_shift
 
 
-def float_sq_dist(kind: FractalKind, x1, y1, x2, y2, scale: int) -> np.ndarray:
-    """Float squared distances between integer numerator arrays at a scale."""
-    dx = (x1 - x2).astype(float)
-    dy = (y1 - y2).astype(float)
-    return kind.sq_norm(dx, dy) / float(kind.unit(scale) ** 2)
+def float_sq_dist(kind: FractalKind, dx, dy, scale: int) -> np.ndarray:
+    """Float squared lengths of integer numerator differences at a scale."""
+    return kind.sq_norm(dx.astype(float), dy.astype(float)) / float(kind.unit(scale) ** 2)
 
 
 def _cells(

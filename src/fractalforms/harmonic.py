@@ -453,7 +453,7 @@ def holder_constant(
         ok = ri != rj
         ii = np.concatenate([ii, ri[ok]])
         jj = np.concatenate([jj, rj[ok]])
-    sq = float_sq_dist(kind, vg.xn[ii], vg.yn[ii], vg.xn[jj], vg.yn[jj], vg.scale)
+    sq = float_sq_dist(kind, vg.xn[ii] - vg.xn[jj], vg.yn[ii] - vg.yn[jj], vg.scale)
     du = vals[ii] - vals[jj]
     expo = (beta - kind.alpha) / 2.0
     quot = du * du / (energy * sq ** expo)

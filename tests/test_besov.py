@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,12 +8,13 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from fractalforms.kinds import FractalKind
-from fractalforms.geometry import cached_vertex_graph
+from fractalforms.geometry import cached_vertex_graph, vertex_scale
 from fractalforms.energies import (
     CellFunction,
     VertexFunction,
     cell_averages,
     cellgraph_edge_energy,
+    corner_ids_at_level,
     float_values,
     restrict_to_level,
     sc_pointwise_energy_Dn,
@@ -24,6 +26,7 @@ from fractalforms.besov import (
     BesovForm,
     BesovParams,
     JumpKernelParams,
+    _fold,
     besov_double_integral_mc,
     besov_partial_sum,
     besov_partial_terms,
@@ -32,6 +35,7 @@ from fractalforms.besov import (
     discounted_monotone_value,
     interval_trace_check,
     jump_kernel_Ci,
+    mc_depth,
     sg_monotone_limit,
     walkdim_estimate,
 )
@@ -151,6 +155,132 @@ def test_mc_beta_sequence_equals_scalar_calls_bitwise(make, kind):
     ]
     assert grid == scalar
     assert isinstance(scalar[0], tuple) and len(scalar[0]) == 2
+
+
+def _anchor_coords(kind, digits):
+    """The oracle fold: each row's base-corner numerators and cell rank,
+    folded column by column over the whole word, as the estimator did before
+    it folded each digit block once."""
+    lat = kind.lattice
+    ox, oy = np.array(lat.ox), np.array(lat.oy)
+    gx = np.zeros(digits.shape[0], dtype=np.int64)
+    gy = np.zeros(digits.shape[0], dtype=np.int64)
+    rank = np.zeros(digits.shape[0], dtype=np.int64)
+    for c in range(digits.shape[1]):
+        d = digits[:, c]
+        gx = kind.base * gx + ox[d]
+        gy = kind.base * gy + oy[d]
+        rank = kind.n_maps * rank + d
+    return gx * lat.corner_mul, gy * lat.corner_mul, rank
+
+
+def _oracle_mc(u, betas, samples, seed, kind, depth):
+    """The estimator's pairs computed from both concatenated words, folded
+    by _anchor_coords: the draws, the arithmetic and its order are the ones
+    the estimator had before the prefix was left to cancel."""
+    scale = vertex_scale(kind, depth)
+    if isinstance(u, VertexFunction):
+        base_values = u.as_float_array()[corner_ids_at_level(u.graph, depth)[:, 0]]
+        evaluate = lambda gx, gy, rank: base_values[rank]
+    else:
+        den = float(kind.unit(scale))
+        evaluate = lambda gx, gy, rank: np.asarray(u(gx / den, gy * kind.lattice.y_factor / den))
+    K = kind.n_maps
+    expos = [(kind.alpha + b) / 2.0 for b in betas]
+    rng = np.random.default_rng(seed)
+    per = samples // depth
+    est, var = [0.0] * len(betas), [0.0] * len(betas)
+    for k in range(depth):
+        p_k = (1.0 - 1.0 / K) / K ** k
+        common = rng.integers(0, K, size=(per, k))
+        d1 = rng.integers(0, K, size=per)
+        d2 = (d1 + rng.integers(1, K, size=per)) % K
+        t1 = rng.integers(0, K, size=(per, depth - k - 1))
+        t2 = rng.integers(0, K, size=(per, depth - k - 1))
+        gx1, gy1, rank1 = _anchor_coords(kind, np.concatenate([common, d1[:, None], t1], axis=1))
+        gx2, gy2, rank2 = _anchor_coords(kind, np.concatenate([common, d2[:, None], t2], axis=1))
+        dx, dy = (gx1 - gx2).astype(float), (gy1 - gy2).astype(float)
+        sq = kind.sq_norm(dx, dy) / float(kind.unit(scale) ** 2)
+        du = evaluate(gx1, gy1, rank1) - evaluate(gx2, gy2, rank2)
+        for i, expo in enumerate(expos):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                f = np.where(sq > 0.0, du * du / sq ** expo, 0.0)
+                est[i] += p_k * float(f.mean())
+                var[i] += p_k ** 2 * float(f.var(ddof=1)) / per
+    return [
+        (e, math.sqrt(v)) if math.isfinite(v) else (math.inf, math.inf)
+        for e, v in zip(est, var)
+    ]
+
+
+_GRAPH_SG = lambda: sg_harmonic(0, 1, Fraction(1, 3), 6)
+_GRAPH_SC = lambda: sc_good_function(3).fn
+_CALLABLE = lambda: (lambda x, y: x * x + y)
+
+
+@pytest.mark.parametrize(
+    "make, kind, depth",
+    # depth 1, depth 2, below the graph's level, at it (None: the default)
+    [(_GRAPH_SG, SG, d) for d in (1, 2, 4, None)]
+    + [(_GRAPH_SC, SC, d) for d in (1, 2, None)]
+    + [(_CALLABLE, kind, d) for kind in (SG, SC) for d in (1, 2, 5, None)],
+    ids=[f"sg-graph-{d}" for d in (1, 2, 4, "default")]
+    + [f"sc-graph-{d}" for d in (1, 2, "default")]
+    + [f"{k}-callable-{d}" for k in ("sg", "sc") for d in (1, 2, 5, "default")],
+)
+def test_mc_block_folds_equal_the_column_fold(make, kind, depth):
+    u = make()
+    betas = (0.9, 2.0, 3.0, 1500.0)  # 1500: the variance overflows, (inf, inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        got = besov_double_integral_mc(u, betas, samples=3_000, seed=4, kind=kind, depth=depth)
+    used = mc_depth(u, kind, depth)
+    assert got == _oracle_mc(u, betas, 3_000, 4, kind, used)
+    assert got[-1] == (math.inf, math.inf)
+    assert all(math.isfinite(e) and e > 0 for e, _ in got[:-1])
+
+
+@given(
+    st.sampled_from([SG, SC]),
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=2 ** 32),
+)
+@settings(max_examples=80, deadline=None)
+def test_fold_of_blocks_equals_the_column_fold(kind, rows, prefix, block, seed):
+    # a word split into prefix and block folds to prefix * base**len(block)
+    # + block; block = 0 is the zero-width tail of the last stratum
+    digits = np.random.default_rng(seed).integers(0, kind.n_maps, size=(rows, prefix + block))
+    head, tail = digits[:, :prefix], digits[:, prefix:]
+    lat = kind.lattice
+    gx, gy, rank = _anchor_coords(kind, digits)
+    up = kind.base ** block
+    for offsets, g in ((lat.ox, gx), (lat.oy, gy)):
+        table = np.array(offsets)
+        folded = _fold(head, kind.base, table) * up + _fold(tail, kind.base, table)
+        assert np.array_equal(lat.corner_mul * folded, g)
+    K = kind.n_maps
+    assert np.array_equal(_fold(head, K) * K ** block + _fold(tail, K), rank)
+    assert _fold(tail, K).shape == (rows,)
+
+
+@pytest.mark.parametrize(
+    "make, kind",
+    [(lambda: sg_harmonic(0, 1, 0, 4), None), (lambda: (lambda x, y: x + y), SG)],
+    ids=["graph", "callable"],
+)
+def test_mc_depth_zero_is_refused(make, kind):
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        besov_double_integral_mc(make(), 1.5, samples=400, kind=kind, depth=0)
+
+
+def test_mc_depth_defaults_and_caps():
+    assert mc_depth(sg_harmonic(0, 1, 0, 4), SG) == 4
+    assert mc_depth(sg_harmonic(0, 1, 0, 4), SG, 2) == 2
+    assert mc_depth(lambda x, y: x, SG) == 12
+    assert mc_depth(lambda x, y: x, SC) == 8
+    assert mc_depth(lambda x, y: x, SC, 20) == 20
 
 
 def test_mc_comparable_to_discrete_sum():

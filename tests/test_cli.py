@@ -569,6 +569,23 @@ def test_cli_besov_beta_grid_flag_beats_config(tmp_path):
         assert [float(r.split(",")[0]) for r in rows] == [beta]
 
 
+@pytest.mark.parametrize(
+    "function, depth, used",
+    [("harmonic:0,1,0", 6, 246), ("x", 12, 240)],
+    ids=["graph", "callable"],
+)
+def test_cli_besov_meta_records_the_sampling(tmp_path, function, depth, used):
+    # graph data samples at its own level (6), a coordinate function at the
+    # gasket's default depth (12); 250 % depth samples are not drawn
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("kind = sg\nmc_samples = 250\n")
+    rc, out = _run(tmp_path, "besov", "--config", str(cfgf), "--depth", "6", "--function", function)
+    assert rc == 0
+    meta = json.loads(sorted(Path(out).glob("*meta.json"))[0].read_text())
+    assert meta["provenance"]["mc"] == {"depth": depth, "samples_used": used}
+    assert "samples_used" not in _csv_bytes(out).decode()
+
+
 def test_cli_walkdim_sc_solves_each_level_once(tmp_path):
     levels = [1, 2, 3, 4]
     rc, out = _run(tmp_path, "walkdim", "--kind", "sc", "--levels", "1..4")
@@ -690,6 +707,19 @@ def test_cli_bad_arguments_exit_2_without_data(tmp_path, capsys, argv, code):
         rc, out = e.code, tmp_path / "out"
     assert rc == code
     assert "Traceback" not in capsys.readouterr().err
+    assert not Path(out).exists()
+
+
+def test_cli_besov_too_few_mc_samples_exit_2_without_data(tmp_path, capsys):
+    # 5 samples cannot give each of the 6 strata at depth 6 the two its
+    # variance needs
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("mc_samples = 5\n")
+    rc, out = _run(tmp_path, "besov", "--kind", "sg", "--config", str(cfgf))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "mc_samples: need at least two samples per stratum, got 5 for 6 strata" in err
     assert not Path(out).exists()
 
 
