@@ -44,7 +44,6 @@ __all__ = [
     "BesovParams",
     "besov_partial_terms",
     "besov_partial_sum",
-    "classify_tail",
     "besov_double_integral_mc",
     "mc_depth",
     "sg_monotone_limit",
@@ -53,7 +52,6 @@ __all__ = [
     "KERNEL_DEPTH_CAP",
     "JumpKernelParams",
     "jump_kernel_Ci",
-    "discounted_monotone_value",
 ]
 
 MC_DEPTH_DEFAULT = {FractalKind.SG: 12, FractalKind.SC: 8}
@@ -137,17 +135,6 @@ def besov_partial_sum(u, params: BesovParams) -> float:
     return float(sum(besov_partial_terms(u, params)))
 
 
-def classify_tail(terms: Sequence[float]) -> str:
-    """Convergence flag from the last term ratio: non-shrinking terms mean
-    the full series diverges."""
-    if len(terms) < 2 or terms[-1] == 0.0:
-        return "converged"
-    if terms[-2] == 0.0:
-        return "diverging"
-    ratio = terms[-1] / terms[-2]
-    return "decreasing" if ratio < 1.0 - 1e-9 else "diverging"
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo double integral
 #
@@ -164,6 +151,17 @@ def _fold(digits: np.ndarray, base: int, table: Optional[np.ndarray] = None) -> 
     the powers base**(L-1), ..., 1; a zero-width block folds to 0."""
     vals = digits if table is None else table[digits]
     return vals @ base ** np.arange(digits.shape[1] - 1, -1, -1)
+
+
+def _deepest_lattice_depth(kind: FractalKind) -> int:
+    """The deepest sampling depth whose integers fit in int64: the corner
+    numerators corner_mul * g, with g folded from depth digits of offsets
+    up to max(ox, oy), and the prefix's place value base**depth."""
+    lat, d = kind.lattice, 2
+    top = lat.corner_mul * max(lat.ox + lat.oy)
+    while max(top * (lat.base ** d - 1) // (lat.base - 1), lat.base ** d) < 2 ** 63:
+        d += 1
+    return d - 1
 
 
 def mc_depth(u, kind: FractalKind, depth: Optional[int] = None) -> int:
@@ -201,8 +199,9 @@ def besov_double_integral_mc(
     reads each sample's base-corner value by its cell's rank among the
     level-`depth` words, so any depth up to the graph's level reads the
     right vertices; coordinate callables are evaluated at the base corner's
-    absolute coordinates, at any depth.  A beta whose Monte Carlo variance
-    leaves the float range reads (inf, inf).
+    absolute coordinates, at any depth whose numerators fit in int64 (up to
+    62 on the gasket, 39 on the carpet; a deeper one is refused).  A beta
+    whose Monte Carlo variance leaves the float range reads (inf, inf).
     """
     graph_fn = None
     if isinstance(u, VertexFunction):
@@ -217,6 +216,9 @@ def besov_double_integral_mc(
     depth = mc_depth(u, kind, depth)
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    deepest = _deepest_lattice_depth(kind)
+    if depth > deepest:
+        raise ValueError(f"depth {depth} is past {deepest}, the deepest the lattice holds in int64")
     if samples < 2 * depth:
         raise ValueError(
             f"need at least two samples per stratum, got {samples} for {depth} strata"
@@ -338,17 +340,6 @@ def sg_monotone_limit(
         tail, bound = _geometric_tail(terms)
         rows.append((float(b), lam_factor * (sum(terms) + tail), lam_factor * bound))
     return rows
-
-
-def discounted_monotone_value(seq: Sequence[float], lam: float) -> float:
-    """(1-lam) * sum_n lam^n x_n for x constant past the end of seq."""
-    if not 0 < lam < 1:
-        raise ValueError("lam must be in (0,1)")
-    total = 0.0
-    for n, x in enumerate(seq, 1):
-        total += lam ** n * x
-    total += seq[-1] * lam ** (len(seq) + 1) / (1.0 - lam)
-    return (1.0 - lam) * total
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from .treewalk import (
     boundary_hit_distribution,
     ctrw_lifetime,
     ctrw_lifetime_closed_form,
+    ctrw_truncation_bias,
     green_oo,
     hitting_prob_F,
 )
@@ -393,6 +394,9 @@ def _run_walk(cfg: RunConfig, opts) -> ExperimentReport:
     report.provenance["mc"] = {
         name: {"paths": params.samples, "overflowed": r["overflowed"]} for name, r in runs.items()
     }
+    if params.c is not None:  # a closed form: the lifetime the depth cut leaves out
+        bias = ctrw_truncation_bias(params, params.depth_cut)
+        report.provenance["mc"]["lifetime"]["truncation_bias"] = bias
     cut = {name: r["overflowed"] for name, r in runs.items() if r["overflowed"]}
     if cut:
         print(f"walk: paths cut at step_cap {params.step_cap}: {cut}", file=sys.stderr)

@@ -423,25 +423,3 @@ def sg_corner_ids(vg: VertexGraph) -> tuple[int, int, int]:
     s = vg.scale
     ids = vg.ids_of([0, 2 ** s, 2 ** (s - 1)], [0, 0, 2 ** (s - 1)])
     return tuple(int(i) for i in ids)
-
-
-def sc_side_ids(vg: VertexGraph, side: str) -> np.ndarray:
-    """Vertex ids on one side of the unit square: left/right/bottom/top."""
-    require_kind(vg, FractalKind.SC)
-    full = vg.kind.unit(vg.scale)
-    if side == "left":
-        mask = vg.xn == 0
-    elif side == "right":
-        mask = vg.xn == full
-    elif side == "bottom":
-        mask = vg.yn == 0
-    elif side == "top":
-        mask = vg.yn == full
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    return np.nonzero(mask)[0]
-
-
-def sg_vertex_count(n: int) -> int:
-    # closed form for the gasket; the carpet count is obtained by enumeration
-    return (3 ** (n + 1) + 3) // 2

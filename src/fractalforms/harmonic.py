@@ -45,11 +45,8 @@ from .words import as_digits
 __all__ = [
     "SgHarmonic",
     "sg_harmonic",
-    "triadic_f",
-    "half_triadic_f",
     "x_profile_value",
     "x_profile_energy_level1",
-    "minimize_x_profile_level1",
     "strip_energy_checks",
     "ScGoodFunction",
     "sc_good_function",
@@ -159,74 +156,32 @@ def _f_value(x: Fraction) -> Fraction:
     return val
 
 
-def _denominator_form(x: Fraction) -> tuple[bool, bool]:
-    """(is_triadic, is_half_triadic) for the reduced denominator."""
-    den = x.denominator
-    halved = den % 2 == 0
-    if halved:
-        den //= 2
+def x_profile_value(t) -> Fraction:
+    """f at any vertex abscissa of a carpet graph: i/3^n (triadic) or
+    (2j+1)/(2*3^n) (half-triadic)."""
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ValueError(f"{t} outside [0,1]")
+    den = t.denominator
     while den % 3 == 0:
         den //= 3
-    return (den == 1 and not halved, den == 1 and halved)
-
-
-def triadic_f(t) -> Fraction:
-    """The profile value f(t) at a triadic rational t = i/3^n in [0,1]."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ValueError(f"{t} outside [0,1]")
-    triadic, _ = _denominator_form(t)
-    if not triadic:
-        raise ValueError(f"{t} is not a triadic rational")
-    return _f_value(t)
-
-
-def half_triadic_f(t) -> Fraction:
-    """f at an edge-midpoint abscissa (2j+1)/(2*3^n): the mean of the two
-    flanking triadic values, by f(1/2)=1/2 and interval self-similarity."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ValueError(f"{t} outside [0,1]")
-    _, half = _denominator_form(t)
-    if not half:
-        raise ValueError(f"{t} is not half-triadic")
-    return _f_value(t)
-
-
-def x_profile_value(t) -> Fraction:
-    """f at any vertex abscissa of a carpet graph (triadic or half-triadic)."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ValueError(f"{t} outside [0,1]")
-    triadic, half = _denominator_form(t)
-    if not (triadic or half):
+    if den not in (1, 2):
         raise ValueError(f"{t} is not a carpet vertex abscissa")
     return _f_value(t)
 
 
 # ---------------------------------------------------------------------------
-# level-1 profile energy and its exact minimizer
+# level-1 profile energy
 #
-# For U(x,y) = g(x) with g through (0, a, b, 1) at the quarter points of the
-# triadic grid, the level-1 per-cell pair energy collapses to a quadratic in
-# (a, b): columns hold 3, 2, 3 cells and each cell contributes its horizontal
-# increment squared.
+# For U(x,y) = g(x) with g through (0, a, b, 1) at x = 0, 1/3, 2/3, 1, the
+# level-1 per-cell pair energy collapses to a quadratic in (a, b): columns
+# hold 3, 2, 3 cells and each cell contributes its horizontal increment
+# squared.  Its gradient system 10a - 4b = 0, -4a + 10b = 6 puts the minimum
+# 6/7 at (2/7, 5/7) = (f(1/3), f(2/3)), the offsets _F_OFFSET.
 
 def x_profile_energy_level1(a, b):
     a, b = Fraction(a), Fraction(b)
     return 3 * a ** 2 + 2 * (a - b) ** 2 + 3 * (1 - b) ** 2
-
-
-def minimize_x_profile_level1() -> tuple[tuple[Fraction, Fraction], Fraction]:
-    """Exact stationary point of the level-1 profile energy.
-
-    Solves the 2x2 linear gradient system in rational arithmetic; returns
-    ((a, b), energy)."""
-    # gradient: 10a - 4b = 0 ; -4a + 10b = 6
-    det = Fraction(10 * 10 - (-4) * (-4))
-    a = (Fraction(0) * 10 - (-4) * Fraction(6)) / det
-    b = (10 * Fraction(6) - Fraction(0) * (-4)) / det
-    return (a, b), x_profile_energy_level1(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +388,8 @@ def holder_constant(
 ) -> float:
     """Max sampled quotient |u(p)-u(q)|^2 / (E(u) * |p-q|^(beta-alpha)).
 
+    Checks the Holder estimate |u(p)-u(q)|^2 <= C E(u) |p-q|^(beta-alpha)
+    of the paper's domain: a finite C for a function of finite energy.
     E(u) is the level-n scaled energy for the graph's fractal.  Pairs are all
     graph edges plus uniformly sampled vertex pairs."""
     vg = u.graph

@@ -19,6 +19,10 @@ depends only on its level and on the kind of edge in each column, so the
 tables hold one cumulative row per transition class.  The fixed
 random-stream chunks run as two halves, each stepping its chunks in
 lockstep, the second half in a forked child.
+
+The boundary at infinity is checked by the Gromov product of the graph
+metric (a breadth-first search over the ball's edges), the visual metric
+rho_a built on it, and the Martin kernel against lam^|x| (3/lam)^(x|xi).
 """
 
 from __future__ import annotations
@@ -27,13 +31,12 @@ import math
 import mmap
 import os
 import signal
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import cell_graph
 from .kinds import FractalKind
@@ -58,7 +61,6 @@ __all__ = [
     "ctrw_lifetime_closed_form",
     "ctrw_truncation_bias",
     "detailed_balance_residual",
-    "escape_depth_profile",
 ]
 
 
@@ -663,40 +665,40 @@ def boundary_hit_distribution(params: WalkParams, m: int, samples: Optional[int]
 
 
 # ---------------------------------------------------------------------------
-# hyperbolic quantities
-
-@lru_cache(maxsize=4)
-def _ball_adjacency(depth: int) -> sp.csr_matrix:
-    # structure only: the conductances of any lam give the same edge set
-    ii, jj, _ = _edge_arrays(WalkParams(lam=0.5), depth)
-    n = _level_offset(depth + 1)
-    return sp.csr_matrix((np.ones(len(ii)), (ii, jj)), shape=(n, n))
-
+# the boundary at infinity
 
 def _graph_distance(x_digits, y_digits) -> int:
-    """Shortest-path distance in the full edge set.
+    """Shortest-path distance in the full edge set, by a breadth-first search.
 
     Shortest paths never dip below the deeper endpoint's level: adjacent
     cells have adjacent (or equal) parents, so any excursion below can be
     replaced by a shorter same-level hop chain.  The search therefore runs
-    on the ball of that depth.
+    on the ball of that depth, whose edges do not depend on lam.
     """
     L = max(len(x_digits), len(y_digits), 1)
-    dist = sp.csgraph.shortest_path(
-        _ball_adjacency(L), directed=False, unweighted=True, indices=_word_id(x_digits)
-    )
-    return int(dist[_word_id(y_digits)])
+    ii, jj, _ = _edge_arrays(WalkParams(lam=0.5), L)
+    tails, heads = np.concatenate([ii, jj]), np.concatenate([jj, ii])
+    dist = np.full(_level_offset(L + 1), -1)
+    dist[_word_id(x_digits)] = 0
+    target, d = _word_id(y_digits), 0
+    while dist[target] < 0:  # the ball is connected, so the target is reached
+        reached = heads[dist[tails] == d]
+        d += 1
+        dist[reached[dist[reached] < 0]] = d
+    return int(dist[target])
 
 
 def gromov_product(x, y) -> Fraction:
-    """(|x| + |y| - d(x,y)) / 2 with the graph metric."""
+    """(|x| + |y| - d(x,y)) / 2 with the graph metric: the exponent of the
+    visual metric rho_a and of the Martin kernel's target."""
     xd, yd = as_digits(x), as_digits(y)
     d = _graph_distance(xd, yd)
     return Fraction(len(xd) + len(yd) - d, 2)
 
 
 def rho_a(x, y, a: float) -> float:
-    """exp(-a * gromov_product); zero on the diagonal."""
+    """The visual metric exp(-a * gromov_product) on the tree's boundary at
+    infinity (Kaimanovich 2003), a quasi-ultrametric; zero on the diagonal."""
     if a <= 0:
         raise ValueError("a must be positive")
     xd, yd = as_digits(x), as_digits(y)
@@ -706,10 +708,12 @@ def rho_a(x, y, a: float) -> float:
 
 
 def martin_kernel_check(params: WalkParams, xs: Sequence, xis_as_deep_words: Sequence) -> dict:
-    """Spread of K(x, xi) / (lam^|x| (3/lam)^(x^xi)) over the given pairs.
+    """Spread of K(x, xi) / (lam^|x| (3/lam)^(x|xi)) over the given pairs.
 
-    K is estimated from the tree-tail closure of the ball of radius
-    params.depth_cut: one potential solve per xi with the root as reference.
+    Checks K(x, xi) ~ lam^|x| (3/lam)^(x|xi) on the boundary at infinity
+    (Kong, Lau & Wong 2017), with (x|xi) the Gromov product.  K is estimated
+    from the tree-tail closure of the ball of radius params.depth_cut: one
+    potential solve per xi with the root as reference.
     The comparison target is an asymptotic equivalence, so the statistic to
     watch is the ratio spread staying inside a fixed bracket.
     """
@@ -760,7 +764,9 @@ def ctrw_lifetime_closed_form(params: WalkParams) -> float:
 
 
 def ctrw_truncation_bias(params: WalkParams, depth: int) -> float:
-    """Upper bound on the expected lifetime beyond the working depth."""
+    """Upper bound on the expected lifetime spent below `depth`: the
+    truncation error of ctrw_lifetime, which a `walk` run with c set
+    records next to its lifetime's path counts."""
     c = params.require_c()
     return c ** (depth + 1) / (3.0 * (1.0 - params.lam) * (1.0 - c))
 
@@ -799,7 +805,8 @@ def ctrw_lifetime(params: WalkParams, samples: Optional[int] = None) -> dict:
 
 def detailed_balance_residual(params: WalkParams) -> float:
     """Max |pi(x)P(x,y) - pi(y)P(y,x)| over the edges of the ball of radius
-    params.depth_cut."""
+    params.depth_cut: checks that the walk is reversible, so that its
+    conductances define the Dirichlet form of the augmented tree."""
     tables = build_tables(params)
     V = tables.nbr.shape[0]
     prob = np.diff(tables.cum, axis=1, prepend=0.0)
@@ -813,31 +820,3 @@ def detailed_balance_residual(params: WalkParams) -> float:
     up = j > i
     return float(np.max(np.abs(flow[up] - flow[back[up]]), initial=0.0))
 
-
-def escape_depth_profile(params: WalkParams, step_budgets: Sequence[int]) -> list[tuple[int, float]]:
-    """Mean maximal level reached within each step budget (transience proxy).
-
-    One run of params.samples paths, stopped at params.depth_cut and capped
-    at the largest budget, serves every budget, so the profile is monotone;
-    a budget reached after every path has stopped reads the final mean.
-    Each path records the step at which it first reached each level, and
-    its deepest level within budget b is the largest level reached by step b.
-    """
-    budgets = [int(b) for b in step_budgets]
-    if min(budgets, default=1) < 1:
-        raise ValueError("step budgets must be >= 1")
-    cap = max(budgets, default=1)
-    level = _levels(params.depth_cut)
-    taken = _shared(params.samples, np.int32)
-    reached = _shared((params.samples, params.depth_cut + 1), np.int32)
-    reached[:, 1:] = cap + 1  # the root's level 0 is reached at step 0
-
-    def record(idx, nxt, done):
-        taken[idx] += 1
-        lev = level[nxt]
-        reached[idx, lev] = np.minimum(reached[idx, lev], taken[idx])
-
-    run = replace(params, step_cap=cap)
-    _run_paths(build_tables(params), run, params.samples, stop_level=params.depth_cut, after=record)
-    levels = np.arange(params.depth_cut + 1)
-    return [(b, float(np.where(reached <= b, levels, 0).max(axis=1).mean())) for b in budgets]

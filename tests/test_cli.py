@@ -20,7 +20,7 @@ from fractalforms.config import (
 from fractalforms import cli, networks, reporting, treewalk
 from fractalforms.cli import _build_parser, main, run
 from fractalforms.reporting import ExperimentReport, experiment_id, fmt_float
-from fractalforms.treewalk import WalkParams, build_tables
+from fractalforms.treewalk import WalkParams, build_tables, ctrw_truncation_bias
 
 
 # ---------------------------------------------------------------------------
@@ -761,9 +761,13 @@ def test_cli_walk_mc_provenance_only_in_meta(tmp_path, capsys):
                    "--samples", "300", "--depth-cut", "6", "--m", "1")
     assert rc == 0
     meta, data_path = _walk_files(out)
+    bias = ctrw_truncation_bias(WalkParams(lam=0.5, c=0.25), 6)
     assert meta["provenance"]["mc"] == {
-        name: {"paths": 300, "overflowed": 0} for name in ("green_oo", "hit_dist", "lifetime")
+        "green_oo": {"paths": 300, "overflowed": 0},
+        "hit_dist": {"paths": 300, "overflowed": 0},
+        "lifetime": {"paths": 300, "overflowed": 0, "truncation_bias": bias},
     }
+    assert 0.0 < bias < 1e-4
     assert "overflowed" not in data_path.read_text()
     assert "step_cap" not in capsys.readouterr().err
 

@@ -12,16 +12,13 @@ from fractalforms.energies import VertexFunction, kigami_energy_En, sc_pointwise
 from fractalforms.networks import sc_RnV, solver_log
 from fractalforms.harmonic import (
     SgHarmonic,
-    half_triadic_f,
     harnack_ball,
     harnack_ratio,
     harnack_solve,
     holder_constant,
-    minimize_x_profile_level1,
     sc_good_function,
     sg_harmonic,
     strip_energy_checks,
-    triadic_f,
     x_profile_energy_level1,
     x_profile_value,
 )
@@ -121,37 +118,36 @@ def test_triadic_f_table():
         Fraction(8, 9): Fraction(45, 49),
     }
     for x, fx in cases.items():
-        assert triadic_f(x) == fx
+        assert x_profile_value(x) == fx
 
 
 def test_triadic_f_rejects_non_triadic():
     with pytest.raises(ValueError):
-        triadic_f(Fraction(1, 5))
+        x_profile_value(Fraction(1, 5))
 
 
 def test_half_triadic_extension():
-    assert half_triadic_f(Fraction(1, 6)) == Fraction(1, 7)
-    assert half_triadic_f(Fraction(5, 6)) == Fraction(6, 7)
+    assert x_profile_value(Fraction(1, 6)) == Fraction(1, 7)
+    assert x_profile_value(Fraction(5, 6)) == Fraction(6, 7)
     # midpoint value is the mean of the flanking triadic values
-    mid = half_triadic_f(Fraction(7, 18))
-    assert mid == (triadic_f(Fraction(1, 3)) + triadic_f(Fraction(4, 9))) / 2
-    with pytest.raises(ValueError):
-        half_triadic_f(Fraction(1, 3))
+    mid = x_profile_value(Fraction(7, 18))
+    assert mid == (x_profile_value(Fraction(1, 3)) + x_profile_value(Fraction(4, 9))) / 2
 
 
 def test_triadic_f_strictly_monotone():
     pts = [Fraction(k, 81) for k in range(82)]
-    vals = [triadic_f(p) for p in pts]
+    vals = [x_profile_value(p) for p in pts]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
 def test_x_profile_minimizer():
-    (a, b), val = minimize_x_profile_level1()
+    # the profile's values at 1/3 and 2/3 are the minimizer of the level-1
+    # energy; test_x_profile_minimum_is_global shows nothing lies below 6/7
+    a, b = x_profile_value(Fraction(1, 3)), x_profile_value(Fraction(2, 3))
     assert (a, b) == (Fraction(2, 7), Fraction(5, 7))
-    assert val == Fraction(6, 7)
     assert x_profile_energy_level1(a, b) == Fraction(6, 7)
     # any other choice does worse
-    assert x_profile_energy_level1(Fraction(1, 3), Fraction(2, 3)) > val
+    assert x_profile_energy_level1(Fraction(1, 3), Fraction(2, 3)) > Fraction(6, 7)
 
 
 @given(rationals, rationals)

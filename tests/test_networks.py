@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from fractalforms.kinds import FractalKind
-from fractalforms.geometry import sc_side_ids, vertex_graph
+from fractalforms.geometry import vertex_graph
 from fractalforms.networks import (
     DirichletSystem,
     ResistanceResult,
@@ -193,10 +193,16 @@ def test_failed_factorization_raises_solver_error():
         solve_dirichlet(3, ii, jj, cc, np.array([0, 2]), np.array([0.0, 1.0]))
 
 
+def _sc_sides(vg):
+    """Ids on the left and right sides of the unit square, by a coordinate
+    mask as sc_RnV selects them."""
+    return np.flatnonzero(vg.xn == 0), np.flatnonzero(vg.xn == vg.kind.unit(vg.scale))
+
+
 def test_multi_rhs_solve_equals_column_solves_bitwise():
     vg = vertex_graph(FractalKind.SC, 3)
     ii, jj, cc = graph_edge_arrays(vg)
-    fixed = np.concatenate([sc_side_ids(vg, "left"), sc_side_ids(vg, "right")])
+    fixed = np.concatenate(_sc_sides(vg))
     values = np.random.default_rng(1).uniform(0.0, 1.0, (len(fixed), 5))
     system = DirichletSystem(vg.n_vertices, ii, jj, cc, fixed)
     u, info = system.solve(values)
@@ -229,7 +235,7 @@ def test_solver_log_counts_factorizations_and_solves():
 def _sc_plate(level):
     vg = vertex_graph(FractalKind.SC, level)
     ii, jj, cc = graph_edge_arrays(vg)
-    fixed = np.concatenate([sc_side_ids(vg, "left"), sc_side_ids(vg, "right")])
+    fixed = np.concatenate(_sc_sides(vg))
     vals = np.concatenate([np.zeros(len(fixed) // 2), np.ones(len(fixed) // 2)])
     u, _ = solve_dirichlet(vg.n_vertices, ii, jj, cc, fixed, vals)
     return vg.n_vertices, (ii, jj, cc), fixed, u
@@ -319,7 +325,7 @@ def test_sc_RnV_quadrant_solve_matches_the_full_graph_oracle(n):
     assert not np.any((xn[ii] == xn[jj]) & (xn[ii] == m))
     assert not np.any((yn[ii] == yn[jj]) & (yn[ii] == m))
     oracle = resistance_from_arrays(
-        vg.n_vertices, ii, jj, cc, sc_side_ids(vg, "left"), sc_side_ids(vg, "right")
+        vg.n_vertices, ii, jj, cc, *_sc_sides(vg)
     )
     got = sc_RnV(vg)
     assert abs(got.resistance - oracle.resistance) <= 1e-15 * oracle.resistance

@@ -33,7 +33,6 @@ from fractalforms.treewalk import (
     ctrw_lifetime_closed_form,
     ctrw_truncation_bias,
     detailed_balance_residual,
-    escape_depth_profile,
     green_oo,
     gromov_product,
     hitting_prob_F,
@@ -316,26 +315,6 @@ def test_martin_kernel_comparable_to_target():
         martin_kernel_check(_params(depth_cut=4), xs=["00000"], xis_as_deep_words=["00"])
 
 
-def test_escape_depth_profile_increases():
-    p = _params(lam=0.5, depth_cut=10, samples=400)
-    profile = escape_depth_profile(p, step_budgets=(30, 100, 300))
-    depths = [d for _, d in profile]
-    assert depths[0] < depths[-1]
-    assert all(a <= b + 1e-9 for a, b in zip(depths, depths[1:]))
-
-
-def test_escape_depth_profile_budgets_read_the_same_paths():
-    # every budget reads one run, so a budget's value ignores the others;
-    # at lam = 0.9 some paths are still short of the cut after 300 steps
-    p = _params(lam=0.9, depth_cut=10, samples=400)
-    both = escape_depth_profile(p, step_budgets=(30, 300))
-    alone = escape_depth_profile(p, step_budgets=(300,))
-    assert both[1] == alone[0]
-    assert both[1][0] == 300
-    with pytest.raises(ValueError):
-        escape_depth_profile(p, step_budgets=(0, 300))
-
-
 def test_build_tables_row_normalization():
     p = _params(depth_cut=5)
     tables = build_tables(p)
@@ -494,7 +473,8 @@ def test_every_estimator_counts_paths_cut_at_step_cap(step_cap, cut):
 
 
 # sha256 of the int64 distance matrix over all words of length <= 3 in id
-# order, recorded from the breadth-first search the csgraph call replaced
+# order, recorded before the shortest paths went through scipy's csgraph;
+# the numpy breadth-first search of _graph_distance computes it again
 DISTANCE_DIGEST = "0a4e9bffc0ab9ea4f2ab834ba3c8d700a681718bffef5f0c7878ff928f1e63aa"
 
 

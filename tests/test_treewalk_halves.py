@@ -6,7 +6,6 @@ import functools
 import math
 import os
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,13 +16,11 @@ from fractalforms.treewalk import (
     TAIL,
     WalkParams,
     _level_offset,
-    _levels,
     _run_paths,
     _shared,
     boundary_hit_distribution,
     build_tables,
     ctrw_lifetime,
-    escape_depth_profile,
     green_oo,
 )
 
@@ -75,7 +72,7 @@ def _single_loop(tables, params, samples, *, stop_level=None, before=None, after
     return len(idx)
 
 
-def _oracle_estimates(params, m, budgets):
+def _oracle_estimates(params, m):
     """Each estimator's outputs from the single loop with its old hooks."""
     tables = build_tables(params)
     n, cut = params.samples, params.depth_cut
@@ -107,58 +104,18 @@ def _oracle_estimates(params, m, budgets):
 
     life_cut = _single_loop(tables, params, n, before=hold)
 
-    level = _levels(cut)
-    deepest = np.zeros(n, dtype=np.int16)
-    means, steps = {}, 0
-
-    def record(idx, nxt, done):
-        nonlocal steps
-        deepest[idx] = np.maximum(deepest[idx], level[nxt])
-        steps += 1
-        if steps in budgets:
-            means[steps] = float(deepest.mean())
-
-    _single_loop(tables, replace(params, step_cap=max(budgets)), n, stop_level=cut, after=record)
-    final = float(deepest.mean())
     return {
         "green": (visits.astype(float), green_cut),
         "hit": (counts, hit_cut),
         "life": (t, life_cut),
-        "escape": [(b, means.get(b, final)) for b in budgets],
     }
-
-
-def _stop_steps(params):
-    """The step at which each path reaches the working sphere."""
-    taken = _shared(params.samples, np.int64)
-    stopped = _shared(params.samples, np.int64)
-
-    def record(idx, nxt, done):
-        taken[idx] += 1
-        stopped[idx[done]] = taken[idx[done]]
-
-    _single_loop(build_tables(params), params, params.samples,
-                 stop_level=params.depth_cut, after=record)
-    return np.asarray(stopped)
-
-
-def _half_budgets(params):
-    """Budgets that include one step only the half with the longer-lived
-    paths reaches."""
-    stopped = _stop_steps(params)
-    half = np.cumsum([0] + [len(a) for a in np.array_split(np.arange(params.samples), CHUNKS)])[2]
-    a, b = stopped[:half].max(), stopped[half:].max(initial=0)
-    between = min(a, b) + 1 + (abs(a - b) - 1) // 2
-    assert min(a, b) < between <= max(a, b)  # only one half is still live there
-    return (1, 5, int(between), int(max(a, b)) + 3)
 
 
 @functools.lru_cache(maxsize=None)
 def _case(samples, lam, depth):
     params = WalkParams(lam=lam, c=lam / 2, seed=11, samples=samples, depth_cut=depth)
     m = 2
-    budgets = _half_budgets(params)
-    return params, m, budgets, _oracle_estimates(params, m, budgets)
+    return params, m, _oracle_estimates(params, m)
 
 
 def _summary(x, cut):
@@ -179,7 +136,7 @@ def _fork(monkeypatch, forked):
 @pytest.mark.parametrize("lam", [0.5, 0.8])
 @pytest.mark.parametrize("samples", [2, 3, 5, 2001])
 def test_halves_give_the_single_loop_bits(monkeypatch, forked, samples, lam, depth):
-    params, m, budgets, want = _case(samples, lam, depth)
+    params, m, want = _case(samples, lam, depth)
     _fork(monkeypatch, forked)
     assert green_oo(params, mode="mc") == _summary(*want["green"])
     hit = boundary_hit_distribution(params, m=m)
@@ -187,15 +144,8 @@ def test_halves_give_the_single_loop_bits(monkeypatch, forked, samples, lam, dep
     assert np.array_equal(hit["counts"], counts) and hit["counts"].dtype == np.int64
     assert hit["overflowed"] == hit_cut and hit["samples_used"] == int(counts.sum())
     assert ctrw_lifetime(params) == _summary(*want["life"])
-    assert escape_depth_profile(params, budgets) == want["escape"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_budget_between_the_halves_reads_a_moving_mean():
-    # between the halves' last steps one half still deepens its paths
-    means = [d for _, d in _case(2001, 0.8, 10)[3]["escape"]]
-    assert means[1] < means[2] < means[3]
 
 
 @pytest.mark.parametrize(

@@ -21,9 +21,7 @@ from fractalforms.geometry import (
     cached_vertex_graph,
     cell_graph,
     point_of,
-    sc_side_ids,
     sg_corner_ids,
-    sg_vertex_count,
     vertex_graph,
     vertex_scale,
 )
@@ -136,7 +134,7 @@ def test_cell_corner_points_level1():
 
 @pytest.mark.parametrize("n,expected", [(0, 3), (1, 6), (2, 15), (3, 42)])
 def test_sg_vertex_count_closed_form(n, expected):
-    assert sg_vertex_count(n) == expected
+    # (3^(n+1) + 3) / 2 vertices at level n
     assert vertex_graph(SG, n).n_vertices == expected
 
 
@@ -200,20 +198,7 @@ def test_sg_corner_ids():
     assert pts[1] == (1.0, 0.0)
 
 
-def test_sc_side_ids_symmetric():
-    vg = vertex_graph(SC, 2)
-    left = sc_side_ids(vg, "left")
-    right = sc_side_ids(vg, "right")
-    assert len(left) == len(right) > 0
-    assert (vg.xn[left] == 0).all()
-    assert (vg.xn[right] == 2 * 3 ** vg.scale).all()
-    with pytest.raises(ValueError):
-        sc_side_ids(vg, "top_left")
-
-
 def test_boundary_selectors_name_the_kind_they_expect():
-    with pytest.raises(ValueError, match="expected a sc vertex graph, got sg"):
-        sc_side_ids(vertex_graph(SG, 2), "left")
     with pytest.raises(ValueError, match="expected a sg vertex graph, got sc"):
         sg_corner_ids(vertex_graph(SC, 1))
 
