@@ -1,20 +1,27 @@
-"""Content-checked binary cache for expensive build products.
+"""Disk cache for the vertex graphs `resistance --kind sc` builds.
 
-Entries are keyed by (kind, level, object kind, version) and stored as a
-pickle next to a sha256 sidecar; a checksum mismatch is treated as a stale
-or corrupted entry and triggers a rebuild with a warning rather than an
-error.
+Entries are keyed by (kind, level, object kind, version).  Each is one
+uncompressed `.npz` holding the five arrays of a `VertexGraph`, read with
+pickling off, so nothing in an entry runs.  The zip format's per-member
+CRC-32 catches corruption.  A load that fails (a missing member, a bad
+CRC, a truncated file, an object array, or a dtype or shape other than
+what `vertex_graph(kind, level)` builds) warns and the entry is rebuilt.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
+
+import numpy as np
+
+from .geometry import VertexGraph
+from .kinds import FractalKind
 
 CacheKey = tuple[str, int, str, int]
+# the arrays of a VertexGraph, with the dtypes vertex_graph builds them in
+_DTYPES = dict.fromkeys(("xn", "yn", "edges", "addr_packed"), np.int64) | {"corners": np.int32}
 
 
 def _key_stem(key: CacheKey) -> str:
@@ -25,53 +32,48 @@ def _key_stem(key: CacheKey) -> str:
     return f"{kind}-{level}-{obj}-v{version}"
 
 
+def _load(path: Path, kind: FractalKind, level: int) -> VertexGraph:
+    with np.load(path, allow_pickle=False) as z:
+        a = {name: z[name] for name in _DTYPES}
+    v = len(a["xn"])
+    shapes = {"xn": (v,), "yn": (v,), "addr_packed": (v,), "edges": (len(a["edges"]), 3),
+              "corners": (kind.n_maps ** level, kind.boundary_size)}
+    for name, arr in a.items():
+        if arr.dtype != _DTYPES[name] or arr.shape != shapes[name]:
+            raise ValueError(f"{name} is {arr.dtype} {arr.shape}")
+    return VertexGraph(kind=kind, level=level, **a)
+
+
 class Cache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
 
-    def _paths(self, key: CacheKey) -> tuple[Path, Path]:
-        stem = _key_stem(key)
-        return self.root / f"{stem}.pkl", self.root / f"{stem}.sha256"
+    def _paths(self, key: CacheKey) -> tuple[Path]:
+        # one path, as a tuple: perfbench sums the sizes of what this names
+        return (self.root / f"{_key_stem(key)}.npz",)
 
-    def get(self, key: CacheKey) -> Optional[Any]:
-        blob_path, sum_path = self._paths(key)
-        if not blob_path.exists() or not sum_path.exists():
-            self.misses += 1
-            return None
-        blob = blob_path.read_bytes()
-        want = sum_path.read_text().strip()
-        got = hashlib.sha256(blob).hexdigest()
-        if want != got:
-            warnings.warn(
-                f"cache entry {blob_path.name} failed its checksum; rebuilding",
-                RuntimeWarning,
-            )
-            self.misses += 1
-            return None
+    def get(self, key: CacheKey) -> Optional[VertexGraph]:
+        (path,) = self._paths(key)
         try:
-            obj = pickle.loads(blob)
-        except Exception:
-            warnings.warn(
-                f"cache entry {blob_path.name} failed to load; rebuilding",
-                RuntimeWarning,
-            )
-            self.misses += 1
-            return None
-        self.hits += 1
-        return obj
+            vg = _load(path, FractalKind(key[0]), key[1]) if path.exists() else None
+        except Exception as e:
+            warnings.warn(f"cache entry {path.name} failed to load ({e}); rebuilding",
+                          RuntimeWarning)
+            vg = None
+        self.misses += vg is None
+        self.hits += vg is not None
+        return vg
 
-    def put(self, key: CacheKey, obj: Any) -> None:
-        blob_path, sum_path = self._paths(key)
-        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    def put(self, key: CacheKey, vg: VertexGraph) -> None:
+        (path,) = self._paths(key)
         self.root.mkdir(parents=True, exist_ok=True)
-        blob_path.write_bytes(blob)
-        sum_path.write_text(hashlib.sha256(blob).hexdigest() + "\n")
+        np.savez(path, **{name: getattr(vg, name) for name in _DTYPES})
 
-    def get_or_build(self, key: CacheKey, builder: Callable[[], Any]) -> Any:
-        obj = self.get(key)
-        if obj is None:
-            obj = builder()
-            self.put(key, obj)
-        return obj
+    def get_or_build(self, key: CacheKey, builder: Callable[[], VertexGraph]) -> VertexGraph:
+        vg = self.get(key)
+        if vg is None:
+            vg = builder()
+            self.put(key, vg)
+        return vg

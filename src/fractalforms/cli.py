@@ -63,7 +63,7 @@ from .treewalk import (
 )
 from .words import enumerate_words
 
-GRAPH_CACHE_VERSION = 3
+GRAPH_CACHE_VERSION = 4
 GRAPH_CACHE_MAX_LEVEL = 5
 
 SUBCOMMANDS = (
@@ -212,6 +212,9 @@ def _run_walkdim(cfg: RunConfig, opts) -> ExperimentReport:
             raise ConfigError("walkdim on the carpet uses the goodfn family")
         # one plate solve per level; its energy is 1/R_n^V and no potential is kept
         energies = [sc_RnV(n).energy for n in levels]
+    if min(energies) <= 0:
+        # a constant boundary has no energy: the ratios and the fit divide by it
+        raise ConfigError("walkdim needs a positive energy at every level")
     rows = []
     for i, (n, e) in enumerate(zip(levels, energies)):
         ratio = "" if i == 0 else e / energies[i - 1]

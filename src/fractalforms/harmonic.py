@@ -239,9 +239,9 @@ class ScGoodFunction:
         return {
             "level": self.level,
             "energy": self.energy,
-            "x": [float(v) for v in x],
-            "y": [float(v) for v in y],
-            "value": [float(v) for v in self.fn.as_float_array()],
+            "x": x.tolist(),
+            "y": y.tolist(),
+            "value": self.fn.as_float_array().tolist(),
         }
 
 

@@ -46,7 +46,6 @@ from .words import as_digits, pack_word
 __all__ = [
     "DEPTH_CAP",
     "WalkParams",
-    "conductance",
     "vertical_conductance",
     "horizontal_conductance",
     "WalkTables",
@@ -141,32 +140,6 @@ def horizontal_conductance(params: WalkParams, n: int, edge_type: str) -> float:
     if edge_type == "II":
         return params.C2 * scale
     raise ValueError(f"unknown edge type {edge_type!r}")
-
-
-def _horizontal_type(x_digits, y_digits) -> Optional[str]:
-    n = len(x_digits)
-    if n != len(y_digits) or n < 1:
-        return None
-    cg = cell_graph(FractalKind.SG, n)
-    rx, ry = pack_word(FractalKind.SG, x_digits), pack_word(FractalKind.SG, y_digits)
-    a, b = min(rx, ry), max(rx, ry)
-    hit = np.nonzero((cg.edges[:, 0] == a) & (cg.edges[:, 1] == b))[0]
-    if len(hit) == 0:
-        return None
-    return "II" if cg.second_type[hit[0]] else "I"
-
-
-def conductance(params: WalkParams, x, y) -> float:
-    """Conductance of the edge between words x and y; errors off-edge."""
-    xd, yd = as_digits(x), as_digits(y)
-    if len(xd) > len(yd):
-        xd, yd = yd, xd
-    if len(yd) == len(xd) + 1 and yd[: len(xd)] == xd:
-        return vertical_conductance(params, len(xd))
-    t = _horizontal_type(xd, yd)
-    if t is not None:
-        return horizontal_conductance(params, len(xd), t)
-    raise ValueError("not an edge of the walk graph")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import pickle
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -18,6 +19,8 @@ from fractalforms.config import (
     parse_config_text,
 )
 from fractalforms import cli, networks, reporting, treewalk
+from fractalforms.geometry import vertex_graph
+from fractalforms.kinds import FractalKind
 from fractalforms.cli import _build_parser, main, run
 from fractalforms.reporting import ExperimentReport, experiment_id, fmt_float
 from fractalforms.treewalk import WalkParams, build_tables, ctrw_truncation_bias
@@ -107,43 +110,99 @@ def test_config_dict_serializable():
 # ---------------------------------------------------------------------------
 # cache
 
+GRAPH_ARRAYS = ("xn", "yn", "edges", "addr_packed", "corners")
+
+
+def _assert_same_graph(got, want):
+    assert (got.kind, got.level) == (want.kind, want.level)
+    for name in GRAPH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def test_cache_roundtrip_and_counters(tmp_path):
     cache = Cache(tmp_path)
     key = ("sg", 3, "vertex-graph", 1)
     assert cache.get(key) is None
     assert cache.misses == 1
-    built = cache.get_or_build(key, lambda: {"x": 1})
-    assert built == {"x": 1}
-    again = cache.get_or_build(key, lambda: {"x": 2})
-    assert again == {"x": 1}
+    built = cache.get_or_build(key, lambda: vertex_graph(FractalKind.SG, 3))
+    _assert_same_graph(built, vertex_graph(FractalKind.SG, 3))
+    again = cache.get_or_build(key, lambda: replace(built, xn=built.xn[::-1].copy()))
+    _assert_same_graph(again, built)
     assert cache.hits == 1
 
 
 def test_cache_checksum_mismatch_rebuilds_with_warning(tmp_path):
     cache = Cache(tmp_path)
-    key = ("sg", 2, "blob", 1)
-    cache.put(key, [1, 2, 3])
-    blob = next(p for p in Path(tmp_path).iterdir() if p.suffix != ".sha256")
-    blob.write_bytes(b"garbage")
+    key = ("sg", 2, "vertex-graph", 1)
+    vg = vertex_graph(FractalKind.SG, 2)
+    cache.put(key, vg)
+    (entry,) = Path(tmp_path).iterdir()
+    entry.write_bytes(b"garbage")
     with pytest.warns(RuntimeWarning):
         got = cache.get(key)
     assert got is None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        rebuilt = cache.get_or_build(key, lambda: [4])
-    assert rebuilt == [4]
+        rebuilt = cache.get_or_build(key, lambda: vg)
+    assert rebuilt is vg
     # the rebuild repaired the entry
-    assert cache.get(key) == [4]
+    _assert_same_graph(cache.get(key), vg)
+
+
+def test_cache_flipped_byte_in_an_array_rebuilds_with_warning(tmp_path):
+    # the zip member's CRC-32 catches a change that leaves the file well-formed
+    cache = Cache(tmp_path)
+    key = ("sc", 3, "vertex-graph", 1)
+    vg = vertex_graph(FractalKind.SC, 3)
+    cache.put(key, vg)
+    (entry,) = Path(tmp_path).iterdir()
+    blob = bytearray(entry.read_bytes())
+    at = bytes(blob).find(vg.edges.tobytes()) + vg.edges.nbytes // 2
+    blob[at] ^= 0x01
+    entry.write_bytes(bytes(blob))
+    with pytest.warns(RuntimeWarning, match="CRC"):
+        rebuilt = cache.get_or_build(key, lambda: vertex_graph(FractalKind.SC, 3))
+    assert cache.misses == 1
+    _assert_same_graph(cache.get(key), rebuilt)
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("corners", lambda a: a.astype(np.int64)),
+    ("edges", lambda a: a[:, :2].copy()),
+    ("yn", lambda a: a[:-1].copy()),
+    ("xn", lambda a: np.array(list(a), dtype=object)),
+])
+def test_cache_refuses_arrays_vertex_graph_does_not_build(tmp_path, name, bad):
+    cache = Cache(tmp_path)
+    key = ("sc", 2, "vertex-graph", 1)
+    vg = vertex_graph(FractalKind.SC, 2)
+    cache.put(key, replace(vg, **{name: bad(getattr(vg, name))}))
+    with pytest.warns(RuntimeWarning, match="failed to load"):
+        assert cache.get(key) is None
+    assert cache.misses == 1
+
+
+def test_cache_loads_sc_graphs_as_built(tmp_path):
+    cache = Cache(tmp_path)
+    for n in range(1, 6):
+        vg = vertex_graph(FractalKind.SC, n)
+        cache.put(("sc", n, "vertex-graph", 1), vg)
+        _assert_same_graph(cache.get(("sc", n, "vertex-graph", 1)), vg)
+    assert (cache.hits, cache.misses) == (5, 0)
 
 
 def test_cache_version_and_kind_isolation(tmp_path):
     cache = Cache(tmp_path)
-    cache.put(("sg", 1, "obj", 1), "v1")
-    cache.put(("sg", 1, "obj", 2), "v2")
-    cache.put(("sc", 1, "obj", 1), "carpet")
-    assert cache.get(("sg", 1, "obj", 1)) == "v1"
-    assert cache.get(("sg", 1, "obj", 2)) == "v2"
-    assert cache.get(("sc", 1, "obj", 1)) == "carpet"
+    v1 = vertex_graph(FractalKind.SG, 1)
+    v2 = replace(v1, xn=v1.xn[::-1].copy())
+    carpet = vertex_graph(FractalKind.SC, 1)
+    cache.put(("sg", 1, "vertex-graph", 1), v1)
+    cache.put(("sg", 1, "vertex-graph", 2), v2)
+    cache.put(("sc", 1, "vertex-graph", 1), carpet)
+    _assert_same_graph(cache.get(("sg", 1, "vertex-graph", 1)), v1)
+    _assert_same_graph(cache.get(("sg", 1, "vertex-graph", 2)), v2)
+    _assert_same_graph(cache.get(("sc", 1, "vertex-graph", 1)), carpet)
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +662,36 @@ def test_cli_cache_reused_across_runs(tmp_path):
     assert {p.name for p in cache_dir.iterdir()} == files_before
 
 
+class _WritesSentinel:
+    """Unpickling this creates the file at `path`."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return open, (self.path, "w")
+
+
+def test_cli_cache_runs_nothing_planted_in_it(tmp_path):
+    sentinel = tmp_path / "sentinel"
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    # an entry in the old pickle layout with a matching checksum sidecar
+    blob = pickle.dumps(_WritesSentinel(sentinel))
+    (cache_dir / "sc-1-vertex-graph-v3.pkl").write_bytes(blob)
+    (cache_dir / "sc-1-vertex-graph-v3.sha256").write_text(hashlib.sha256(blob).hexdigest() + "\n")
+    # an entry under the current name whose array holds the same object
+    planted = cache_dir / f"sc-2-vertex-graph-v{cli.GRAPH_CACHE_VERSION}.npz"
+    np.savez(planted, xn=np.array([_WritesSentinel(sentinel)], dtype=object))
+    with pytest.warns(RuntimeWarning, match=planted.name):
+        rc, out = _run(tmp_path, "resistance", "--kind", "sc", "--levels", "1..2")
+    assert rc == 0
+    assert not sentinel.exists()
+    rc, clean = _run(tmp_path / "clean", "resistance", "--kind", "sc", "--levels", "1..2")
+    assert rc == 0
+    assert _csv_bytes(out) == _csv_bytes(clean)
+
+
 def test_cli_gasket_resistance_leaves_the_cache_dir_uncreated(tmp_path):
     rc, _ = _run(tmp_path, "resistance", "--kind", "sg", "--levels", "1..2")
     assert rc == 0
@@ -683,6 +772,8 @@ EXIT_CODES = (
     # a repeated level would make the fits across levels singular
     ("resistance --kind sg --levels 2,2,2", 2),
     ("walkdim --kind sg --levels 3,3,3", 2),
+    # a constant boundary has energy 0 at every level
+    ("walkdim --kind sg --levels 1..4 --function harmonic:1,1,1", 2),
     ("energy --kind sg --levels 1,2,1", 2),
     ("harnack --kind sc --levels 3,3", 2),
     *(

@@ -2,8 +2,11 @@
 tests, or is on the allowlist with the paper claim or test oracle it serves.
 
 A name counts as used when some package module, or the acceptance gate
-`tests/test_acceptance.py`, names it as a `Name`, an `Attribute` or an
-imported name.  A mention in a docstring or in `__all__` does not count.
+`tests/test_acceptance.py`, reads it.  A `Name` counts by binding: only in
+the module that defines it, or in a module that imports it from there, so
+a parameter or local of the same spelling elsewhere is not a use.  An
+`Attribute` counts by spelling.  A mention in a docstring, in `__all__` or
+in an import alone does not count.
 """
 
 import ast
@@ -34,37 +37,53 @@ ALLOWED = {
 def _trees():
     for path in sorted(PACKAGE.glob("*.py")):
         yield path, ast.parse(path.read_text(), filename=str(path))
+    acceptance = ROOT / "tests" / "test_acceptance.py"
+    yield acceptance, ast.parse(acceptance.read_text(), filename=str(acceptance))
 
 
 def _public_definitions() -> dict:
     defined = {}
     for path, tree in _trees():
+        if path.parent != PACKAGE:
+            continue
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if not node.name.startswith("_"):
-                    defined[node.name] = path.name
+                    defined[node.name] = path.stem
     return defined
 
 
-def _used_names() -> set:
-    trees = [tree for _, tree in _trees()]
-    acceptance = ROOT / "tests" / "test_acceptance.py"
-    trees.append(ast.parse(acceptance.read_text(), filename=str(acceptance)))
+def _imports(tree) -> dict:
+    """Local name -> (package module, name there) for each `from` import
+    out of the package."""
+    bound = {}
+    for node in ast.walk(tree):
+        module = getattr(node, "module", None) or ""
+        if isinstance(node, ast.ImportFrom) and (node.level or module.startswith("fractalforms")):
+            module = module.rpartition(".")[2]
+            for alias in node.names:
+                bound[alias.asname or alias.name] = (module, alias.name)
+    return bound
+
+
+def _used_names(defined: dict) -> set:
     used = set()
-    for tree in trees:
+    for path, tree in _trees():
+        bound = _imports(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            if isinstance(node, ast.Attribute):
                 used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Name):
+                module, name = bound.get(node.id, (path.stem, node.id))
+                if defined.get(name) == module:
+                    used.add(name)
     return used
 
 
 def test_every_public_name_has_a_caller_or_a_claim():
-    used = _used_names()
-    unused = {name: module for name, module in _public_definitions().items() if name not in used}
+    defined = _public_definitions()
+    used = _used_names(defined)
+    unused = {name: module for name, module in defined.items() if name not in used}
     unreached = sorted(f"{module}: {name}" for name, module in unused.items() if name not in ALLOWED)
     assert not unreached, (
         "reached only from tests; give each a run or delete it: " + ", ".join(unreached)

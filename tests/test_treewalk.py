@@ -28,7 +28,6 @@ from fractalforms.treewalk import (
     WalkParams,
     boundary_hit_distribution,
     build_tables,
-    conductance,
     ctrw_lifetime,
     ctrw_lifetime_closed_form,
     ctrw_truncation_bias,
@@ -90,9 +89,6 @@ def test_conductance_values():
     p = _params()
     assert vertical_conductance(p, 0) == 1.0
     assert vertical_conductance(p, 2) == pytest.approx((3 * 0.5) ** -2)
-    # vertical edge root -> child uses the parent level
-    assert conductance(p, "", "0") == pytest.approx(1.0)
-    assert conductance(p, "0", "00") == pytest.approx(1.0 / 1.5)
     # horizontal edges at level n scale like the verticals
     h1 = horizontal_conductance(p, 1, "I")
     assert h1 == pytest.approx(p.C1 / 1.5)
@@ -100,19 +96,14 @@ def test_conductance_values():
     assert h2 == pytest.approx(p.C2 / 1.5 ** 2)
 
 
-def test_conductance_rejects_non_edges():
-    p = _params()
-    with pytest.raises(ValueError):
-        conductance(p, "0", "012")  # not parent/child or sibling contact
-    with pytest.raises(ValueError):
-        conductance(p, "0", "0")
-
-
 def test_horizontal_edges_match_cell_contacts():
-    # level 1: the three cells touch pairwise (type I contacts)
+    # level 1: the three cells touch pairwise (type I contacts); at level 2
+    # the cells 01 and 10 touch at a type II contact
     p = _params(C1=2.0, C2=5.0)
-    assert conductance(p, "0", "1") == pytest.approx(2.0 / 1.5)
-    assert conductance(p, "01", "10") == pytest.approx(5.0 / 1.5 ** 2)
+    ii, jj, w = _edge_arrays(p, 2)
+    weight = dict(zip(zip(ii.tolist(), jj.tolist()), w.tolist()))
+    assert weight[_word_id("0"), _word_id("1")] == pytest.approx(2.0 / 1.5)
+    assert weight[_word_id("01"), _word_id("10")] == pytest.approx(5.0 / 1.5 ** 2)
 
 
 def test_detailed_balance_small_graph():
