@@ -35,7 +35,7 @@ from .energies import (
     sg_graph_energy_An,
     sg_pointwise_energy_Bn,
 )
-from .geometry import cached_vertex_graph, float_sq_dist, vertex_scale
+from .geometry import VertexGraph, cached_vertex_graph, float_sq_dist, vertex_scale
 from .kinds import SG_BETA_STAR, FractalKind
 from .networks import fit_log_geometric
 
@@ -366,6 +366,17 @@ def walkdim_estimate(
 # ---------------------------------------------------------------------------
 # trace comparison on the bottom edge
 
+def _bottom_edge_ids(vg: VertexGraph, n: int) -> np.ndarray:
+    """Ids of the gasket's level-n vertices on the bottom edge, left to right:
+    corner 0 of each level-n cell whose word uses the digits {0, 1} only, in
+    rank order (k = 0 .. 2^n - 1 in binary, read in base 3), then corner 1 of
+    the last of them, 1^n."""
+    k = np.arange(2 ** n)
+    ranks = _fold((k[:, None] >> np.arange(n - 1, -1, -1)) & 1, 3)
+    ids = corner_ids_at_level(vg, n)
+    return np.append(ids[ranks, 0], ids[ranks[-1], 1])
+
+
 def interval_trace_check(
     u, beta1: float, N: int = 6
 ) -> tuple[float, float]:
@@ -383,17 +394,11 @@ def interval_trace_check(
     sg_sum = besov_partial_sum(
         uf, BesovParams(beta=beta1, N=N, kind=FractalKind.SG)
     )
-    vg = uf.graph
     vals = uf.as_float_array()
-    s = vg.scale
     beta2 = beta1 - alpha + 1.0
     interval = 0.0
     for n in range(1, N + 1):
-        step = 2 ** (s - n)
-        xs = np.arange(2 ** n + 1) * step
-        ids = vg.ids_of(xs, np.zeros_like(xs))
-        edge_vals = vals[ids]
-        d = np.diff(edge_vals)
+        d = np.diff(vals[_bottom_edge_ids(uf.graph, n)])
         interval += 2.0 ** ((beta2 - 1.0) * n) * float(np.dot(d, d))
     return sg_sum, interval
 

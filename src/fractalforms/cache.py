@@ -1,11 +1,12 @@
 """Disk cache for the vertex graphs `resistance --kind sc` builds.
 
 Entries are keyed by (kind, level, object kind, version).  Each is one
-uncompressed `.npz` holding the five arrays of a `VertexGraph`, read with
+uncompressed `.npz` holding the four arrays of a `VertexGraph`, read with
 pickling off, so nothing in an entry runs.  The zip format's per-member
 CRC-32 catches corruption.  A load that fails (a missing member, a bad
-CRC, a truncated file, an object array, or a dtype or shape other than
-what `vertex_graph(kind, level)` builds) warns and the entry is rebuilt.
+CRC, a truncated file, an object array, a dtype or shape other than what
+`vertex_graph(kind, level)` builds, a vertex id outside [0, V) or an edge
+multiplicity other than 1 or 2) warns and the entry is rebuilt.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .kinds import FractalKind
 
 CacheKey = tuple[str, int, str, int]
 # the arrays of a VertexGraph, with the dtypes vertex_graph builds them in
-_DTYPES = dict.fromkeys(("xn", "yn", "edges", "addr_packed"), np.int64) | {"corners": np.int32}
+_DTYPES = dict.fromkeys(("xn", "yn", "edges"), np.int64) | {"corners": np.int32}
 
 
 def _key_stem(key: CacheKey) -> str:
@@ -36,11 +37,18 @@ def _load(path: Path, kind: FractalKind, level: int) -> VertexGraph:
     with np.load(path, allow_pickle=False) as z:
         a = {name: z[name] for name in _DTYPES}
     v = len(a["xn"])
-    shapes = {"xn": (v,), "yn": (v,), "addr_packed": (v,), "edges": (len(a["edges"]), 3),
+    shapes = {"xn": (v,), "yn": (v,), "edges": (len(a["edges"]), 3),
               "corners": (kind.n_maps ** level, kind.boundary_size)}
     for name, arr in a.items():
         if arr.dtype != _DTYPES[name] or arr.shape != shapes[name]:
             raise ValueError(f"{name} is {arr.dtype} {arr.shape}")
+    # vertex ids in [0, V), edge multiplicities 1 or 2; one column at a time,
+    # as a reduction over two strided columns at once is several times slower
+    e = a["edges"]
+    for name, x, lo, hi in (("edge ends", e[:, 0], 0, v - 1), ("edge ends", e[:, 1], 0, v - 1),
+                            ("corners", a["corners"], 0, v - 1), ("multiplicities", e[:, 2], 1, 2)):
+        if x.min() < lo or x.max() > hi:
+            raise ValueError(f"{name} hold a value outside [{lo}, {hi}]")
     return VertexGraph(kind=kind, level=level, **a)
 
 

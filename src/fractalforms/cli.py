@@ -63,7 +63,7 @@ from .treewalk import (
 )
 from .words import enumerate_words
 
-GRAPH_CACHE_VERSION = 4
+GRAPH_CACHE_VERSION = 5
 GRAPH_CACHE_MAX_LEVEL = 5
 
 SUBCOMMANDS = (

@@ -23,15 +23,14 @@ corner numerators of all level-n cells in word order; the vertex graph and
 the carpet's cell graph read it.  Vertex ids follow first appearance in that
 scan, and the vertex graph keeps the scan's (cells, boundary_size) id table
 as `corners`: corner i of a cell is the fixed point of map i, so every
-coarser level's corner ids are rows of that one table.  A point is looked up
-by its packed key x * (full + 1) + y (full = kind.unit(scale), the unit side
-at the graph's scale) in the graph's sorted keys.  The gasket's cell graph
-reads no corners: its level n is three copies of level n - 1 glued at three
-points, so it is built from the cached level below.
+coarser level's corner ids are rows of that one table, and no run looks a
+vertex up by its coordinates.  The gasket's cell graph reads no corners: its
+level n is three copies of level n - 1 glued at three points, so it is built
+from the cached level below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -166,12 +165,6 @@ def _cells(
     return gx, gy, cx, cy
 
 
-def _search(sorted_keys: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions of the queries in a sorted key array, and which are present."""
-    pos = np.minimum(np.searchsorted(sorted_keys, q), len(sorted_keys) - 1)
-    return pos, sorted_keys[pos] == q
-
-
 def _unique_pairs(a: np.ndarray, b: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct unordered id pairs as (m, 2) int64 rows (min, max) sorted by
     (min, max), and how often each occurs.  Ids are packed as lo * size + hi
@@ -228,20 +221,18 @@ def cell_graph(kind: FractalKind, n: int) -> CellGraph:
         second.flags.writeable = False
         return CellGraph(kind, n, edges, second)
     # same-size axis-aligned squares: 1-dimensional contact means the grid
-    # coordinates differ by one step in exactly one axis
+    # coordinates differ by one step in exactly one axis.  The grid of cell
+    # ids has one row and column of padding (-1) past the last cell.
     gx, gy, _, _ = _cells(kind, n)
     cells = np.arange(len(gx), dtype=np.int64)
-    side = 3 ** n
-    key = gx * side + gy
-    order = np.argsort(key)
-    sorted_key = key[order]
+    grid = np.full((3 ** n + 1, 3 ** n + 1), -1, dtype=np.int64)
+    grid[gx, gy] = cells
     a, b = [], []
     for dx, dy in ((1, 0), (0, 1)):
-        nx, ny = gx + dx, gy + dy
-        pos, hit = _search(sorted_key, nx * side + ny)
-        hit &= (nx < side) & (ny < side)
+        nb = grid[gx + dx, gy + dy]
+        hit = nb >= 0
         a.append(cells[hit])
-        b.append(order[pos[hit]])
+        b.append(nb[hit])
     edges, _ = _unique_pairs(np.concatenate(a), np.concatenate(b), len(cells))
     edges.flags.writeable = False
     return CellGraph(kind, n, edges, None)
@@ -284,17 +275,17 @@ def _sg_cell_edges(n: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # vertex graph
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class VertexGraph:
     """Deduplicated level-n vertices with within-cell pair edges.
 
     Vertex ids follow first appearance while scanning the cells in word order
-    and each cell's corners in boundary order, so the stored address of a
-    vertex is its lexicographically smallest level-(n+1) word, and
-    `corners[w, i]` is the id of corner i of the cell of rank w.  Lookup by
-    coordinates (`ids_of`) bisects the packed keys x * (full + 1) + y, sorted
-    once per graph on first use.  Edge multiplicity counts how many cells
-    contribute the pair: 1 on the gasket, 1 or 2 on the carpet.
+    and each cell's corners in boundary order, so `corners[w, i]` is the id
+    of corner i of the cell of rank w, and the flat position w *
+    boundary_size + i of a vertex's first appearance is its lexicographically
+    smallest level-(n+1) word, radix-packed.  Edge multiplicity counts how
+    many cells contribute the pair: 1 on the gasket, 1 or 2 on the carpet.
+    The four arrays are read-only.
     """
 
     kind: FractalKind
@@ -302,11 +293,11 @@ class VertexGraph:
     xn: np.ndarray            # int64 numerators at vertex_scale(kind, level)
     yn: np.ndarray
     edges: np.ndarray         # (m, 3) int64 rows (i, j, mult), i < j
-    addr_packed: np.ndarray   # canonical level-(n+1) address, radix-packed
     corners: np.ndarray       # (cells, boundary_size) int32 ids, cells in word order
-    _lookup: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False
-    )
+
+    def __post_init__(self) -> None:
+        for a in (self.xn, self.yn, self.edges, self.corners):
+            a.flags.writeable = False
 
     @property
     def n_vertices(self) -> int:
@@ -320,21 +311,27 @@ class VertexGraph:
         return ExactPoint.make(self.kind, int(self.xn[i]), int(self.yn[i]), self.scale)
 
     def address(self, i: int) -> tuple[int, ...]:
-        return unpack_word(self.kind, int(self.addr_packed[i]), self.level + 1)
+        """Smallest level-(n+1) word addressing vertex i: the flat position of
+        its first appearance in `corners`.  A reference for tests; no run
+        reads it."""
+        if not 0 <= i < self.n_vertices:
+            raise IndexError(f"no vertex {i} in a graph of {self.n_vertices}")
+        first = int(np.argmax(self.corners.ravel() == i))
+        return unpack_word(self.kind, first, self.level + 1)
 
     def ids_of(self, xn, yn) -> np.ndarray:
         """Ids of the vertices with numerators (xn, yn) at the graph's scale,
-        in the shape of the input.  Raises KeyError if any is not a vertex."""
+        in the shape of the input; raises KeyError if any is not a vertex.
+        A reference for tests: it sorts the packed keys on each call."""
         full = self.kind.unit(self.scale)
-        if self._lookup is None:
-            key = self.xn * (full + 1) + self.yn
-            order = np.argsort(key)
-            self._lookup = (key[order], order)
-        sorted_key, order = self._lookup
+        key = self.xn * (full + 1) + self.yn
+        order = np.argsort(key)
+        key = key[order]
         x = np.asarray(xn, dtype=np.int64)
         y = np.asarray(yn, dtype=np.int64)
-        pos, hit = _search(sorted_key, x * (full + 1) + y)
-        hit &= (x >= 0) & (x <= full) & (y >= 0) & (y <= full)
+        q = x * (full + 1) + y
+        pos = np.minimum(np.searchsorted(key, q), len(key) - 1)
+        hit = (key[pos] == q) & (x >= 0) & (x <= full) & (y >= 0) & (y <= full)
         if not hit.all():
             i = np.flatnonzero(~hit)[0]
             raise KeyError(
@@ -352,19 +349,17 @@ class VertexGraph:
 
 @lru_cache(maxsize=24)
 def cached_vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
-    """Shared immutable vertex graph.
-
-    Callers must not mutate the arrays; use vertex_graph() for a private copy.
-    """
+    """The level-n vertex graph, shared through this cache."""
     return vertex_graph(kind, n)
 
 
 def vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
     """Build the level-n vertex graph from the corners of its cells.
 
-    Corner numerators are deduplicated on the packed key x * (full + 1) + y;
-    the flat index cell * boundary_size + corner of a vertex's first
-    appearance is its radix-packed level-(n+1) address.
+    Corner numerators are deduplicated on the packed key x * (full + 1) + y
+    (full = kind.unit(scale), the unit side at the graph's scale); the flat
+    index cell * boundary_size + corner of a vertex's first appearance
+    gives its numerators.
     """
     if n < 0:
         raise ValueError("level must be >= 0")
@@ -380,8 +375,7 @@ def vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
     order = np.argsort(first)  # ids in order of first appearance
     rank = np.empty(len(order), dtype=np.int32)
     rank[order] = np.arange(len(order))
-    addr = first[order]
-    xn, yn = np.divmod(key[addr], full + 1)
+    xn, yn = np.divmod(key[first[order]], full + 1)
     del key, first, order
     corners = rank[inverse].reshape(-1, kind.boundary_size)
     del inverse, rank
@@ -396,7 +390,6 @@ def vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
         xn=xn,
         yn=yn,
         edges=np.column_stack([edges, mult]),
-        addr_packed=addr,
         corners=corners,
     )
 
@@ -418,8 +411,8 @@ def require_kind(vg: VertexGraph, kind: FractalKind) -> None:
 
 
 def sg_corner_ids(vg: VertexGraph) -> tuple[int, int, int]:
-    """Ids of the three outer corners (0,0), (1,0), (1/2, sqrt(3)/2)."""
+    """Ids of the three outer corners (0,0), (1,0), (1/2, sqrt(3)/2): corner i
+    of the cell i^n, whose rank is i (3^n - 1)/2."""
     require_kind(vg, FractalKind.SG)
-    s = vg.scale
-    ids = vg.ids_of([0, 2 ** s, 2 ** (s - 1)], [0, 0, 2 ** (s - 1)])
-    return tuple(int(i) for i in ids)
+    top = (3 ** vg.level - 1) // 2
+    return tuple(int(vg.corners[i * top, i]) for i in range(3))

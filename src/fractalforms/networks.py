@@ -18,7 +18,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -214,18 +214,15 @@ class DirichletSystem:
 
     The free-free block of the Laplacian is assembled and factored once;
     `solve` then takes any number of fixed-value vectors.  Nodes in no
-    component of a fixed node are not free: their potential is 0.  A caller
-    that has already labelled the components of these edges passes `labels`
-    so they are not labelled twice.
+    component of a fixed node are not free: their potential is 0.
     """
 
-    def __init__(self, n: int, ii, jj, cond, fixed_ids, *, labels=None) -> None:
+    def __init__(self, n: int, ii, jj, cond, fixed_ids) -> None:
         self.n = n
         self.fixed_ids = np.asarray(fixed_ids, dtype=np.int64)
         isfixed = np.zeros(n, dtype=bool)
         isfixed[self.fixed_ids] = True
-        if labels is None:
-            labels = _component_labels(n, ii, jj)
+        labels = _component_labels(n, ii, jj)
         free_mask = np.isin(labels, labels[self.fixed_ids]) & ~isfixed
         self.free = np.nonzero(free_mask)[0]
         self._lu = None
@@ -310,16 +307,13 @@ def solve_dirichlet(
     cond: np.ndarray,
     fixed_ids: np.ndarray,
     fixed_vals: np.ndarray,
-    *,
-    labels=None,
 ) -> tuple[np.ndarray, dict]:
     """Minimize sum c_e (u_i - u_j)^2 subject to the fixed values.
 
     Returns potentials for all n nodes (unreached components sit at 0) and an
-    info dict with method/residual.  `labels` are the edges' component labels
-    when the caller has them (see DirichletSystem).
+    info dict with method/residual.
     """
-    return DirichletSystem(n, ii, jj, cond, fixed_ids, labels=labels).solve(fixed_vals)
+    return DirichletSystem(n, ii, jj, cond, fixed_ids).solve(fixed_vals)
 
 
 def certify_dirichlet(
@@ -372,7 +366,7 @@ def certify_dirichlet(
 class ResistanceResult:
     resistance: float
     energy: float
-    potential: Optional[np.ndarray] = field(repr=False, compare=False)  # None when disconnected
+    potential: np.ndarray = field(repr=False, compare=False)
 
     @property
     def is_infinite(self) -> bool:
@@ -392,14 +386,10 @@ def resistance_from_arrays(n: int, ii, jj, cond, A_ids, B_ids) -> ResistanceResu
     if set(map(int, A_ids)) & set(map(int, B_ids)):
         raise ValueError("terminal sets overlap")
 
-    # one labelling serves the reachability test and the solver's free set
-    labels = _component_labels(n, ii, jj)
-    if not np.isin(labels[B_ids], labels[A_ids]).any():
-        return ResistanceResult(math.inf, 0.0, None)
-
     fixed = np.concatenate([A_ids, B_ids])
     vals = np.concatenate([np.zeros(len(A_ids)), np.ones(len(B_ids))])
-    u, _ = solve_dirichlet(n, ii, jj, cond, fixed, vals, labels=labels)
+    # with B unreachable from A no current flows: the energy is 0, R = inf
+    u, _ = solve_dirichlet(n, ii, jj, cond, fixed, vals)
     d = u[ii] - u[jj]
     energy = float(np.sum(cond * d * d))
     resistance = 1.0 / energy if energy > 0 else math.inf

@@ -19,7 +19,7 @@ from fractalforms.config import (
     parse_config_text,
 )
 from fractalforms import cli, networks, reporting, treewalk
-from fractalforms.geometry import vertex_graph
+from fractalforms.geometry import VertexGraph, vertex_graph
 from fractalforms.kinds import FractalKind
 from fractalforms.cli import _build_parser, main, run
 from fractalforms.reporting import ExperimentReport, experiment_id, fmt_float
@@ -110,7 +110,7 @@ def test_config_dict_serializable():
 # ---------------------------------------------------------------------------
 # cache
 
-GRAPH_ARRAYS = ("xn", "yn", "edges", "addr_packed", "corners")
+GRAPH_ARRAYS = ("xn", "yn", "edges", "corners")
 
 
 def _assert_same_graph(got, want):
@@ -181,6 +181,17 @@ def test_cache_refuses_arrays_vertex_graph_does_not_build(tmp_path, name, bad):
     with pytest.warns(RuntimeWarning, match="failed to load"):
         assert cache.get(key) is None
     assert cache.misses == 1
+
+
+def test_cache_refuses_edge_multiplicities_other_than_one_or_two(tmp_path):
+    cache = Cache(tmp_path)
+    key = ("sc", 2, "vertex-graph", 1)
+    vg = vertex_graph(FractalKind.SC, 2)
+    edges = vg.edges.copy()
+    edges[0, 2] = 3
+    cache.put(key, replace(vg, edges=edges))
+    with pytest.warns(RuntimeWarning, match="multiplicities hold a value outside"):
+        assert cache.get(key) is None
 
 
 def test_cache_loads_sc_graphs_as_built(tmp_path):
@@ -415,17 +426,37 @@ DATA_DIGESTS = (
 )
 
 
+def _manifest_row(tmp_path, k, args):
+    """Run row k of the manifest at seed 1: its data file and that file's sha256."""
+    out = tmp_path / "out" / str(k)
+    rc = main([*args, "--seed", "1", "--out", str(out), "--cache", str(tmp_path / "cache")])
+    data = [p for p in sorted(out.iterdir()) if not p.name.endswith(".meta.json")]
+    assert rc == 0 and len(data) == 1, args
+    return data[0], hashlib.sha256(data[0].read_bytes()).hexdigest()
+
+
 def test_cli_data_files_are_pinned(tmp_path):
     moved = []
     for k, (args, digest) in enumerate(DATA_DIGESTS):
-        out = tmp_path / "out" / str(k)
-        rc = main([*args, "--seed", "1", "--out", str(out), "--cache", str(tmp_path / "cache")])
-        data = [p for p in sorted(out.iterdir()) if not p.name.endswith(".meta.json")]
-        assert rc == 0 and len(data) == 1, args
-        got = hashlib.sha256(data[0].read_bytes()).hexdigest()
+        path, got = _manifest_row(tmp_path, k, args)
         if got != digest:
-            moved.append(f"{' '.join(args)} -> {data[0].name}: {got}")
+            moved.append(f"{' '.join(args)} -> {path.name}: {got}")
     assert not moved, "data files moved:\n" + "\n".join(moved)
+
+
+def test_cli_runs_look_no_vertex_up_by_its_coordinates(tmp_path, monkeypatch):
+    # every run reads its vertex ids from the corner table: one call of each
+    # subcommand in the manifest, with the coordinate lookup made to fail
+    def refuse(self, xn, yn):
+        raise AssertionError("a run looked a vertex up by its coordinates")
+
+    monkeypatch.setattr(VertexGraph, "ids_of", refuse)
+    done = set()
+    for k, (args, digest) in enumerate(DATA_DIGESTS):
+        if args[0] not in done:
+            done.add(args[0])
+            assert _manifest_row(tmp_path, k, args)[1] == digest, args
+    assert len(done) == 10
 
 
 def test_cli_walk_first_hit_law_runs_at_depth_cut(tmp_path):
@@ -683,10 +714,33 @@ def test_cli_cache_runs_nothing_planted_in_it(tmp_path):
     # an entry under the current name whose array holds the same object
     planted = cache_dir / f"sc-2-vertex-graph-v{cli.GRAPH_CACHE_VERSION}.npz"
     np.savez(planted, xn=np.array([_WritesSentinel(sentinel)], dtype=object))
+    # a well-formed entry of the old five-array layout, tag 4, with every edge
+    # multiplicity set to 1: read, it would move the level-1 resistance
+    vg = vertex_graph(FractalKind.SC, 1)
+    five = {name: getattr(vg, name) for name in GRAPH_ARRAYS}
+    five["edges"] = np.column_stack([vg.edges[:, :2], np.ones(len(vg.edges), dtype=np.int64)])
+    five["addr_packed"] = np.arange(vg.n_vertices, dtype=np.int64)
+    np.savez(cache_dir / "sc-1-vertex-graph-v4.npz", **five)
     with pytest.warns(RuntimeWarning, match=planted.name):
         rc, out = _run(tmp_path, "resistance", "--kind", "sc", "--levels", "1..2")
     assert rc == 0
     assert not sentinel.exists()
+    rc, clean = _run(tmp_path / "clean", "resistance", "--kind", "sc", "--levels", "1..2")
+    assert rc == 0
+    assert _csv_bytes(out) == _csv_bytes(clean)
+
+
+@pytest.mark.parametrize("name, at", [("edges", (0, 1)), ("corners", (5, 3))])
+def test_cli_cache_refuses_ids_outside_the_graph(tmp_path, name, at):
+    # a well-formed entry whose ids the run would index out of range with
+    vg = vertex_graph(FractalKind.SC, 2)
+    bad = getattr(vg, name).copy()
+    bad[at] = 10 ** 6 if name == "edges" else vg.n_vertices
+    key = ("sc", 2, "vertex-graph", cli.GRAPH_CACHE_VERSION)
+    Cache(tmp_path / "cache").put(key, replace(vg, **{name: bad}))
+    with pytest.warns(RuntimeWarning, match="outside"):
+        rc, out = _run(tmp_path, "resistance", "--kind", "sc", "--levels", "1..2")
+    assert rc == 0
     rc, clean = _run(tmp_path / "clean", "resistance", "--kind", "sc", "--levels", "1..2")
     assert rc == 0
     assert _csv_bytes(out) == _csv_bytes(clean)

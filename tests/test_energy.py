@@ -12,9 +12,11 @@ from fractalforms.geometry import (
     _cells,
     cached_vertex_graph,
     cell_graph,
+    sg_corner_ids,
     vertex_graph,
     vertex_scale,
 )
+from fractalforms.besov import _bottom_edge_ids
 from fractalforms.energies import (
     CellFunction,
     VertexFunction,
@@ -109,6 +111,19 @@ def test_corner_ids_gather_matches_coordinate_search(kind, top):
     assert vg.corners.shape == (kind.n_maps ** top, kind.boundary_size)
     for n in range(top + 1):
         assert np.array_equal(corner_ids_at_level(vg, n), _searched_corner_ids(vg, n))
+
+
+@pytest.mark.parametrize("top", range(1, 13))
+def test_bottom_edge_and_outer_corners_match_coordinate_search(top):
+    # the rows the trace reads and the three outer corners, against the
+    # level-n points of the bottom edge and the corners looked up by coordinates
+    vg = vertex_graph(SG, top)
+    full = 2 ** vg.scale
+    rows = np.concatenate([_bottom_edge_ids(vg, n) for n in range(top + 1)])
+    xs = np.concatenate([np.arange(2 ** n + 1) * (full >> n) for n in range(top + 1)])
+    assert np.array_equal(rows, vg.ids_of(xs, np.zeros_like(xs)))
+    h = full // 2
+    assert list(sg_corner_ids(vg)) == vg.ids_of([0, full, h], [0, 0, h]).tolist()
 
 
 @pytest.mark.parametrize("kind,top", [(SG, 6), (SC, 3)])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -229,6 +230,21 @@ def test_cached_vertex_graph_identity():
     assert a is b
 
 
+def test_vertex_graph_is_a_frozen_record_of_read_only_arrays():
+    vg = cached_vertex_graph(SG, 3)
+    assert [f.name for f in dataclasses.fields(vg)] == [
+        "kind", "level", "xn", "yn", "edges", "corners"
+    ]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        vg.xn = vg.xn.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        vg.xn[0] = 1
+    for a in (vg.yn, vg.edges, vg.corners):
+        assert not a.flags.writeable
+    with pytest.raises(IndexError):
+        vg.address(vg.n_vertices)
+
+
 def test_vertex_graph_rejects_bad_level():
     with pytest.raises(ValueError):
         vertex_graph(SG, -1)
@@ -284,8 +300,10 @@ CELL_GRAPH_DIGESTS = {
 
 @pytest.mark.parametrize("kind,n", sorted(VERTEX_GRAPH_DIGESTS))
 def test_vertex_graph_arrays_match_golden(kind, n):
+    # the addresses, once a stored array, are derived from the corner table
     vg = vertex_graph(kind, n)
-    got = _digest(vg.xn, vg.yn, vg.edges, vg.addr_packed)
+    addr = [pack_word(kind, vg.address(i)) for i in range(vg.n_vertices)]
+    got = _digest(vg.xn, vg.yn, vg.edges, addr)
     assert got == VERTEX_GRAPH_DIGESTS[(kind, n)]
 
 
