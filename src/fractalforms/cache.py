@@ -1,4 +1,9 @@
-"""Disk cache for the vertex graphs `resistance --kind sc` builds.
+"""Disk cache of carpet vertex graphs, which no subcommand reads or writes.
+
+`resistance --kind sc` used it until the plate came to be solved on a
+quadrant built directly.  The module stays because the benchmark harness
+in `perfbench/` passes `--cache` to every operation and wraps `Cache.get`
+and `Cache.put`; it goes when the harness stops.
 
 Entries are keyed by (kind, level, object kind, version).  Each is one
 uncompressed `.npz` holding the four arrays of a `VertexGraph`, read with

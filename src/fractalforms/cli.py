@@ -31,7 +31,6 @@ from .besov import (
     sg_monotone_limit,
     walkdim_estimate,
 )
-from .cache import Cache
 from .config import (
     ConfigError,
     RunConfig,
@@ -40,7 +39,7 @@ from .config import (
     load_config,
 )
 from .energies import VertexFunction, restrict_to_level, sg_pointwise_energy_Bn
-from .geometry import cached_vertex_graph, vertex_graph
+from .geometry import cached_vertex_graph
 from .harmonic import (
     harnack_ball,
     harnack_ratio,
@@ -62,9 +61,6 @@ from .treewalk import (
     hitting_prob_F,
 )
 from .words import enumerate_words
-
-GRAPH_CACHE_VERSION = 5
-GRAPH_CACHE_MAX_LEVEL = 5
 
 SUBCOMMANDS = (
     "resistance",
@@ -158,26 +154,12 @@ def _run_resistance(cfg: RunConfig, opts) -> ExperimentReport:
     kind = cfg.fractal_kind()
     levels = _parse_levels(opts.levels)
     _check_levels(levels, cfg.level_cap())
-    cache = Cache(cfg.cache_dir)
-    t0 = time.time()
-    values = []
-    for n in levels:
-        if kind is FractalKind.SG:
-            res = sg_word_resistance(n)
-        else:
-            if n <= GRAPH_CACHE_MAX_LEVEL:
-                vg = cache.get_or_build(
-                    (cfg.kind, n, "vertex-graph", GRAPH_CACHE_VERSION),
-                    lambda n=n: vertex_graph(kind, n),
-                )
-            else:
-                vg = vertex_graph(kind, n)
-            res = sc_RnV(vg)
-        values.append(res.resistance)
+    t0 = time.perf_counter()
+    solve = sg_word_resistance if kind is FractalKind.SG else sc_RnV
+    values = [solve(n).resistance for n in levels]
     if opts.timing:
         print(
-            f"resistance: {len(levels)} levels in {time.time() - t0:.3f}s "
-            f"(cache hits {cache.hits}, misses {cache.misses})",
+            f"resistance: {len(levels)} levels in {time.perf_counter() - t0:.3f}s",
             file=sys.stderr,
         )
     rows = []
@@ -537,7 +519,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="key=value config file")
     common.add_argument("--seed", type=int)
     common.add_argument("--out", help="output directory")
-    common.add_argument("--cache", help="cache directory")
+    common.add_argument("--cache", help="cache directory (accepted; no subcommand reads it)")
     common.add_argument("--level-cap", dest="level_cap", type=int)
     common.add_argument("--kind", choices=("sg", "sc"))
 

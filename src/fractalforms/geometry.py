@@ -18,13 +18,16 @@ canonical (minimal-scale) form divides out the base while possible; vertex
 identity and the carpet's cell adjacency are decided on the fixed-scale
 numerators.
 
-One builder, `_cells`, folds the digit tables into the integer offsets and
-corner numerators of all level-n cells in word order; the vertex graph and
-the carpet's cell graph read it.  Vertex ids follow first appearance in that
-scan, and the vertex graph keeps the scan's (cells, boundary_size) id table
-as `corners`: corner i of a cell is the fixed point of map i, so every
-coarser level's corner ids are rows of that one table, and no run looks a
-vertex up by its coordinates.  The gasket's cell graph reads no corners: its
+One builder, `_cells`, folds the digit tables into the integer offsets of
+all level-n cells in word order, and `_corners` gives their corner
+numerators; the vertex graph and the carpet's cell graph read them.  Vertex
+ids follow first appearance in that scan, and the vertex graph keeps the
+scan's (cells, boundary_size) id table as `corners`: corner i of a cell is
+the fixed point of map i, so every coarser level's corner ids are rows of
+that one table, and no run looks a vertex up by its coordinates.  The same
+dedup and edge pairing, run on the carpet cells that meet the quadrant
+x, y <= 1/2, give that quadrant's graph alone (`sc_quadrant`), which the
+plate resistance is solved on.  The gasket's cell graph reads no corners: its
 level n is three copies of level n - 1 glued at three points, so it is built
 from the cached level below.
 """
@@ -142,27 +145,32 @@ def float_sq_dist(kind: FractalKind, dx, dy, scale: int) -> np.ndarray:
 
 def _cells(
     kind: FractalKind, n: int, digits: Sequence[int] | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(gx, gy, cx, cy) for every level-n cell, in word order.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(gx, gy), the int64 offsets of every level-n cell, in word order.
 
-    (gx, gy) are the int64 cell offsets, folded one digit at a time as
-    g <- base * g + table[digit], so a cell's index is its word's rank among
-    the words over `digits` (default: all maps).  (cx, cy) are the
-    (cells, boundary_size) corner numerators at vertex_scale(kind, n),
-    corner_mul * g + (ox, oy): g + o on the gasket, 2 g + o on the carpet.
+    They are folded one digit at a time as g <- base * g + table[digit], so a
+    cell's index is its word's rank among the words over `digits` (default:
+    all maps).
     """
     lat = kind.lattice
-    ox, oy, corner_mul = lat.ox, lat.oy, lat.corner_mul
     digits = range(kind.n_maps) if digits is None else digits
-    tx = np.array([ox[d] for d in digits], dtype=np.int64)
-    ty = np.array([oy[d] for d in digits], dtype=np.int64)
+    tx = np.array([lat.ox[d] for d in digits], dtype=np.int64)
+    ty = np.array([lat.oy[d] for d in digits], dtype=np.int64)
     gx = gy = np.zeros(1, dtype=np.int64)
     for _ in range(n):
         gx = (kind.base * gx[:, None] + tx).ravel()
         gy = (kind.base * gy[:, None] + ty).ravel()
-    cx = corner_mul * gx[:, None] + np.array(ox, dtype=np.int64)
-    cy = corner_mul * gy[:, None] + np.array(oy, dtype=np.int64)
-    return gx, gy, cx, cy
+    return gx, gy
+
+
+def _corners(kind: FractalKind, gx: np.ndarray, gy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cx, cy), the (cells, boundary_size) corner numerators of the cells at
+    offsets (gx, gy), at the vertex scale of their level: corner_mul * g +
+    (ox, oy), which is g + o on the gasket and 2 g + o on the carpet."""
+    lat = kind.lattice
+    cx = lat.corner_mul * gx[:, None] + np.array(lat.ox, dtype=np.int64)
+    cy = lat.corner_mul * gy[:, None] + np.array(lat.oy, dtype=np.int64)
+    return cx, cy
 
 
 def _unique_pairs(a: np.ndarray, b: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,7 +231,7 @@ def cell_graph(kind: FractalKind, n: int) -> CellGraph:
     # same-size axis-aligned squares: 1-dimensional contact means the grid
     # coordinates differ by one step in exactly one axis.  The grid of cell
     # ids has one row and column of padding (-1) past the last cell.
-    gx, gy, _, _ = _cells(kind, n)
+    gx, gy = _cells(kind, n)
     cells = np.arange(len(gx), dtype=np.int64)
     grid = np.full((3 ** n + 1, 3 ** n + 1), -1, dtype=np.int64)
     grid[gx, gy] = cells
@@ -354,18 +362,51 @@ def cached_vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
 
 
 def vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
-    """Build the level-n vertex graph from the corners of its cells.
+    """Build the level-n vertex graph from the corners of its cells."""
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    return VertexGraph(kind, n, *_corner_graph(kind, n, *_cells(kind, n)))
+
+
+def sc_quadrant(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xn, yn, edges) of the closed quadrant x, y <= 1/2 of the level-n
+    carpet graph, arrays as in VertexGraph, built from the cells that meet it.
+
+    A vertex with x <= 1/2 lies only in cells with 2 gx <= 3^n, the
+    numerator of x = 1/2, and so for y: every cell holding a quadrant vertex
+    is built, in word order, and the quadrant vertices appear first in the
+    order they do in the full scan.  The vertices past x or y = 1/2 of the
+    cells across the midlines are dropped with their edges.  Ids are
+    renumbered monotonically, so the arrays equal the full graph's
+    restricted to the quadrant, edge order and multiplicities included.
+    """
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    m = FractalKind.SC.unit(vertex_scale(FractalKind.SC, n)) // 2
+    gx, gy = _cells(FractalKind.SC, n)
+    meet = (2 * gx <= m) & (2 * gy <= m)
+    xn, yn, edges = _corner_graph(FractalKind.SC, n, gx[meet], gy[meet])[:3]
+    inside = (xn <= m) & (yn <= m)
+    local = np.cumsum(inside) - 1  # quadrant id of each vertex in it
+    edges = edges[inside[edges[:, 0]] & inside[edges[:, 1]]]
+    edges[:, :2] = local[edges[:, :2]]
+    return xn[inside], yn[inside], edges
+
+
+def _corner_graph(
+    kind: FractalKind, n: int, gx: np.ndarray, gy: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(xn, yn, edges, corners) of the level-n cells at offsets (gx, gy),
+    as in VertexGraph.
 
     Corner numerators are deduplicated on the packed key x * (full + 1) + y
     (full = kind.unit(scale), the unit side at the graph's scale); the flat
     index cell * boundary_size + corner of a vertex's first appearance
     gives its numerators.
     """
-    if n < 0:
-        raise ValueError("level must be >= 0")
     # corner-sized temporaries are dropped as soon as they are used: at the
     # level caps each is about 130 MB and together they set the peak memory
-    _, _, cx, cy = _cells(kind, n)
+    cx, cy = _corners(kind, gx, gy)
     full = kind.unit(vertex_scale(kind, n))
     key = cx.ravel()
     key *= full + 1
@@ -384,14 +425,7 @@ def vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
     edges, mult = _unique_pairs(
         corners[:, ends[:, 0]].ravel(), corners[:, ends[:, 1]].ravel(), len(xn)
     )
-    return VertexGraph(
-        kind=kind,
-        level=n,
-        xn=xn,
-        yn=yn,
-        edges=np.column_stack([edges, mult]),
-        corners=corners,
-    )
+    return xn, yn, np.column_stack([edges, mult]), corners
 
 
 def canonical_address(kind: FractalKind, p: ExactPoint, n: int) -> tuple[int, ...]:

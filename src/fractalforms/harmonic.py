@@ -30,6 +30,7 @@ from .geometry import (
     SC_PAIRS,
     VertexGraph,
     _cells,
+    _corners,
     float_sq_dist,
     vertex_graph,
 )
@@ -196,7 +197,7 @@ def _ring_x_energy(n: int, digits: Sequence[int]) -> Fraction:
     The corner abscissae are integer numerators over 2 * 3^n, and adjacent
     ring points differ by at most one numerator step, so the int64 sum of
     squared differences is exact."""
-    _, _, cx, _ = _cells(FractalKind.SC, n, digits)
+    cx, _ = _corners(FractalKind.SC, *_cells(FractalKind.SC, n, digits))
     ends = np.array(SC_PAIRS)
     d = (cx[:, ends[:, 0]] - cx[:, ends[:, 1]]).ravel()
     return Fraction(int(np.dot(d, d)), FractalKind.SC.unit(n) ** 2)
@@ -249,15 +250,28 @@ def sc_good_function(n: int) -> ScGoodFunction:
     """The potential of the R_n^V plate solve on the level-n carpet graph.
 
     Conductances are the per-cell pair counts, so the minimized quadratic is
-    exactly the level-n pair energy and its minimum is 1/R_n^V.  The plate
-    is solved on the quadrant x, y <= 1/2 and the values elsewhere are its
-    reflections (see `sc_RnV`): exactly 1/2 on x = 1/2 and even in y.
+    exactly the level-n pair energy and its minimum is 1/R_n^V.  `sc_RnV`
+    solves the plate on the quadrant Q = {x, y <= 1/2}, where its solution
+    is twice the potential, and the whole graph reads it back through the
+    reflections: half the quadrant solution at each vertex's mirror image
+    in Q, found in a dense table of quadrant ids by numerators, and one
+    minus that for x > 1/2.  So the values are exactly 1/2 on x = 1/2 and
+    even in y.
     """
     if not 1 <= n <= SC_LEVEL_CAP:
         raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
+    plate = sc_RnV(n)  # solved before the whole graph is built: a lower peak
     vg = vertex_graph(FractalKind.SC, n)
-    res = sc_RnV(vg)
-    return ScGoodFunction(VertexFunction(vg, res.potential), res.energy)
+    m = 3 ** n  # the numerator of 1/2
+    # a mirror image that is no quadrant vertex reads the out-of-range id
+    # len(plate.xn) and raises
+    qid = np.full((m + 1, m + 1), len(plate.xn), dtype=np.int32)
+    qid[plate.xn, plate.yn] = np.arange(len(plate.xn))
+    mirror = qid[np.minimum(vg.xn, 2 * m - vg.xn), np.minimum(vg.yn, 2 * m - vg.yn)]
+    v = 0.5 * plate.potential[mirror]
+    right = vg.xn > m
+    v[right] = 1.0 - v[right]
+    return ScGoodFunction(VertexFunction(vg, v), plate.energy)
 
 
 # ---------------------------------------------------------------------------
@@ -307,22 +321,23 @@ def harnack_ball(n: int, center, r, delta) -> HarnackBall:
         raise ValueError("delta must be in (0,1)")
     if r <= 0:
         raise ValueError("r must be positive")
-    # exact squared distances to the center: num / den2, integers on the
-    # vertex grid, which the center must lie on
+    # exact squared distances to the center: num / full^2, with num an int64
+    # on the vertex grid, which the center must lie on, at most 2 full^2
     full = vg.kind.unit(vg.scale)
     cxn, cyn = Fraction(center[0]) * full, Fraction(center[1]) * full
     if cxn.denominator != 1 or cyn.denominator != 1:
         raise ValueError("center must lie on the vertex coordinate grid")
-    num = vg.kind.sq_norm(vg.xn.astype(object) - int(cxn), vg.yn.astype(object) - int(cyn))
-    den2 = full * full
-    r2 = r * r
-    inner2 = r2 * delta * delta
-    # exact comparisons on Python ints: num/den2 <= r2 <=> num*r2.den <= r2.num*den2
-    ball_num = num * r2.denominator
-    sphere_num = r2.numerator * den2
-    in_ball = ball_num <= sphere_num
-    on_sphere = ball_num == sphere_num
-    in_inner = num * inner2.denominator <= inner2.numerator * den2
+    if not (0 <= cxn <= full and 0 <= cyn <= full):
+        raise ValueError("center must lie in the unit square")
+    num = vg.kind.sq_norm(vg.xn - int(cxn), vg.yn - int(cyn))
+    # for an integer num, num / full^2 <= t <=> num <= floor(t full^2), and
+    # num / full^2 == t only if t full^2 is an integer; the thresholds are
+    # Python ints, which numpy compares exactly with int64, however large
+    sphere = r * r * full * full  # the squared radii in num's units
+    inner = sphere * delta * delta
+    in_ball = num <= sphere.numerator // sphere.denominator
+    on_sphere = num == sphere.numerator if sphere.denominator == 1 else np.zeros(len(num), dtype=bool)
+    in_inner = num <= inner.numerator // inner.denominator
     ii, jj = vg.edges[:, 0], vg.edges[:, 1]
     has_outside_neighbor = np.zeros(vg.n_vertices, dtype=bool)
     out_i = in_ball[ii] & ~in_ball[jj]

@@ -27,11 +27,11 @@ import scipy.sparse.linalg as spla
 from .geometry import (
     VertexGraph,
     cell_graph,
-    require_kind,
+    sc_quadrant,
     sg_corner_ids,
     vertex_graph,
 )
-from .kinds import FractalKind, sc_beta_star
+from .kinds import SC_LEVEL_CAP, FractalKind, sc_beta_star
 
 SOLVER_TOL = 1e-12
 # fixed, not a tuning knob: single-column supernodes keep the factor's
@@ -446,50 +446,43 @@ def sg_vertex_corner_resistance(n: int) -> ResistanceResult:
     )
 
 
-def sc_RnV(vg_or_level) -> ResistanceResult:
-    """Left-to-right resistance of the level-n carpet graph with the
-    per-cell pair counting as conductances (1 on free sides, 2 on shared),
-    and the potential (0 on the left side, 1 on the right) that carries it.
+@dataclass
+class QuadrantPlate(ResistanceResult):
+    """The carpet plate solved on the closed quadrant x, y <= 1/2: `potential`
+    is 0 on x = 0 and 1 on x = 1/2, at the quadrant vertices whose level-n
+    numerators are (xn, yn)."""
 
-    The plate potential v is odd about x = 1/2 and even about y = 1/2, so
-    only the closed quadrant Q = {x, y <= 1/2} is solved: the edges with
-    both ends in Q, 0 on x = 0 and 1 on x = 1/2, which is 2 v there.  Every
-    edge lies in one of the four mirror images of Q: edges are steps of one
-    numerator along cell sides, which sit at even numerators, and 1/2 is
-    the odd numerator m = 3^n, so no edge runs along x = 1/2 or y = 1/2 and
-    no weight is shared.  The Neumann condition on y = 1/2 holds by itself,
-    and the full energy is 4 E_Q(v) = E_Q(2 v), the quadrant solve's own.
-    The potential on the whole graph is read back through the reflections:
-    half the quadrant solution at each vertex's mirror image in Q (found in
-    a dense table of quadrant ids by numerators), and one minus that for
-    x > 1/2.
+    xn: np.ndarray = field(repr=False, compare=False)
+    yn: np.ndarray = field(repr=False, compare=False)
+
+
+def sc_RnV(n: int) -> QuadrantPlate:
+    """Left-to-right resistance R_n^V of the level-n carpet graph with the
+    per-cell pair counting as conductances (1 on free sides, 2 on shared),
+    and its energy 1/R_n^V.
+
+    The plate potential v (0 on the left side, 1 on the right) is odd about
+    x = 1/2 and even about y = 1/2, so only the closed quadrant
+    Q = {x, y <= 1/2} is solved, on the graph `sc_quadrant` builds from the
+    cells that meet it: 0 on x = 0 and 1 on x = 1/2, which is 2 v there.
+    Every edge lies in one of the four mirror images of Q: edges are steps
+    of one numerator along cell sides, which sit at even numerators, and
+    1/2 is the odd numerator m = 3^n, so no edge runs along x = 1/2 or
+    y = 1/2 and no weight is shared.  The Neumann condition on y = 1/2 holds
+    by itself, and the full energy is 4 E_Q(v) = E_Q(2 v), the quadrant
+    solve's own.  The result keeps the quadrant solution 2 v on Q with the
+    numerators of Q's vertices; `harmonic.sc_good_function` reflects it
+    onto the whole graph.
     """
-    vg = (
-        vg_or_level
-        if isinstance(vg_or_level, VertexGraph)
-        else vertex_graph(FractalKind.SC, int(vg_or_level))
-    )
-    require_kind(vg, FractalKind.SC)
-    m = vg.kind.unit(vg.scale) // 2
-    inside = (vg.xn <= m) & (vg.yn <= m)
-    local = np.cumsum(inside) - 1  # quadrant id of each vertex in Q
-    xq = vg.xn[inside]
-    ii, jj, cc = graph_edge_arrays(vg)
-    keep = inside[ii] & inside[jj]
+    n = int(n)
+    if not 1 <= n <= SC_LEVEL_CAP:
+        raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
+    xn, yn, edges = sc_quadrant(n)
     res = resistance_from_arrays(
-        len(xq), local[ii[keep]], local[jj[keep]], cc[keep],
-        np.flatnonzero(xq == 0), np.flatnonzero(xq == m),
+        len(xn), edges[:, 0], edges[:, 1], edges[:, 2].astype(float),
+        np.flatnonzero(xn == 0), np.flatnonzero(xn == 3 ** n),
     )
-    del ii, jj, cc, keep  # edge-sized; gone before the vertex-sized reflection
-    # quadrant id by numerators; a mirror image that is no vertex reads the
-    # out-of-range id len(xq) and raises
-    qid = np.full((m + 1, m + 1), len(xq), dtype=np.int32)
-    qid[xq, vg.yn[inside]] = np.arange(len(xq))
-    mirror = qid[np.minimum(vg.xn, 2 * m - vg.xn), np.minimum(vg.yn, 2 * m - vg.yn)]
-    v = 0.5 * res.potential[mirror]
-    right = vg.xn > m
-    v[right] = 1.0 - v[right]
-    return ResistanceResult(res.resistance, res.energy, v)
+    return QuadrantPlate(res.resistance, res.energy, res.potential, xn, yn)
 
 
 # ---------------------------------------------------------------------------

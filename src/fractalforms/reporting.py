@@ -15,6 +15,7 @@ import datetime as _dt
 import hashlib
 import json
 import math
+import os
 import subprocess
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -86,21 +87,14 @@ class ExperimentReport:
         return experiment_id(self.experiment, self.config_snapshot)
 
     def write(self, out_dir: str | Path) -> list[Path]:
-        # the data is checked before anything is created, so a non-finite
-        # float leaves no file behind
-        text = None
+        # a non-finite float leaves no file behind: rows are checked before
+        # anything is created, and a tree is streamed into a temporary file
+        # that replaces the data file only once the encoder has finished
         if self.rows is not None:
             for row in self.rows:
                 for name, x in zip(self.columns, row):
                     if isinstance(x, float) and not math.isfinite(x):
                         raise NonFiniteResultError(f"{self.experiment}: {name} = {x}")
-        else:
-            try:
-                text = json.dumps(
-                    self.tree, sort_keys=True, indent=1, ensure_ascii=False, allow_nan=False
-                )
-            except ValueError as e:
-                raise NonFiniteResultError(f"{self.experiment}: {e}") from e
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         eid = self.experiment_id
@@ -114,8 +108,23 @@ class ExperimentReport:
                     w.writerow([fmt_float(x) for x in row])
         else:
             data_path = out / f"{eid}.json"
-            with open(data_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+            # a temporary name in the same directory, opened as the data file
+            # would be, so the replace is atomic and the file mode the same
+            tmp = out / f".{eid}.json.{os.getpid()}.tmp"
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    try:
+                        json.dump(
+                            self.tree, fh, sort_keys=True, indent=1, ensure_ascii=False,
+                            allow_nan=False,
+                        )
+                    except ValueError as e:
+                        raise NonFiniteResultError(f"{self.experiment}: {e}") from e
+                    fh.write("\n")
+                os.replace(tmp, data_path)
+            except BaseException:
+                tmp.unlink(missing_ok=True)
+                raise
         paths.append(data_path)
         meta_path = out / f"{eid}.meta.json"
         with open(meta_path, "w", encoding="utf-8") as fh:

@@ -264,6 +264,24 @@ def test_report_csv_refuses_non_finite_floats_before_creating_files(tmp_path, ba
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_report_json_refuses_non_finite_floats_leaving_no_file(tmp_path, bad):
+    # the tree is streamed into a temporary file, which goes with the error
+    rep = ExperimentReport("demo", {"seed": 0}, tree={"a": [0.5, {"b": bad}]})
+    with pytest.raises(reporting.NonFiniteResultError, match="demo: "):
+        rep.write(tmp_path / "out")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_report_json_streams_the_bytes_dumps_gives(tmp_path):
+    tree = {"z": [0.1, 1e-300, 2.5e17], "a": {"\u00e9t\u00e9": [1, True, None, "\u2202"]}}
+    rep = ExperimentReport("demo", {"seed": 0}, tree=tree)
+    data_path, meta_path = rep.write(tmp_path)
+    text = json.dumps(tree, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
+    assert data_path.read_bytes() == text.encode("utf-8")
+    assert sorted(tmp_path.iterdir()) == sorted([data_path, meta_path])
+
+
 # ---------------------------------------------------------------------------
 # CLI end to end
 
@@ -385,14 +403,15 @@ def test_cli_walk_seeded_rerun_identical(tmp_path):
 WALK_DATA_DIGEST = "ee118880b182f868fa266fe215e6aee75bb533fbf9861eace092caedf2b3b0ca"
 
 # sha256 of each subcommand's data file at seed 1, by argument list.  The rows
-# run in order on one cache directory, so the second carpet resistance run
-# reads its graphs back from the cache.  The first eleven rows are the
-# benchmark workloads (copied, not imported, so Tier-1 does not depend on
-# the harness); goodfn and kernel are the subcommands no workload runs.  The
-# *.meta.json sidecars hold a timestamp and the git hash and are not pinned.
-# The carpet resistance and goodfn rows were recorded again when the plate
-# came to be solved on one quadrant: R_2 moved by one ulp and the level-3
-# potential by at most 4.8e-15.
+# run in order on one cache directory, which no subcommand reads or writes.
+# The first eleven rows are the benchmark workloads (copied, not imported, so
+# Tier-1 does not depend on the harness); goodfn and kernel are the
+# subcommands no workload runs.  The *.meta.json sidecars hold a timestamp and
+# the git hash and are not pinned.  The carpet resistance and goodfn rows were
+# recorded again when the plate came to be solved on one quadrant: R_2 moved
+# by one ulp and the level-3 potential by at most 4.8e-15.  The carpet rows
+# at levels 5..6 and of walkdim were recorded while that quadrant was still
+# masked out of the whole graph, before it was built directly.
 DATA_DIGESTS = (
     (("resistance", "--kind", "sc", "--levels", "1..4"),
      "56bb93c3c7e3abf149c591c5c2c937320e2b1489f34d052caed23edce0b5e5b3"),
@@ -421,6 +440,10 @@ DATA_DIGESTS = (
      "b7127abc25eacf9d47d87029c0bf7a44c002373652e8db65852b0dfa5d21af6b"),
     (("kernel",),
      "6da9739e5c6817b98c401b143359700f05139abcd3ff672a162cfd5a1b9a3cbf"),
+    (("resistance", "--kind", "sc", "--levels", "5..6"),
+     "af7d9245a462aa41c82890cc5345ac29202948e18894b132eca7e709196105e0"),
+    (("walkdim", "--kind", "sc", "--levels", "1..4"),
+     "1adb1fa466e2245dd6eb462af1f3a9a42e31336b9d08cf5390b654cd7fe258a4"),
     (("walk", "--lambda", "0.5", "--c", "0.25", "--samples", "300", "--depth-cut", "6"),
      WALK_DATA_DIGEST),
 )
@@ -684,15 +707,6 @@ def test_cli_walkdim_sc_solves_each_level_once(tmp_path):
     assert meta["provenance"]["solver"]["factorizations"] == len(levels)
 
 
-def test_cli_cache_reused_across_runs(tmp_path):
-    _run(tmp_path, "resistance", "--kind", "sc", "--levels", "1..2")
-    cache_dir = tmp_path / "cache"
-    files_before = {p.name for p in cache_dir.iterdir()}
-    assert files_before
-    _run(tmp_path, "resistance", "--kind", "sc", "--levels", "1..2")
-    assert {p.name for p in cache_dir.iterdir()} == files_before
-
-
 class _WritesSentinel:
     """Unpickling this creates the file at `path`."""
 
@@ -703,7 +717,17 @@ class _WritesSentinel:
         return open, (self.path, "w")
 
 
-def test_cli_cache_runs_nothing_planted_in_it(tmp_path):
+def test_cli_carpet_resistance_leaves_the_cache_alone(tmp_path, monkeypatch):
+    # --cache still parses, but the carpet plate is solved on a quadrant built
+    # directly: the run runs nothing planted in the cache directory, reads and
+    # writes nothing there, and writes the bytes of a run without --cache
+    monkeypatch.chdir(tmp_path)  # where a run without --cache would put one
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run used the cache")
+
+    monkeypatch.setattr(Cache, "get", refuse)
+    monkeypatch.setattr(Cache, "put", refuse)
     sentinel = tmp_path / "sentinel"
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
@@ -711,9 +735,8 @@ def test_cli_cache_runs_nothing_planted_in_it(tmp_path):
     blob = pickle.dumps(_WritesSentinel(sentinel))
     (cache_dir / "sc-1-vertex-graph-v3.pkl").write_bytes(blob)
     (cache_dir / "sc-1-vertex-graph-v3.sha256").write_text(hashlib.sha256(blob).hexdigest() + "\n")
-    # an entry under the current name whose array holds the same object
-    planted = cache_dir / f"sc-2-vertex-graph-v{cli.GRAPH_CACHE_VERSION}.npz"
-    np.savez(planted, xn=np.array([_WritesSentinel(sentinel)], dtype=object))
+    # an entry under the last name the cache used whose array holds the same object
+    np.savez(cache_dir / "sc-2-vertex-graph-v5.npz", xn=np.array([_WritesSentinel(sentinel)], dtype=object))
     # a well-formed entry of the old five-array layout, tag 4, with every edge
     # multiplicity set to 1: read, it would move the level-1 resistance
     vg = vertex_graph(FractalKind.SC, 1)
@@ -721,29 +744,23 @@ def test_cli_cache_runs_nothing_planted_in_it(tmp_path):
     five["edges"] = np.column_stack([vg.edges[:, :2], np.ones(len(vg.edges), dtype=np.int64)])
     five["addr_packed"] = np.arange(vg.n_vertices, dtype=np.int64)
     np.savez(cache_dir / "sc-1-vertex-graph-v4.npz", **five)
-    with pytest.warns(RuntimeWarning, match=planted.name):
-        rc, out = _run(tmp_path, "resistance", "--kind", "sc", "--levels", "1..2")
-    assert rc == 0
+    # well-formed entries whose ids a run would index out of range with
+    for n, name, at in ((1, "edges", (0, 1)), (3, "corners", (5, 3))):
+        vg = vertex_graph(FractalKind.SC, n)
+        bad = getattr(vg, name).copy()
+        bad[at] = 10 ** 6 if name == "edges" else vg.n_vertices
+        np.savez(cache_dir / f"sc-{n}-vertex-graph-v5.npz",
+                 **{a: getattr(vg, a) for a in GRAPH_ARRAYS} | {name: bad})
+    planted = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+    argv = ["resistance", "--kind", "sc", "--levels", "1..3", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out", "out", "--cache", str(cache_dir)]) == 0
     assert not sentinel.exists()
-    rc, clean = _run(tmp_path / "clean", "resistance", "--kind", "sc", "--levels", "1..2")
-    assert rc == 0
-    assert _csv_bytes(out) == _csv_bytes(clean)
-
-
-@pytest.mark.parametrize("name, at", [("edges", (0, 1)), ("corners", (5, 3))])
-def test_cli_cache_refuses_ids_outside_the_graph(tmp_path, name, at):
-    # a well-formed entry whose ids the run would index out of range with
-    vg = vertex_graph(FractalKind.SC, 2)
-    bad = getattr(vg, name).copy()
-    bad[at] = 10 ** 6 if name == "edges" else vg.n_vertices
-    key = ("sc", 2, "vertex-graph", cli.GRAPH_CACHE_VERSION)
-    Cache(tmp_path / "cache").put(key, replace(vg, **{name: bad}))
-    with pytest.warns(RuntimeWarning, match="outside"):
-        rc, out = _run(tmp_path, "resistance", "--kind", "sc", "--levels", "1..2")
-    assert rc == 0
-    rc, clean = _run(tmp_path / "clean", "resistance", "--kind", "sc", "--levels", "1..2")
-    assert rc == 0
-    assert _csv_bytes(out) == _csv_bytes(clean)
+    assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == planted
+    assert main([*argv, "--out", "clean"]) == 0
+    assert not (tmp_path / RunConfig().cache_dir).exists()
+    assert _csv_bytes(tmp_path / "out") == _csv_bytes(tmp_path / "clean")
 
 
 def test_cli_gasket_resistance_leaves_the_cache_dir_uncreated(tmp_path):

@@ -10,6 +10,7 @@ from fractalforms.geometry import (
     SC_PAIRS,
     SG_PAIRS,
     _cells,
+    _corners,
     cached_vertex_graph,
     cell_graph,
     sg_corner_ids,
@@ -100,7 +101,7 @@ def _searched_corner_ids(vg, n):
     """Reference: the level-n corner numerators lifted to the graph's scale
     and looked up by coordinates."""
     lift = vg.kind.base ** (vg.scale - vertex_scale(vg.kind, n))
-    _, _, cx, cy = _cells(vg.kind, n)
+    cx, cy = _corners(vg.kind, *_cells(vg.kind, n))
     return vg.ids_of(cx * lift, cy * lift)
 
 
@@ -278,7 +279,7 @@ def _ref_strip_energies(n):
     den = 2 * 3 ** n
     vals = [x_profile_value(Fraction(int(x), den)) for x in vg.xn]
     strip = _ref_pair_energy(vals, corner_ids_at_level(vg, n), SC_PAIRS)
-    _, _, cx, _ = _cells(SC, n, CANTOR_DIGITS)
+    cx, _ = _corners(SC, *_cells(SC, n, CANTOR_DIGITS))
     cantor = Fraction(0)
     for row in cx.tolist():
         for a, b in SC_PAIRS:

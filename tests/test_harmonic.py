@@ -190,10 +190,32 @@ def test_good_function_energy_is_the_resistance_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_good_function_is_the_resistance_potential_bitwise(n):
-    # the good function is the potential of the R_n^V plate solve, not a second solve
-    values, potential = sc_good_function(n).fn.values, sc_RnV(n).potential
+    # the good function is the potential of the R_n^V plate solve, not a second
+    # solve: on the quadrant x, y <= 1/2 it is half the quadrant solution
+    good, plate = sc_good_function(n).fn, sc_RnV(n)
+    m = 3 ** n
+    vg = good.graph
+    inside = (vg.xn <= m) & (vg.yn <= m)
+    assert np.array_equal(vg.xn[inside], plate.xn) and np.array_equal(vg.yn[inside], plate.yn)
+    values, potential = good.values[inside], 0.5 * plate.potential
     assert values.dtype == potential.dtype == np.float64
     assert values.tobytes() == potential.tobytes()
+
+
+# sha256 of the good function's values, recorded while sc_RnV reflected the
+# quadrant solution onto a whole graph it had masked the quadrant out of
+GOOD_FUNCTION_SHA256 = {
+    3: "5a9f16e050e0aa0a5e5b1d3418150483c354c855768ccfac7f1aaae2b952ca50",
+    4: "ab976694fd1bfe706341aaa35e0db1d57955a3c434c97a5905375c0b174e52eb",
+    5: "e926270869c740c0504272ab253182d77f947cf1e1e2f6ae191e149d5cd37cff",
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOOD_FUNCTION_SHA256))
+def test_good_function_values_recorded(n):
+    values = sc_good_function(n).fn.values
+    assert values.dtype == np.float64
+    assert hashlib.sha256(values.tobytes()).hexdigest() == GOOD_FUNCTION_SHA256[n]
 
 
 def test_good_function_symmetry_and_range():
@@ -272,6 +294,66 @@ def test_harnack_ball_ids_match_recorded(n, r, delta, expected):
         for ids in (ball.interior_ids, ball.boundary_ids, ball.inner_ids)
     )
     assert got == expected
+
+
+def _object_array_ball(n, center, r, delta):
+    """Interior, boundary and inner ids from exact distances held as Python
+    ints in object arrays: the comparison harnack_ball made before it
+    compared int64 numerators against integer thresholds."""
+    vg = vertex_graph(SC, n)
+    r, delta = Fraction(r), Fraction(delta)
+    full = vg.kind.unit(vg.scale)
+    cxn, cyn = Fraction(center[0]) * full, Fraction(center[1]) * full
+    num = vg.kind.sq_norm(vg.xn.astype(object) - int(cxn), vg.yn.astype(object) - int(cyn))
+    den2 = full * full
+    r2 = r * r
+    inner2 = r2 * delta * delta
+    ball_num = num * r2.denominator
+    sphere_num = r2.numerator * den2
+    in_ball = (ball_num <= sphere_num).astype(bool)
+    on_sphere = (ball_num == sphere_num).astype(bool)
+    in_inner = (num * inner2.denominator <= inner2.numerator * den2).astype(bool)
+    ii, jj = vg.edges[:, 0], vg.edges[:, 1]
+    outside_nb = np.zeros(vg.n_vertices, dtype=bool)
+    outside_nb[ii[in_ball[ii] & ~in_ball[jj]]] = True
+    outside_nb[jj[in_ball[jj] & ~in_ball[ii]]] = True
+    boundary = in_ball & (on_sphere | outside_nb)
+    return (
+        np.nonzero(in_ball & ~boundary)[0], np.nonzero(boundary)[0], np.nonzero(in_inner)[0]
+    )
+
+
+@pytest.mark.parametrize(
+    "n, center, r, delta",
+    [
+        (3, HARNACK_CENTER, HARNACK_R, HARNACK_DELTA),
+        (4, HARNACK_CENTER, HARNACK_R, HARNACK_DELTA),
+        (4, HARNACK_CENTER, Fraction(271828, 1000003), Fraction(314159, 999983)),
+        # radii whose sphere passes through vertices: r^2 full^2 an integer
+        (2, (Fraction(1, 2), Fraction(1, 2)), Fraction(5, 18), Fraction(3, 5)),
+        (3, (Fraction(0), Fraction(0)), Fraction(1, 3), Fraction(1, 2)),
+        (3, (Fraction(1, 3), Fraction(2, 3)), Fraction(1, 6), Fraction(1, 3)),
+        # a sphere through no vertex, radii near 0 and past the square, huge terms
+        (2, (Fraction(1, 2), Fraction(1, 3)), Fraction(1, 7), Fraction(2, 3)),
+        (2, (Fraction(1), Fraction(1)), Fraction(3, 2), Fraction(1, 2)),
+        (2, HARNACK_CENTER, Fraction(1, 10 ** 30), Fraction(1, 2)),
+        (3, HARNACK_CENTER, Fraction(10 ** 40 + 1, 4 * 10 ** 40), Fraction(10 ** 30 - 1, 10 ** 30)),
+        (5, HARNACK_CENTER, HARNACK_R, HARNACK_DELTA),
+        # the corner (0, 0) is on the sphere and has no neighbor outside it,
+        # so only the sphere test puts it on the boundary
+        (1, (Fraction(1, 2), Fraction(2, 3)), Fraction(5, 6), Fraction(1, 2)),
+    ],
+)
+def test_harnack_ball_equals_the_object_array_oracle(n, center, r, delta):
+    ball = harnack_ball(n, center, r, delta)
+    want = _object_array_ball(n, center, r, delta)
+    for got, ids in zip((ball.interior_ids, ball.boundary_ids, ball.inner_ids), want):
+        assert np.array_equal(got, ids)
+
+
+def test_harnack_ball_rejects_a_center_off_the_square():
+    with pytest.raises(ValueError, match="unit square"):
+        harnack_ball(2, (Fraction(4, 3), Fraction(1, 2)), HARNACK_R, HARNACK_DELTA)
 
 
 def test_harnack_ball_factors_once():

@@ -8,8 +8,9 @@ import scipy.sparse.linalg as spla
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from fractalforms.kinds import FractalKind
-from fractalforms.geometry import vertex_graph
+from fractalforms.kinds import SC_LEVEL_CAP, FractalKind
+from fractalforms.geometry import sc_quadrant, vertex_graph
+from fractalforms.harmonic import sc_good_function
 from fractalforms.networks import (
     DirichletSystem,
     ResistanceResult,
@@ -302,16 +303,55 @@ def test_sc_RnV_level1_value():
     assert abs(got - 1.1818181818) < 1e-8
 
 
-def test_sc_RnV_accepts_prebuilt_graph():
-    vg = vertex_graph(FractalKind.SC, 2)
-    a, b = sc_RnV(2), sc_RnV(vg)
-    assert a.resistance == b.resistance and a.energy == b.energy
-    assert np.array_equal(a.potential, b.potential)
+def test_sc_RnV_returns_the_quadrant_potential_with_its_numerators():
+    m = 3 ** 2
+    plate = sc_RnV(2)
+    xn, yn, _ = sc_quadrant(2)
+    assert np.array_equal(plate.xn, xn) and np.array_equal(plate.yn, yn)
+    assert len(plate.potential) == len(xn)
+    assert xn.max() == yn.max() == m
+    # 0 on x = 0 and 1 on x = 1/2: twice the plate potential on the quadrant
+    assert np.all(plate.potential[xn == 0] == 0.0)
+    assert np.all(plate.potential[xn == m] == 1.0)
+    assert plate.energy == 1.0 / plate.resistance
 
 
-def test_sc_RnV_rejects_a_gasket_graph():
-    with pytest.raises(ValueError, match="expected a sc vertex graph"):
-        sc_RnV(vertex_graph(FractalKind.SG, 3))
+@pytest.mark.parametrize("n", [0, SC_LEVEL_CAP + 1])
+def test_sc_RnV_rejects_a_level_outside_the_cap(n):
+    with pytest.raises(ValueError, match="outside"):
+        sc_RnV(n)
+
+
+def _masked_quadrant(vg):
+    """The closed quadrant x, y <= 1/2 masked out of the whole graph, as
+    sc_RnV solved it before the quadrant was built directly."""
+    m = vg.kind.unit(vg.scale) // 2
+    inside = (vg.xn <= m) & (vg.yn <= m)
+    local = np.cumsum(inside) - 1
+    e = vg.edges
+    keep = inside[e[:, 0]] & inside[e[:, 1]]
+    return vg.xn[inside], vg.yn[inside], local[e[keep, 0]], local[e[keep, 1]], e[keep, 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sc_quadrant_is_the_whole_graph_masked(n):
+    xn, yn, edges = sc_quadrant(n)
+    want = _masked_quadrant(vertex_graph(FractalKind.SC, n))
+    got = (xn, yn, edges[:, 0], edges[:, 1], edges[:, 2])
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# float.hex of R_n^V, recorded while the quadrant was masked out of the whole graph
+SC_RNV_HEX = (
+    "0x1.2e8ba2e8ba2e8p+0", "0x1.7525a8acae7fep+0", "0x1.d1b3afbb8355cp+0",
+    "0x1.23459f53f7db9p+1", "0x1.6c7eb767aaf4dp+1", "0x1.c827af9cc1c8fp+1",
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sc_RnV_bits_recorded(n):
+    assert sc_RnV(n).resistance.hex() == SC_RNV_HEX[n - 1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -326,13 +366,16 @@ def test_sc_RnV_quadrant_solve_matches_the_full_graph_oracle(n):
     oracle = resistance_from_arrays(
         vg.n_vertices, ii, jj, cc, *_sc_sides(vg)
     )
-    got = sc_RnV(vg)
+    got = sc_RnV(n)
     assert abs(got.resistance - oracle.resistance) <= 1e-15 * oracle.resistance
     assert abs(got.energy - oracle.energy) <= 1e-15 * oracle.energy
+    # the quadrant solution reflected onto the whole graph is the good function
+    good = sc_good_function(n)
+    assert good.fn.graph.n_vertices == vg.n_vertices and good.energy == got.energy
     # both solves pass the residual check |L x - b| <= 1e-12 |b|; the plate's
     # condition number grows with the level, and the two potentials part by
     # the full solve's own rounding: 6.4e-13 at n = 5
-    v = got.potential
+    v = good.fn.values
     assert np.max(np.abs(v - oracle.potential)) <= 1e-11
     # the reflections hold by construction: exactly, up to the rounding of 1 - (1 - v)
     assert np.all(v[xn == m] == 0.5)
@@ -344,7 +387,7 @@ def test_sc_RnV_quadrant_solve_matches_the_full_graph_oracle(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_sc_RnV_reflects_as_the_coordinate_search_did(n):
     vg = vertex_graph(FractalKind.SC, n)
-    v = sc_RnV(vg).potential
+    v = sc_good_function(n).fn.values
     # the reflection the quadrant-id table replaced: each mirror image found
     # by ids_of, reading the half quadrant solution v on x, y <= 1/2
     m = 3 ** n
@@ -368,7 +411,7 @@ def test_sc_RnV_factors_once_on_a_quadrant(monkeypatch):
     vg = vertex_graph(FractalKind.SC, 4)
     m = 3 ** 4
     with solver_log() as log:
-        sc_RnV(vg)
+        sc_RnV(4)
     assert (log.factorizations, log.solves) == (1, 1)
     # the free vertices of the quadrant x, y <= 1/2: 3,728 of V = 15,240
     quadrant_free = (vg.xn > 0) & (vg.xn < m) & (vg.yn <= m)
