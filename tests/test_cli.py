@@ -717,50 +717,77 @@ class _WritesSentinel:
         return open, (self.path, "w")
 
 
-def test_cli_carpet_resistance_leaves_the_cache_alone(tmp_path, monkeypatch):
+def _check_resistance_leaves_the_cache_alone(tmp_path, monkeypatch, plant, runs=1):
     # --cache still parses, but the carpet plate is solved on a quadrant built
-    # directly: the run runs nothing planted in the cache directory, reads and
+    # directly: a run runs nothing planted in the cache directory, reads and
     # writes nothing there, and writes the bytes of a run without --cache
     monkeypatch.chdir(tmp_path)  # where a run without --cache would put one
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    plant(cache_dir)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a run used the cache")
 
     monkeypatch.setattr(Cache, "get", refuse)
     monkeypatch.setattr(Cache, "put", refuse)
-    sentinel = tmp_path / "sentinel"
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    # an entry in the old pickle layout with a matching checksum sidecar
-    blob = pickle.dumps(_WritesSentinel(sentinel))
-    (cache_dir / "sc-1-vertex-graph-v3.pkl").write_bytes(blob)
-    (cache_dir / "sc-1-vertex-graph-v3.sha256").write_text(hashlib.sha256(blob).hexdigest() + "\n")
-    # an entry under the last name the cache used whose array holds the same object
-    np.savez(cache_dir / "sc-2-vertex-graph-v5.npz", xn=np.array([_WritesSentinel(sentinel)], dtype=object))
-    # a well-formed entry of the old five-array layout, tag 4, with every edge
-    # multiplicity set to 1: read, it would move the level-1 resistance
-    vg = vertex_graph(FractalKind.SC, 1)
-    five = {name: getattr(vg, name) for name in GRAPH_ARRAYS}
-    five["edges"] = np.column_stack([vg.edges[:, :2], np.ones(len(vg.edges), dtype=np.int64)])
-    five["addr_packed"] = np.arange(vg.n_vertices, dtype=np.int64)
-    np.savez(cache_dir / "sc-1-vertex-graph-v4.npz", **five)
-    # well-formed entries whose ids a run would index out of range with
-    for n, name, at in ((1, "edges", (0, 1)), (3, "corners", (5, 3))):
-        vg = vertex_graph(FractalKind.SC, n)
-        bad = getattr(vg, name).copy()
-        bad[at] = 10 ** 6 if name == "edges" else vg.n_vertices
-        np.savez(cache_dir / f"sc-{n}-vertex-graph-v5.npz",
-                 **{a: getattr(vg, a) for a in GRAPH_ARRAYS} | {name: bad})
     planted = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
     argv = ["resistance", "--kind", "sc", "--levels", "1..3", "--seed", "1"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main([*argv, "--out", "out", "--cache", str(cache_dir)]) == 0
-    assert not sentinel.exists()
-    assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == planted
+    outs = []
+    for i in range(runs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--out", f"out{i}", "--cache", str(cache_dir)]) == 0
+        assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == planted
+        outs.append(_csv_bytes(tmp_path / f"out{i}"))
     assert main([*argv, "--out", "clean"]) == 0
     assert not (tmp_path / RunConfig().cache_dir).exists()
-    assert _csv_bytes(tmp_path / "out") == _csv_bytes(tmp_path / "clean")
+    assert outs == [_csv_bytes(tmp_path / "clean")] * runs
+
+
+def test_cli_cache_reused_across_runs(tmp_path, monkeypatch):
+    # well-formed entries for every level the run solves stay as put, unread,
+    # across two runs, and both runs write the same bytes
+    def plant(cache_dir):
+        for n in (1, 2, 3):
+            Cache(cache_dir).put(("sc", n, "vertex-graph", 5), vertex_graph(FractalKind.SC, n))
+
+    _check_resistance_leaves_the_cache_alone(tmp_path, monkeypatch, plant, runs=2)
+
+
+def test_cli_cache_runs_nothing_planted_in_it(tmp_path, monkeypatch):
+    sentinel = tmp_path / "sentinel"
+
+    def plant(cache_dir):
+        # an entry in the old pickle layout with a matching checksum sidecar
+        blob = pickle.dumps(_WritesSentinel(sentinel))
+        (cache_dir / "sc-1-vertex-graph-v3.pkl").write_bytes(blob)
+        (cache_dir / "sc-1-vertex-graph-v3.sha256").write_text(hashlib.sha256(blob).hexdigest() + "\n")
+        # an entry under the last name the cache used whose array holds the same object
+        np.savez(cache_dir / "sc-2-vertex-graph-v5.npz", xn=np.array([_WritesSentinel(sentinel)], dtype=object))
+        # a well-formed entry of the old five-array layout, tag 4, with every edge
+        # multiplicity set to 1: read, it would move the level-1 resistance
+        vg = vertex_graph(FractalKind.SC, 1)
+        five = {name: getattr(vg, name) for name in GRAPH_ARRAYS}
+        five["edges"] = np.column_stack([vg.edges[:, :2], np.ones(len(vg.edges), dtype=np.int64)])
+        five["addr_packed"] = np.arange(vg.n_vertices, dtype=np.int64)
+        np.savez(cache_dir / "sc-1-vertex-graph-v4.npz", **five)
+
+    _check_resistance_leaves_the_cache_alone(tmp_path, monkeypatch, plant)
+    assert not sentinel.exists()
+
+
+@pytest.mark.parametrize("name, at", [("edges", (0, 1)), ("corners", (5, 3))])
+def test_cli_cache_refuses_ids_outside_the_graph(tmp_path, monkeypatch, name, at):
+    # a well-formed entry whose ids a run would index out of range with
+    def plant(cache_dir):
+        vg = vertex_graph(FractalKind.SC, 2)
+        bad = getattr(vg, name).copy()
+        bad[at] = 10 ** 6 if name == "edges" else vg.n_vertices
+        np.savez(cache_dir / "sc-2-vertex-graph-v5.npz",
+                 **{a: getattr(vg, a) for a in GRAPH_ARRAYS} | {name: bad})
+
+    _check_resistance_leaves_the_cache_alone(tmp_path, monkeypatch, plant)
 
 
 def test_cli_gasket_resistance_leaves_the_cache_dir_uncreated(tmp_path):
