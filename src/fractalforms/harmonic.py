@@ -296,7 +296,13 @@ class HarnackBall:
 
     def system(self) -> DirichletSystem:
         """The ball's Dirichlet problem for the pair-count conductances,
-        factored on first use and reused by every later solve."""
+        factored on first use and reused by every later solve.
+
+        The free set is `interior_ids`, given rather than labelled: an
+        interior vertex has every neighbor in the ball, so a component of
+        ball vertices holding no boundary vertex would be a component of the
+        whole carpet graph, which is connected.  With no boundary vertex at
+        all (a ball holding the whole graph) nothing is free."""
         if self._system is None:
             vg = self.graph
             in_ball = np.zeros(vg.n_vertices, dtype=bool)
@@ -304,8 +310,9 @@ class HarnackBall:
             in_ball[self.boundary_ids] = True
             ii, jj, cc = graph_edge_arrays(vg)
             keep = in_ball[ii] & in_ball[jj]
+            free = self.interior_ids if len(self.boundary_ids) else ()
             self._system = DirichletSystem(
-                vg.n_vertices, ii[keep], jj[keep], cc[keep], self.boundary_ids
+                vg.n_vertices, ii[keep], jj[keep], cc[keep], self.boundary_ids, free
             )
         return self._system
 

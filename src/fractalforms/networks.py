@@ -213,17 +213,33 @@ class DirichletSystem:
     """Minimize sum c_e (u_i - u_j)^2 with the values on `fixed_ids` given.
 
     The free-free block of the Laplacian is assembled and factored once;
-    `solve` then takes any number of fixed-value vectors.  Nodes in no
-    component of a fixed node are not free: their potential is 0.
+    `solve` then takes any number of fixed-value vectors.  By default the
+    free nodes are the unfixed ones in a component of a fixed node, found by
+    labelling components; the rest are not free: their potential is 0.  A
+    caller that knows that set passes it as `free_ids` and no labelling
+    runs; it must not meet `fixed_ids`, and each neighbor of a free node
+    must be free or fixed (else ValueError).
     """
 
-    def __init__(self, n: int, ii, jj, cond, fixed_ids) -> None:
+    def __init__(self, n: int, ii, jj, cond, fixed_ids, free_ids=None) -> None:
         self.n = n
         self.fixed_ids = np.asarray(fixed_ids, dtype=np.int64)
         isfixed = np.zeros(n, dtype=bool)
         isfixed[self.fixed_ids] = True
-        labels = _component_labels(n, ii, jj)
-        free_mask = np.isin(labels, labels[self.fixed_ids]) & ~isfixed
+        if free_ids is None:
+            labels = _component_labels(n, ii, jj)
+            free_mask = np.isin(labels, labels[self.fixed_ids]) & ~isfixed
+        else:
+            free_ids = np.asarray(free_ids, dtype=np.int64)
+            if len(free_ids) and not 0 <= free_ids.min() <= free_ids.max() < n:
+                raise ValueError(f"free ids outside [0, {n})")
+            free_mask = np.zeros(n, dtype=bool)
+            free_mask[free_ids] = True
+            if np.any(free_mask & isfixed):
+                raise ValueError("free and fixed ids overlap")
+            known = free_mask | isfixed
+            if np.any(free_mask[ii] & ~known[jj]) or np.any(free_mask[jj] & ~known[ii]):
+                raise ValueError("a free node has a neighbor neither free nor fixed")
         self.free = np.nonzero(free_mask)[0]
         self._lu = None
         if len(self.free) == 0:
@@ -307,13 +323,14 @@ def solve_dirichlet(
     cond: np.ndarray,
     fixed_ids: np.ndarray,
     fixed_vals: np.ndarray,
+    free_ids: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
     """Minimize sum c_e (u_i - u_j)^2 subject to the fixed values.
 
     Returns potentials for all n nodes (unreached components sit at 0) and an
-    info dict with method/residual.
+    info dict with method/residual.  `free_ids` is as in `DirichletSystem`.
     """
-    return DirichletSystem(n, ii, jj, cond, fixed_ids).solve(fixed_vals)
+    return DirichletSystem(n, ii, jj, cond, fixed_ids, free_ids).solve(fixed_vals)
 
 
 def certify_dirichlet(
@@ -373,9 +390,9 @@ class ResistanceResult:
         return math.isinf(self.resistance)
 
 
-def resistance_from_arrays(n: int, ii, jj, cond, A_ids, B_ids) -> ResistanceResult:
+def resistance_from_arrays(n: int, ii, jj, cond, A_ids, B_ids, free_ids=None) -> ResistanceResult:
     """Effective resistance between node sets A (potential 0) and B (1),
-    with the potential that carries it."""
+    with the potential that carries it; `free_ids` is as in `DirichletSystem`."""
     ii = np.asarray(ii, dtype=np.int64)
     jj = np.asarray(jj, dtype=np.int64)
     cond = np.asarray(cond, dtype=float)
@@ -389,7 +406,7 @@ def resistance_from_arrays(n: int, ii, jj, cond, A_ids, B_ids) -> ResistanceResu
     fixed = np.concatenate([A_ids, B_ids])
     vals = np.concatenate([np.zeros(len(A_ids)), np.ones(len(B_ids))])
     # with B unreachable from A no current flows: the energy is 0, R = inf
-    u, _ = solve_dirichlet(n, ii, jj, cond, fixed, vals)
+    u, _ = solve_dirichlet(n, ii, jj, cond, fixed, vals, free_ids)
     d = u[ii] - u[jj]
     energy = float(np.sum(cond * d * d))
     resistance = 1.0 / energy if energy > 0 else math.inf
@@ -470,17 +487,20 @@ def sc_RnV(n: int) -> QuadrantPlate:
     1/2 is the odd numerator m = 3^n, so no edge runs along x = 1/2 or
     y = 1/2 and no weight is shared.  The Neumann condition on y = 1/2 holds
     by itself, and the full energy is 4 E_Q(v) = E_Q(2 v), the quadrant
-    solve's own.  The result keeps the quadrant solution 2 v on Q with the
-    numerators of Q's vertices; `harmonic.sc_good_function` reflects it
-    onto the whole graph.
+    solve's own.  The quadrant graph is connected, so the free set is every
+    vertex off the two sides, given to the solver rather than labelled.
+    The result keeps the quadrant solution 2 v on Q with the numerators of
+    Q's vertices; `harmonic.sc_good_function` reflects it onto the whole
+    graph.
     """
     n = int(n)
     if not 1 <= n <= SC_LEVEL_CAP:
         raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
     xn, yn, edges = sc_quadrant(n)
+    left, right = xn == 0, xn == 3 ** n
     res = resistance_from_arrays(
         len(xn), edges[:, 0], edges[:, 1], edges[:, 2].astype(float),
-        np.flatnonzero(xn == 0), np.flatnonzero(xn == 3 ** n),
+        np.flatnonzero(left), np.flatnonzero(right), free_ids=np.flatnonzero(~(left | right)),
     )
     return QuadrantPlate(res.resistance, res.energy, res.potential, xn, yn)
 

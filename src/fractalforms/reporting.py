@@ -5,7 +5,8 @@ float printed to 17 significant digits, so a re-run with the same config
 reproduces identical bytes.  Structured results go to UTF-8 JSON with
 sorted keys.  A sidecar meta file records the config snapshot and
 provenance (git hash, timestamp, seed); the timestamp lives only there so
-the data files stay byte-stable.
+the data files stay byte-stable.  The git hash is read from the checkout's
+own files, with `git rev-parse HEAD` only as the fallback.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -32,10 +34,30 @@ def fmt_float(x: Any) -> str:
 @lru_cache(maxsize=1)
 def git_hash() -> str:
     """Commit of the checkout this module was loaded from, resolved once per
-    process; "unknown" outside a git checkout."""
+    process from the checkout's files; "unknown" outside a git checkout."""
+    return _head_commit(Path(__file__).resolve().parent)
+
+
+# a full SHA-1 or SHA-256 object id
+_FULL_ID = re.compile(r"[0-9a-f]{40}|[0-9a-f]{64}")
+# environment variables that move git's search for its directory
+_GIT_SEARCH_ENV = ("GIT_COMMON_DIR", "GIT_CEILING_DIRECTORIES", "GIT_DISCOVERY_ACROSS_FILESYSTEM")
+
+
+def _head_commit(start: Path) -> str:
+    """What `git -C start rev-parse HEAD` prints, or "unknown" where it fails.
+
+    HEAD is read from the git directory's files; git itself runs only when
+    they do not give a full object id, so no answer differs from git's."""
+    try:
+        found = _read_head(start)
+    except (OSError, UnicodeDecodeError):
+        found = None
+    if found is not None:
+        return found
     try:
         out = subprocess.run(
-            ["git", "-C", str(Path(__file__).resolve().parent), "rev-parse", "HEAD"],
+            ["git", "-C", str(start), "rev-parse", "HEAD"],
             capture_output=True,
             text=True,
             timeout=10,
@@ -45,6 +67,56 @@ def git_hash() -> str:
     if out.returncode != 0:
         return "unknown"
     return out.stdout.strip()
+
+
+def _read_head(start: Path) -> Optional[str]:
+    """HEAD's object id read from the files of the git directory: $GIT_DIR
+    (relative to `start`, as `git -C start` takes it), else the nearest
+    `.git` at or above `start` on its filesystem, a directory or a file
+    whose `gitdir:` line names one.  HEAD is an object id, or names a branch
+    read from its loose file, then from `packed-refs`, in the `commondir` of
+    a linked worktree.  "unknown" when git would find no directory; None
+    for anything else these files do not settle: another owner (git's
+    safe.directory check), a reftable, a symbolic ref chain, a missing ref."""
+    if any(name in os.environ for name in _GIT_SEARCH_ENV):
+        return None
+    if "GIT_DIR" in os.environ:
+        git_dir = start / os.environ["GIT_DIR"]
+    else:
+        device = start.stat().st_dev
+        for top in (start, *start.parents):
+            if top.stat().st_dev != device:
+                return "unknown"
+            if (top / ".git").exists():
+                break
+        else:
+            return "unknown"
+        git_dir = top / ".git"
+        if git_dir.is_file():
+            line = git_dir.read_text(encoding="utf-8").strip()
+            if not line.startswith("gitdir: "):
+                return None
+            git_dir = top / line[len("gitdir: "):]
+        if any(p.stat().st_uid != os.geteuid() for p in (top, git_dir)):
+            return None
+    head = (git_dir / "HEAD").read_text(encoding="utf-8").strip()
+    if _FULL_ID.fullmatch(head):
+        return head
+    if not head.startswith("ref: refs/heads/"):
+        return None
+    ref = head[len("ref: "):]
+    common = git_dir
+    if (git_dir / "commondir").is_file():
+        common = git_dir / (git_dir / "commondir").read_text(encoding="utf-8").strip()
+    if (common / ref).is_file():
+        oid = (common / ref).read_text(encoding="utf-8").strip()
+        return oid if _FULL_ID.fullmatch(oid) else None
+    if (common / "packed-refs").is_file():
+        for line in (common / "packed-refs").read_text(encoding="utf-8").splitlines():
+            oid, _, name = line.partition(" ")
+            if name == ref and _FULL_ID.fullmatch(oid):
+                return oid
+    return None
 
 
 def experiment_id(subcommand: str, config_snapshot: dict) -> str:

@@ -1,7 +1,11 @@
 import functools
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -285,28 +289,176 @@ def test_report_json_streams_the_bytes_dumps_gives(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI end to end
 
-def test_git_hash_resolved_once_per_process_in_the_package_checkout(tmp_path, monkeypatch):
+def _git(cwd, *args):
+    """Run git in `cwd` with no user or system configuration."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+    env.update(GIT_CONFIG_GLOBAL=os.devnull, GIT_CONFIG_NOSYSTEM="1")
+    return subprocess.run(
+        ["git", "-c", "user.name=Test", "-c", "user.email=test@example.com",
+         "-c", "init.defaultBranch=main", *args],
+        cwd=cwd, env=env, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+def _rev_parse(start):
+    """What git itself resolves HEAD to from `start`, or "unknown"."""
+    argv = ["git", "-C", str(start), "rev-parse", "HEAD"]
+    out = subprocess.run(argv, capture_output=True, text=True)
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+@pytest.fixture
+def processes(monkeypatch):
+    """The argument lists of the processes started through `subprocess.run`,
+    which still run; git's lookup variables are cleared."""
+    for name in ("GIT_DIR", *reporting._GIT_SEARCH_ENV):
+        monkeypatch.delenv(name, raising=False)
     calls = []
-    real = reporting.subprocess.run
+    real = subprocess.run
 
     def counting(argv, **kwargs):
         calls.append(argv)
         return real(argv, **kwargs)
 
-    monkeypatch.setattr(reporting.subprocess, "run", counting)
+    monkeypatch.setattr(subprocess, "run", counting)
     reporting.git_hash.cache_clear()
-    try:
-        for k in range(2):
-            report = ExperimentReport("demo", {"seed": k}, columns=("a",), rows=[(k,)])
-            report.write(tmp_path / str(k))
-        assert len(calls) == 1
-        assert calls[0][:3] == ["git", "-C", str(Path(reporting.__file__).resolve().parent)]
-        # outside a checkout the hash is unknown
-        reporting.git_hash.cache_clear()
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-repo"))
-        assert reporting.git_hash() == "unknown"
-    finally:
-        reporting.git_hash.cache_clear()
+    yield calls
+    reporting.git_hash.cache_clear()
+
+
+def test_git_hash_reads_the_package_checkout_without_a_process(tmp_path, processes):
+    want = _rev_parse(Path(reporting.__file__).resolve().parent)
+    processes.clear()
+    reports = [ExperimentReport("demo", {"seed": k}, columns=("a",), rows=[(k,)]) for k in range(2)]
+    metas = [r.write(tmp_path / str(k))[1] for k, r in enumerate(reports)]
+    assert processes == []
+    assert [json.loads(m.read_text())["provenance"]["git_hash"] for m in metas] == [want, want]
+    assert reporting.git_hash.cache_info().misses == 1  # resolved once per process
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A git repository with one commit and a package directory two levels down."""
+    top = tmp_path / "repo"
+    (top / "src" / "pkg").mkdir(parents=True)
+    (top / "src" / "pkg" / "mod.py").write_text("")
+    _git(tmp_path, "init", "-q", str(top))
+    _git(top, "add", ".")
+    _git(top, "commit", "-q", "-m", "first")
+    return top
+
+
+@pytest.mark.parametrize(
+    "layout, moved",
+    [
+        ("loose", False),
+        ("packed", False),
+        ("loose-over-packed", True),
+        ("detached", True),
+        ("worktree", True),
+        ("git-dir-env", False),
+    ],
+)
+def test_git_hash_reads_head_as_git_does(repo, processes, monkeypatch, layout, moved):
+    # `moved`: HEAD is no longer the first commit on main
+    start = repo / "src" / "pkg"
+    first = _rev_parse(start)
+    if layout == "packed":
+        _git(repo, "pack-refs", "--all")
+        assert not (repo / ".git" / "refs" / "heads" / "main").exists()
+    elif layout == "loose-over-packed":
+        # the loose ref is newer than the packed one and wins
+        _git(repo, "pack-refs", "--all")
+        _git(repo, "commit", "-q", "--allow-empty", "-m", "second")
+    elif layout == "detached":
+        _git(repo, "commit", "-q", "--allow-empty", "-m", "second")
+        _git(repo, "checkout", "-q", "--detach", "HEAD~1")
+        _git(repo, "commit", "-q", "--allow-empty", "-m", "third")
+    elif layout == "worktree":
+        # a branch of its own, one commit past main, with its refs packed in
+        # the main repository
+        _git(repo, "worktree", "add", "-q", "-b", "side", str(repo.parent / "wt"))
+        _git(repo.parent / "wt", "commit", "-q", "--allow-empty", "-m", "side")
+        _git(repo, "pack-refs", "--all")
+        start = repo.parent / "wt" / "src" / "pkg"
+        assert (repo.parent / "wt" / ".git").is_file()
+    elif layout == "git-dir-env":
+        # relative to the package directory, as `git -C` takes it
+        monkeypatch.setenv("GIT_DIR", "../../.git")
+    want = _rev_parse(start)
+    assert len(want) == 40 and (want != first) == moved
+    processes.clear()
+    assert reporting._head_commit(start) == want
+    assert processes == []
+
+
+@pytest.mark.parametrize(
+    "case, resolves",
+    [("missing-ref", False), ("symref-chain", True), ("other-owner", False), ("ceiling", True)],
+)
+def test_git_hash_falls_back_to_git_where_the_files_do_not_settle_head(
+    repo, processes, monkeypatch, case, resolves
+):
+    start = repo / "src" / "pkg"
+    if case == "missing-ref":
+        (repo / ".git" / "HEAD").write_text("ref: refs/heads/nowhere\n")
+    elif case == "symref-chain":
+        # HEAD -> alias -> main, which only git itself follows
+        (repo / ".git" / "refs" / "heads" / "alias").write_text("ref: refs/heads/main\n")
+        (repo / ".git" / "HEAD").write_text("ref: refs/heads/alias\n")
+    elif case == "other-owner":
+        # git refuses a checkout another user owns (safe.directory)
+        if os.geteuid() != 0:
+            pytest.skip("only root can give the checkout to another user")
+        os.chown(repo, 65534, -1)
+    else:
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(repo.parent))
+    want = _rev_parse(start)
+    assert (want != "unknown") == resolves
+    processes.clear()
+    assert reporting._head_commit(start) == want
+    assert processes == [["git", "-C", str(start), "rev-parse", "HEAD"]]
+
+
+def test_git_hash_unknown_where_git_dir_names_no_repository(tmp_path, processes, monkeypatch):
+    monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-repo"))
+    assert reporting.git_hash() == "unknown"
+
+
+def test_carpet_runs_load_no_csgraph_and_start_no_process(tmp_path):
+    # in a fresh interpreter, so no other test has loaded csgraph; a started
+    # process is recorded and refused
+    script = textwrap.dedent(
+        """
+        import json, subprocess, sys
+        calls = []
+
+        class Refused(subprocess.Popen):
+            def __init__(self, args, *rest, **kwargs):
+                calls.append(args)
+                raise OSError("no process may start")
+
+        subprocess.Popen = Refused
+        from fractalforms.cli import main
+        codes = [
+            main(argv + ["--out", sys.argv[1]])
+            for argv in (
+                ["resistance", "--kind", "sc", "--levels", "1..3"],
+                ["harnack", "--kind", "sc", "--levels", "3", "--trials", "2"],
+            )
+        ]
+        print(json.dumps([codes, calls, "scipy.sparse.csgraph" in sys.modules]))
+        """
+    )
+    src = Path(reporting.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "out")],
+        cwd=tmp_path, env=env, check=True, capture_output=True, text=True,
+    )
+    codes, calls, csgraph_loaded = json.loads(out.stdout.splitlines()[-1])
+    assert codes == [0, 0] and calls == [] and not csgraph_loaded
 
 
 def _reject_constant(name):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from fractalforms.kinds import FractalKind
 from fractalforms.geometry import cached_vertex_graph, sg_corner_ids, vertex_graph
 from fractalforms.energies import VertexFunction, kigami_energy_En, sc_pointwise_energy_Dn
-from fractalforms.networks import sc_RnV, solver_log
+from fractalforms import harmonic
+from fractalforms.networks import DirichletSystem, sc_RnV, solver_log
 from fractalforms.harmonic import (
     SgHarmonic,
     harnack_ball,
@@ -349,6 +350,33 @@ def test_harnack_ball_equals_the_object_array_oracle(n, center, r, delta):
     want = _object_array_ball(n, center, r, delta)
     for got, ids in zip((ball.interior_ids, ball.boundary_ids, ball.inner_ids), want):
         assert np.array_equal(got, ids)
+
+
+@pytest.mark.parametrize(
+    "n, r, delta, center",
+    [
+        (3, HARNACK_R, HARNACK_DELTA, HARNACK_CENTER),
+        (4, HARNACK_R, HARNACK_DELTA, HARNACK_CENTER),
+        (5, HARNACK_R, HARNACK_DELTA, HARNACK_CENTER),
+        (4, Fraction(271828, 1000003), Fraction(314159, 999983), HARNACK_CENTER),
+        # a ball holding the whole graph, with no vertex on its sphere: no boundary
+        (2, Fraction(3, 2), Fraction(1, 2), (Fraction(1), Fraction(1))),
+    ],
+)
+def test_harnack_ball_free_set_is_the_labelled_one(monkeypatch, n, r, delta, center):
+    made = []
+
+    def recording(V, ii, jj, cond, fixed_ids, free_ids=None):
+        made.append((V, ii, jj, cond, fixed_ids, free_ids))
+        return DirichletSystem(V, ii, jj, cond, fixed_ids, free_ids)
+
+    monkeypatch.setattr(harmonic, "DirichletSystem", recording)
+    ball = harnack_ball(n, center, r, delta)
+    system = ball.system()
+    [(V, ii, jj, cond, fixed_ids, free_ids)] = made
+    assert free_ids is not None
+    labelled = DirichletSystem(V, ii, jj, cond, fixed_ids).free
+    assert np.array_equal(free_ids, labelled) and np.array_equal(system.free, labelled)
 
 
 def test_harnack_ball_rejects_a_center_off_the_square():

@@ -1,4 +1,6 @@
+import heapq
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from fractalforms.kinds import SC_LEVEL_CAP, FractalKind
 from fractalforms.geometry import sc_quadrant, vertex_graph
 from fractalforms.harmonic import sc_good_function
+from fractalforms import networks
 from fractalforms.networks import (
     DirichletSystem,
     ResistanceResult,
@@ -152,11 +155,12 @@ def test_disconnected_terminals_infinite_resistance():
 
 
 @pytest.mark.parametrize(
-    "resistance",
-    [lambda: sg_word_resistance(3), lambda: sc_RnV(2)],
+    "resistance, labellings",
+    [(lambda: sg_word_resistance(3), 1), (lambda: sc_RnV(2), 0)],
     ids=["sg_word_resistance", "sc_RnV"],
 )
-def test_resistance_labels_components_once(monkeypatch, resistance):
+def test_resistance_labels_components_once(monkeypatch, resistance, labellings):
+    # sc_RnV gives its free set, so its connected quadrant is never labelled
     calls = []
     real = csgraph.connected_components
 
@@ -166,7 +170,34 @@ def test_resistance_labels_components_once(monkeypatch, resistance):
 
     monkeypatch.setattr(csgraph, "connected_components", counting)
     assert math.isfinite(resistance().resistance)
-    assert len(calls) == 1
+    assert len(calls) == labellings
+
+
+def test_given_free_ids_are_the_free_set_sorted():
+    # path 0-1-2-3 fixed at 0 and 3, and an isolated node 4
+    ii, jj, cc = np.array([0, 1, 2]), np.array([1, 2, 3]), np.ones(3)
+    system = DirichletSystem(5, ii, jj, cc, [0, 3], free_ids=[2, 1])
+    assert system.free.tolist() == [1, 2]
+    u, _ = system.solve([0.0, 3.0])
+    assert np.allclose(u, [0.0, 1.0, 2.0, 3.0, 0.0], rtol=0, atol=1e-12)
+    assert np.array_equal(u, DirichletSystem(5, ii, jj, cc, [0, 3]).solve([0.0, 3.0])[0])
+
+
+@pytest.mark.parametrize(
+    "free_ids, error",
+    [
+        ([1, 2, 3], "overlap"),
+        ([1, 2, 5], "outside"),
+        ([-1, 1, 2], "outside"),
+        ([1], "neither free nor fixed"),
+        ([2], "neither free nor fixed"),
+    ],
+    ids=["overlap", "past-n", "negative", "open", "open-back"],
+)
+def test_given_free_ids_must_be_in_range_and_closed_up_to_the_fixed_ids(free_ids, error):
+    ii, jj, cc = np.array([0, 1, 2]), np.array([1, 2, 3]), np.ones(3)
+    with pytest.raises(ValueError, match=error):
+        DirichletSystem(5, ii, jj, cc, [0, 3], free_ids=free_ids)
 
 
 def test_solve_dirichlet_zero_off_reached_component():
@@ -352,6 +383,67 @@ SC_RNV_HEX = (
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_sc_RnV_bits_recorded(n):
     assert sc_RnV(n).resistance.hex() == SC_RNV_HEX[n - 1]
+
+
+def _kron_RnV(n):
+    """R_n^V exactly: star-mesh elimination (Kron reduction) on `sc_quadrant(n)`
+    with Fraction conductances, x = 0 shorted into one terminal and x = 1/2
+    into another, the node of least degree eliminated first."""
+    xn, _, edges = sc_quadrant(n)
+    m = 3 ** n
+    # the terminals are -1 (x = 0) and -2 (x = 1/2), every other node its id
+    node = np.where(xn == 0, -1, np.where(xn == m, -2, np.arange(len(xn)))).tolist()
+    adj = defaultdict(dict)
+    for i, j, c in edges.tolist():
+        a, b = node[i], node[j]
+        if a != b:
+            adj[a][b] = adj[b][a] = adj[a].get(b, 0) + Fraction(c)
+    heap = [(len(nb), v) for v, nb in adj.items() if v >= 0]
+    heapq.heapify(heap)
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if v not in adj or degree != len(adj[v]):
+            continue  # eliminated, or its degree changed since it was pushed
+        star = list(adj.pop(v).items())
+        total = sum(c for _, c in star)
+        for u, _ in star:
+            del adj[u][v]
+        for k, (u, cu) in enumerate(star):
+            for w, cw in star[k + 1:]:
+                adj[u][w] = adj[w][u] = adj[u].get(w, 0) + cu * cw / total
+        for u, _ in star:
+            if u >= 0:
+                heapq.heappush(heap, (len(adj[u]), u))
+    return 1 / adj[-1][-2]
+
+
+def test_sc_RnV_exact_at_levels_1_and_2():
+    assert _kron_RnV(1) == Fraction(13, 11)
+    assert _kron_RnV(2) == Fraction(2307692771, 1583207645)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sc_RnV_within_2_ulps_of_the_exact_value(n):
+    exact = float(_kron_RnV(n))  # correctly rounded
+    got = sc_RnV(n).resistance
+    assert abs(got - exact) <= 2 * math.ulp(exact)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sc_RnV_free_set_is_the_labelled_one(monkeypatch, n):
+    made = []
+    real = networks.DirichletSystem
+
+    def recording(V, ii, jj, cond, fixed_ids, free_ids=None):
+        made.append((V, ii, jj, cond, fixed_ids, free_ids))
+        return real(V, ii, jj, cond, fixed_ids, free_ids)
+
+    monkeypatch.setattr(networks, "DirichletSystem", recording)
+    sc_RnV(n)
+    [(V, ii, jj, cond, fixed_ids, free_ids)] = made
+    assert free_ids is not None
+    labelled = real(V, ii, jj, cond, fixed_ids).free
+    assert np.array_equal(np.sort(free_ids), labelled)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
