@@ -29,6 +29,7 @@ import numpy as np
 from .energies import (
     VertexFunction,
     corner_ids_at_level,
+    exact_float,
     restrict_to_level,
     sc_cell_energy_bn,
     sc_pointwise_energy_Dn,
@@ -125,7 +126,7 @@ def besov_partial_terms(u, params: BesovParams) -> list[float]:
     """Per-level weighted energies, n = 1..N."""
     uf = _as_vertex_function(u, params.kind, params.N)
     return [
-        besov_weight(params.kind, params.beta, n) * float(_level_energy(uf, n, params.form))
+        besov_weight(params.kind, params.beta, n) * exact_float(_level_energy(uf, n, params.form))
         for n in range(1, params.N + 1)
     ]
 
@@ -332,7 +333,7 @@ def sg_monotone_limit(
         if not alpha < b < SG_BETA_STAR:
             raise ValueError(f"beta={b} outside ({alpha}, {SG_BETA_STAR})")
     uf = _as_vertex_function(u, FractalKind.SG, probe_levels)
-    energies = [float(sg_pointwise_energy_Bn(uf, n)) for n in range(1, probe_levels + 1)]
+    energies = [exact_float(sg_pointwise_energy_Bn(uf, n)) for n in range(1, probe_levels + 1)]
     rows = []
     for b in beta_grid:
         lam_factor = 1.0 - 2.0 ** b / 5.0

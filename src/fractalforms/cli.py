@@ -38,7 +38,7 @@ from .config import (
     config_dict,
     load_config,
 )
-from .energies import VertexFunction, restrict_to_level, sg_pointwise_energy_Bn
+from .energies import VertexFunction, exact_float, restrict_to_level, sg_pointwise_energy_Bn
 from .geometry import cached_vertex_graph
 from .harmonic import (
     harnack_ball,
@@ -188,7 +188,7 @@ def _run_walkdim(cfg: RunConfig, opts) -> ExperimentReport:
         if not isinstance(fn, VertexFunction):
             raise ConfigError("walkdim on the gasket needs a harmonic function")
         # each level's corners are read from the top graph's corner table
-        energies = [float(sg_pointwise_energy_Bn(fn, n)) for n in levels]
+        energies = [exact_float(sg_pointwise_energy_Bn(fn, n)) for n in levels]
     else:
         if opts.function != "goodfn":
             raise ConfigError("walkdim on the carpet uses the goodfn family")
@@ -222,9 +222,9 @@ def _run_energy(cfg: RunConfig, opts) -> ExperimentReport:
             rows.append(
                 (
                     n,
-                    float(sg_pointwise_energy_Bn(u_n, n)),
-                    float(kigami_energy_En(u_n, n)),
-                    float(sg_graph_energy_An(u_n, n)),
+                    exact_float(sg_pointwise_energy_Bn(u_n, n)),
+                    exact_float(kigami_energy_En(u_n, n)),
+                    exact_float(sg_graph_energy_An(u_n, n)),
                 )
             )
         return _report("energy", cfg, opts, columns=("n", "Bn", "En", "An"), rows=rows)
@@ -439,11 +439,8 @@ def _run_kernel(cfg: RunConfig, opts) -> ExperimentReport:
         C, a = jump_kernel_Ci(x, y, params)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    try:
-        c_float = float(C)
-    except OverflowError:  # as for a_i: the writer refuses the row (exit 4)
-        c_float = math.inf
-    rows = [(opts.i, opts.delta, opts.gamma, opts.beta_i, x, y, c_float, a)]
+    # past a float C_i reads inf, as a_i does: the writer refuses the row (exit 4)
+    rows = [(opts.i, opts.delta, opts.gamma, opts.beta_i, x, y, exact_float(C), a)]
     return _report(
         "kernel",
         cfg,

@@ -6,6 +6,7 @@ once at load so every experiment starts from a checked parameter set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -50,8 +51,8 @@ class RunConfig:
             raise ConfigError("lam must be in (0,1)")
         if self.c is not None and not 0.0 < self.c < self.lam:
             raise ConfigError("c must be in (0, lam)")
-        if self.C1 <= 0 or self.C2 <= 0:
-            raise ConfigError("C1 and C2 must be positive")
+        if not (0 < self.C1 < math.inf and 0 < self.C2 < math.inf):  # nan fails too
+            raise ConfigError("C1 and C2 must be finite and positive")
         alpha = self.fractal_kind().alpha
         bstar = self.beta_star()
         for b in self.beta_grid:

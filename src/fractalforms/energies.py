@@ -80,6 +80,15 @@ def float_values(values) -> np.ndarray:
     return num if den is None else (num / den).astype(float)
 
 
+def exact_float(x) -> float:
+    """float(x) of a nonnegative exact value, or inf where x is too large for
+    a float, so that a report holding it is refused rather than crashing."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def _mean(rows: np.ndarray, den: Optional[int]) -> tuple[np.ndarray, Optional[int]]:
     """Row means of a 2-d numerator array: floats divide now, exact sums
     carry the row length in the denominator."""

@@ -9,14 +9,12 @@ Vertices are stored with integer numerators at a fixed per-level scale:
 
 Both read the family's record in `kinds`: the unit side kind.unit(scale),
 the float y factor, the y weight of the metric, the vertex-scale shift and
-the digit offsets.  Coordinates, distances, the contraction maps and the
-builder are one code path for both families; only the cell graph branches
-on the family.
+the digit offsets.  Float coordinates and distances and the builder are one
+code path for both families; only the cell graph branches on the family.
 
-Equality, hashing, and deduplication therefore never touch floats.  The
-canonical (minimal-scale) form divides out the base while possible; vertex
-identity and the carpet's cell adjacency are decided on the fixed-scale
-numerators.
+These integer numerators at the graph's fixed scale are the one form a
+vertex is kept in: vertex identity, deduplication and the carpet's cell
+adjacency are decided on them, never on floats.
 
 One builder, `_cells`, folds the digit tables into the integer offsets of
 all level-n cells in word order, and `_corners` gives their corner
@@ -34,97 +32,12 @@ from the cached level below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .kinds import FractalKind
-from .words import check_word, unpack_word
-
-
-@dataclass(frozen=True)
-class ExactPoint:
-    """A vertex with exact integer coordinates; always in canonical form."""
-
-    kind: FractalKind
-    xn: int
-    yn: int
-    scale: int
-
-    @staticmethod
-    def make(kind: FractalKind, xn: int, yn: int, scale: int) -> "ExactPoint":
-        b = kind.base
-        while scale > 0 and xn % b == 0 and yn % b == 0:
-            xn //= b
-            yn //= b
-            scale -= 1
-        return ExactPoint(kind, xn, yn, scale)
-
-    def lifted(self, scale: int) -> tuple[int, int]:
-        """Numerators at a coarser-denominator representation (scale >= own)."""
-        if scale < self.scale:
-            raise ValueError("cannot lift to a smaller scale")
-        f = self.kind.base ** (scale - self.scale)
-        return self.xn * f, self.yn * f
-
-    @property
-    def x(self) -> Fraction:
-        return Fraction(self.xn, self.kind.unit(self.scale))
-
-    @property
-    def y_coeff(self) -> Fraction:
-        """y / y_factor: for the gasket y = y_coeff * sqrt(3), for the carpet
-        y itself."""
-        return Fraction(self.yn, self.kind.unit(self.scale))
-
-    def as_floats(self) -> tuple[float, float]:
-        s = 1.0 / self.kind.unit(self.scale)
-        return self.xn * s, self.yn * self.kind.lattice.y_factor * s
-
-    def sq_dist(self, other: "ExactPoint") -> Fraction:
-        """Exact squared Euclidean distance."""
-        if self.kind is not other.kind:
-            raise ValueError("points belong to different fractals")
-        m = max(self.scale, other.scale)
-        ax, ay = self.lifted(m)
-        bx, by = other.lifted(m)
-        return Fraction(self.kind.sq_norm(ax - bx, ay - by), self.kind.unit(m) ** 2)
-
-
-def base_point(kind: FractalKind, i: int) -> ExactPoint:
-    """The i-th generator fixed-boundary point (image of itself at level 0)."""
-    if not 0 <= i < kind.n_maps:
-        raise ValueError("digit out of range")
-    lat = kind.lattice
-    return ExactPoint.make(kind, lat.ox[i], lat.oy[i], lat.scale_shift)
-
-
-def apply_map(kind: FractalKind, digit: int, p: ExactPoint) -> ExactPoint:
-    """One contraction step f_digit applied to an exact point."""
-    if p.kind is not kind:
-        raise ValueError("point kind mismatch")
-    # f_i(x) = (x + (base-1) p_i)/base, p_i = o_i / unit(shift): at scale m+1
-    # the numerators are x's at scale m plus o_i * unit(m - shift)
-    lat = kind.lattice
-    m = max(p.scale, lat.scale_shift)
-    px, py = p.lifted(m)
-    f = kind.unit(m - lat.scale_shift)
-    return ExactPoint.make(kind, px + lat.ox[digit] * f, py + lat.oy[digit] * f, m + 1)
-
-
-def point_of(kind: FractalKind, w) -> ExactPoint:
-    """The vertex addressed by a word: the image of the last digit's base point
-    under the maps of the preceding digits.  Level-(n+1) words address the
-    vertices of the level-n graph."""
-    digits = check_word(kind, w)
-    if not digits:
-        raise ValueError("need at least one digit")
-    p = base_point(kind, digits[-1])
-    for d in reversed(digits[:-1]):
-        p = apply_map(kind, d, p)
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -315,41 +228,6 @@ class VertexGraph:
     def scale(self) -> int:
         return vertex_scale(self.kind, self.level)
 
-    def point(self, i: int) -> ExactPoint:
-        return ExactPoint.make(self.kind, int(self.xn[i]), int(self.yn[i]), self.scale)
-
-    def address(self, i: int) -> tuple[int, ...]:
-        """Smallest level-(n+1) word addressing vertex i: the flat position of
-        its first appearance in `corners`.  A reference for tests; no run
-        reads it."""
-        if not 0 <= i < self.n_vertices:
-            raise IndexError(f"no vertex {i} in a graph of {self.n_vertices}")
-        first = int(np.argmax(self.corners.ravel() == i))
-        return unpack_word(self.kind, first, self.level + 1)
-
-    def ids_of(self, xn, yn) -> np.ndarray:
-        """Ids of the vertices with numerators (xn, yn) at the graph's scale,
-        in the shape of the input; raises KeyError if any is not a vertex.
-        A reference for tests: it sorts the packed keys on each call."""
-        full = self.kind.unit(self.scale)
-        key = self.xn * (full + 1) + self.yn
-        order = np.argsort(key)
-        key = key[order]
-        x = np.asarray(xn, dtype=np.int64)
-        y = np.asarray(yn, dtype=np.int64)
-        q = x * (full + 1) + y
-        pos = np.minimum(np.searchsorted(key, q), len(key) - 1)
-        hit = (key[pos] == q) & (x >= 0) & (x <= full) & (y >= 0) & (y <= full)
-        if not hit.all():
-            i = np.flatnonzero(~hit)[0]
-            raise KeyError(
-                f"not a level-{self.level} vertex: ({x.flat[i]}, {y.flat[i]})"
-            )
-        return order[pos]
-
-    def id_of(self, p: ExactPoint) -> int:
-        return int(self.ids_of(*p.lifted(self.scale)))
-
     def float_coords(self) -> tuple[np.ndarray, np.ndarray]:
         s = 1.0 / self.kind.unit(self.scale)
         return self.xn * s, self.yn * (self.kind.lattice.y_factor * s)
@@ -426,13 +304,6 @@ def _corner_graph(
         corners[:, ends[:, 0]].ravel(), corners[:, ends[:, 1]].ravel(), len(xn)
     )
     return xn, yn, np.column_stack([edges, mult]), corners
-
-
-def canonical_address(kind: FractalKind, p: ExactPoint, n: int) -> tuple[int, ...]:
-    """Lexicographically smallest level-(n+1) word addressing vertex p of the
-    level-n graph.  Raises KeyError if p is not a level-n vertex."""
-    vg = cached_vertex_graph(kind, n)
-    return vg.address(vg.id_of(p))
 
 
 # ---------------------------------------------------------------------------

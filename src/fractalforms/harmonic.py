@@ -41,7 +41,6 @@ from .kinds import (
     FractalKind,
 )
 from .networks import DirichletSystem, graph_edge_arrays, sc_RnV
-from .words import as_digits
 
 __all__ = [
     "SgHarmonic",
@@ -88,26 +87,6 @@ class SgHarmonic:
     @classmethod
     def make(cls, x0, x1, x2) -> "SgHarmonic":
         return cls((Fraction(x0), Fraction(x1), Fraction(x2)))
-
-    def boundary_energy(self) -> Fraction:
-        a, b, c = self.boundary
-        return (a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2
-
-    def corner_triple(self, w) -> tuple:
-        """Values at the three corners of cell w, outermost first."""
-        digits = as_digits(w)
-        start = RationalArray.of(self.boundary)
-        num = start.num
-        for d in digits:
-            num = _EXTENSION[d] @ num
-        return tuple(RationalArray(num, start.den * 5 ** len(digits)))
-
-    def value_at(self, w) -> Fraction:
-        """Value at the vertex addressed by the nonempty word w."""
-        digits = as_digits(w)
-        if not digits:
-            raise ValueError("vertex addresses are nonempty words")
-        return self.corner_triple(digits[:-1])[digits[-1]]
 
     def vertex_function(self, vg: VertexGraph) -> VertexFunction:
         if vg.kind is not FractalKind.SG:

@@ -9,8 +9,8 @@ package's only residual tolerance (no call takes another); a failed
 factorization or a missed residual (NaN included) raises SolverError.
 `solve_dirichlet` is the single-shot form, and `certify_dirichlet` makes
 the same residual check on potentials found without a solve, such as the
-tree walk's radial closures.  Triangle-star substitutions, node shorting,
-and node cutting are exact on rational inputs.
+tree walk's radial closures.  Triangle-star substitutions are exact on
+rational inputs.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from .geometry import (
     sg_corner_ids,
     vertex_graph,
 )
-from .kinds import SC_LEVEL_CAP, FractalKind, sc_beta_star
+from .kinds import SC_LEVEL_CAP, FractalKind
 
 SOLVER_TOL = 1e-12
 # fixed, not a tuning knob: single-column supernodes keep the factor's
@@ -95,15 +95,6 @@ class WeightedNetwork:
                     seen.append(x)
         return seen
 
-    def neighbors(self, v) -> list:
-        out = []
-        for (a, b), c in self.conductances.items():
-            if a == v:
-                out.append((b, c))
-            elif b == v:
-                out.append((a, c))
-        return out
-
     def copy(self) -> "WeightedNetwork":
         return WeightedNetwork(dict(self.conductances))
 
@@ -125,36 +116,6 @@ class WeightedNetwork:
         self.add_edge(a, center, one / r1)
         self.add_edge(b, center, one / r2)
         self.add_edge(c, center, one / r3)
-
-    def short_nodes(self, group: Iterable, label) -> None:
-        """Merge a node group into one node; parallel edges accumulate."""
-        group = set(group)
-        old = dict(self.conductances)
-        self.conductances.clear()
-        for (a, b), c in old.items():
-            a2 = label if a in group else a
-            b2 = label if b in group else b
-            if a2 == b2:
-                continue  # interior edge vanishes
-            self.add_edge(a2, b2, c)
-
-    def cut_node(self, v, parts: Sequence[Iterable]) -> list:
-        """Split v into one copy per part; parts must partition its edges."""
-        nbrs = [n for n, _ in self.neighbors(v)]
-        flat = [x for part in parts for x in part]
-        if sorted(map(repr, flat)) != sorted(map(repr, nbrs)):
-            raise ValueError("parts do not partition the incident edges")
-        labels = [(v, i) for i in range(len(parts))]
-        old = dict(self.conductances)
-        for (a, b), c in old.items():
-            if v in (a, b):
-                other = b if a == v else a
-                for part, lab in zip(parts, labels):
-                    if other in set(part):
-                        self.remove_edge(a, b)
-                        self.add_edge(lab, other, c)
-                        break
-        return labels
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +346,6 @@ class ResistanceResult:
     energy: float
     potential: np.ndarray = field(repr=False, compare=False)
 
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.resistance)
-
 
 def resistance_from_arrays(n: int, ii, jj, cond, A_ids, B_ids, free_ids=None) -> ResistanceResult:
     """Effective resistance between node sets A (potential 0) and B (1),
@@ -525,24 +482,14 @@ def fit_log_geometric(ns: Sequence[int], values: Sequence[float]) -> tuple[float
 @dataclass
 class RhoEstimate:
     rho_hat: float
-    beta_star_hat: float
-    levels: tuple[int, ...]
-    ratios: tuple[float, ...]
 
 
 def rho_estimate(
     levels: Sequence[int], R_values: Sequence[float], fit_from: int = 2
 ) -> RhoEstimate:
-    """Fit the growth factor of the left-right resistances and the implied
-    critical exponent log(8*rho)/log(3).  Levels below `fit_from` are shown
-    in the ratio list but excluded from the fit."""
-    levels = [int(x) for x in levels]
-    pairs = sorted(zip(levels, R_values))
-    ratios = tuple(
-        pairs[i + 1][1] / pairs[i][1]
-        for i in range(len(pairs) - 1)
-        if pairs[i + 1][0] == pairs[i][0] + 1
-    )
-    fit_pts = [(n, v) for n, v in pairs if n >= fit_from]
+    """Fit the growth factor rho of the left-right resistances, whose critical
+    exponent is log(8*rho)/log(3).  Levels below `fit_from` are left out of
+    the fit."""
+    fit_pts = sorted((int(n), v) for n, v in zip(levels, R_values) if int(n) >= fit_from)
     rho, _ = fit_log_geometric([p[0] for p in fit_pts], [p[1] for p in fit_pts])
-    return RhoEstimate(rho, sc_beta_star(rho), tuple(p[0] for p in fit_pts), ratios)
+    return RhoEstimate(rho)

@@ -85,8 +85,10 @@ class WalkParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.lam < 1.0:
             raise ValueError("lam must be in (0,1)")
-        if self.C1 <= 0 or self.C2 <= 0:
-            raise ValueError("C1 and C2 must be positive")
+        if not (0 < self.C1 < math.inf and 0 < self.C2 < math.inf):
+            raise ValueError("C1 and C2 must be finite and positive")
+        if not 0 <= self.seed < 2 ** 64:  # one uint64 word of the Philox key
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.c is not None and not 0.0 < self.c < self.lam:
             raise ValueError("c must be in (0, lam)")
         if self.depth_cut < 2:
@@ -503,7 +505,11 @@ def _run_paths(
 
     def run_half(chunks: range) -> int:
         """Step the paths of `chunks`; return how many hit step_cap."""
-        rngs = [np.random.Generator(np.random.Philox(key=[params.seed, k])) for k in chunks]
+        # a list key past 2^63 would pass through float64 and lose its low bits
+        rngs = [
+            np.random.Generator(np.random.Philox(key=np.array([params.seed, k], dtype=np.uint64)))
+            for k in chunks
+        ]
         starts = firsts[chunks.start : chunks.stop + 1]
 
         def per_chunk(f, bounds):

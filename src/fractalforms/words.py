@@ -14,15 +14,6 @@ def as_digits(w: "Sequence[int] | str") -> tuple[int, ...]:
     return tuple(int(d) for d in w)
 
 
-def check_word(kind: FractalKind, w: "Sequence[int] | str") -> tuple[int, ...]:
-    digits = as_digits(w)
-    k = kind.n_maps
-    for d in digits:
-        if not 0 <= d < k:
-            raise ValueError(f"digit {d} out of range for {kind}")
-    return digits
-
-
 def enumerate_words(kind: FractalKind, n: int) -> Iterator[tuple[int, ...]]:
     """All level-n words in lexicographic order (as plain tuples)."""
     if n < 0:
@@ -37,12 +28,3 @@ def pack_word(kind: FractalKind, digits: Iterable[int]) -> int:
     for d in digits:
         acc = acc * k + d
     return acc
-
-
-def unpack_word(kind: FractalKind, packed: int, level: int) -> tuple[int, ...]:
-    k = kind.n_maps
-    out = []
-    for _ in range(level):
-        packed, d = divmod(packed, k)
-        out.append(d)
-    return tuple(reversed(out))

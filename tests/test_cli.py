@@ -1,3 +1,4 @@
+import ast
 import functools
 import hashlib
 import json
@@ -23,7 +24,7 @@ from fractalforms.config import (
     parse_config_text,
 )
 from fractalforms import cli, networks, reporting, treewalk
-from fractalforms.geometry import VertexGraph, vertex_graph
+from fractalforms.geometry import vertex_graph
 from fractalforms.kinds import FractalKind
 from fractalforms.cli import _build_parser, main, run
 from fractalforms.reporting import ExperimentReport, experiment_id, fmt_float
@@ -619,13 +620,16 @@ def test_cli_data_files_are_pinned(tmp_path):
     assert not moved, "data files moved:\n" + "\n".join(moved)
 
 
-def test_cli_runs_look_no_vertex_up_by_its_coordinates(tmp_path, monkeypatch):
-    # every run reads its vertex ids from the corner table: one call of each
-    # subcommand in the manifest, with the coordinate lookup made to fail
-    def refuse(self, xn, yn):
-        raise AssertionError("a run looked a vertex up by its coordinates")
-
-    monkeypatch.setattr(VertexGraph, "ids_of", refuse)
+def test_cli_runs_look_no_vertex_up_by_its_coordinates(tmp_path):
+    # every run reads its vertex ids from the corner table: no package module
+    # defines or reads a coordinate lookup (the references `ids_of` and
+    # `id_of` live in tests/oracles.py), and one call of each subcommand in
+    # the manifest still writes its pinned bytes
+    lookups = {"ids_of", "id_of"}
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {getattr(node, a, None) for node in ast.walk(tree) for a in ("name", "attr", "id")}
+        assert not names & lookups, f"{path.name} defines or reads {sorted(names & lookups)}"
     done = set()
     for k, (args, digest) in enumerate(DATA_DIGESTS):
         if args[0] not in done:
@@ -695,6 +699,19 @@ def test_cli_walk_cached_closures_log_their_certificate(tmp_path):
 def test_cli_invalid_config_exit_2(tmp_path):
     rc, _ = _run(tmp_path, "walk", "--lambda", "1.5")
     assert rc == 2
+
+
+@pytest.mark.parametrize("key", ["C1", "C2"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_non_finite_weight_in_config_exit_2(tmp_path, key, value):
+    # nan <= 0 is False: a bare sign check let nan through to the solver
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match="finite"):
+        load_config(cfgf)
+    rc, out = _run(tmp_path, "walk", "--config", str(cfgf), "--samples", "100", "--depth-cut", "6")
+    assert rc == 2
+    assert not Path(out).exists()
 
 
 def test_cli_level_cap_exit_3(tmp_path):
@@ -1019,6 +1036,8 @@ EXIT_CODES = (
     ("kernel --x 01 --y 0-", 2),
     ("walk --samples 1", 2),
     ("walk --samples 0", 2),
+    # the seed is one uint64 word of the walk's Philox key
+    ("walk --samples 100 --depth-cut 6 --seed 18446744073709551616", 2),
     # a repeated level would make the fits across levels singular
     ("resistance --kind sg --levels 2,2,2", 2),
     ("walkdim --kind sg --levels 3,3,3", 2),
@@ -1035,6 +1054,13 @@ EXIT_CODES = (
     ("kernel --i 1000", 3),
     ("kernel --i 99", 3),
     ("kernel --gamma 2000", 3),
+    # the exact energies of a boundary this large overflow a float: the run
+    # ends as kernel's C_i does, with no data file
+    ("energy --kind sg --boundary 1e200,0,0", 4),
+    ("mosco --boundary 1e200,0,0", 4),
+    ("walkdim --kind sg --function harmonic:1e200,0,0", 4),
+    ("trace --function harmonic:1e200,0,0", 4),
+    ("besov --kind sg --function harmonic:1e200,0,0", 4),
 )
 
 

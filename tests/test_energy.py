@@ -35,6 +35,7 @@ from fractalforms.energies import (
     sg_graph_energy_An,
     sg_pointwise_energy_Bn,
 )
+from oracles import ids_of
 from fractalforms.harmonic import (
     CANTOR_DIGITS,
     sg_harmonic,
@@ -102,7 +103,7 @@ def _searched_corner_ids(vg, n):
     and looked up by coordinates."""
     lift = vg.kind.base ** (vg.scale - vertex_scale(vg.kind, n))
     cx, cy = _corners(vg.kind, *_cells(vg.kind, n))
-    return vg.ids_of(cx * lift, cy * lift)
+    return ids_of(vg, cx * lift, cy * lift)
 
 
 @pytest.mark.parametrize("kind,top", [(SG, 10), (SC, 4)])
@@ -122,9 +123,9 @@ def test_bottom_edge_and_outer_corners_match_coordinate_search(top):
     full = 2 ** vg.scale
     rows = np.concatenate([_bottom_edge_ids(vg, n) for n in range(top + 1)])
     xs = np.concatenate([np.arange(2 ** n + 1) * (full >> n) for n in range(top + 1)])
-    assert np.array_equal(rows, vg.ids_of(xs, np.zeros_like(xs)))
+    assert np.array_equal(rows, ids_of(vg, xs, np.zeros_like(xs)))
     h = full // 2
-    assert list(sg_corner_ids(vg)) == vg.ids_of([0, full, h], [0, 0, h]).tolist()
+    assert list(sg_corner_ids(vg)) == ids_of(vg, [0, full, h], [0, 0, h]).tolist()
 
 
 @pytest.mark.parametrize("kind,top", [(SG, 6), (SC, 3)])
@@ -134,7 +135,7 @@ def test_restrict_to_level_matches_coordinate_lookup(kind, top):
     for n in range(top + 1):
         coarse = cached_vertex_graph(kind, n)
         lift = kind.base ** (fine.scale - coarse.scale)
-        want = fine.ids_of(coarse.xn * lift, coarse.yn * lift)
+        want = ids_of(fine, coarse.xn * lift, coarse.yn * lift)
         assert np.array_equal(restrict_to_level(u, coarse).values, want)
 
 

@@ -23,6 +23,7 @@ from fractalforms.harmonic import (
     x_profile_energy_level1,
     x_profile_value,
 )
+from oracles import address, ids_of
 
 SG = FractalKind.SG
 SC = FractalKind.SC
@@ -35,18 +36,12 @@ rationals = st.fractions(min_value=-4, max_value=4, max_denominator=64)
 
 
 def test_midpoint_rule():
-    h = SgHarmonic.make(Fraction(0), Fraction(1), Fraction(2))
-    # corners of cell 0: (x0, m01, m02)
-    assert h.corner_triple((0,)) == (Fraction(0), Fraction(4, 5), Fraction(1))
-    assert h.corner_triple((1,)) == (Fraction(4, 5), Fraction(1), Fraction(6, 5))
-    assert h.corner_triple((2,)) == (Fraction(1), Fraction(6, 5), Fraction(2))
-
-
-def test_boundary_energy_quadratic_form():
-    h = SgHarmonic.make(Fraction(0), Fraction(1), Fraction(0))
-    assert h.boundary_energy() == 2
-    g = SgHarmonic.make(Fraction(1), Fraction(0), Fraction(2))
-    assert g.boundary_energy() == 1 + 4 + 1
+    u = sg_harmonic(Fraction(0), Fraction(1), Fraction(2), 1)
+    # corners of cell d, read through the corner table; cell 0: (x0, m01, m02)
+    corners = [tuple(u.values[i] for i in row) for row in u.graph.corners]
+    assert corners[0] == (Fraction(0), Fraction(4, 5), Fraction(1))
+    assert corners[1] == (Fraction(4, 5), Fraction(1), Fraction(6, 5))
+    assert corners[2] == (Fraction(1), Fraction(6, 5), Fraction(2))
 
 
 @given(rationals, rationals, rationals)
@@ -78,7 +73,7 @@ def test_value_at_matches_vertex_function():
     u = h.vertex_function(cached_vertex_graph(SG, 2))
     vg = u.graph
     for i in range(vg.n_vertices):
-        assert u.values[i] == h.value_at(vg.address(i))
+        assert u.values[i] == _ref_value(h.boundary, address(vg, i))
 
 
 def _ref_value(boundary, word):
@@ -98,11 +93,11 @@ def test_vertex_function_with_large_denominators_matches_value_at():
     vg = cached_vertex_graph(SG, 10)
     u = h.vertex_function(vg)
     assert max(abs(v) for v in u.values.num) > 2 ** 63  # past any int64
-    assert kigami_energy_En(u, 10) == h.boundary_energy()
+    a, b, c = h.boundary  # the boundary's energy, which every level keeps
+    assert kigami_energy_En(u, 10) == (a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2
     rng = np.random.default_rng(5)
     for i in [0, 1, 2, vg.n_vertices - 1, *rng.integers(0, vg.n_vertices, 200).tolist()]:
-        word = tuple(vg.address(i))
-        assert u.values[i] == h.value_at(word) == _ref_value(h.boundary, word)
+        assert u.values[i] == _ref_value(h.boundary, address(vg, i))
 
 
 def test_triadic_f_table():
@@ -226,7 +221,7 @@ def test_good_function_symmetry_and_range():
     assert vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-12
     # mirror symmetry u(1-x, y) = 1 - u(x, y)
     full = 2 * 3 ** vg.scale
-    mirror = vg.ids_of(full - vg.xn, vg.yn)
+    mirror = ids_of(vg, full - vg.xn, vg.yn)
     for i in range(vg.n_vertices):
         j = mirror[i]
         assert abs(vals[i] + vals[j] - 1.0) < 1e-8

@@ -19,6 +19,7 @@ from fractalforms.config import RunConfig
 from fractalforms.geometry import vertex_graph
 from fractalforms.harmonic import holder_constant, sc_good_function, sg_harmonic
 from fractalforms.kinds import FractalKind
+from oracles import point
 
 SG = FractalKind.SG
 SC = FractalKind.SC
@@ -33,9 +34,9 @@ def _lattice_outputs() -> list[str]:
             vg = vertex_graph(kind, n)
             x, y = vg.float_coords()
             out.append(x.tobytes().hex() + y.tobytes().hex())
-            last = vg.point(vg.n_vertices - 1)
+            last = point(vg, vg.n_vertices - 1)
             for i in range(vg.n_vertices):
-                p = vg.point(i)
+                p = point(vg, i)
                 fx, fy = p.as_floats()
                 out.append(
                     f"{p.xn} {p.yn} {p.scale} {p.x} {p.y_coeff} "

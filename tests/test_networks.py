@@ -33,6 +33,7 @@ from fractalforms.networks import (
     solver_log,
     wye_to_delta,
 )
+from oracles import ids_of
 
 positive = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 
@@ -101,27 +102,6 @@ def test_substitute_requires_triangle():
         net.substitute_delta_with_wye(0, 1, 2, center=9)
 
 
-def test_short_nodes_merges_parallel_conductances():
-    net = WeightedNetwork()
-    net.add_edge(0, 1, 2.0)
-    net.add_edge(0, 2, 3.0)
-    net.add_edge(1, 2, 7.0)  # collapses away when 1 and 2 merge
-    net.short_nodes([1, 2], label="m")
-    r = effective_resistance(net, [0], ["m"]).resistance
-    assert abs(r - 1.0 / 5.0) < 1e-12
-
-
-def test_cut_node_splits_series_chain():
-    net = WeightedNetwork()
-    net.add_edge(0, 1, 1.0)
-    net.add_edge(1, 2, 1.0)
-    labels = net.cut_node(1, [[0], [2]])
-    assert len(labels) == 2
-    nodes = set(net.nodes())
-    assert 1 not in nodes
-    assert set(labels) <= nodes
-
-
 def test_triangle_corner_resistance():
     net = WeightedNetwork()
     net.add_edge(0, 1, 1.0)
@@ -149,7 +129,7 @@ def test_disconnected_terminals_infinite_resistance():
     jj = np.array([1, 3])
     cc = np.array([1.0, 1.0])
     res = resistance_from_arrays(4, ii, jj, cc, np.array([0]), np.array([2]))
-    assert res.is_infinite
+    assert math.isinf(res.resistance)
     assert res.energy == 0.0
     assert res.potential.tolist() == [0.0, 0.0, 1.0, 1.0]
 
@@ -471,8 +451,8 @@ def test_sc_RnV_quadrant_solve_matches_the_full_graph_oracle(n):
     assert np.max(np.abs(v - oracle.potential)) <= 1e-11
     # the reflections hold by construction: exactly, up to the rounding of 1 - (1 - v)
     assert np.all(v[xn == m] == 0.5)
-    assert np.array_equal(v[vg.ids_of(xn, 2 * m - yn)], v)
-    mirror = vg.ids_of(2 * m - xn, yn)
+    assert np.array_equal(v[ids_of(vg, xn, 2 * m - yn)], v)
+    mirror = ids_of(vg, 2 * m - xn, yn)
     assert np.max(np.abs(v[mirror] - (1.0 - v))) <= 2.3e-16
 
 
@@ -484,7 +464,7 @@ def test_sc_RnV_reflects_as_the_coordinate_search_did(n):
     # by ids_of, reading the half quadrant solution v on x, y <= 1/2
     m = 3 ** n
     inside = (vg.xn <= m) & (vg.yn <= m)
-    mirror = vg.ids_of(np.minimum(vg.xn, 2 * m - vg.xn), np.minimum(vg.yn, 2 * m - vg.yn))
+    mirror = ids_of(vg, np.minimum(vg.xn, 2 * m - vg.xn), np.minimum(vg.yn, 2 * m - vg.yn))
     want = v[inside][(np.cumsum(inside) - 1)[mirror]]
     right = vg.xn > m
     want[right] = 1.0 - want[right]
@@ -536,6 +516,7 @@ def test_rho_estimate_on_synthetic_geometric_series():
     values = [1.3 * 1.25 ** n for n in levels]
     est = rho_estimate(levels, values, fit_from=2)
     assert abs(est.rho_hat - 1.25) < 1e-10
-    assert abs(est.beta_star_hat - math.log(8 * 1.25) / math.log(3)) < 1e-10
-    assert len(est.ratios) == 4
-    assert est.levels == (2, 3, 4, 5)
+    # level 1 is left out of the fit, whatever its value
+    values[0] = 9.0
+    assert rho_estimate(levels, values, fit_from=2) == est
+    assert abs(rho_estimate(levels, values, fit_from=1).rho_hat - 1.25) > 0.1

@@ -7,6 +7,10 @@ the module that defines it, or in a module that imports it from there, so
 a parameter or local of the same spelling elsewhere is not a use.  An
 `Attribute` counts by spelling.  A mention in a docstring, in `__all__` or
 in an import alone does not count.
+
+The public methods and properties of package classes are checked the same
+way: a member counts as used when its name is read as an attribute in a
+package module or in the acceptance gate.
 """
 
 import ast
@@ -17,10 +21,6 @@ PACKAGE = ROOT / "src" / "fractalforms"
 
 # name -> the claim it checks or the reference tests compare against
 ALLOWED = {
-    "point_of": "exact vertex coordinates of an address word, the reference "
-    "the vertex graph's integer coordinates are compared against",
-    "canonical_address": "the smallest word addressing a vertex, the reference "
-    "for the graph's addresses and the corner table",
     "sg_vertex_corner_resistance": "the gasket's vertex-to-corner resistance, "
     "compared with its closed form in the resistance tests",
     "x_profile_energy_level1": "the level-1 energy of the profile f, whose "
@@ -34,6 +34,13 @@ ALLOWED = {
     "Cache": "no subcommand reads or writes the graph cache any more; it is "
     "kept only because the benchmark harness passes --cache and wraps "
     "Cache.get and Cache.put, until that harness stops and the cache goes",
+}
+
+# "Class.member" -> why a public method or property no run reads is kept
+ALLOWED_MEMBERS = {
+    "Cache.get_or_build": ALLOWED["Cache"],
+    "VertexFunction.is_exact": "the benchmark harness counts the exact "
+    "energy sums by reading it on each call it traces",
 }
 
 
@@ -94,3 +101,38 @@ def test_every_public_name_has_a_caller_or_a_claim():
     stale = sorted(set(ALLOWED) - set(unused))
     assert not stale, "allowed but now used or gone; drop from ALLOWED: " + ", ".join(stale)
 
+
+def _public_members() -> set:
+    """"Class.member" for each public method or property defined in the body
+    of a package class."""
+    members = set()
+    for path, tree in _trees():
+        if path.parent != PACKAGE:
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        if not item.name.startswith("_"):
+                            members.add(f"{node.name}.{item.name}")
+    return members
+
+
+def _read_attributes() -> set:
+    return {
+        node.attr
+        for _, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_member_is_read_or_has_a_claim():
+    read = _read_attributes()
+    unused = {m for m in _public_members() if m.rpartition(".")[2] not in read}
+    unreached = sorted(unused - set(ALLOWED_MEMBERS))
+    assert not unreached, (
+        "members read only from tests; give each a run or delete it: " + ", ".join(unreached)
+    )
+    stale = sorted(set(ALLOWED_MEMBERS) - unused)
+    assert not stale, "allowed but now read or gone; drop from ALLOWED_MEMBERS: " + ", ".join(stale)

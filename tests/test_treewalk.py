@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,7 @@ from fractalforms.treewalk import (
     rho_a,
     vertical_conductance,
 )
-from fractalforms.words import unpack_word
+from oracles import unpack_word
 
 word_st = st.text(alphabet="012", min_size=0, max_size=6)
 
@@ -229,6 +230,26 @@ def test_green_mc_deterministic_given_seed():
     assert a == b
     c = green_oo(_params(lam=0.5, samples=3000, seed=5), mode="mc")
     assert a != c
+
+
+def test_seeds_past_2_63_draw_their_own_paths():
+    # the Philox key is two uint64 words: a seed past 2^63 must not pass
+    # through a float, where 2^63 + 1 and 2^63 + 2 round to one key
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a, b = (green_oo(_params(seed=2 ** 63 + k, samples=300, depth_cut=5), mode="mc")
+                for k in (1, 2))
+    assert a != b
+    for bad in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match="seed"):
+            _params(seed=bad)
+
+
+@pytest.mark.parametrize("key", ["C1", "C2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_walk_params_refuse_non_finite_weights(key, value):
+    with pytest.raises(ValueError, match="finite"):
+        _params(**{key: value})
 
 
 def test_boundary_hit_distribution_first_digit():

@@ -8,23 +8,25 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from fractalforms.kinds import FractalKind
-from fractalforms.words import (
-    as_digits,
-    check_word,
-    enumerate_words,
-    pack_word,
-    unpack_word,
-)
+from fractalforms.words import as_digits, enumerate_words, pack_word
 from fractalforms.geometry import (
-    apply_map,
-    base_point,
-    canonical_address,
     cached_vertex_graph,
     cell_graph,
-    point_of,
     sg_corner_ids,
     vertex_graph,
     vertex_scale,
+)
+from oracles import (
+    address,
+    apply_map,
+    base_point,
+    canonical_address,
+    check_word,
+    id_of,
+    ids_of,
+    point,
+    point_of,
+    unpack_word,
 )
 
 SG = FractalKind.SG
@@ -207,9 +209,9 @@ def test_boundary_selectors_name_the_kind_they_expect():
 @given(st.integers(0, 14))
 def test_address_id_roundtrip(i):
     vg = cached_vertex_graph(SG, 2)
-    w = vg.address(i)
+    w = address(vg, i)
     p = point_of(SG, w)
-    assert vg.id_of(p) == i
+    assert id_of(vg, p) == i
 
 
 @given(sg_digits.filter(lambda d: len(d) >= 1))
@@ -242,7 +244,7 @@ def test_vertex_graph_is_a_frozen_record_of_read_only_arrays():
     for a in (vg.yn, vg.edges, vg.corners):
         assert not a.flags.writeable
     with pytest.raises(IndexError):
-        vg.address(vg.n_vertices)
+        address(vg, vg.n_vertices)
 
 
 def test_vertex_graph_rejects_bad_level():
@@ -302,7 +304,7 @@ CELL_GRAPH_DIGESTS = {
 def test_vertex_graph_arrays_match_golden(kind, n):
     # the addresses, once a stored array, are derived from the corner table
     vg = vertex_graph(kind, n)
-    addr = [pack_word(kind, vg.address(i)) for i in range(vg.n_vertices)]
+    addr = [pack_word(kind, address(vg, i)) for i in range(vg.n_vertices)]
     got = _digest(vg.xn, vg.yn, vg.edges, addr)
     assert got == VERTEX_GRAPH_DIGESTS[(kind, n)]
 
@@ -336,19 +338,19 @@ def test_vertex_points_match_scalar_addresses(kind, top):
     for n in range(top + 1):
         vg = vertex_graph(kind, n)
         for i in range(vg.n_vertices):
-            assert vg.point(i) == point_of(kind, vg.address(i))
+            assert point(vg, i) == point_of(kind, address(vg, i))
 
 
 def test_ids_of_rejects_non_vertices():
     vg = vertex_graph(SC, 1)
-    assert vg.ids_of(vg.xn, vg.yn).tolist() == list(range(vg.n_vertices))
+    assert ids_of(vg, vg.xn, vg.yn).tolist() == list(range(vg.n_vertices))
     with pytest.raises(KeyError):
-        vg.ids_of([3], [3])  # centre of the removed middle square
+        ids_of(vg, [3], [3])  # centre of the removed middle square
     full = 2 * 3 ** vg.scale
     with pytest.raises(KeyError):
-        vg.ids_of([0], [full + 1])  # would alias (1, 0) in the packed key
+        ids_of(vg, [0], [full + 1])  # would alias (1, 0) in the packed key
     with pytest.raises(KeyError):
-        vertex_graph(SG, 2).id_of(point_of(SG, (0, 0, 0, 1)))
+        id_of(vertex_graph(SG, 2), point_of(SG, (0, 0, 0, 1)))
 
 
 def test_vertex_graph_has_no_dict_index():
