@@ -306,6 +306,8 @@ def _geometric_tail(terms: Sequence[float]) -> tuple[float, float]:
     Uses the last observed term ratio; exact for exactly geometric data."""
     if len(terms) < 2 or terms[-1] == 0.0:
         return 0.0, 0.0
+    if not (math.isfinite(terms[-2]) and math.isfinite(terms[-1])):
+        return 0.0, math.inf  # an overflowed term has no ratio to extend
     q = terms[-1] / terms[-2]
     if q >= 1.0:
         return 0.0, math.inf
@@ -400,7 +402,8 @@ def interval_trace_check(
     interval = 0.0
     for n in range(1, N + 1):
         d = np.diff(vals[_bottom_edge_ids(uf.graph, n)])
-        interval += 2.0 ** ((beta2 - 1.0) * n) * float(np.dot(d, d))
+        with np.errstate(over="ignore"):  # past the float range the sum reads inf
+            interval += 2.0 ** ((beta2 - 1.0) * n) * float(np.dot(d, d))
     return sg_sum, interval
 
 

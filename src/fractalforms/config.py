@@ -6,12 +6,12 @@ once at load so every experiment starts from a checked parameter set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
 from .kinds import SC_LEVEL_CAP, SG_LEVEL_CAP, FractalKind
+from .treewalk import WalkParams
 
 
 class ConfigError(ValueError):
@@ -47,12 +47,11 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.kind not in ("sg", "sc"):
             raise ConfigError(f"kind must be sg or sc, got {self.kind!r}")
-        if not 0.0 < self.lam < 1.0:
-            raise ConfigError("lam must be in (0,1)")
-        if self.c is not None and not 0.0 < self.c < self.lam:
-            raise ConfigError("c must be in (0, lam)")
-        if not (0 < self.C1 < math.inf and 0 < self.C2 < math.inf):  # nan fails too
-            raise ConfigError("C1 and C2 must be finite and positive")
+        try:  # the walk's own rules; its seed range is checked where the walk runs
+            WalkParams(lam=self.lam, C1=self.C1, C2=self.C2, c=self.c,
+                       samples=self.samples, depth_cut=self.depth_cut)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         alpha = self.fractal_kind().alpha
         bstar = self.beta_star()
         for b in self.beta_grid:
@@ -65,10 +64,8 @@ class RunConfig:
             raise ConfigError(f"level_cap_sg must be in [1, {SG_LEVEL_CAP}]")
         if not 1 <= self.level_cap_sc <= SC_LEVEL_CAP:
             raise ConfigError(f"level_cap_sc must be in [1, {SC_LEVEL_CAP}]")
-        if self.samples < 2 or self.mc_samples < 2:
-            raise ConfigError("sample budgets must be >= 2")
-        if self.depth_cut < 2:
-            raise ConfigError("depth_cut must be >= 2")
+        if self.mc_samples < 2:
+            raise ConfigError(f"mc_samples must be >= 2, got {self.mc_samples}")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         return self

@@ -95,9 +95,6 @@ class WeightedNetwork:
                     seen.append(x)
         return seen
 
-    def copy(self) -> "WeightedNetwork":
-        return WeightedNetwork(dict(self.conductances))
-
     def remove_edge(self, a, b) -> None:
         del self.conductances[self._key(a, b)]
 

@@ -5,8 +5,10 @@ float printed to 17 significant digits, so a re-run with the same config
 reproduces identical bytes.  Structured results go to UTF-8 JSON with
 sorted keys.  A sidecar meta file records the config snapshot and
 provenance (git hash, timestamp, seed); the timestamp lives only there so
-the data files stay byte-stable.  The git hash is read from the checkout's
-own files, with `git rev-parse HEAD` only as the fallback.
+the data files stay byte-stable.  Every file is written under a temporary
+name in the output directory and renamed into place once complete, so a
+write that fails leaves no file behind.  The git hash is read from the
+checkout's own files, with `git rev-parse HEAD` only as the fallback.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ import math
 import os
 import re
 import subprocess
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence, TextIO
 
 
 def fmt_float(x: Any) -> str:
@@ -159,58 +162,57 @@ class ExperimentReport:
         return experiment_id(self.experiment, self.config_snapshot)
 
     def write(self, out_dir: str | Path) -> list[Path]:
-        # a non-finite float leaves no file behind: rows are checked before
-        # anything is created, and a tree is streamed into a temporary file
-        # that replaces the data file only once the encoder has finished
+        # every file goes through a temporary name, so a failed or
+        # interrupted write leaves no file.  Rows and the meta are checked
+        # before the directory is created; a tree fails in its temporary file
         if self.rows is not None:
             for row in self.rows:
                 for name, x in zip(self.columns, row):
                     if isinstance(x, float) and not math.isfinite(x):
                         raise NonFiniteResultError(f"{self.experiment}: {name} = {x}")
+        meta = {"experiment": self.experiment, "config": self.config_snapshot,
+                "provenance": self.provenance}
+        meta_text = _encode_json(self.experiment, json.dumps, meta)
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         eid = self.experiment_id
-        paths = []
         if self.rows is not None:
             data_path = out / f"{eid}.csv"
-            with open(data_path, "w", newline="", encoding="utf-8") as fh:
+            with _replacing(data_path) as fh:
                 w = csv.writer(fh)
                 w.writerow(self.columns)
-                for row in self.rows:
-                    w.writerow([fmt_float(x) for x in row])
+                w.writerows([fmt_float(x) for x in row] for row in self.rows)
         else:
             data_path = out / f"{eid}.json"
-            # a temporary name in the same directory, opened as the data file
-            # would be, so the replace is atomic and the file mode the same
-            tmp = out / f".{eid}.json.{os.getpid()}.tmp"
-            try:
-                with open(tmp, "w", encoding="utf-8") as fh:
-                    try:
-                        json.dump(
-                            self.tree, fh, sort_keys=True, indent=1, ensure_ascii=False,
-                            allow_nan=False,
-                        )
-                    except ValueError as e:
-                        raise NonFiniteResultError(f"{self.experiment}: {e}") from e
-                    fh.write("\n")
-                os.replace(tmp, data_path)
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
-        paths.append(data_path)
+            with _replacing(data_path) as fh:  # streamed: never one string
+                _encode_json(self.experiment, json.dump, self.tree, fh)
+                fh.write("\n")
         meta_path = out / f"{eid}.meta.json"
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "experiment": self.experiment,
-                    "config": self.config_snapshot,
-                    "provenance": self.provenance,
-                },
-                fh,
-                sort_keys=True,
-                indent=1,
-                ensure_ascii=False,
-            )
-            fh.write("\n")
-        paths.append(meta_path)
-        return paths
+        with _replacing(meta_path) as fh:
+            fh.write(meta_text + "\n")
+        return [data_path, meta_path]
+
+
+def _encode_json(experiment: str, dump: Callable, *args) -> Any:
+    """`dump(*args)` (json.dump or json.dumps) with the options of every JSON
+    file a report writes; NaN or an infinity raises NonFiniteResultError."""
+    try:
+        return dump(*args, sort_keys=True, indent=1, ensure_ascii=False, allow_nan=False)
+    except ValueError as e:
+        raise NonFiniteResultError(f"{experiment}: {e}") from e
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[TextIO]:
+    """A file to write `path` through: a temporary name in the same
+    directory, opened as the file would be, renamed over `path` once the
+    block completes, so the replace is atomic and the file mode the same;
+    removed if the block raises."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -54,6 +54,10 @@ def test_config_rejects_bad_values():
         RunConfig(seed=-1).validate()
     with pytest.raises(ConfigError):
         RunConfig(samples=1).validate()  # one path has no standard error
+    with pytest.raises(ConfigError):
+        RunConfig(mc_samples=1).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(depth_cut=1).validate()
     # a config may lower the level caps 12/7, never raise them
     with pytest.raises(ConfigError):
         RunConfig(level_cap_sg=13).validate()
@@ -276,6 +280,33 @@ def test_report_json_refuses_non_finite_floats_leaving_no_file(tmp_path, bad):
     with pytest.raises(reporting.NonFiniteResultError, match="demo: "):
         rep.write(tmp_path / "out")
     assert list((tmp_path / "out").iterdir()) == []
+
+
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("no text")
+
+
+def test_report_csv_failing_mid_write_leaves_no_file(tmp_path):
+    # the header and first row are written before the second row raises
+    rep = ExperimentReport("demo", {"seed": 0}, columns=("n", "value"),
+                           rows=[(1, 0.5), (2, _Unprintable())])
+    with pytest.raises(RuntimeError, match="no text"):
+        rep.write(tmp_path / "out")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "value, error", [(float("nan"), reporting.NonFiniteResultError), (object(), TypeError)],
+    ids=["nan", "object"],
+)
+def test_report_unwritable_provenance_leaves_no_file(tmp_path, value, error):
+    # the meta is encoded before the data file: RFC 8259 has no NaN there either
+    rep = ExperimentReport("demo", {"seed": 0}, columns=("n",), rows=[(1,)],
+                           provenance={"x": value})
+    with pytest.raises(error):
+        rep.write(tmp_path / "out")
+    assert list(tmp_path.rglob("*")) == []
 
 
 def test_report_json_streams_the_bytes_dumps_gives(tmp_path):
@@ -1066,15 +1097,20 @@ EXIT_CODES = (
 
 @pytest.mark.parametrize("argv, code", EXIT_CODES, ids=[argv for argv, _ in EXIT_CODES])
 def test_cli_bad_arguments_exit_2_without_data(tmp_path, capsys, argv, code):
-    """Each row ends in its documented exit code, with no traceback and no
-    data file; argparse's own refusals exit 2 through SystemExit."""
-    try:
-        rc, out = _run(tmp_path, *argv.split())
-    except SystemExit as e:
-        rc, out = e.code, tmp_path / "out"
+    """Each row ends in its documented exit code, with no traceback, no
+    numpy warning and no data file; argparse's own refusals exit 2 through
+    SystemExit."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            rc, out = _run(tmp_path, *argv.split())
+        except SystemExit as e:
+            rc, out = e.code, tmp_path / "out"
     assert rc == code
     assert "Traceback" not in capsys.readouterr().err
     assert not Path(out).exists()
+    # an overflow reads inf without numpy's note on the way
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_cli_besov_too_few_mc_samples_exit_2_without_data(tmp_path, capsys):
