@@ -14,6 +14,7 @@ import functools
 import math
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -62,18 +63,20 @@ from .treewalk import (
 )
 from .words import enumerate_words
 
-SUBCOMMANDS = (
-    "resistance",
-    "walkdim",
-    "energy",
-    "goodfn",
-    "harnack",
-    "besov",
-    "mosco",
-    "walk",
-    "trace",
-    "kernel",
-)
+# the fractals each subcommand runs on: a one-fractal subcommand runs on it
+# whatever the config's kind, and one with none takes no --kind or --level-cap
+_KINDS = {
+    "resistance": ("sg", "sc"),
+    "walkdim": ("sg", "sc"),
+    "energy": ("sg", "sc"),
+    "goodfn": ("sc",),
+    "harnack": ("sc",),
+    "besov": ("sg", "sc"),
+    "mosco": ("sg",),
+    "walk": (),
+    "trace": ("sg",),
+    "kernel": (),
+}
 
 
 class ResourceCapError(RuntimeError):
@@ -238,8 +241,6 @@ def _run_energy(cfg: RunConfig, opts) -> ExperimentReport:
 
 
 def _run_goodfn(cfg: RunConfig, opts) -> ExperimentReport:
-    if cfg.kind != "sc":
-        raise ConfigError("goodfn runs on the carpet; pass kind=sc")
     n = opts.level
     _check_levels([n], cfg.level_cap())
     g = sc_good_function(n)
@@ -249,8 +250,6 @@ def _run_goodfn(cfg: RunConfig, opts) -> ExperimentReport:
 
 
 def _run_harnack(cfg: RunConfig, opts) -> ExperimentReport:
-    if cfg.kind != "sc":
-        raise ConfigError("the Harnack experiment runs on the carpet; pass kind=sc")
     levels = _parse_levels(opts.levels)
     _check_levels(levels, cfg.level_cap())
     if opts.trials < 1:
@@ -314,8 +313,6 @@ def _run_besov(cfg: RunConfig, opts) -> ExperimentReport:
 
 
 def _run_mosco(cfg: RunConfig, opts) -> ExperimentReport:
-    if cfg.kind != "sg":
-        raise ConfigError("the monotone-limit experiment runs on the gasket")
     if opts.points < 1:
         raise ConfigError(f"--points must be >= 1, got {opts.points}")
     alpha = FractalKind.SG.alpha
@@ -389,8 +386,6 @@ def _run_walk(cfg: RunConfig, opts) -> ExperimentReport:
 
 
 def _run_trace(cfg: RunConfig, opts) -> ExperimentReport:
-    if cfg.kind != "sg":
-        raise ConfigError("the trace comparison runs on the gasket")
     _check_levels([opts.depth], cfg.level_cap())
     fn = _function_for(opts.function, FractalKind.SG, opts.depth)
     try:
@@ -487,6 +482,8 @@ def run(subcommand: str, cfg: RunConfig, opts: Optional[argparse.Namespace] = No
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     if opts is None:
         opts = _build_parser().parse_args([subcommand])
+    if len(_KINDS[subcommand]) == 1:  # so --level-cap sets that fractal's cap
+        cfg = replace(cfg, kind=_KINDS[subcommand][0])
     kind = getattr(opts, "kind", None) or cfg.kind
     cfg = apply_overrides(  # flags win over the config file
         cfg, **{key.format(kind=kind): getattr(opts, f, None) for f, key in _CONFIG_FLAGS.items()}
@@ -517,54 +514,59 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int)
     common.add_argument("--out", help="output directory")
     common.add_argument("--cache", help="cache directory (accepted; no subcommand reads it)")
-    common.add_argument("--level-cap", dest="level_cap", type=int)
-    common.add_argument("--kind", choices=("sg", "sc"))
 
     p = argparse.ArgumentParser(prog="fractalforms", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("resistance", parents=[common])
+    def add(name: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, parents=[common])
+        if _KINDS[name]:
+            sp.add_argument("--level-cap", dest="level_cap", type=int)
+            sp.add_argument("--kind", choices=_KINDS[name])
+        return sp
+
+    sp = add("resistance")
     sp.add_argument("--levels", default="1..5")
     sp.add_argument("--timing", action="store_true")
 
-    sp = sub.add_parser("walkdim", parents=[common])
+    sp = add("walkdim")
     sp.add_argument("--levels", default="1..5")
     sp.add_argument("--function", default=None)
 
-    sp = sub.add_parser("energy", parents=[common])
+    sp = add("energy")
     sp.add_argument("--levels", default="1..5")
     sp.add_argument("--boundary", default="0,1,0")
 
-    sp = sub.add_parser("goodfn", parents=[common])
+    sp = add("goodfn")
     sp.add_argument("--level", type=int, default=3)
 
-    sp = sub.add_parser("harnack", parents=[common])
+    sp = add("harnack")
     sp.add_argument("--levels", default="3,4,5")
     sp.add_argument("--trials", type=int, default=50)
 
-    sp = sub.add_parser("besov", parents=[common])
+    sp = add("besov")
     sp.add_argument("--beta-grid", dest="beta_grid", default=None)
     sp.add_argument("--function", default=None)
     sp.add_argument("--depth", type=int, default=None)
 
-    sp = sub.add_parser("mosco", parents=[common])
+    sp = add("mosco")
     sp.add_argument("--points", type=int, default=20)
     sp.add_argument("--boundary", default="0,1,0")
     sp.add_argument("--depth", type=int, default=6)
 
-    sp = sub.add_parser("walk", parents=[common])
+    sp = add("walk")
     sp.add_argument("--lambda", dest="lam", type=float, default=None)
     sp.add_argument("--c", type=float, default=None)
     sp.add_argument("--samples", type=int, default=None)
     sp.add_argument("--depth-cut", dest="depth_cut", type=int, default=None)
     sp.add_argument("--m", type=int, default=2)
 
-    sp = sub.add_parser("trace", parents=[common])
+    sp = add("trace")
     sp.add_argument("--beta1", type=float, default=2.2)
     sp.add_argument("--function", default="harmonic:0,1,0")
     sp.add_argument("--depth", type=int, default=6)
 
-    sp = sub.add_parser("kernel", parents=[common])
+    sp = add("kernel")
     sp.add_argument("--i", type=int, default=1)
     sp.add_argument("--delta", type=float, default=0.5)
     sp.add_argument("--gamma", type=int, default=6)

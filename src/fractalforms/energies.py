@@ -8,9 +8,11 @@ scatters the same rows, so no coordinate is searched.
 
 Float and exact data run the same vectorised body.  Exact data is held as
 integer numerators over one shared denominator (`RationalArray`: Python ints
-in a numpy object array, so no sum can wrap).  A sum of squared differences
-is then an integer over den^2, a level-n cell average an integer over
-den * boundary_size * n_maps^m, and the one `Fraction` is built at the end.
+in a numpy object array, so no sum can wrap); the exact test functions come
+as such arrays from the integer folds in `harmonic`, with no `Fraction` per
+vertex.  A sum of squared differences is then an integer over den^2, a
+level-n cell average an integer over den * boundary_size * n_maps^m, and the
+one `Fraction` is built at the end.
 A float ndarray is its own numerators; its averages divide level by level,
 as `np.mean` does.
 """
@@ -20,7 +22,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -127,15 +129,6 @@ class VertexFunction:
 
     def as_float_array(self) -> np.ndarray:
         return float_values(self.values)
-
-    @classmethod
-    def from_x_fraction(cls, graph: VertexGraph, fn: Callable) -> "VertexFunction":
-        """Exact values from the x coordinate alone (fn maps Fraction->value),
-        evaluated once per distinct abscissa."""
-        den = graph.kind.unit(graph.scale)
-        xs, inverse = np.unique(graph.xn, return_inverse=True)
-        at_x = RationalArray.of(fn(Fraction(int(x), den)) for x in xs)
-        return cls(graph, RationalArray(at_x.num[inverse], at_x.den))
 
 
 @dataclass(eq=False)

@@ -6,8 +6,10 @@ integer extension matrices 5 A_i over all level-n cells gives every value as
 an integer numerator over the boundary's common denominator times 5^n.
 Carpet side: the discrete energy minimizer with left/right plate boundary
 conditions ("good function"), the one-dimensional increasing profile f used
-for lower bounds, the digit-restricted sublattice energy used for upper
-bounds, and Harnack/Holder ball experiments.
+for lower bounds (one fold of integer offsets and scales over the triadic
+digits, every value an integer numerator over 2 * 7^n), the
+digit-restricted sublattice energy used for upper bounds, and Harnack/Holder
+ball experiments.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .networks import DirichletSystem, graph_edge_arrays, sc_RnV
 __all__ = [
     "SgHarmonic",
     "sg_harmonic",
-    "x_profile_value",
     "x_profile_energy_level1",
     "strip_energy_checks",
     "ScGoodFunction",
@@ -112,42 +113,25 @@ def sg_harmonic(x0, x1, x2, n: int) -> VertexFunction:
 # ---------------------------------------------------------------------------
 # the increasing profile f on [0,1]
 #
-# f fixes 0 and 1 and scales by 2/7, 3/7, 2/7 on the three thirds.  Values at
-# half-triadic points follow from f(1/2) = 1/2 and the affine self-similarity
-# of f on every triadic interval.
+# f fixes 0 and 1 and scales by 2/7, 3/7, 2/7 on the three thirds, so on the
+# triadic interval [j, j+1] / 3^n it is F_j / 7^n + (P_j / 7^n) f(3^n x - j).
+# The integers F_j, P_j fold one digit at a time, as geometry._cells folds
+# cell offsets: interval 3j + d has F <- 7 F + o[d] P and P <- s[d] P.
 
-_f_memo: dict = {
-    Fraction(0): Fraction(0),
-    Fraction(1): Fraction(1),
-    Fraction(1, 2): Fraction(1, 2),
-}
-
-_F_OFFSET = (Fraction(0), Fraction(2, 7), Fraction(5, 7))
-_F_SCALE = (Fraction(2, 7), Fraction(3, 7), Fraction(2, 7))
+_F_OFFSET = np.array((0, 2, 5), dtype=np.int64)  # f(d/3), in sevenths
+_F_SCALE = np.array((2, 3, 2), dtype=np.int64)  # f's scale on the third d, in sevenths
 
 
-def _f_value(x: Fraction) -> Fraction:
-    got = _f_memo.get(x)
-    if got is not None:
-        return got
-    d = int(3 * x)  # x in (0,1) and x != 1, so d in {0,1,2}
-    val = _F_OFFSET[d] + _F_SCALE[d] * _f_value(3 * x - d)
-    _f_memo[x] = val
-    return val
+def _x_profile_numerators(n: int) -> np.ndarray:
+    """2 * 7^n * f(xn / (2 * 3^n)) for xn = 0 .. 2 * 3^n, as int64.
 
-
-def x_profile_value(t) -> Fraction:
-    """f at any vertex abscissa of a carpet graph: i/3^n (triadic) or
-    (2j+1)/(2*3^n) (half-triadic)."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ValueError(f"{t} outside [0,1]")
-    den = t.denominator
-    while den % 3 == 0:
-        den //= 3
-    if den not in (1, 2):
-        raise ValueError(f"{t} is not a carpet vertex abscissa")
-    return _f_value(t)
+    The left end of interval j reads 2 F_j and its midpoint 2 F_j + P_j,
+    since f(1/2) = 1/2; x = 1 reads 2 * 7^n."""
+    F, P = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for _ in range(n):
+        F = (7 * F[:, None] + P[:, None] * _F_OFFSET).ravel()
+        P = (P[:, None] * _F_SCALE).ravel()
+    return np.append(np.stack([2 * F, 2 * F + P], axis=1).ravel(), 2 * 7 ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +141,7 @@ def x_profile_value(t) -> Fraction:
 # level-1 per-cell pair energy collapses to a quadratic in (a, b): columns
 # hold 3, 2, 3 cells and each cell contributes its horizontal increment
 # squared.  Its gradient system 10a - 4b = 0, -4a + 10b = 6 puts the minimum
-# 6/7 at (2/7, 5/7) = (f(1/3), f(2/3)), the offsets _F_OFFSET.
+# 6/7 at (2/7, 5/7) = (f(1/3), f(2/3)), the offsets _F_OFFSET in sevenths.
 
 def x_profile_energy_level1(a, b):
     a, b = Fraction(a), Fraction(b)
@@ -186,14 +170,17 @@ def strip_energy_checks(n: int) -> tuple[Fraction, Fraction]:
     """Two exact level-n carpet energies.
 
     First: the full per-cell pair energy of U(x,y) = f(x), computed on the
-    vertex graph.  Second: the same energy of u(x,y) = x summed only over the
+    vertex graph from f's table of numerators, read at each vertex's
+    abscissa.  Second: the same energy of u(x,y) = x summed only over the
     cells whose digits avoid the two mid-row maps (a Cantor set of rows).
     Expected closed forms: (6/7)^n and (2/3)^n.
     """
     if not 1 <= n <= SC_LEVEL_CAP:
         raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
     vg = vertex_graph(FractalKind.SC, n)
-    u = VertexFunction.from_x_fraction(vg, x_profile_value)
+    # f's numerators over 2 * 7^n, as the Python ints a RationalArray holds
+    num = _x_profile_numerators(n).astype(object)[vg.xn]
+    u = VertexFunction(vg, RationalArray(num, 2 * 7 ** n))
     sc_value = sc_pointwise_energy_Dn(u, n)
     cantor_value = _ring_x_energy(n, CANTOR_DIGITS)
     return sc_value, cantor_value

@@ -167,6 +167,19 @@ def _record(method: str, factorizations: int = 0, solves: int = 0, residual: flo
         log.max_residual = max(log.max_residual, residual)
 
 
+def _check_residual(method: str, res, bnorm, unknowns: int, solves: int) -> float:
+    """The largest of the residuals |Lu - b|, logged as `solves` solves under
+    `method`; raises SolverError when one exceeds SOLVER_TOL * max(1, |b|)."""
+    worst = float(np.max(res))
+    if not np.all(res <= SOLVER_TOL * np.maximum(1.0, bnorm)):  # NaN fails
+        raise SolverError(
+            f"{method} residual {worst:.3e} above tolerance {SOLVER_TOL:.1e} "
+            f"at {unknowns} unknowns"
+        )
+    _record(method, solves=solves, residual=worst)
+    return worst
+
+
 class DirichletSystem:
     """Minimize sum c_e (u_i - u_j)^2 with the values on `fixed_ids` given.
 
@@ -260,16 +273,8 @@ class DirichletSystem:
             return u, {"method": "trivial", "residual": 0.0}
         b = self._load @ values
         x = self._lu.solve(b)
-        bnorm = np.linalg.norm(b, axis=0)
         res = np.linalg.norm(self._L @ x - b, axis=0)
-        bad = ~(res <= SOLVER_TOL * np.maximum(1.0, bnorm))  # NaN counts as a failure
-        worst = float(np.max(res))
-        if np.any(bad):
-            raise SolverError(
-                f"splu residual {worst:.3e} above tolerance {SOLVER_TOL:.1e} "
-                f"at {len(self.free)} unknowns"
-            )
-        _record("splu", solves=n_rhs, residual=worst)
+        worst = _check_residual("splu", res, np.linalg.norm(b, axis=0), len(self.free), n_rhs)
         u[self.free] = x
         return u, {"method": "splu", "residual": worst}
 
@@ -326,15 +331,9 @@ def certify_dirichlet(
     # with an axis, norm sums the squares in numpy, as DirichletSystem.solve
     # does; without one it calls the BLAS dot, whose worker threads wake for
     # each call and spin on past it, slowing the caller on a busy machine
-    bnorm = float(np.linalg.norm((out_b - in_b)[free], axis=0))
-    res = float(np.linalg.norm((out_u - in_u)[free], axis=0))
-    if not res <= SOLVER_TOL * max(1.0, bnorm):  # NaN counts as a failure
-        raise SolverError(
-            f"{method} residual {res:.3e} above tolerance {SOLVER_TOL:.1e} "
-            f"at {int(free.sum())} unknowns"
-        )
-    _record(method, solves=1, residual=res)
-    return res
+    res = np.linalg.norm((out_u - in_u)[free], axis=0)
+    bnorm = np.linalg.norm((out_b - in_b)[free], axis=0)
+    return _check_residual(method, res, bnorm, int(free.sum()), 1)
 
 
 @dataclass

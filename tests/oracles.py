@@ -1,4 +1,5 @@
-"""Exact-point references the tests compare the package against.
+"""Exact-point and exact-value references the tests compare the package
+against.
 
 No run reads any of these.  A vertex here is an `ExactPoint`: integer
 numerators over the unit side at its own scale, in canonical (minimal-scale)
@@ -6,6 +7,8 @@ form, built from an address word by composing the contraction maps one digit
 at a time.  The package keeps only the fixed-scale numerators of a
 `VertexGraph` and reads vertex ids from its corner table; `point`, `address`,
 `ids_of` and `id_of` read a graph's arrays the slow, independent way.
+The profile f is evaluated here by its self-similarity, one `Fraction` per
+abscissa, against the package's integer fold.
 """
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from fractalforms.energies import RationalArray, VertexFunction
 from fractalforms.geometry import VertexGraph, cached_vertex_graph
 from fractalforms.kinds import FractalKind
 from fractalforms.words import as_digits
@@ -164,3 +168,42 @@ def canonical_address(kind: FractalKind, p: ExactPoint, n: int) -> tuple[int, ..
     level-n graph.  Raises KeyError if p is not a level-n vertex."""
     vg = cached_vertex_graph(kind, n)
     return address(vg, id_of(vg, p))
+
+
+# ---------------------------------------------------------------------------
+# the profile f and functions of the abscissa alone
+
+_F_OFFSET = (Fraction(0), Fraction(2, 7), Fraction(5, 7))
+_F_SCALE = (Fraction(2, 7), Fraction(3, 7), Fraction(2, 7))
+
+
+def _f(x: Fraction) -> Fraction:
+    if x in (0, Fraction(1, 2), 1):  # f fixes 0, 1/2 and 1
+        return x
+    d = int(3 * x)  # x in (0, 1), so d in {0, 1, 2}
+    return _F_OFFSET[d] + _F_SCALE[d] * _f(3 * x - d)
+
+
+def x_profile_value(t) -> Fraction:
+    """f at any vertex abscissa of a carpet graph: i/3^n (triadic) or
+    (2j+1)/(2*3^n) (half-triadic).  f fixes 0 and 1 and scales by 2/7,
+    3/7, 2/7 on the three thirds, so each step of the recursion takes one
+    triadic digit off the abscissa until it reaches 0, 1/2 or 1."""
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ValueError(f"{t} outside [0,1]")
+    den = t.denominator
+    while den % 3 == 0:
+        den //= 3
+    if den not in (1, 2):
+        raise ValueError(f"{t} is not a carpet vertex abscissa")
+    return _f(t)
+
+
+def from_x_fraction(graph: VertexGraph, fn) -> VertexFunction:
+    """Exact values from the x coordinate alone (fn maps Fraction->value),
+    evaluated once per distinct abscissa."""
+    den = graph.kind.unit(graph.scale)
+    xs, inverse = np.unique(graph.xn, return_inverse=True)
+    at_x = RationalArray.of(fn(Fraction(int(x), den)) for x in xs)
+    return VertexFunction(graph, RationalArray(at_x.num[inverse], at_x.den))

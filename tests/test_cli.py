@@ -845,6 +845,32 @@ def test_cli_config_file_with_flag_override(tmp_path):
         assert json.loads(data_path.read_text())["lambda"] == ran[0]
 
 
+def _data_file(out):
+    (path,) = (p for p in Path(out).iterdir() if not p.name.endswith(".meta.json"))
+    return path.name, path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args", [("goodfn", "--level", "2"), ("harnack", "--levels", "3", "--trials", "2")],
+    ids=["goodfn", "harnack"],
+)
+def test_cli_carpet_subcommands_need_no_kind(tmp_path, args):
+    # the carpet is the one fractal they run on: --kind sc names it again
+    rc, bare = _run(tmp_path / "bare", *args)
+    rc2, named = _run(tmp_path / "named", *args, "--kind", "sc")
+    assert rc == rc2 == 0
+    assert _data_file(bare) == _data_file(named)
+
+
+def test_cli_harnack_runs_on_the_carpet_under_a_gasket_config(tmp_path):
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("kind = sg\n")
+    rc, out = _run(tmp_path, "harnack", "--config", str(cfgf), "--levels", "3", "--trials", "2")
+    assert rc == 0
+    meta = json.loads(sorted(Path(out).glob("*meta.json"))[0].read_text())
+    assert meta["config"]["kind"] == "sc"
+
+
 def test_cli_run_folds_the_flags_as_main_does(tmp_path):
     argv = ["walk", "--lambda", "0.8", "--c", "0.5", "--samples", "300", "--depth-cut", "6",
             "--out", str(tmp_path / "out")]
@@ -1076,12 +1102,20 @@ EXIT_CODES = (
     ("walkdim --kind sg --levels 1..4 --function harmonic:1,1,1", 2),
     ("energy --kind sg --levels 1,2,1", 2),
     ("harnack --kind sc --levels 3,3", 2),
+    # --kind offers only the fractals a subcommand runs on, and walk and
+    # kernel, which run on neither, take no --kind or --level-cap
+    ("goodfn --kind sg", 2),
+    ("mosco --kind sc", 2),
+    ("walk --kind sg", 2),
+    ("kernel --level-cap 3", 2),
     *(
         (f"{flag} {value}", 2)
         for flag, _, malformed in _BOUNDARY_FLAGS
         for value in ("0", "-1", "nan", "inf", malformed)
     ),
     *((f"{flag} {above}", 3) for flag, above, _ in _BOUNDARY_FLAGS),
+    # a one-fractal subcommand's --level-cap lowers that fractal's cap
+    ("harnack --level-cap 3 --levels 4", 3),
     ("kernel --i 1000", 3),
     ("kernel --i 99", 3),
     ("kernel --gamma 2000", 3),

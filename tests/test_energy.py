@@ -35,12 +35,11 @@ from fractalforms.energies import (
     sg_graph_energy_An,
     sg_pointwise_energy_Bn,
 )
-from oracles import ids_of
+from oracles import from_x_fraction, ids_of, x_profile_value
 from fractalforms.harmonic import (
     CANTOR_DIGITS,
     sg_harmonic,
     strip_energy_checks,
-    x_profile_value,
 )
 
 SG = FractalKind.SG
@@ -193,9 +192,9 @@ def test_mean_value_contraction_on_cellgraph_energy():
 
 def test_restrict_to_level_keeps_point_values():
     fine = cached_vertex_graph(SC, 2)
-    u = VertexFunction.from_x_fraction(fine, lambda x: x)
+    u = from_x_fraction(fine, lambda x: x)
     coarse = restrict_to_level(u, cached_vertex_graph(SC, 1))
-    v = VertexFunction.from_x_fraction(coarse.graph, lambda x: x)
+    v = from_x_fraction(coarse.graph, lambda x: x)
     assert list(coarse.values) == list(v.values)
 
 
@@ -207,13 +206,13 @@ def test_restrict_rejects_finer_target():
 
 def test_sc_strip_energy_of_x_coordinate():
     vg = cached_vertex_graph(SC, 1)
-    u = VertexFunction.from_x_fraction(vg, lambda x: x)
+    u = from_x_fraction(vg, lambda x: x)
     assert sc_pointwise_energy_Dn(u, 1) == Fraction(8, 9)
 
 
 def test_sc_cell_energy_of_x_coordinate():
     vg = cached_vertex_graph(SC, 1)
-    u = VertexFunction.from_x_fraction(vg, lambda x: x)
+    u = from_x_fraction(vg, lambda x: x)
     rho = 1.2
     got = sc_cell_energy_bn(u, 1, rho)
     assert got == pytest.approx(rho * 4.0 / 9.0, rel=1e-12)
@@ -221,7 +220,7 @@ def test_sc_cell_energy_of_x_coordinate():
 
 def test_sc_scaled_energy_uses_rho_power():
     vg = cached_vertex_graph(SC, 2)
-    u = VertexFunction.from_x_fraction(vg, x_profile_value)
+    u = from_x_fraction(vg, x_profile_value)
     rho = 1.3
     d2 = float(sc_pointwise_energy_Dn(u, 2))
     assert sc_scaled_energy_an(u, 2, rho) == pytest.approx(rho ** 2 * d2, rel=1e-12)

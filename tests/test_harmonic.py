@@ -21,9 +21,8 @@ from fractalforms.harmonic import (
     sg_harmonic,
     strip_energy_checks,
     x_profile_energy_level1,
-    x_profile_value,
 )
-from oracles import address, ids_of
+from oracles import address, ids_of, x_profile_value
 
 SG = FractalKind.SG
 SC = FractalKind.SC
@@ -150,6 +149,18 @@ def test_x_profile_minimizer():
 @settings(max_examples=50)
 def test_x_profile_minimum_is_global(a, b):
     assert x_profile_energy_level1(a, b) >= Fraction(6, 7)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_x_profile_fold_matches_the_recursive_f(n):
+    # every abscissa xn / (2 * 3^n), triadic and half-triadic, reads the
+    # recursion's value as its numerator over 2 * 7^n
+    num = harmonic._x_profile_numerators(n)
+    assert num.shape == (2 * 3 ** n + 1,)
+    den, unit = 2 * 7 ** n, 2 * 3 ** n
+    assert [Fraction(int(v), den) for v in num] == [
+        x_profile_value(Fraction(xn, unit)) for xn in range(unit + 1)
+    ]
 
 
 def test_x_profile_value_interpolates_f():
