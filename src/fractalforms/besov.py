@@ -47,6 +47,7 @@ __all__ = [
     "besov_partial_sum",
     "besov_double_integral_mc",
     "mc_depth",
+    "MC_SAMPLES_CAP",
     "sg_monotone_limit",
     "walkdim_estimate",
     "interval_trace_check",
@@ -56,6 +57,10 @@ __all__ = [
 ]
 
 MC_DEPTH_DEFAULT = {FractalKind.SG: 12, FractalKind.SC: 8}
+
+# most Monte Carlo samples a run may ask for: 10^7 peak at 380-490 MB, about
+# 40 B a sample over a run at the default 200,000, and take 5-6 s (2-core VM)
+MC_SAMPLES_CAP = 10_000_000
 
 
 class BesovForm(Enum):
@@ -122,13 +127,24 @@ def _level_energy(u: VertexFunction, n: int, form: BesovForm):
     return sc_cell_energy_bn(u, n, 1.0)
 
 
+def _level_energies(
+    u, kind: FractalKind, N: int, form: BesovForm = BesovForm.POINTWISE
+) -> list[float]:
+    """The level energies of u as floats, n = 1..N.  They do not depend on
+    beta, so one list serves every beta of a grid."""
+    uf = _as_vertex_function(u, kind, N)
+    return [exact_float(_level_energy(uf, n, form)) for n in range(1, N + 1)]
+
+
+def _weighted_terms(kind: FractalKind, beta: float, energies: Sequence[float]) -> list[float]:
+    """besov_weight(kind, beta, n) * E_n for the level energies E_1, E_2, ..."""
+    return [besov_weight(kind, beta, n) * e for n, e in enumerate(energies, 1)]
+
+
 def besov_partial_terms(u, params: BesovParams) -> list[float]:
     """Per-level weighted energies, n = 1..N."""
-    uf = _as_vertex_function(u, params.kind, params.N)
-    return [
-        besov_weight(params.kind, params.beta, n) * exact_float(_level_energy(uf, n, params.form))
-        for n in range(1, params.N + 1)
-    ]
+    energies = _level_energies(u, params.kind, params.N, params.form)
+    return _weighted_terms(params.kind, params.beta, energies)
 
 
 def besov_partial_sum(u, params: BesovParams) -> float:
@@ -334,12 +350,11 @@ def sg_monotone_limit(
     for b in beta_grid:
         if not alpha < b < SG_BETA_STAR:
             raise ValueError(f"beta={b} outside ({alpha}, {SG_BETA_STAR})")
-    uf = _as_vertex_function(u, FractalKind.SG, probe_levels)
-    energies = [exact_float(sg_pointwise_energy_Bn(uf, n)) for n in range(1, probe_levels + 1)]
+    energies = _level_energies(u, FractalKind.SG, probe_levels)
     rows = []
     for b in beta_grid:
         lam_factor = 1.0 - 2.0 ** b / 5.0
-        terms = [besov_weight(FractalKind.SG, b, n) * e for n, e in enumerate(energies, 1)]
+        terms = _weighted_terms(FractalKind.SG, b, energies)
         tail, bound = _geometric_tail(terms)
         rows.append((float(b), lam_factor * (sum(terms) + tail), lam_factor * bound))
     return rows

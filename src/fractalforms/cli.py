@@ -1,7 +1,11 @@
 """Command-line front end tying the library into reproducible experiment runs.
 
 Each subcommand computes one family of quantities and writes a CSV or JSON
-report plus a meta sidecar through the reporting module.  Exit codes: 0 ok,
+report plus a meta sidecar through the reporting module.  One table,
+_SUBCOMMANDS, says what each reads: the fractals it runs on and the config
+keys its handler reads.  A run checks only those keys once its flags are
+folded in, and its meta's config block holds them and out_dir, so the
+experiment id moves only with what the run read.  Exit codes: 0 ok,
 2 invalid configuration or parameters, 3 resource cap exceeded, 4 linear
 solver failure (a factorization failed or a residual exceeded the fixed
 tolerance networks.SOLVER_TOL) or a result that is not finite.
@@ -16,15 +20,17 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .besov import (
     KERNEL_DEPTH_CAP,
+    MC_SAMPLES_CAP,
     BesovParams,
+    _level_energies,
+    _weighted_terms,
     besov_double_integral_mc,
-    besov_partial_sum,
     interval_trace_check,
     JumpKernelParams,
     jump_kernel_Ci,
@@ -53,6 +59,7 @@ from .networks import SolverError, rho_estimate, sc_RnV, sg_word_resistance, sol
 from .reporting import ExperimentReport, NonFiniteResultError
 from .treewalk import (
     DEPTH_CAP,
+    SAMPLES_CAP,
     WalkParams,
     boundary_hit_distribution,
     ctrw_lifetime,
@@ -63,20 +70,12 @@ from .treewalk import (
 )
 from .words import enumerate_words
 
-# the fractals each subcommand runs on: a one-fractal subcommand runs on it
-# whatever the config's kind, and one with none takes no --kind or --level-cap
-_KINDS = {
-    "resistance": ("sg", "sc"),
-    "walkdim": ("sg", "sc"),
-    "energy": ("sg", "sc"),
-    "goodfn": ("sc",),
-    "harnack": ("sc",),
-    "besov": ("sg", "sc"),
-    "mosco": ("sg",),
-    "walk": (),
-    "trace": ("sg",),
-    "kernel": (),
-}
+# most trials a harnack run may ask for: a level-7 trial solves in about
+# 50 ms (2-core VM), so 1,000 trials spend at most 50 s per level 7 listed
+TRIALS_CAP = 1_000
+# most points of a mosco curve: 10^5 points take 2.4 s and peak at 84 MB at
+# depth 6 (2-core VM), against 0.6 s and 63 MB for the default 20
+POINTS_CAP = 100_000
 
 
 class ResourceCapError(RuntimeError):
@@ -140,6 +139,8 @@ def _function_for(name: str, kind: FractalKind, level: int):
 def _walk_params(cfg: RunConfig) -> WalkParams:
     if cfg.depth_cut > DEPTH_CAP:
         raise ResourceCapError(f"depth_cut {cfg.depth_cut} beyond the working cap {DEPTH_CAP}")
+    if cfg.samples > SAMPLES_CAP:
+        raise ResourceCapError(f"samples {cfg.samples} beyond the cap {SAMPLES_CAP}")
     try:
         return WalkParams(
             lam=cfg.lam, C1=cfg.C1, C2=cfg.C2, c=cfg.c,
@@ -214,6 +215,8 @@ def _run_energy(cfg: RunConfig, opts) -> ExperimentReport:
     kind = cfg.fractal_kind()
     levels = _parse_levels(opts.levels)
     _check_levels(levels, cfg.level_cap())
+    if kind is FractalKind.SC and opts.boundary is not None:
+        raise ConfigError("energy on the carpet takes no --boundary")
     if kind is FractalKind.SG:
         top = max(levels)
         uf = sg_harmonic(*_parse_boundary(opts.boundary), top)
@@ -254,6 +257,8 @@ def _run_harnack(cfg: RunConfig, opts) -> ExperimentReport:
     _check_levels(levels, cfg.level_cap())
     if opts.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {opts.trials}")
+    if opts.trials > TRIALS_CAP:
+        raise ResourceCapError(f"--trials {opts.trials} beyond the cap {TRIALS_CAP}")
     center = (Fraction(1, 2), Fraction(1, 3))
     r, delta = Fraction(1, 4), Fraction(1, 2)
     rng = np.random.default_rng(cfg.seed)
@@ -280,12 +285,16 @@ def _run_besov(cfg: RunConfig, opts) -> ExperimentReport:
     N = opts.depth if opts.depth is not None else (6 if kind is FractalKind.SG else 4)
     level = max(N, 4)  # the level the test function is built at
     _check_levels([level], cfg.level_cap())
+    if cfg.mc_samples > MC_SAMPLES_CAP:
+        raise ResourceCapError(f"mc_samples {cfg.mc_samples} beyond the cap {MC_SAMPLES_CAP}")
     try:
         params = [BesovParams(beta=b, N=N, kind=kind) for b in betas]
     except ValueError as e:
         raise ConfigError(str(e)) from e
     fn = _function_for(opts.function, kind, level)
-    discrete = [besov_partial_sum(fn, p) for p in params]
+    # besov_partial_sum for each beta, from one list of level energies
+    energies = _level_energies(fn, kind, N)
+    discrete = [float(sum(_weighted_terms(kind, p.beta, energies))) for p in params]
     # one Monte Carlo pass serves the whole grid
     try:
         estimates = besov_double_integral_mc(
@@ -315,6 +324,8 @@ def _run_besov(cfg: RunConfig, opts) -> ExperimentReport:
 def _run_mosco(cfg: RunConfig, opts) -> ExperimentReport:
     if opts.points < 1:
         raise ConfigError(f"--points must be >= 1, got {opts.points}")
+    if opts.points > POINTS_CAP:
+        raise ResourceCapError(f"--points {opts.points} beyond the cap {POINTS_CAP}")
     alpha = FractalKind.SG.alpha
     if cfg.beta_grid:
         betas = cfg.beta_grid
@@ -445,26 +456,44 @@ def _run_kernel(cfg: RunConfig, opts) -> ExperimentReport:
     )
 
 
-_HANDLERS = {
-    "resistance": _run_resistance,
-    "walkdim": _run_walkdim,
-    "energy": _run_energy,
-    "goodfn": _run_goodfn,
-    "harnack": _run_harnack,
-    "besov": _run_besov,
-    "mosco": _run_mosco,
-    "walk": _run_walk,
-    "trace": _run_trace,
-    "kernel": _run_kernel,
+class _Subcommand(NamedTuple):
+    handler: Callable[[RunConfig, argparse.Namespace], ExperimentReport]
+    kinds: tuple[str, ...]  # the fractals it runs on
+    keys: tuple[str, ...] = ()  # the RunConfig keys it reads besides kind and its level cap
+
+
+# What each subcommand reads.  A one-fractal subcommand runs on it whatever
+# the config's kind, and one with none takes no --kind or --level-cap.  A run
+# checks, records and hashes only what it reads (_read_keys).
+_SUBCOMMANDS = {
+    "resistance": _Subcommand(_run_resistance, ("sg", "sc")),
+    "walkdim": _Subcommand(_run_walkdim, ("sg", "sc")),
+    "energy": _Subcommand(_run_energy, ("sg", "sc")),
+    "goodfn": _Subcommand(_run_goodfn, ("sc",)),
+    "harnack": _Subcommand(_run_harnack, ("sc",), ("seed",)),
+    "besov": _Subcommand(_run_besov, ("sg", "sc"), ("beta_grid", "mc_samples", "seed")),
+    "mosco": _Subcommand(_run_mosco, ("sg",), ("beta_grid",)),
+    "walk": _Subcommand(_run_walk, (), ("lam", "C1", "C2", "c", "samples", "depth_cut", "seed")),
+    "trace": _Subcommand(_run_trace, ("sg",)),
+    "kernel": _Subcommand(_run_kernel, ()),
 }
 
 
+def _read_keys(subcommand: str, kind: str) -> tuple[str, ...]:
+    """The RunConfig keys a run on `kind` reads, then out_dir, where it
+    writes: kind and that kind's level cap where it runs on a fractal, then
+    the subcommand's own keys."""
+    sub = _SUBCOMMANDS[subcommand]
+    fractal = ("kind", f"level_cap_{kind}") if sub.kinds else ()
+    return (*fractal, *sub.keys, "out_dir")
+
+
 def _report(subcommand, cfg, opts, columns=None, rows=None, tree=None) -> ExperimentReport:
-    snapshot = config_dict(cfg)
+    snapshot = config_dict(cfg, _read_keys(subcommand, cfg.kind))
     snapshot["subcommand"] = subcommand
     snapshot["options"] = {
         k: v for k, v in sorted(vars(opts).items())
-        if v is not None and k not in _CONFIG_FLAGS and k not in ("config", "command")
+        if v is not None and k not in _CONFIG_FLAGS and k not in _UNRECORDED_FLAGS
     }
     return ExperimentReport(
         experiment=subcommand,
@@ -477,21 +506,26 @@ def _report(subcommand, cfg, opts, columns=None, rows=None, tree=None) -> Experi
 
 def run(subcommand: str, cfg: RunConfig, opts: Optional[argparse.Namespace] = None) -> ExperimentReport:
     """Dispatch a subcommand with the config flags of `opts` folded into
-    `cfg`, so the handler runs with the config its meta records."""
-    if subcommand not in _HANDLERS:
+    `cfg`.  The handler runs on the keys the run reads, from the flags or
+    `cfg`, with every other key at its default; only those keys are checked
+    here, and the meta records them."""
+    if subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     if opts is None:
         opts = _build_parser().parse_args([subcommand])
-    if len(_KINDS[subcommand]) == 1:  # so --level-cap sets that fractal's cap
-        cfg = replace(cfg, kind=_KINDS[subcommand][0])
+    sub = _SUBCOMMANDS[subcommand]
+    if len(sub.kinds) == 1:  # so --level-cap sets that fractal's cap
+        cfg = replace(cfg, kind=sub.kinds[0])
     kind = getattr(opts, "kind", None) or cfg.kind
+    keys = _read_keys(subcommand, kind)
+    flags = {key.format(kind=kind): getattr(opts, f, None) for f, key in _CONFIG_FLAGS.items()}
     cfg = apply_overrides(  # flags win over the config file
-        cfg, **{key.format(kind=kind): getattr(opts, f, None) for f, key in _CONFIG_FLAGS.items()}
+        RunConfig(**{k: getattr(cfg, k) for k in keys}),
+        **{k: v for k, v in flags.items() if k in keys},
     )
-    if getattr(opts, "function", None) is None and subcommand in ("walkdim", "besov"):
-        opts.function = _default_function(cfg.kind)
+    _fill_kind_defaults(subcommand, cfg.kind, opts)
     with solver_log() as log:
-        report = _HANDLERS[subcommand](cfg, opts)
+        report = sub.handler(cfg, opts)
     report.provenance["solver"] = log.as_dict()
     return report
 
@@ -505,6 +539,8 @@ _CONFIG_FLAGS = {
     "level_cap": "level_cap_{kind}", "lam": "lam", "c": "c", "samples": "samples",
     "depth_cut": "depth_cut",
 }
+# flags that change no computed value and no written byte
+_UNRECORDED_FLAGS = ("config", "command", "timing")
 
 
 @functools.cache  # argparse does not change a parser by parsing with it
@@ -520,9 +556,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, parents=[common])
-        if _KINDS[name]:
+        kinds = _SUBCOMMANDS[name].kinds
+        if kinds:
             sp.add_argument("--level-cap", dest="level_cap", type=int)
-            sp.add_argument("--kind", choices=_KINDS[name])
+            sp.add_argument("--kind", choices=kinds)
         return sp
 
     sp = add("resistance")
@@ -535,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("energy")
     sp.add_argument("--levels", default="1..5")
-    sp.add_argument("--boundary", default="0,1,0")
+    sp.add_argument("--boundary", default=None)  # the gasket's; 0,1,0 when unset
 
     sp = add("goodfn")
     sp.add_argument("--level", type=int, default=3)
@@ -577,8 +614,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _default_function(kind: str) -> str:
-    return "harmonic:0,1,0" if kind == "sg" else "goodfn"
+def _fill_kind_defaults(subcommand: str, kind: str, opts: argparse.Namespace) -> None:
+    """Set the flags whose default depends on the fractal a run is on."""
+    if subcommand in ("walkdim", "besov") and opts.function is None:
+        opts.function = "harmonic:0,1,0" if kind == "sg" else "goodfn"
+    if subcommand == "energy" and kind == "sg" and opts.boundary is None:
+        opts.boundary = "0,1,0"
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -1,14 +1,17 @@
 """Run configuration: plain-text key=value files plus flag overrides.
 
-Flags win over the file; the file wins over defaults.  Validation happens
-once at load so every experiment starts from a checked parameter set.
+Flags win over the file; the file wins over defaults.  Loading a file
+checks each key in it by its own rule.  A run keeps only the keys its
+subcommand reads, with every other key at its default, and checks them again
+once the flags are folded in; config_dict takes those keys for the run's
+meta and experiment id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .kinds import SC_LEVEL_CAP, SG_LEVEL_CAP, FractalKind
 from .treewalk import WalkParams
@@ -115,11 +118,12 @@ def load_config(path: str | Path) -> RunConfig:
     return parse_config_text(p.read_text())
 
 
-def config_dict(cfg: RunConfig) -> dict:
+def config_dict(cfg: RunConfig, keys: Iterable[str]) -> dict:
+    """The values of `keys` in `cfg`, as JSON takes them."""
     out = {}
-    for f in fields(RunConfig):
-        v = getattr(cfg, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
+    for k in keys:
+        v = getattr(cfg, k)
+        out[k] = list(v) if isinstance(v, tuple) else v
     return out
 
 

@@ -45,6 +45,7 @@ from .words import as_digits, pack_word
 
 __all__ = [
     "DEPTH_CAP",
+    "SAMPLES_CAP",
     "WalkParams",
     "vertical_conductance",
     "horizontal_conductance",
@@ -93,6 +94,10 @@ class WalkParams:
             raise ValueError("c must be in (0, lam)")
         if self.depth_cut < 2:
             raise ValueError("depth_cut must be >= 2")
+        try:  # the vertical conductance at the depth cut must be a float
+            (3.0 * self.lam) ** -self.depth_cut
+        except OverflowError:
+            raise ValueError(f"(3 lam)^-depth_cut overflows a float at lam = {self.lam}") from None
         if self.samples < 2:  # the standard errors divide by samples - 1
             raise ValueError(f"samples must be >= 2, got {self.samples}")
         if self.step_cap < 1:
@@ -151,6 +156,10 @@ TAIL = -2  # pseudo-neighbor: a step into the untruncated subtree below
 
 # deepest working depth a run may ask for
 DEPTH_CAP = 13
+
+# most paths a run may ask for per estimator: 10^7 peak at about 400 MB,
+# 33 B a path over a run at 10^5, and take 20 s at depth cut 6 (2-core VM)
+SAMPLES_CAP = 10_000_000
 
 # the kind of an edge seen from one end; a row's class key packs the level
 # and one kind per column, below (DEPTH_CAP + 1) * 6^7 for the 7 columns
@@ -273,7 +282,7 @@ def _tables(lam: float, C1: float, C2: float, depth: int) -> WalkTables:
     from its level and kinds alone, so every vertex gets the bits a row of
     its own would get.
     """
-    params = WalkParams(lam=lam, C1=C1, C2=C2)
+    params = WalkParams(lam=lam, C1=C1, C2=C2, depth_cut=depth)
     graphs = [None] + [cell_graph(FractalKind.SG, n) for n in range(1, depth + 1)]
     # children, parent, same-level neighbours and tail entry of the fullest row
     W = max(
@@ -387,7 +396,7 @@ def _closure_solves(
     the conductances depend on; callers go through _certified_closures, which
     logs a cached certificate again.
     """
-    params = WalkParams(lam=lam, C1=C1, C2=C2)
+    params = WalkParams(lam=lam, C1=C1, C2=C2, depth_cut=depth_cut)
     links = [3 ** (n + 1) * vertical_conductance(params, n) for n in range(depth_cut)]
     out = []
     for mode in ("ground", "tail"):

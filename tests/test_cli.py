@@ -23,7 +23,7 @@ from fractalforms.config import (
     load_config,
     parse_config_text,
 )
-from fractalforms import cli, networks, reporting, treewalk
+from fractalforms import besov, cli, networks, reporting, treewalk
 from fractalforms.geometry import vertex_graph
 from fractalforms.kinds import FractalKind
 from fractalforms.cli import _build_parser, main, run
@@ -111,9 +111,9 @@ def test_apply_overrides_flags_win_and_none_ignored():
 
 
 def test_config_dict_serializable():
-    d = config_dict(RunConfig(beta_grid=(1.9, 2.2)))
+    d = config_dict(RunConfig(beta_grid=(1.9, 2.2)), ("kind", "beta_grid"))
     json.dumps(d, sort_keys=True)
-    assert d["beta_grid"] == [1.9, 2.2]
+    assert d == {"kind": "sg", "beta_grid": [1.9, 2.2]}
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +768,8 @@ def test_cli_non_finite_result_exit_4_without_data(tmp_path, monkeypatch):
     def nan_walk(cfg, opts):
         return cli._report("walk", cfg, opts, tree={"mean": float("nan")})
 
-    monkeypatch.setitem(cli._HANDLERS, "walk", nan_walk)
+    walk = cli._SUBCOMMANDS["walk"]._replace(handler=nan_walk)
+    monkeypatch.setitem(cli._SUBCOMMANDS, "walk", walk)
     rc, out = _run(tmp_path, "walk")
     assert rc == 4
     assert not list(Path(out).glob("*.json"))
@@ -822,8 +823,8 @@ def test_cli_bad_function_exit_2(tmp_path):
 def test_cli_config_file_with_flag_override(tmp_path):
     cfgf = tmp_path / "run.cfg"
     cfgf.write_text("kind = sg\nseed = 11\n")
-    rc, out = _run(tmp_path, "resistance", "--config", str(cfgf),
-                   "--kind", "sg", "--levels", "1..2", "--seed", "5")
+    rc, out = _run(tmp_path, "harnack", "--config", str(cfgf),
+                   "--levels", "3", "--trials", "2", "--seed", "5")
     assert rc == 0
     meta = sorted(Path(out).glob("*meta.json"))[0]
     body = json.loads(meta.read_text())
@@ -869,6 +870,137 @@ def test_cli_harnack_runs_on_the_carpet_under_a_gasket_config(tmp_path):
     assert rc == 0
     meta = json.loads(sorted(Path(out).glob("*meta.json"))[0].read_text())
     assert meta["config"]["kind"] == "sc"
+
+
+@pytest.mark.parametrize(
+    "args", [("harnack", "--levels", "3", "--trials", "2"), ("goodfn", "--level", "2")],
+    ids=["harnack", "goodfn"],
+)
+def test_cli_carpet_runs_ignore_a_gasket_beta_grid(tmp_path, args):
+    # 2.2 lies in the gasket's window, not the carpet's, and neither reads it
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("kind = sg\nbeta_grid = 2.2\n")
+    rc, out = _run(tmp_path / "config", *args, "--config", str(cfgf))
+    assert rc == 0
+    meta = json.loads(sorted(Path(out).glob("*meta.json"))[0].read_text())
+    assert meta["config"]["kind"] == "sc" and "beta_grid" not in meta["config"]
+    assert _data_file(out) == _data_file(_run(tmp_path / "bare", *args)[1])
+
+
+def test_cli_energy_id_ignores_the_seed(tmp_path):
+    args = ("energy", "--kind", "sg", "--levels", "1..3")
+    files = [_data_file(_run(tmp_path / seed, *args, "--seed", seed)[1]) for seed in ("5", "6")]
+    assert files[0] == files[1]
+
+
+def test_cli_walk_id_ignores_the_config_kind(tmp_path):
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("kind = sc\n")
+    args = ("walk", "--samples", "300", "--depth-cut", "6")
+    bare = _data_file(_run(tmp_path / "bare", *args)[1])
+    assert _data_file(_run(tmp_path / "config", *args, "--config", str(cfgf))[1]) == bare
+
+
+def test_cli_resistance_timing_moves_no_id(tmp_path, capsys):
+    args = ("resistance", "--kind", "sg", "--levels", "1..2")
+    bare = _data_file(_run(tmp_path / "bare", *args)[1])
+    capsys.readouterr()
+    assert _data_file(_run(tmp_path / "timed", *args, "--timing")[1]) == bare
+    assert capsys.readouterr().err.startswith("resistance: 2 levels in ")
+
+
+# one manifest row per subcommand: the row, its arguments that set no config
+# key, and the config keys it sets; every row runs at seed 1
+_READ_CASES = (
+    (("resistance", "--kind", "sc", "--levels", "1..4"), ("--levels", "1..4"), {"kind": "sc"}),
+    (("walkdim", "--kind", "sg", "--levels", "1..8"), ("--levels", "1..8"), {}),
+    (("energy", "--kind", "sc", "--levels", "1..4"), ("--levels", "1..4"), {"kind": "sc"}),
+    (("goodfn", "--kind", "sc", "--level", "3"), ("--level", "3"), {}),
+    (("harnack", "--kind", "sc", "--levels", "3,4", "--trials", "20"),
+     ("--levels", "3,4", "--trials", "20"), {}),
+    (("besov", "--kind", "sg", "--depth", "6"), ("--depth", "6"), {}),
+    (("mosco", "--depth", "7"), ("--depth", "7"), {}),
+    (("walk", "--lambda", "0.5", "--c", "0.25", "--samples", "300", "--depth-cut", "6"), (),
+     {"c": 0.25, "samples": 300, "depth_cut": 6}),
+    (("trace", "--depth", "7"), ("--depth", "7"), {}),
+    (("kernel",), (), {}),
+)
+
+# a valid value for each key but kind and out_dir, other than its default
+# and than the value a case sets
+_OTHER_VALUES = {
+    "level_cap_sg": 11, "level_cap_sc": 6, "beta_grid": (2.0,), "lam": 0.7, "C1": 2.0,
+    "C2": 3.0, "c": 0.2, "samples": 250, "mc_samples": 360, "depth_cut": 7, "seed": 9,
+    "cache_dir": "elsewhere",
+}
+
+
+def _run_config(tmp_path, name, args, values):
+    """Run `args` under a config file of `values`: the data file and the meta."""
+    cfgf = tmp_path / f"{name}.cfg"
+    cfgf.write_text("".join(
+        f"{k} = {','.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+        for k, v in values.items()
+    ))
+    rc, out = _run(tmp_path / name, *args, "--config", str(cfgf))
+    assert rc == 0, (name, values)
+    return _data_file(out), json.loads(sorted(Path(out).glob("*meta.json"))[0].read_text())
+
+
+class _Reads:
+    """A RunConfig that records the names read from it."""
+
+    def __init__(self, cfg):
+        self.cfg, self.names = cfg, set()
+
+    def __getattr__(self, name):
+        self.names.add(name)
+        return getattr(self.cfg, name)
+
+
+@pytest.mark.parametrize("row, args, values", _READ_CASES, ids=[r[0] for r, _, _ in _READ_CASES])
+def test_cli_handlers_read_what_the_table_lists(tmp_path, monkeypatch, row, args, values):
+    # the handler reads the table's keys, and kind and its level cap where
+    # it runs on a fractal; the meta's config holds those keys and out_dir,
+    # and the data file is the manifest row's
+    sub = cli._SUBCOMMANDS[row[0]]
+    seen = _Reads(None)
+
+    def recording(cfg, opts):
+        seen.cfg = cfg
+        return sub.handler(seen, opts)
+
+    real_report = cli._report
+    monkeypatch.setitem(cli._SUBCOMMANDS, row[0], sub._replace(handler=recording))
+    monkeypatch.setattr(cli, "_report", lambda name, cfg, *a, **kw: real_report(
+        name, cfg.cfg if isinstance(cfg, _Reads) else cfg, *a, **kw))
+    (_, data), meta = _run_config(tmp_path, "row", (row[0], *args), {"seed": 1, **values})
+    fractal = {"kind", "fractal_kind", "level_cap"}
+    assert seen.names - fractal == set(sub.keys)
+    assert bool(seen.names & fractal) == bool(sub.kinds)
+    kind = values.get("kind", sub.kinds[0] if sub.kinds else None)
+    own = {"kind", f"level_cap_{kind}"} if sub.kinds else set()
+    assert set(meta["config"]) == own | set(sub.keys) | {"out_dir", "subcommand", "options"}
+    assert hashlib.sha256(data).hexdigest() == dict(DATA_DIGESTS)[row]
+
+
+@pytest.mark.parametrize("row, args, values", _READ_CASES, ids=[r[0] for r, _, _ in _READ_CASES])
+def test_cli_only_the_keys_a_run_reads_move_its_file(tmp_path, row, args, values):
+    # every key the run does not read set to another valid value leaves the
+    # file name and bytes as they are; each key it reads moves the name
+    sub = cli._SUBCOMMANDS[row[0]]
+    base = {"seed": 1, **values}
+    kind = base.get("kind", sub.kinds[0] if sub.kinds else "sg")
+    reads = set(cli._read_keys(row[0], kind))
+    unread = {k: v for k, v in _OTHER_VALUES.items() if k not in reads}
+    if "kind" not in reads or len(sub.kinds) == 1:  # the fractal it does not run on
+        unread["kind"] = "sc" if kind == "sg" else "sg"
+    argv = (row[0], *args)
+    first, _ = _run_config(tmp_path, "base", argv, base)
+    assert _run_config(tmp_path, "unread", argv, {**base, **unread})[0] == first
+    for key in reads - {"kind", "out_dir"}:
+        moved, _ = _run_config(tmp_path, key, argv, {**base, key: _OTHER_VALUES[key]})
+        assert moved[0] != first[0], key
 
 
 def test_cli_run_folds_the_flags_as_main_does(tmp_path):
@@ -1108,6 +1240,10 @@ EXIT_CODES = (
     ("mosco --kind sc", 2),
     ("walk --kind sg", 2),
     ("kernel --level-cap 3", 2),
+    # energy on the carpet reads no boundary
+    ("energy --kind sc --boundary 0,1,0", 2),
+    # (3 lam)^-6 overflows a float
+    ("walk --lambda 1e-320 --samples 200 --depth-cut 6", 2),
     *(
         (f"{flag} {value}", 2)
         for flag, _, malformed in _BOUNDARY_FLAGS
@@ -1119,6 +1255,13 @@ EXIT_CODES = (
     ("kernel --i 1000", 3),
     ("kernel --i 99", 3),
     ("kernel --gamma 2000", 3),
+    # the caps on sizes, checked before any work
+    (f"mosco --points {cli.POINTS_CAP + 1}", 3),
+    ("mosco --points 99999999999999999999", 3),
+    (f"harnack --levels 3 --trials {cli.TRIALS_CAP + 1}", 3),
+    ("harnack --levels 3 --trials 99999999999999999999", 3),
+    (f"walk --samples {treewalk.SAMPLES_CAP + 1} --depth-cut 6", 3),
+    ("walk --samples 99999999999999999999 --depth-cut 6", 3),
     # the exact energies of a boundary this large overflow a float: the run
     # ends as kernel's C_i does, with no data file
     ("energy --kind sg --boundary 1e200,0,0", 4),
@@ -1145,6 +1288,21 @@ def test_cli_bad_arguments_exit_2_without_data(tmp_path, capsys, argv, code):
     assert not Path(out).exists()
     # an overflow reads inf without numpy's note on the way
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize(
+    "args, key, cap",
+    [(("walk", "--depth-cut", "6"), "samples", treewalk.SAMPLES_CAP),
+     (("besov", "--kind", "sg"), "mc_samples", besov.MC_SAMPLES_CAP)],
+    ids=["walk", "besov"],
+)
+def test_cli_sample_caps_in_a_config_exit_3_without_data(tmp_path, capsys, args, key, cap):
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text(f"{key} = {cap + 1}\n")
+    rc, out = _run(tmp_path, *args, "--config", str(cfgf))
+    assert rc == 3
+    assert f"beyond the cap {cap}" in capsys.readouterr().err
+    assert not Path(out).exists()
 
 
 def test_cli_besov_too_few_mc_samples_exit_2_without_data(tmp_path, capsys):

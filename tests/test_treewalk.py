@@ -252,6 +252,19 @@ def test_walk_params_refuse_non_finite_weights(key, value):
         _params(**{key: value})
 
 
+def test_walk_params_refuse_a_lam_whose_conductance_overflows():
+    # (3 lam)^-depth_cut, the vertical conductance at the depth cut, must be
+    # a finite float: past it the closures overflowed with a traceback
+    with pytest.raises(ValueError, match="overflows"):
+        _params(lam=1e-320, depth_cut=6)
+    with pytest.raises(ValueError, match="overflows"):
+        _params(lam=1e-30, depth_cut=12)
+    # the closures build their parameters at the walk's own depth cut
+    p = _params(lam=1e-30, depth_cut=6)
+    bracket = green_oo(p, mode="exact")
+    assert bracket["lower"] <= 1.0 / (1.0 - p.lam) <= bracket["upper"]
+
+
 def test_boundary_hit_distribution_first_digit():
     p = _params(lam=0.5, samples=6000, depth_cut=8)
     out = boundary_hit_distribution(p, m=1)
