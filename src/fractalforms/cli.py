@@ -73,6 +73,10 @@ from .words import enumerate_words
 # most trials a harnack run may ask for: a level-7 trial solves in about
 # 50 ms (2-core VM), so 1,000 trials spend at most 50 s per level 7 listed
 TRIALS_CAP = 1_000
+# most right-hand-side floats (free vertices times trials) of one harnack
+# solve: 20 trials take one solve per level to level 4 and two at level 5
+# (16,041 free vertices), and a level-7 ball solves one trial at a time
+_HARNACK_RHS_FLOATS = 2 ** 18
 # most points of a mosco curve: 10^5 points take 2.4 s and peak at 84 MB at
 # depth 6 (2-core VM), against 0.6 s and 63 MB for the default 20
 POINTS_CAP = 100_000
@@ -265,10 +269,14 @@ def _run_harnack(cfg: RunConfig, opts) -> ExperimentReport:
     rows = []
     for n in levels:
         ball = harnack_ball(n, center, r, delta)
-        for trial in range(opts.trials):
-            bvals = rng.uniform(0.0, 1.0, len(ball.boundary_ids))
-            ratio = harnack_ratio(n, center, r, delta, bvals, ball=ball)
-            rows.append((n, trial, ratio))
+        # a block of trials, drawn row by row as one trial at a time would
+        # draw them, is solved as the columns of one right-hand side
+        block = max(1, _HARNACK_RHS_FLOATS // max(1, len(ball.interior_ids)))
+        for first in range(0, opts.trials, block):
+            k = min(block, opts.trials - first)
+            bvals = rng.uniform(0.0, 1.0, (k, len(ball.boundary_ids)))
+            ratios = harnack_ratio(n, center, r, delta, bvals.T, ball=ball)
+            rows.extend((n, first + t, ratio) for t, ratio in enumerate(ratios.tolist()))
     return _report("harnack", cfg, opts, columns=("level", "trial", "ratio"), rows=rows)
 
 

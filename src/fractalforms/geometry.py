@@ -23,9 +23,10 @@ ids follow first appearance in that scan, and the vertex graph keeps the
 scan's (cells, boundary_size) id table as `corners`: corner i of a cell is
 the fixed point of map i, so every coarser level's corner ids are rows of
 that one table, and no run looks a vertex up by its coordinates.  The same
-dedup and edge pairing, run on the carpet cells that meet the quadrant
-x, y <= 1/2, give that quadrant's graph alone (`sc_quadrant`), which the
-plate resistance is solved on.  The gasket's cell graph reads no corners: its
+dedup and edge pairing, run on a subset of the carpet cells
+(`sc_region`), give a region's graph alone: the quadrant x, y <= 1/2
+(`sc_quadrant`), which the plate resistance is solved on, and the
+cells that meet a Harnack ball.  The gasket's cell graph reads no corners: its
 level n is three copies of level n - 1 glued at three points, so it is built
 from the cached level below.
 """
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -246,24 +247,38 @@ def vertex_graph(kind: FractalKind, n: int) -> VertexGraph:
     return VertexGraph(kind, n, *_corner_graph(kind, n, *_cells(kind, n)))
 
 
+def sc_region(
+    n: int, meets: Callable[[np.ndarray, np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xn, yn, edges) of the level-n carpet cells at offsets (gx, gy) where
+    meets(gx, gy) holds, arrays as in VertexGraph; cell (gx, gy) spans the
+    numerators 2 gx .. 2 gx + 2 on each axis.
+
+    The cells are scanned in word order, so a vertex whose every cell is
+    kept has its first appearance, and so its place among such vertices,
+    its neighbors and its edge multiplicities, as in the whole graph.
+    """
+    if n < 0:
+        raise ValueError("level must be >= 0")
+    gx, gy = _cells(FractalKind.SC, n)
+    keep = meets(gx, gy)
+    return _corner_graph(FractalKind.SC, n, gx[keep], gy[keep])[:3]
+
+
 def sc_quadrant(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(xn, yn, edges) of the closed quadrant x, y <= 1/2 of the level-n
     carpet graph, arrays as in VertexGraph, built from the cells that meet it.
 
     A vertex with x <= 1/2 lies only in cells with 2 gx <= 3^n, the
     numerator of x = 1/2, and so for y: every cell holding a quadrant vertex
-    is built, in word order, and the quadrant vertices appear first in the
+    is built (`sc_region`), and the quadrant vertices appear first in the
     order they do in the full scan.  The vertices past x or y = 1/2 of the
     cells across the midlines are dropped with their edges.  Ids are
     renumbered monotonically, so the arrays equal the full graph's
     restricted to the quadrant, edge order and multiplicities included.
     """
-    if n < 0:
-        raise ValueError("level must be >= 0")
     m = FractalKind.SC.unit(vertex_scale(FractalKind.SC, n)) // 2
-    gx, gy = _cells(FractalKind.SC, n)
-    meet = (2 * gx <= m) & (2 * gy <= m)
-    xn, yn, edges = _corner_graph(FractalKind.SC, n, gx[meet], gy[meet])[:3]
+    xn, yn, edges = sc_region(n, lambda gx, gy: (2 * gx <= m) & (2 * gy <= m))
     inside = (xn <= m) & (yn <= m)
     local = np.cumsum(inside) - 1  # quadrant id of each vertex in it
     edges = edges[inside[edges[:, 0]] & inside[edges[:, 1]]]

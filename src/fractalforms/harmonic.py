@@ -9,7 +9,11 @@ conditions ("good function"), the one-dimensional increasing profile f used
 for lower bounds (one fold of integer offsets and scales over the triadic
 digits, every value an integer numerator over 2 * 7^n), the
 digit-restricted sublattice energy used for upper bounds, and Harnack/Holder
-ball experiments.
+ball experiments.  Neither the strip energies nor the Harnack balls build the
+whole vertex graph: the strip energies are int64 sums of a table of
+numerators read at each cell's corner abscissae, and a ball is built from
+only the cells that meet it, its trials solved as the columns of one
+right-hand side.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .energies import (
     VertexFunction,
     corner_ids_at_level,
     kigami_energy_En,
-    sc_pointwise_energy_Dn,
     sc_scaled_energy_an,
 )
 from .geometry import (
@@ -34,7 +37,9 @@ from .geometry import (
     _cells,
     _corners,
     float_sq_dist,
+    sc_region,
     vertex_graph,
+    vertex_scale,
 )
 from .kinds import (
     SC_LEVEL_CAP,
@@ -42,7 +47,7 @@ from .kinds import (
     SG_LEVEL_CAP,
     FractalKind,
 )
-from .networks import DirichletSystem, graph_edge_arrays, sc_RnV
+from .networks import DirichletSystem, sc_RnV
 
 __all__ = [
     "SgHarmonic",
@@ -154,35 +159,39 @@ def x_profile_energy_level1(a, b):
 CANTOR_DIGITS = (0, 1, 2, 4, 5, 6)  # bottom-row and top-row cells only
 
 
-def _ring_x_energy(n: int, digits: Sequence[int]) -> Fraction:
-    """Ring-pair energy of u(x, y) = x summed over the words in digits^n.
+def _ring_energy(n: int, table: np.ndarray, den: int, digits: Sequence[int]) -> Fraction:
+    """Ring-pair energy of U(x, y) = table[xn] / den summed over the level-n
+    cells whose words lie in digits^n.
 
-    The corner abscissae are integer numerators over 2 * 3^n, and adjacent
-    ring points differ by at most one numerator step, so the int64 sum of
-    squared differences is exact."""
-    cx, _ = _corners(FractalKind.SC, *_cells(FractalKind.SC, n, digits))
+    Each cell's 8 corner abscissae xn index the int64 table, and the squared
+    differences over the 8 ring pairs are summed in int64, which is exact
+    while the sum fits; the cells go one first-digit block at a time."""
+    gx, gy = _cells(FractalKind.SC, n, digits)
     ends = np.array(SC_PAIRS)
-    d = (cx[:, ends[:, 0]] - cx[:, ends[:, 1]]).ravel()
-    return Fraction(int(np.dot(d, d)), FractalKind.SC.unit(n) ** 2)
+    total = 0
+    for bx, by in zip(np.split(gx, len(digits)), np.split(gy, len(digits))):
+        t = table[_corners(FractalKind.SC, bx, by)[0]]
+        d = (t[:, ends[:, 0]] - t[:, ends[:, 1]]).ravel()
+        total += int(np.dot(d, d))
+    return Fraction(total, den * den)
 
 
 def strip_energy_checks(n: int) -> tuple[Fraction, Fraction]:
-    """Two exact level-n carpet energies.
+    """Two exact level-n carpet energies, per-cell ring-pair sums as
+    `energies.sc_pointwise_energy_Dn` takes them.
 
-    First: the full per-cell pair energy of U(x,y) = f(x), computed on the
-    vertex graph from f's table of numerators, read at each vertex's
-    abscissa.  Second: the same energy of u(x,y) = x summed only over the
-    cells whose digits avoid the two mid-row maps (a Cantor set of rows).
-    Expected closed forms: (6/7)^n and (2/3)^n.
+    First: the energy of U(x,y) = f(x) over every cell, read from f's table
+    of numerators over 2 * 7^n at each corner's abscissa; the sum is at most
+    4 * 6^n * 7^n in those units.  Second: the same energy of u(x,y) = x
+    (the identity table over 2 * 3^n) summed only over the cells whose
+    digits avoid the two mid-row maps (a Cantor set of rows).  Expected
+    closed forms: (6/7)^n and (2/3)^n.
     """
     if not 1 <= n <= SC_LEVEL_CAP:
         raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
-    vg = vertex_graph(FractalKind.SC, n)
-    # f's numerators over 2 * 7^n, as the Python ints a RationalArray holds
-    num = _x_profile_numerators(n).astype(object)[vg.xn]
-    u = VertexFunction(vg, RationalArray(num, 2 * 7 ** n))
-    sc_value = sc_pointwise_energy_Dn(u, n)
-    cantor_value = _ring_x_energy(n, CANTOR_DIGITS)
+    full = FractalKind.SC.unit(n)
+    sc_value = _ring_energy(n, _x_profile_numerators(n), 2 * 7 ** n, range(FractalKind.SC.n_maps))
+    cantor_value = _ring_energy(n, np.arange(full + 1, dtype=np.int64), full, CANTOR_DIGITS)
     return sc_value, cantor_value
 
 
@@ -245,16 +254,22 @@ def sc_good_function(n: int) -> ScGoodFunction:
 
 @dataclass(eq=False)
 class HarnackBall:
-    """Ball decomposition of a carpet graph for a Dirichlet problem.
+    """Ball decomposition of the level-n carpet graph for a Dirichlet problem.
 
-    `boundary_ids` are the ball vertices on the sphere or with a neighbor
-    outside the closed ball; `interior_ids` are the remaining ball vertices;
-    `inner_ids` are the ball vertices within delta*r of the center.
-    All id arrays are sorted, so boundary data indexed by position is
-    deterministic.
+    The ball lives on its region: the level-n cells whose closed square
+    meets the closed ball, with `xn`, `yn` and `edges` as in VertexGraph.
+    Every cell holding a ball vertex is in the region, so the ball vertices
+    keep the whole graph's relative order, neighbors and edge
+    multiplicities.  `boundary_ids` are the ball vertices on the sphere or
+    with a neighbor outside the closed ball; `interior_ids` are the
+    remaining ball vertices; `inner_ids` are the ball vertices within
+    delta*r of the center.  All are sorted region ids, so boundary data
+    indexed by position is deterministic.
     """
 
-    graph: VertexGraph
+    xn: np.ndarray
+    yn: np.ndarray
+    edges: np.ndarray
     interior_ids: np.ndarray
     boundary_ids: np.ndarray
     inner_ids: np.ndarray
@@ -270,15 +285,15 @@ class HarnackBall:
         whole carpet graph, which is connected.  With no boundary vertex at
         all (a ball holding the whole graph) nothing is free."""
         if self._system is None:
-            vg = self.graph
-            in_ball = np.zeros(vg.n_vertices, dtype=bool)
+            in_ball = np.zeros(len(self.xn), dtype=bool)
             in_ball[self.interior_ids] = True
             in_ball[self.boundary_ids] = True
-            ii, jj, cc = graph_edge_arrays(vg)
+            ii, jj, mult = self.edges.T
             keep = in_ball[ii] & in_ball[jj]
             free = self.interior_ids if len(self.boundary_ids) else ()
             self._system = DirichletSystem(
-                vg.n_vertices, ii[keep], jj[keep], cc[keep], self.boundary_ids, free
+                len(self.xn), ii[keep], jj[keep], mult[keep].astype(float),
+                self.boundary_ids, free,
             )
         return self._system
 
@@ -287,7 +302,6 @@ def harnack_ball(n: int, center, r, delta) -> HarnackBall:
     n = int(n)
     if not 1 <= n <= SC_LEVEL_CAP:
         raise ValueError(f"level {n} outside [1, {SC_LEVEL_CAP}]")
-    vg = vertex_graph(FractalKind.SC, n)
     r = Fraction(r)
     delta = Fraction(delta)
     if not 0 < delta < 1:
@@ -296,31 +310,40 @@ def harnack_ball(n: int, center, r, delta) -> HarnackBall:
         raise ValueError("r must be positive")
     # exact squared distances to the center: num / full^2, with num an int64
     # on the vertex grid, which the center must lie on, at most 2 full^2
-    full = vg.kind.unit(vg.scale)
+    kind = FractalKind.SC
+    full = kind.unit(vertex_scale(kind, n))
     cxn, cyn = Fraction(center[0]) * full, Fraction(center[1]) * full
     if cxn.denominator != 1 or cyn.denominator != 1:
         raise ValueError("center must lie on the vertex coordinate grid")
     if not (0 <= cxn <= full and 0 <= cyn <= full):
         raise ValueError("center must lie in the unit square")
-    num = vg.kind.sq_norm(vg.xn - int(cxn), vg.yn - int(cyn))
+    cxn, cyn = int(cxn), int(cyn)
     # for an integer num, num / full^2 <= t <=> num <= floor(t full^2), and
     # num / full^2 == t only if t full^2 is an integer; the thresholds are
     # Python ints, which numpy compares exactly with int64, however large
     sphere = r * r * full * full  # the squared radii in num's units
     inner = sphere * delta * delta
-    in_ball = num <= sphere.numerator // sphere.denominator
+    in_sphere = sphere.numerator // sphere.denominator
+
+    def meets(gx, gy):
+        # the point of the closed cell square nearest the center is on the grid
+        dx = np.clip(cxn, 2 * gx, 2 * gx + 2) - cxn
+        dy = np.clip(cyn, 2 * gy, 2 * gy + 2) - cyn
+        return kind.sq_norm(dx, dy) <= in_sphere
+
+    xn, yn, edges = sc_region(n, meets)
+    num = kind.sq_norm(xn - cxn, yn - cyn)
+    in_ball = num <= in_sphere
     on_sphere = num == sphere.numerator if sphere.denominator == 1 else np.zeros(len(num), dtype=bool)
     in_inner = num <= inner.numerator // inner.denominator
-    ii, jj = vg.edges[:, 0], vg.edges[:, 1]
-    has_outside_neighbor = np.zeros(vg.n_vertices, dtype=bool)
-    out_i = in_ball[ii] & ~in_ball[jj]
-    out_j = in_ball[jj] & ~in_ball[ii]
-    has_outside_neighbor[ii[out_i]] = True
-    has_outside_neighbor[jj[out_j]] = True
+    ii, jj = edges[:, 0], edges[:, 1]
+    has_outside_neighbor = np.zeros(len(xn), dtype=bool)
+    has_outside_neighbor[ii[in_ball[ii] & ~in_ball[jj]]] = True
+    has_outside_neighbor[jj[in_ball[jj] & ~in_ball[ii]]] = True
     boundary_mask = in_ball & (on_sphere | has_outside_neighbor)
     interior_mask = in_ball & ~boundary_mask
     return HarnackBall(
-        graph=vg,
+        xn, yn, edges,
         interior_ids=np.nonzero(interior_mask)[0],
         boundary_ids=np.nonzero(boundary_mask)[0],
         inner_ids=np.nonzero(in_inner)[0],
@@ -328,16 +351,17 @@ def harnack_ball(n: int, center, r, delta) -> HarnackBall:
 
 
 def harnack_solve(ball: HarnackBall, boundary_values) -> np.ndarray:
-    """Potentials on the whole graph (zero off the ball), harmonic on the
-    interior for the pair-count conductances, boundary data in id order."""
+    """Potentials on the ball's region (zero off the ball), harmonic on the
+    interior for the pair-count conductances, boundary data in id order:
+    one vector, or a matrix with one column per trial, solved together."""
     bvals = np.asarray(boundary_values, dtype=float)
-    if bvals.shape != (len(ball.boundary_ids),):
+    if bvals.ndim not in (1, 2) or len(bvals) != len(ball.boundary_ids) or 0 in bvals.shape[1:]:
         raise ValueError(
-            f"expected {len(ball.boundary_ids)} boundary values, got {bvals.shape}"
+            f"expected {len(ball.boundary_ids)} boundary values per trial, got {bvals.shape}"
         )
     if np.any(bvals < 0):
         raise ValueError("boundary values must be nonnegative")
-    if not np.any(bvals > 0):
+    if not np.all(np.any(bvals > 0, axis=0)):
         raise ValueError("boundary values must not be identically zero")
     u, _ = ball.system().solve(bvals)
     return u
@@ -345,22 +369,21 @@ def harnack_solve(ball: HarnackBall, boundary_values) -> np.ndarray:
 
 def harnack_ratio(
     n, center, r, delta, boundary_values, ball: Optional[HarnackBall] = None
-) -> float:
-    """Max/min of the ball-harmonic extension over the shrunken ball.
+) -> float | np.ndarray:
+    """Max/min of the ball-harmonic extension over the shrunken ball: a
+    float for one boundary vector, an array of one per column for a matrix.
 
-    Returns inf when the minimum vanishes; raises on an empty shrunken ball.
+    A ratio is inf when its minimum vanishes; raises on an empty shrunken ball.
     """
     if ball is None:
         ball = harnack_ball(n, center, r, delta)
     if len(ball.inner_ids) == 0:
         raise ValueError("no vertices inside the shrunken ball")
-    u = harnack_solve(ball, boundary_values)
-    inner = u[ball.inner_ids]
-    lo = float(inner.min())
-    hi = float(inner.max())
-    if lo <= 0.0:
-        return float("inf")
-    return hi / lo
+    inner = harnack_solve(ball, boundary_values)[ball.inner_ids]
+    lo, hi = inner.min(axis=0), inner.max(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(lo <= 0.0, np.inf, hi / lo)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 # ---------------------------------------------------------------------------

@@ -94,10 +94,24 @@ class WalkParams:
             raise ValueError("c must be in (0, lam)")
         if self.depth_cut < 2:
             raise ValueError("depth_cut must be >= 2")
+        D = self.depth_cut
         try:  # the vertical conductance at the depth cut must be a float
-            (3.0 * self.lam) ** -self.depth_cut
+            scale = (3.0 * self.lam) ** -D
         except OverflowError:
             raise ValueError(f"(3 lam)^-depth_cut overflows a float at lam = {self.lam}") from None
+        # so must the closures' largest links (the 3^D edges from level D - 1
+        # and the 3^D tail resistors) and the walk's vertex conductance at the
+        # depth cut (parent, up to 3 same-level neighbours and the tail step
+        # 3 (3 lam)^-D): the closures and the walk sum them
+        vertical = vertical_conductance(self, D - 1)
+        links = (3 ** D * vertical, 3 ** D * _tail_conductance(self, D))
+        if not all(map(math.isfinite, links)):
+            raise ValueError(f"a closure link at depth_cut {D} overflows a float at lam = {self.lam}")
+        for name, weight in (("C1", self.C1), ("C2", self.C2)):
+            if not math.isfinite(vertical + 3.0 * (weight + 1.0) * scale):
+                raise ValueError(
+                    f"the vertex conductance at depth_cut {D} overflows a float at {name} = {weight}"
+                )
         if self.samples < 2:  # the standard errors divide by samples - 1
             raise ValueError(f"samples must be >= 2, got {self.samples}")
         if self.step_cap < 1:

@@ -863,6 +863,42 @@ def test_cli_carpet_subcommands_need_no_kind(tmp_path, args):
     assert _data_file(bare) == _data_file(named)
 
 
+@pytest.mark.parametrize("floats", [1, 3000, 20000], ids=["one-trial-blocks", "uneven-blocks", "two-blocks-at-level-4"])
+def test_cli_harnack_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, floats):
+    # each level's trials are drawn and solved in blocks; a trial reads the
+    # same draws and the same ratio bits however the trials are split
+    args = ("harnack", "--levels", "3,4", "--trials", "20", "--seed", "3")
+    want = _data_file(_run(tmp_path / "default", *args)[1])
+    monkeypatch.setattr(cli, "_HARNACK_RHS_FLOATS", floats)
+    assert _data_file(_run(tmp_path / "split", *args)[1]) == want
+
+
+class _WholeGraphBuilt(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "args, builds",
+    [(("harnack", "--levels", "3,4", "--trials", "2"), False),
+     (("energy", "--kind", "sc", "--levels", "1..4"), False),
+     (("goodfn", "--level", "2"), True)],
+    ids=["harnack", "energy-sc", "goodfn"],
+)
+def test_cli_carpet_runs_build_the_whole_graph_only_for_goodfn(tmp_path, monkeypatch, args, builds):
+    def refuse(*a, **kw):
+        raise _WholeGraphBuilt
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("fractalforms")]:
+        for name in ("vertex_graph", "cached_vertex_graph"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    if builds:
+        with pytest.raises(_WholeGraphBuilt):
+            _run(tmp_path, *args)
+    else:
+        assert _run(tmp_path, *args)[0] == 0
+
+
 def test_cli_harnack_runs_on_the_carpet_under_a_gasket_config(tmp_path):
     cfgf = tmp_path / "run.cfg"
     cfgf.write_text("kind = sg\n")
@@ -1244,6 +1280,9 @@ EXIT_CODES = (
     ("energy --kind sc --boundary 0,1,0", 2),
     # (3 lam)^-6 overflows a float
     ("walk --lambda 1e-320 --samples 200 --depth-cut 6", 2),
+    # (3 lam)^-6 is a float, but the closures' 3^6 tail resistors are not
+    ("walk --lambda 3e-52 --samples 200 --depth-cut 6", 2),
+    ("walk --lambda 2e-52 --samples 200 --depth-cut 6", 2),
     *(
         (f"{flag} {value}", 2)
         for flag, _, malformed in _BOUNDARY_FLAGS
@@ -1303,6 +1342,22 @@ def test_cli_sample_caps_in_a_config_exit_3_without_data(tmp_path, capsys, args,
     assert rc == 3
     assert f"beyond the cap {cap}" in capsys.readouterr().err
     assert not Path(out).exists()
+
+
+def test_cli_walk_weight_overflowing_the_vertex_conductance_exit_2(tmp_path, capsys):
+    # C1 (3 * 0.3)^-6 overflows a float: the closures used to read nan with
+    # numpy's warning and exit 4
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("C1 = 1e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out = _run(tmp_path, "walk", "--config", str(cfgf), "--lambda", "0.3",
+                       "--samples", "200", "--depth-cut", "6")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "overflows a float at C1 = 1e+308" in err
+    assert not Path(out).exists()
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_cli_besov_too_few_mc_samples_exit_2_without_data(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from fractalforms.kinds import FractalKind
+from fractalforms.kinds import SC_LEVEL_CAP, FractalKind
 from fractalforms.geometry import cached_vertex_graph, sg_corner_ids, vertex_graph
 from fractalforms.energies import VertexFunction, kigami_energy_En, sc_pointwise_energy_Dn
 from fractalforms import harmonic
@@ -169,7 +169,7 @@ def test_x_profile_value_interpolates_f():
 
 
 def test_strip_energy_closed_forms():
-    for n in (1, 2, 3):
+    for n in range(1, SC_LEVEL_CAP + 1):
         full, cantor = strip_energy_checks(n)
         assert full == Fraction(6, 7) ** n
         assert cantor == Fraction(2, 3) ** n
@@ -294,13 +294,24 @@ def test_harnack_solve_respects_maximum_principle():
 )
 def test_harnack_ball_ids_match_recorded(n, r, delta, expected):
     # (length, sha256 prefix) of the interior, boundary and inner id arrays,
-    # recorded from a per-vertex Fraction comparison of every distance
+    # recorded as whole-graph ids from a per-vertex Fraction comparison of
+    # every distance; the ball's region ids map to them by numerators
     ball = harnack_ball(n, HARNACK_CENTER, r, delta)
     got = tuple(
         (len(ids), hashlib.sha256(ids.astype(np.int64).tobytes()).hexdigest()[:16])
-        for ids in (ball.interior_ids, ball.boundary_ids, ball.inner_ids)
+        for ids in _whole_graph_ids(ball, n)
     )
     assert got == expected
+
+
+def _whole_graph_ids(ball, n):
+    """The ball's interior, boundary and inner ids as ids of the whole
+    level-n graph, found by their numerators."""
+    vg = cached_vertex_graph(SC, n)
+    return tuple(
+        ids_of(vg, ball.xn[ids], ball.yn[ids])
+        for ids in (ball.interior_ids, ball.boundary_ids, ball.inner_ids)
+    )
 
 
 def _object_array_ball(n, center, r, delta):
@@ -354,8 +365,36 @@ def _object_array_ball(n, center, r, delta):
 def test_harnack_ball_equals_the_object_array_oracle(n, center, r, delta):
     ball = harnack_ball(n, center, r, delta)
     want = _object_array_ball(n, center, r, delta)
-    for got, ids in zip((ball.interior_ids, ball.boundary_ids, ball.inner_ids), want):
+    for got, ids in zip(_whole_graph_ids(ball, n), want):
         assert np.array_equal(got, ids)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize(
+    "center, r",
+    [(HARNACK_CENTER, HARNACK_R), ((Fraction(0), Fraction(0)), Fraction(1, 3)),
+     ((Fraction(1, 3), Fraction(2, 3)), Fraction(1, 6))],
+)
+def test_harnack_ball_region_is_the_whole_graph_restricted(n, center, r):
+    # the ball built from the cells that meet it has the whole graph's ball
+    # vertices in id order, and their edges with the same multiplicities
+    ball = harnack_ball(n, center, r, HARNACK_DELTA)
+    vg = cached_vertex_graph(SC, n)
+    interior, boundary, _ = _object_array_ball(n, center, r, HARNACK_DELTA)
+    got = _restricted(ball.xn, ball.yn, ball.edges, np.union1d(ball.interior_ids, ball.boundary_ids))
+    want = _restricted(vg.xn, vg.yn, vg.edges, np.union1d(interior, boundary))
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _restricted(xn, yn, edges, ids):
+    """Numerators and (i, j, mult) edges of the vertices `ids` (sorted),
+    renumbered in id order."""
+    inside = np.zeros(len(xn), dtype=bool)
+    inside[ids] = True
+    e = edges[inside[edges[:, 0]] & inside[edges[:, 1]]].copy()
+    e[:, :2] = (np.cumsum(inside) - 1)[e[:, :2]]
+    return xn[ids], yn[ids], e
 
 
 @pytest.mark.parametrize(
@@ -412,6 +451,34 @@ def test_harnack_rejects_negative_boundary():
     bad[0] = -1.0
     with pytest.raises(ValueError):
         harnack_solve(ball, bad)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_harnack_ratio_of_a_trial_matrix_is_the_per_trial_ratios_bitwise(n):
+    ball = harnack_ball(n, HARNACK_CENTER, HARNACK_R, HARNACK_DELTA)
+    bvals = np.random.default_rng(n).uniform(0.0, 1.0, (len(ball.boundary_ids), 6))
+    with solver_log() as log:
+        got = harnack_ratio(n, HARNACK_CENTER, HARNACK_R, HARNACK_DELTA, bvals, ball=ball)
+    assert (log.factorizations, log.solves) == (1, 6)
+    want = [harnack_ratio(n, HARNACK_CENTER, HARNACK_R, HARNACK_DELTA, bvals[:, k], ball=ball)
+            for k in range(6)]
+    assert all(isinstance(w, float) for w in want)
+    assert got.dtype == np.float64 and got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("bad", ["zero", "negative"])
+def test_harnack_refuses_a_trial_matrix_with_one_bad_column(bad):
+    ball = harnack_ball(3, HARNACK_CENTER, HARNACK_R, HARNACK_DELTA)
+    bvals = np.ones((len(ball.boundary_ids), 4))
+    if bad == "zero":
+        bvals[:, 2] = 0.0
+    else:
+        bvals[7, 2] = -1.0
+    match = "identically zero" if bad == "zero" else "nonnegative"
+    with pytest.raises(ValueError, match=match):
+        harnack_solve(ball, bvals)
+    with pytest.raises(ValueError, match=match):
+        harnack_ratio(3, HARNACK_CENTER, HARNACK_R, HARNACK_DELTA, bvals, ball=ball)
 
 
 def test_holder_constant_finite_for_good_function():

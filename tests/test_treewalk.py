@@ -252,6 +252,21 @@ def test_walk_params_refuse_non_finite_weights(key, value):
         _params(**{key: value})
 
 
+def test_walk_params_refuse_weights_whose_closure_sums_overflow():
+    # (3 lam)^-6 is a float at these lam, but the 3^6 tail resistors of the
+    # tree-tail closure, in parallel, are not
+    for lam in (3e-52, 2e-52):
+        with pytest.raises(ValueError, match=f"closure link .* overflows a float at lam = {lam}"):
+            _params(lam=lam, depth_cut=6)
+    with pytest.raises(ValueError, match="overflows a float at C1 = 1e\\+308"):
+        _params(lam=0.3, C1=1e308, depth_cut=6)
+    with pytest.raises(ValueError, match="overflows a float at C2 = 1e\\+308"):
+        _params(lam=0.3, C2=1e308, depth_cut=6)
+    # just inside: every link and vertex total is a float
+    _params(lam=1e-51, depth_cut=6)
+    _params(lam=0.3, C1=1e307, depth_cut=6)
+
+
 def test_walk_params_refuse_a_lam_whose_conductance_overflows():
     # (3 lam)^-depth_cut, the vertical conductance at the depth cut, must be
     # a finite float: past it the closures overflowed with a traceback
