@@ -45,8 +45,14 @@ from .config import (
     config_dict,
     load_config,
 )
-from .energies import VertexFunction, exact_float, restrict_to_level, sg_pointwise_energy_Bn
-from .geometry import cached_vertex_graph
+from .energies import (
+    VertexFunction,
+    cellgraph_edge_energy,
+    corner_means,
+    exact_float,
+    kigami_energy_En,
+    sg_pointwise_energy_Bn,
+)
 from .harmonic import (
     harnack_ball,
     harnack_ratio,
@@ -145,7 +151,7 @@ def _walk_params(cfg: RunConfig) -> WalkParams:
         raise ResourceCapError(f"depth_cut {cfg.depth_cut} beyond the working cap {DEPTH_CAP}")
     if cfg.samples > SAMPLES_CAP:
         raise ResourceCapError(f"samples {cfg.samples} beyond the cap {SAMPLES_CAP}")
-    try:
+    try:  # the only place the walk's rules at its depth cut are applied
         return WalkParams(
             lam=cfg.lam, C1=cfg.C1, C2=cfg.C2, c=cfg.c,
             seed=cfg.seed, samples=cfg.samples, depth_cut=cfg.depth_cut,
@@ -222,21 +228,18 @@ def _run_energy(cfg: RunConfig, opts) -> ExperimentReport:
     if kind is FractalKind.SC and opts.boundary is not None:
         raise ConfigError("energy on the carpet takes no --boundary")
     if kind is FractalKind.SG:
-        top = max(levels)
-        uf = sg_harmonic(*_parse_boundary(opts.boundary), top)
-        from .energies import kigami_energy_En, sg_graph_energy_An
-
-        rows = []
-        for n in levels:
-            u_n = uf if n == top else restrict_to_level(uf, cached_vertex_graph(kind, n))
-            rows.append(
-                (
-                    n,
-                    exact_float(sg_pointwise_energy_Bn(u_n, n)),
-                    exact_float(kigami_energy_En(u_n, n)),
-                    exact_float(sg_graph_energy_An(u_n, n)),
-                )
+        uf = sg_harmonic(*_parse_boundary(opts.boundary), max(levels))
+        # each level's corners are read from the top graph's corner table; A_n
+        # takes the level-n corner means, the cell averages of u restricted to n
+        rows = [
+            (
+                n,
+                exact_float(sg_pointwise_energy_Bn(uf, n)),
+                exact_float(kigami_energy_En(uf, n)),
+                exact_float(cellgraph_edge_energy(corner_means(uf, n))),
             )
+            for n in levels
+        ]
         return _report("energy", cfg, opts, columns=("n", "Bn", "En", "An"), rows=rows)
     rows = []
     for n in levels:

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .kinds import SC_LEVEL_CAP, SG_LEVEL_CAP, FractalKind
-from .treewalk import WalkParams
+from .treewalk import check_walk_keys
 
 
 class ConfigError(ValueError):
@@ -50,9 +50,9 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.kind not in ("sg", "sc"):
             raise ConfigError(f"kind must be sg or sc, got {self.kind!r}")
-        try:  # the walk's own rules; its seed range is checked where the walk runs
-            WalkParams(lam=self.lam, C1=self.C1, C2=self.C2, c=self.c,
-                       samples=self.samples, depth_cut=self.depth_cut)
+        try:  # each walk key by its own rule; the rules at the run's depth cut
+            # and the seed range are checked where the walk runs
+            check_walk_keys(self.lam, self.C1, self.C2, self.c, self.samples, self.depth_cut)
         except ValueError as e:
             raise ConfigError(str(e)) from e
         alpha = self.fractal_kind().alpha

@@ -3,16 +3,21 @@
 All level-n sums run over within-cell vertex pairs counted per cell (a pair on
 a shared carpet side therefore enters once for each of the two cells).
 A level-n cell's corner ids are rows of the graph's one corner table
-(`VertexGraph.corners`), picked by index, and restriction to a coarser graph
-scatters the same rows, so no coordinate is searched.
+(`VertexGraph.corners`), picked by index, so the level-n corners of a finer
+graph are read from its own table and no coarser graph is needed.
 
 Float and exact data run the same vectorised body.  Exact data is held as
-integer numerators over one shared denominator (`RationalArray`: Python ints
-in a numpy object array, so no sum can wrap); the exact test functions come
-as such arrays from the integer folds in `harmonic`, with no `Fraction` per
-vertex.  A sum of squared differences is then an integer over den^2, a
-level-n cell average an integer over den * boundary_size * n_maps^m, and the
-one `Fraction` is built at the end.
+integer numerators over one shared denominator (`RationalArray`); the exact
+test functions come as such arrays from the integer folds in `harmonic`, with
+no `Fraction` per vertex.  A sum of squared differences is then an integer
+over den^2, a level-n cell average an integer over den * boundary_size *
+n_maps^m, and the one `Fraction` is built at the end, from Python ints.
+Numerators are int64 while a bound shows that no step can wrap and Python
+ints in an object array past it: each exact step bounds its int64 results by
+the largest |numerator| before it runs (2 max for a difference, row length
+times max for a row sum, length times max^2 for a dot product) and promotes
+its input to Python ints where the bound reaches 2^63.  Both dtypes run the
+same numpy expressions, and nothing but these bounds picks the dtype.
 A float ndarray is its own numerators; its averages divide level by level,
 as `np.mean` does.
 """
@@ -34,16 +39,21 @@ from .kinds import FractalKind
 class RationalArray(Sequence):
     """Exact rationals num[i] / den over one shared denominator.
 
-    `num` is an object array of Python ints; items read back as Fractions.
+    `num` is an int64 array or an object array of Python ints; items read
+    back as Fractions of Python ints either way.
     """
 
     num: np.ndarray
     den: int
 
+    def __post_init__(self) -> None:
+        if self.num.dtype not in (np.int64, object):  # the two the bounds know
+            raise TypeError(f"numerators must be int64 or Python ints, not {self.num.dtype}")
+
     @classmethod
     def of(cls, values: Iterable) -> "RationalArray":
         """Ints, Fractions or floats (taken exactly) over their least common
-        denominator."""
+        denominator, as Python ints."""
         fr = [Fraction(v) for v in values]
         den = math.lcm(*(int(f.denominator) for f in fr))
         return cls(
@@ -55,7 +65,7 @@ class RationalArray(Sequence):
         return len(self.num)
 
     def __getitem__(self, i) -> Fraction:
-        return Fraction(self.num[i], self.den)
+        return Fraction(int(self.num[i]), self.den)  # an np.int64 would wrap in it
 
 
 def _is_float(values) -> bool:
@@ -76,10 +86,38 @@ def _from_numerators(num: np.ndarray, den: Optional[int]):
     return num if den is None else RationalArray(num, den)
 
 
+# int64 results below 2^63 in magnitude cannot wrap; integers below 2^53 in
+# magnitude are exact as float64
+INT64_LIMIT = 2 ** 63
+FLOAT_EXACT = 2 ** 53
+
+
+def _max_abs(num: np.ndarray) -> int:
+    """max |num| of int64 numerators as a Python int; 0 for Python ints,
+    which no step can wrap."""
+    if num.dtype != np.int64 or num.size == 0:
+        return 0
+    return max(int(num.max()), -int(num.min()))
+
+
+def _int64_while(num: np.ndarray, bound: int) -> np.ndarray:
+    """num as it is while `bound`, a bound on every int64 result the next
+    step computes from it, is below 2^63; past that, as Python ints."""
+    return num if bound < INT64_LIMIT else num.astype(object)
+
+
 def float_values(values) -> np.ndarray:
-    """Float copy of a value sequence; exact values are rounded once each."""
+    """Float copy of a value sequence; exact values are rounded once each.
+
+    An int64 numerator and a denominator below 2^53 are both exact as
+    floats, so float division rounds their quotient once, as Python's int /
+    int does; any other exact value divides as Python ints."""
     num, den = _numerators(values)
-    return num if den is None else (num / den).astype(float)
+    if den is None:
+        return num
+    if num.dtype == np.int64 and den < FLOAT_EXACT and _max_abs(num) < FLOAT_EXACT:
+        return num / den
+    return (num.astype(object) / den).astype(float)
 
 
 def exact_float(x) -> float:
@@ -94,17 +132,27 @@ def exact_float(x) -> float:
 def _mean(rows: np.ndarray, den: Optional[int]) -> tuple[np.ndarray, Optional[int]]:
     """Row means of a 2-d numerator array: floats divide now, exact sums
     carry the row length in the denominator."""
-    total = rows.sum(axis=1)
     if den is None:
-        return total / rows.shape[1], None
+        return rows.sum(axis=1) / rows.shape[1], None
+    total = _int64_while(rows, rows.shape[1] * _max_abs(rows)).sum(axis=1)
     return total, den * rows.shape[1]
 
 
-def _square_sum(diffs: Iterable[np.ndarray], den: Optional[int]):
-    """Sum of squared numerator differences, one dot product per array added
-    in order: a float for float data, otherwise the exact Fraction over den^2."""
-    total = sum(np.dot(d, d) for d in diffs)
-    return float(total) if den is None else Fraction(total, den * den)
+def _square_sum(
+    num: np.ndarray, den: Optional[int], ends: Iterable[tuple[np.ndarray, np.ndarray]]
+):
+    """Sum of (num[i] - num[j])^2 over the index arrays (i, j) of `ends`,
+    one dot product per pair added in order: a float for float data,
+    otherwise the exact Fraction over den^2."""
+    if den is None:
+        return float(sum(np.dot(d, d) for d in (num[i] - num[j] for i, j in ends)))
+    num = _int64_while(num, 2 * _max_abs(num))
+    total = 0
+    for i, j in ends:
+        d = num[i] - num[j]
+        d = _int64_while(d, len(d) * _max_abs(d) ** 2)
+        total += int(np.dot(d, d))
+    return Fraction(total, den * den)
 
 
 @dataclass(eq=False)
@@ -164,8 +212,7 @@ def corner_ids_at_level(vg: VertexGraph, n: int) -> np.ndarray:
 
 def _pair_energy(u: VertexFunction, n: int, pairs) -> object:
     ids = corner_ids_at_level(u.graph, n)
-    num, den = _numerators(u.values)
-    return _square_sum((num[ids[:, a]] - num[ids[:, b]] for a, b in pairs), den)
+    return _square_sum(*_numerators(u.values), ((ids[:, a], ids[:, b]) for a, b in pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +251,15 @@ def sc_scaled_energy_an(u: VertexFunction, n: int, rho: float):
 # ---------------------------------------------------------------------------
 # cell averages and mean-value coarsening
 
+def corner_means(u: VertexFunction, n: int) -> CellFunction:
+    """Mean of each level-n cell's corner values, the corners read from u's
+    own graph: the level-n cell averages of u restricted to level n."""
+    num, den = _numerators(u.values)
+    return CellFunction(
+        u.graph.kind, n, _from_numerators(*_mean(num[corner_ids_at_level(u.graph, n)], den))
+    )
+
+
 def cell_averages(u: VertexFunction, n: int) -> CellFunction:
     """Level-n cell averages by recursive corner means.
 
@@ -213,14 +269,10 @@ def cell_averages(u: VertexFunction, n: int) -> CellFunction:
     cell average at every level; otherwise the quadrature error decays like
     the oscillation of u at the deepest available scale.
     """
-    vg = u.graph
-    if not 0 <= n <= vg.level:
+    top = u.graph.level
+    if not 0 <= n <= top:
         raise ValueError("level out of range")
-    num, den = _numerators(u.values)
-    vals, den = _mean(num[corner_ids_at_level(vg, vg.level)], den)
-    for _ in range(vg.level - n):
-        vals, den = _mean(vals.reshape(-1, vg.kind.n_maps), den)
-    return CellFunction(vg.kind, n, _from_numerators(vals, den))
+    return mean_value_Mnm(corner_means(u, top), top - n)
 
 
 def sg_cell_average_Pn(u: VertexFunction, n: int) -> CellFunction:
@@ -245,8 +297,7 @@ def mean_value_Mnm(cf: CellFunction, m: int) -> CellFunction:
 def cellgraph_edge_energy(cf: CellFunction):
     """Unit-weight sum of squared differences over adjacent-cell pairs."""
     edges = cell_graph(cf.kind, cf.level).edges
-    num, den = _numerators(cf.values)
-    return _square_sum([num[edges[:, 0]] - num[edges[:, 1]]], den)
+    return _square_sum(*_numerators(cf.values), [(edges[:, 0], edges[:, 1])])
 
 
 def sg_graph_energy_An(u: VertexFunction, n: int):

@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .energies import (
+    FLOAT_EXACT,
     RationalArray,
     VertexFunction,
     corner_ids_at_level,
@@ -36,6 +37,7 @@ from .geometry import (
     VertexGraph,
     _cells,
     _corners,
+    cached_vertex_graph,
     float_sq_dist,
     sc_region,
     vertex_graph,
@@ -68,10 +70,12 @@ __all__ = [
 #
 # Cell d's corner values are 5 A_d times its parent's corner values, over 5:
 # the three edge midpoints of a cell with corner values (x, y, z) take
-# (2x+2y+z)/5, (2x+y+2z)/5 and (x+2y+2z)/5.
+# (2x+2y+z)/5, (2x+y+2z)/5 and (x+2y+2z)/5.  The rows of 5 A_d are
+# nonnegative and sum to 5, so a level multiplies the largest |numerator|
+# by at most 5.
 
 _EXTENSION = tuple(
-    np.array(m, dtype=object)
+    np.array(m, dtype=np.int64)
     for m in (
         ((5, 0, 0), (2, 2, 1), (2, 1, 2)),
         ((2, 2, 1), (0, 5, 0), (1, 2, 2)),
@@ -85,7 +89,9 @@ class SgHarmonic:
     """Harmonic function on the gasket with prescribed corner values.
 
     Values are exact: at level n, integer numerators over the boundary data's
-    common denominator times 5^n.
+    common denominator times 5^n.  They are int64 where 5^n times the largest
+    boundary numerator stays below 2^53, which bounds every step of the fold
+    and keeps each numerator exact as a float too, and Python ints past it.
     """
 
     boundary: tuple
@@ -99,11 +105,14 @@ class SgHarmonic:
             raise ValueError("gasket harmonic values need a gasket graph")
         n = vg.level
         start = RationalArray.of(self.boundary)
-        corners = start.num[None, :]
+        small = 5 ** n * max(abs(v) for v in start.num) < FLOAT_EXACT
+        dtype = np.int64 if small else object
+        corners = start.num.astype(dtype)[None, :]
+        extension = [m.astype(dtype) for m in _EXTENSION]
         for _ in range(n):
             # the children of cell i are 3i, 3i+1, 3i+2, as in geometry._cells
-            corners = np.stack([corners @ m.T for m in _EXTENSION], axis=1).reshape(-1, 3)
-        num = np.empty(vg.n_vertices, dtype=object)
+            corners = np.stack([corners @ m.T for m in extension], axis=1).reshape(-1, 3)
+        num = np.empty(vg.n_vertices, dtype=dtype)
         num[corner_ids_at_level(vg, n)] = corners
         return VertexFunction(vg, RationalArray(num, start.den * 5 ** n))
 
@@ -112,7 +121,7 @@ def sg_harmonic(x0, x1, x2, n: int) -> VertexFunction:
     """Exact harmonic values on the level-n gasket vertex set."""
     if not 0 <= n <= SG_LEVEL_CAP:
         raise ValueError(f"level {n} outside [0, {SG_LEVEL_CAP}]")
-    return SgHarmonic.make(x0, x1, x2).vertex_function(vertex_graph(FractalKind.SG, n))
+    return SgHarmonic.make(x0, x1, x2).vertex_function(cached_vertex_graph(FractalKind.SG, n))
 
 
 # ---------------------------------------------------------------------------

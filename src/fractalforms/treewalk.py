@@ -47,6 +47,7 @@ __all__ = [
     "DEPTH_CAP",
     "SAMPLES_CAP",
     "WalkParams",
+    "check_walk_keys",
     "vertical_conductance",
     "horizontal_conductance",
     "WalkTables",
@@ -62,6 +63,22 @@ __all__ = [
     "ctrw_truncation_bias",
     "detailed_balance_residual",
 ]
+
+
+def check_walk_keys(lam, C1, C2, c, samples, depth_cut) -> None:
+    """The walk's rules on its keys one at a time (c against lam).  A
+    WalkParams adds the seed range and the rules that hold at its depth cut,
+    so a config file is checked by these alone."""
+    if not 0.0 < lam < 1.0:
+        raise ValueError("lam must be in (0,1)")
+    if not (0 < C1 < math.inf and 0 < C2 < math.inf):
+        raise ValueError("C1 and C2 must be finite and positive")
+    if c is not None and not 0.0 < c < lam:
+        raise ValueError("c must be in (0, lam)")
+    if depth_cut < 2:
+        raise ValueError("depth_cut must be >= 2")
+    if samples < 2:  # the standard errors divide by samples - 1
+        raise ValueError(f"samples must be >= 2, got {samples}")
 
 
 @dataclass(frozen=True)
@@ -84,16 +101,9 @@ class WalkParams:
     step_cap: int = 200_000
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("lam must be in (0,1)")
-        if not (0 < self.C1 < math.inf and 0 < self.C2 < math.inf):
-            raise ValueError("C1 and C2 must be finite and positive")
+        check_walk_keys(self.lam, self.C1, self.C2, self.c, self.samples, self.depth_cut)
         if not 0 <= self.seed < 2 ** 64:  # one uint64 word of the Philox key
             raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
-        if self.c is not None and not 0.0 < self.c < self.lam:
-            raise ValueError("c must be in (0, lam)")
-        if self.depth_cut < 2:
-            raise ValueError("depth_cut must be >= 2")
         D = self.depth_cut
         try:  # the vertical conductance at the depth cut must be a float
             scale = (3.0 * self.lam) ** -D
@@ -112,8 +122,6 @@ class WalkParams:
                 raise ValueError(
                     f"the vertex conductance at depth_cut {D} overflows a float at {name} = {weight}"
                 )
-        if self.samples < 2:  # the standard errors divide by samples - 1
-            raise ValueError(f"samples must be >= 2, got {self.samples}")
         if self.step_cap < 1:
             raise ValueError("step_cap must be positive")
 

@@ -207,3 +207,20 @@ def from_x_fraction(graph: VertexGraph, fn) -> VertexFunction:
     xs, inverse = np.unique(graph.xn, return_inverse=True)
     at_x = RationalArray.of(fn(Fraction(int(x), den)) for x in xs)
     return VertexFunction(graph, RationalArray(at_x.num[inverse], at_x.den))
+
+
+def sg_harmonic_corner_numerators(boundary, n: int) -> tuple[np.ndarray, int]:
+    """Corner numerators (x, y, z) of every level-n gasket cell, cells in
+    word order, and their shared denominator: the midpoint rule applied to
+    Python ints in object arrays, one level at a time.  Cell d of a cell
+    with corner values (x, y, z) keeps its corner d and takes the two
+    midpoints beside it, (2x+2y+z)/5, (2x+y+2z)/5 or (x+2y+2z)/5."""
+    start = RationalArray.of(boundary)
+    x, y, z = (np.array([int(v)], dtype=object) for v in start.num)
+    for _ in range(n):
+        m01, m02, m12 = 2 * x + 2 * y + z, 2 * x + y + 2 * z, x + 2 * y + 2 * z
+        x, y, z = (
+            np.stack(children, axis=1).ravel()
+            for children in ((5 * x, m01, m02), (m01, 5 * y, m12), (m02, m12, 5 * z))
+        )
+    return np.stack([x, y, z], axis=1), start.den * 5 ** n

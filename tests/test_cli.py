@@ -23,7 +23,7 @@ from fractalforms.config import (
     load_config,
     parse_config_text,
 )
-from fractalforms import besov, cli, networks, reporting, treewalk
+from fractalforms import besov, cli, geometry, networks, reporting, treewalk
 from fractalforms.geometry import vertex_graph
 from fractalforms.kinds import FractalKind
 from fractalforms.cli import _build_parser, main, run
@@ -899,6 +899,24 @@ def test_cli_carpet_runs_build_the_whole_graph_only_for_goodfn(tmp_path, monkeyp
         assert _run(tmp_path, *args)[0] == 0
 
 
+def test_cli_gasket_energy_and_walkdim_build_one_vertex_graph(tmp_path, monkeypatch):
+    # every level's corners are read from the top graph's corner table, and
+    # sg_harmonic takes that graph from the shared cache
+    built = []
+    corner_graph = geometry._corner_graph
+
+    def counted(kind, n, *cells):
+        built.append((kind, n))
+        return corner_graph(kind, n, *cells)
+
+    monkeypatch.setattr(geometry, "_corner_graph", counted)
+    geometry.cached_vertex_graph.cache_clear()
+    assert _run(tmp_path / "energy", "energy", "--kind", "sg", "--levels", "1..8")[0] == 0
+    assert built == [(FractalKind.SG, 8)]
+    assert _run(tmp_path / "walkdim", "walkdim", "--kind", "sg", "--levels", "1..8")[0] == 0
+    assert built == [(FractalKind.SG, 8)]
+
+
 def test_cli_harnack_runs_on_the_carpet_under_a_gasket_config(tmp_path):
     cfgf = tmp_path / "run.cfg"
     cfgf.write_text("kind = sg\n")
@@ -1358,6 +1376,25 @@ def test_cli_walk_weight_overflowing_the_vertex_conductance_exit_2(tmp_path, cap
     assert "Traceback" not in err and "overflows a float at C1 = 1e+308" in err
     assert not Path(out).exists()
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+
+@pytest.mark.parametrize(
+    "args, code, err",
+    [(("harnack", "--levels", "3", "--trials", "2"), 0, ""),
+     (("walk", "--lambda", "0.3", "--samples", "200", "--depth-cut", "6"), 2,
+      "error: the vertex conductance at depth_cut 6 overflows a float at C1 = 1e+308\n")],
+    ids=["harnack-reads-no-C1", "walk-checks-C1-at-its-own-depth-cut"],
+)
+def test_cli_walk_rules_in_a_config_apply_where_the_walk_runs(tmp_path, capsys, args, code, err):
+    # a config file is checked key by key; the rules at a depth cut are the
+    # walk's, at the depth cut it runs at
+    cfgf = tmp_path / "run.cfg"
+    cfgf.write_text("C1 = 1e308\n")
+    assert load_config(cfgf).C1 == 1e308
+    rc, out = _run(tmp_path, *args, "--config", str(cfgf))
+    assert rc == code
+    assert capsys.readouterr().err == err
+    assert Path(out).exists() == (code == 0)
 
 
 def test_cli_besov_too_few_mc_samples_exit_2_without_data(tmp_path, capsys):

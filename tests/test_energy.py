@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from fractalforms.kinds import FractalKind
 from fractalforms.geometry import (
@@ -18,12 +18,19 @@ from fractalforms.geometry import (
     vertex_scale,
 )
 from fractalforms.besov import _bottom_edge_ids
+from fractalforms import energies
+from fractalforms.cli import _parse_boundary
 from fractalforms.energies import (
+    FLOAT_EXACT,
+    INT64_LIMIT,
     CellFunction,
+    RationalArray,
     VertexFunction,
     cell_averages,
     cellgraph_edge_energy,
     corner_ids_at_level,
+    corner_means,
+    float_values,
     kigami_energy_En,
     mean_value_Mnm,
     restrict_to_level,
@@ -35,7 +42,7 @@ from fractalforms.energies import (
     sg_graph_energy_An,
     sg_pointwise_energy_Bn,
 )
-from oracles import from_x_fraction, ids_of, x_profile_value
+from oracles import from_x_fraction, ids_of, sg_harmonic_corner_numerators, x_profile_value
 from fractalforms.harmonic import (
     CANTOR_DIGITS,
     sg_harmonic,
@@ -312,3 +319,131 @@ def test_exact_energies_match_fraction_reference(kind, n):
             assert cellgraph_edge_energy(cf) == _ref_edge_energy(ref, kind, m)
     if kind is SC:
         assert strip_energy_checks(n) == _ref_strip_energies(n)
+
+
+# ---------------------------------------------------------------------------
+# int64 numerators under a bound, Python ints past it
+
+
+def _is_exact_fraction(x) -> bool:
+    """A Fraction of Python ints: one of np.int64 wraps silently in it."""
+    return type(x) is Fraction and type(x.numerator) is int and type(x.denominator) is int
+
+
+def _object_copy(u: VertexFunction) -> VertexFunction:
+    """u with its numerators as Python ints, which no step demotes."""
+    return VertexFunction(u.graph, RationalArray(u.values.num.astype(object), u.values.den))
+
+
+def _fold_edge(n: int) -> int:
+    """The largest integer boundary value whose level-n fold stays in int64."""
+    return (FLOAT_EXACT - 1) // 5 ** n
+
+
+_FOLD_EDGE_LEVELS = (1, 6, 9)
+
+
+# a CLI value: an integer (a small common denominator) or a float, which the
+# CLI rounds to a denominator <= 10^6, so that three of them share one up to
+# about 10^18
+_cli_value = st.one_of(
+    st.integers(-(2 ** 20), 2 ** 20).map(float),
+    st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
+)
+
+
+def _on_each_side_of_the_fold_bound(test):
+    for n in _FOLD_EDGE_LEVELS:
+        for edge in (_fold_edge(n), _fold_edge(n) + 1):
+            test = example((float(edge), 0.0, 0.0), n)(test)
+    return test
+
+
+@given(st.tuples(_cli_value, _cli_value, _cli_value), st.integers(1, 12))
+@example((0.0, 1.0, 0.0), 12)  # sums at level 12 stay in int64
+@example((0.0, 1.0, 0.3), 4)  # denominators 10 and 5^4: the whole fold in int64
+@example((0.1234567, -0.7654321, 0.5), 6)  # a common denominator near 10^12
+@_on_each_side_of_the_fold_bound
+@settings(max_examples=24, derandomize=True, deadline=None)
+def test_exact_energies_equal_the_object_reference_on_both_sides_of_every_bound(triple, top):
+    boundary = _parse_boundary(",".join(map(repr, triple)))
+    u = sg_harmonic(*boundary, top)
+    corners, den = sg_harmonic_corner_numerators(boundary, top)
+    assert u.values.den == den
+    assert (u.values.num[u.graph.corners].astype(object) == corners).all()
+    ref = _object_copy(u)
+    for n in sorted({1, top}):
+        b = sg_pointwise_energy_Bn(ref, n)
+        a = cellgraph_edge_energy(corner_means(restrict_to_level(ref, cached_vertex_graph(SG, n)), n))
+        got = (
+            sg_pointwise_energy_Bn(u, n),
+            kigami_energy_En(u, n),
+            cellgraph_edge_energy(corner_means(u, n)),
+            # harmonic cell averages are the corner means, also as means
+            # over the 3^(top - n) finest cells of each level-n cell
+            sg_graph_energy_An(u, n),
+        )
+        assert got == (b, Fraction(5, 3) ** n * b, a, a)
+        assert all(map(_is_exact_fraction, got))
+    assert np.array_equal(float_values(u.values), float_values(ref.values))
+    assert all(_is_exact_fraction(u.values[i]) for i in (0, u.graph.n_vertices - 1))
+
+
+@pytest.mark.parametrize("n", _FOLD_EDGE_LEVELS)
+def test_harmonic_fold_is_int64_exactly_below_its_bound(n):
+    k = _fold_edge(n)
+    assert sg_harmonic(k, 0, 0, n).values.num.dtype == np.int64
+    assert sg_harmonic(k + 1, 0, 0, n).values.num.dtype == object
+    assert sg_harmonic(-k - 1, 0, 0, n).values.num.dtype == object
+
+
+def _exact_square_sum(num, den, ends):
+    diffs = (int(a) - int(b) for i, j in ends for a, b in zip(num[i], num[j]))
+    return Fraction(sum(d * d for d in diffs), den * den)
+
+
+@pytest.mark.parametrize(
+    "values, length",
+    [
+        # one difference whose square fits, then two whose squares' sum does not
+        ((0, 3_037_000_499), 1),
+        ((0, 3_037_000_499), 2),
+        # differences of two numerators near 2^62 pass 2^63
+        ((-(2 ** 62) + 1, 2 ** 62 - 1), 1),
+        ((-(2 ** 63) + 1, 0), 1),
+    ],
+)
+def test_square_sum_promotes_where_int64_would_wrap(values, length):
+    num = np.array(values, dtype=np.int64)
+    ends = [(np.zeros(length, dtype=np.int64), np.ones(length, dtype=np.int64))]
+    got = energies._square_sum(num, 7, ends)
+    assert _is_exact_fraction(got)
+    assert got == _exact_square_sum(num, 7, ends)
+
+
+@pytest.mark.parametrize(
+    "row, dtype",
+    [
+        ((2 ** 61, 2 ** 61, 2 ** 61), np.int64),  # 3 * 2^61 < 2^63
+        ((2 ** 62, 2 ** 62), object),
+        ((-(2 ** 62), -(2 ** 62)), object),
+    ],
+)
+def test_mean_promotes_where_int64_would_wrap(row, dtype):
+    total, den = energies._mean(np.array([row], dtype=np.int64), 5)
+    assert total.dtype == dtype and total.tolist() == [sum(row)]
+    assert den == 5 * len(row)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        (FLOAT_EXACT - 1, 3),  # both exact as floats: float division
+        (FLOAT_EXACT + 1, 3),  # float(2^53 + 1) is 2^53: Python ints
+        (1, FLOAT_EXACT + 1),
+        (INT64_LIMIT - 1, INT64_LIMIT + 5),
+    ],
+)
+def test_float_values_round_once_on_both_sides_of_the_float_bound(num, den):
+    exact = RationalArray(np.array([num, -num], dtype=np.int64), den)
+    assert float_values(exact).tolist() == [num / den, -num / den]
