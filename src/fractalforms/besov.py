@@ -28,12 +28,12 @@ import numpy as np
 
 from .energies import (
     VertexFunction,
+    cellgraph_edge_energy,
     corner_ids_at_level,
+    corner_means,
     exact_float,
-    restrict_to_level,
     sc_cell_energy_bn,
     sc_pointwise_energy_Dn,
-    sg_graph_energy_An,
     sg_pointwise_energy_Bn,
 )
 from .geometry import VertexGraph, cached_vertex_graph, float_sq_dist, vertex_scale
@@ -119,11 +119,10 @@ def _level_energy(u: VertexFunction, n: int, form: BesovForm):
         if kind is FractalKind.SG:
             return sg_pointwise_energy_Bn(u, n)
         return sc_pointwise_energy_Dn(u, n)
-    # cell averages are means over the graph's finest cells: restrict first
-    if n != u.graph.level:
-        u = restrict_to_level(u, cached_vertex_graph(kind, n))
+    # the cell averages of u restricted to level n: its level-n corner means,
+    # read from u's own graph
     if kind is FractalKind.SG:
-        return sg_graph_energy_An(u, n)
+        return cellgraph_edge_energy(corner_means(u, n))
     return sc_cell_energy_bn(u, n, 1.0)
 
 

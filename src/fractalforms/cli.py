@@ -396,7 +396,12 @@ def _run_walk(cfg: RunConfig, opts) -> ExperimentReport:
     report = _report("walk", cfg, opts, tree=tree)
     # path counts go to meta only, so the data file stays byte-stable
     report.provenance["mc"] = {
-        name: {"paths": params.samples, "overflowed": r["overflowed"]} for name, r in runs.items()
+        name: {
+            "paths": params.samples,
+            "overflowed": r["overflowed"],
+            "path_steps": r["path_steps"],
+        }
+        for name, r in runs.items()
     }
     if params.c is not None:  # a closed form: the lifetime the depth cut leaves out
         bias = ctrw_truncation_bias(params, params.depth_cut)

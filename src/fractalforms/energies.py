@@ -316,12 +316,13 @@ def sg_cellgraph_energy_Gn(cf: CellFunction):
 
 
 def sc_cell_energy_bn(u: VertexFunction, n: int, rho: float):
-    """rho^n times the adjacent-cell energy of level-n cell averages."""
+    """rho^n times the adjacent-cell energy of the level-n cell averages of u
+    restricted to level n, as floats: its level-n corner means, read from
+    u's own graph."""
     if u.graph.kind is not FractalKind.SC:
         raise ValueError("expected carpet data")
-    e = cellgraph_edge_energy(
-        CellFunction(u.graph.kind, n, float_values(cell_averages(u, n).values))
-    )
+    means = float_values(corner_means(u, n).values)
+    e = cellgraph_edge_energy(CellFunction(u.graph.kind, n, means))
     return rho ** n * e
 
 

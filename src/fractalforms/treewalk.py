@@ -16,7 +16,8 @@ graphs, each built from the one below.
 
 Monte Carlo runs cross-check the linear algebra.  A vertex's transition row
 depends only on its level and on the kind of edge in each column, so the
-tables hold one cumulative row per transition class.  The fixed
+tables hold one cumulative row per transition class, and a guide table
+per class picks the column of most uniforms with no comparison.  The fixed
 random-stream chunks run as two halves, each stepping its chunks in
 lockstep, the second half in a forked child.
 
@@ -189,41 +190,73 @@ N_KINDS = 6
 PAD, CHILD, PARENT, SAME_I, SAME_II, TAIL_STEP = range(N_KINDS)
 
 
+# bins of the guide table: a uniform u falls in bin floor(u * GUIDE_BINS), and
+# the scaling by a power of two is exact
+GUIDE_BINS = 2 ** 12
+
+
 @dataclass(eq=False)
 class WalkTables:
     """Padded neighbor tables and per-class transition rows.
 
     A vertex's transition row depends only on its level and on the kind of
     edge in each column, so `cum` holds one row per transition class and
-    `cls` maps every vertex to its class.
+    `cls` maps every vertex to its class.  `guide` (Chen & Asau 1974) holds,
+    bin-major at bin * K + class, the column a uniform of the bin picks in
+    that class's row, or -1 where one of the row's thresholds lies in the
+    bin; only those draws compare against the thresholds.
     """
 
     nbr: np.ndarray      # (V, W) int32, -1 padded, TAIL for tail steps
-    cls: np.ndarray      # (V,) intp transition class of each vertex
+    cls: np.ndarray      # (V,) int32 transition class of each vertex
     cum: np.ndarray      # (K, W) float64 cumulative transition probabilities per class
     pi: np.ndarray       # (V,) total incident conductance
 
     def __post_init__(self) -> None:
         # the last column is 1.0, never below a uniform in [0, 1), so it is
         # left out of the comparisons
-        self._cum_cols = np.ascontiguousarray(self.cum[:, :-1].T)
+        thresholds = self._thresholds = np.ascontiguousarray(self.cum[:, :-1])
         self._nbr_flat = self.nbr.ravel()
+        K = len(self.cum)
+        # a uniform u picks the count of thresholds t < u; for every u in bin
+        # b that is the count of thresholds in bins below b, unless one lies
+        # in b itself (a threshold at 1.0 lies in no bin)
+        k, j = np.nonzero(thresholds < 1.0)
+        bins = (thresholds[k, j] * GUIDE_BINS).astype(np.intp)
+        rises = np.zeros((GUIDE_BINS + 1, K), dtype=np.int8)
+        np.add.at(rises, (bins + 1, k), 1)
+        guide = np.cumsum(rises[:GUIDE_BINS], axis=0, dtype=np.int8)
+        guide[bins, k] = -1
+        self.guide = guide.ravel()
 
     def step(self, states: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Next vertex of each path, given one transition uniform per path."""
-        c = self.cls[states]
+        c = self.cls.take(states)
+        at = (u * GUIDE_BINS).astype(np.int32)
+        at *= len(self.cum)
+        at += c
+        col = self.guide.take(at)
         flat = states * self.nbr.shape[1]
-        for col in self._cum_cols:
-            flat += col[c] < u
-        return self._nbr_flat[flat]
+        flat += col
+        near = np.flatnonzero(col < 0)
+        if len(near):
+            # the count of the row's thresholds below u, as the guide counts
+            below = self._thresholds.take(c.take(near), axis=0) < u.take(near)[:, None]
+            flat[near] = states.take(near) * self.nbr.shape[1] + below.sum(axis=1)
+        return self._nbr_flat.take(flat)
+
+
+# most horizontal edges in one closure edge block: level 13 has 2.4M
+EDGE_BLOCK = 2 ** 18
 
 
 def _edge_blocks(params: WalkParams, depth: int, mode: str = "ground") -> Iterator[tuple]:
     """The edges of a closure of the depth-truncated graph, as (ii, jj,
     conductance) blocks: the vertical edges level by level, then the
-    horizontal edges level by level, then in tail mode the tail resistors
-    from the sphere to the ground node past the ball.  Every closure edge
-    array is read from here, in this order."""
+    horizontal edges level by level, each level's in contiguous slices of at
+    most EDGE_BLOCK edges, then in tail mode the tail resistors from the
+    sphere to the ground node past the ball.  Every closure edge array is
+    read from here, in this order."""
     # no block is kept in a local, so only the block in use is alive
     # vertical: level n parents to level n+1 children
     for n in range(depth):
@@ -236,15 +269,17 @@ def _edge_blocks(params: WalkParams, depth: int, mode: str = "ground") -> Iterat
     for n in range(1, depth + 1):
         cg = cell_graph(FractalKind.SG, n)
         base = _level_offset(n)
-        yield (
-            base + cg.edges[:, 0],
-            base + cg.edges[:, 1],
-            np.where(
-                cg.second_type,
-                horizontal_conductance(params, n, "II"),
-                horizontal_conductance(params, n, "I"),
-            ),
-        )
+        for a in range(0, len(cg.edges), EDGE_BLOCK):
+            edges = cg.edges[a : a + EDGE_BLOCK]
+            yield (
+                base + edges[:, 0],
+                base + edges[:, 1],
+                np.where(
+                    cg.second_type[a : a + EDGE_BLOCK],
+                    horizontal_conductance(params, n, "II"),
+                    horizontal_conductance(params, n, "I"),
+                ),
+            )
     if mode == "tail":
         sphere = _sphere(depth)
         yield (
@@ -314,7 +349,7 @@ def _tables(lam: float, C1: float, C2: float, depth: int) -> WalkTables:
     )
     V = _level_offset(depth + 1)
     nbr = np.full((V, W), -1, dtype=np.int32)
-    cls = np.empty(V, dtype=np.intp)
+    cls = np.empty(V, dtype=np.int32)
     class_wts = []
     for n, g in enumerate(graphs):
         o, m = _level_offset(n), 3 ** n
@@ -502,6 +537,10 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and affinity is not None and len(affinity(0)) >= 2
 
 
+def _uniforms(rng: np.random.Generator, out: np.ndarray) -> None:
+    rng.random(out=out)
+
+
 def _run_paths(
     tables: WalkTables,
     params: WalkParams,
@@ -510,8 +549,9 @@ def _run_paths(
     stop_level: Optional[int] = None,
     before=None,
     after=None,
-) -> int:
-    """Walk `samples` paths from the root; return how many hit step_cap.
+) -> tuple[int, int]:
+    """Walk `samples` paths from the root; return how many hit step_cap and
+    how many transitions were drawn.
 
     With stop_level None a path ends when it escapes through the tail;
     otherwise it ends on its first step to a word of level stop_level, so a
@@ -522,11 +562,14 @@ def _run_paths(
     index of the half's live paths, ascending, so each chunk's paths form
     one slice of it.  Per step each chunk draws from its own stream, in this
     order: `before(idx, cur, draw)` first, then the transition uniforms,
-    then the tail-return uniforms.  `draw(f)` concatenates f(rng, sl) over
-    the half's chunks, where sl slices the chunk's live paths; `after(idx,
-    nxt, done)` sees each step's outcome.  `idx` indexes the per-path arrays
-    of length `samples`; a hook may write only to those entries of arrays
-    made by `_shared`, and must not print or call into BLAS.
+    which `WalkTables.step` turns into columns through its guide table, then
+    the tail-return uniforms.  Every draw fills one array preallocated per
+    half: `draw(f)` calls f(rng, out) for each of the half's chunks, where
+    `out` is the slice of the chunk's live paths, and returns the filled
+    array, which the next draw overwrites.  `after(idx, nxt, done)` sees
+    each step's outcome.  `idx` indexes the per-path arrays of length
+    `samples`; a hook may write only to those entries of arrays made by
+    `_shared`, and must not print or call into BLAS.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -534,41 +577,42 @@ def _run_paths(
     firsts = np.cumsum([0] + [base + (k < extra) for k in range(CHUNKS)])
     stop = None if stop_level is None else _level_offset(stop_level)  # first id at stop_level
 
-    def run_half(chunks: range) -> int:
-        """Step the paths of `chunks`; return how many hit step_cap."""
+    def run_half(chunks: range) -> tuple[int, int]:
+        """Step the paths of `chunks`; return how many hit step_cap and how
+        many transitions were drawn."""
         # a list key past 2^63 would pass through float64 and lose its low bits
         rngs = [
             np.random.Generator(np.random.Philox(key=np.array([params.seed, k], dtype=np.uint64)))
             for k in chunks
         ]
         starts = firsts[chunks.start : chunks.stop + 1]
+        drawn = np.empty(starts[-1] - starts[0])
 
-        def per_chunk(f, bounds):
-            return np.concatenate(
-                [f(rng, slice(a, b)) for rng, a, b in zip(rngs, bounds[:-1], bounds[1:])]
-            )
-
-        def uniforms(bounds):
-            return per_chunk(lambda rng, sl: rng.random(sl.stop - sl.start), bounds)
+        def draw(f, bounds) -> np.ndarray:
+            for rng, a, b in zip(rngs, bounds[:-1], bounds[1:]):
+                f(rng, drawn[a:b])
+            return drawn[: bounds[-1]]
 
         idx = np.arange(starts[0], starts[-1])
         cur = np.zeros(len(idx), dtype=np.int32)
         bounds = starts - starts[0]
+        steps = 0
         for _ in range(params.step_cap):
             if len(idx) == 0:
                 break
+            steps += len(idx)
             if before is not None:
-                before(idx, cur, lambda f: per_chunk(f, bounds))
-            nxt = tables.step(cur, uniforms(bounds))
+                before(idx, cur, lambda f: draw(f, bounds))
+            nxt = tables.step(cur, draw(_uniforms, bounds))
             if stop is None:
                 # a tail step comes back to the vertex it left with
                 # probability lam and escapes for good otherwise
-                done = np.zeros(len(idx), dtype=bool)
-                t_pos = np.flatnonzero(nxt == TAIL)
+                done = nxt == TAIL
+                t_pos = np.flatnonzero(done)
                 if len(t_pos):
-                    back = uniforms(np.searchsorted(t_pos, bounds)) < params.lam
-                    nxt[t_pos] = cur[t_pos]
-                    done[t_pos[~back]] = True
+                    back = draw(_uniforms, np.searchsorted(t_pos, bounds)) < params.lam
+                    nxt[t_pos] = cur.take(t_pos)
+                    done[t_pos[back]] = False
             else:
                 done = nxt >= stop
             if after is not None:
@@ -579,12 +623,12 @@ def _run_paths(
                 bounds = np.searchsorted(idx, starts)
             else:
                 cur = nxt
-        return len(idx)
+        return len(idx), steps
 
     first, second = range(0, CHUNKS // 2), range(CHUNKS // 2, CHUNKS)
     if firsts[second.start] == samples or not _can_fork():
-        return run_half(first) + run_half(second)
-    overflowed = _shared(1, np.int64)
+        return tuple(map(sum, zip(run_half(first), run_half(second))))
+    counts = _shared(2, np.int64)  # the child's cut paths and transitions
     pid = os.fork()
     if pid == 0:
         # The child runs element-wise numpy code only: no BLAS (whose worker
@@ -592,14 +636,14 @@ def _run_paths(
         # skips the flush of stdout buffers inherited from the parent, which
         # would print the parent's pending output twice.
         try:
-            overflowed[0] = run_half(second)
+            counts[:] = run_half(second)
             status = 0
         except BaseException:
             status = 1
         finally:
             os._exit(status)
     try:
-        cut = run_half(first)
+        cut, steps = run_half(first)
         _, status = os.waitpid(pid, 0)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -607,15 +651,16 @@ def _run_paths(
         raise
     if status != 0:
         raise RuntimeError(f"the second half of the walk's paths failed (wait status {status})")
-    return cut + int(overflowed[0])
+    return cut + int(counts[0]), steps + int(counts[1])
 
 
-def _mean_summary(x: np.ndarray, overflowed: int) -> dict:
+def _mean_summary(x: np.ndarray, overflowed: int, path_steps: int) -> dict:
     return {
         "mean": float(x.mean()),
         "stderr": float(x.std(ddof=1) / math.sqrt(len(x))),
         "paths": len(x),
         "overflowed": overflowed,
+        "path_steps": path_steps,
     }
 
 
@@ -623,7 +668,8 @@ def green_oo(params: WalkParams, mode: str = "exact") -> dict:
     """Expected visits to the root, target 1/(1 - lam).
 
     exact mode: closure bracket {lower, upper}; mc mode: path average with
-    standard error, path count and the number of paths cut at step_cap.
+    standard error, path count, the number of paths cut at step_cap and the
+    transitions drawn (`path_steps`).
     MC paths live on the ball of radius params.depth_cut with tail
     excursions resolved exactly, so the estimator is unbiased for the
     infinite graph.
@@ -641,14 +687,15 @@ def green_oo(params: WalkParams, mode: str = "exact") -> dict:
         visits[idx[nxt == 0]] += 1
 
     tables = build_tables(params)
-    overflowed = _run_paths(tables, params, params.samples, after=count_root)
-    return _mean_summary(visits.astype(float), overflowed)
+    counts = _run_paths(tables, params, params.samples, after=count_root)
+    return _mean_summary(visits.astype(float), *counts)
 
 
 def boundary_hit_distribution(params: WalkParams, m: int, samples: Optional[int] = None) -> dict:
     """Empirical distribution of the level-m prefix of the first word reached
     at the working depth params.depth_cut (the finite-budget proxy for the
-    limit word).  `samples` defaults to params.samples."""
+    limit word), with the paths cut at step_cap and the transitions drawn.
+    `samples` defaults to params.samples."""
     depth_cut = params.depth_cut
     if m < 1 or m >= depth_cut:
         raise ValueError("need 1 <= m < depth_cut")
@@ -661,7 +708,9 @@ def boundary_hit_distribution(params: WalkParams, m: int, samples: Optional[int]
         prefix[idx[done]] = (nxt[done] - _level_offset(depth_cut)) // 3 ** (depth_cut - m)
 
     tables = build_tables(params)
-    overflowed = _run_paths(tables, params, samples, stop_level=depth_cut, after=record_prefix)
+    overflowed, path_steps = _run_paths(
+        tables, params, samples, stop_level=depth_cut, after=record_prefix
+    )
     counts = np.bincount(prefix[prefix >= 0], minlength=3 ** m)
     used = int(counts.sum())
     freqs = counts / used if used else counts.astype(float)
@@ -671,6 +720,7 @@ def boundary_hit_distribution(params: WalkParams, m: int, samples: Optional[int]
         "freqs": freqs,
         "samples_used": used,
         "overflowed": overflowed,
+        "path_steps": path_steps,
     }
 
 
@@ -783,8 +833,8 @@ def ctrw_truncation_bias(params: WalkParams, depth: int) -> float:
 
 def ctrw_lifetime(params: WalkParams, samples: Optional[int] = None) -> dict:
     """Mean and standard error of the simulated total holding time, with the
-    path count and the number of paths cut at step_cap; `samples` defaults
-    to params.samples.
+    path count, the number of paths cut at step_cap and the transitions
+    drawn; `samples` defaults to params.samples.
 
     Tail excursions are resolved exactly, so the only systematic error is
     the holding time the walk would have spent below the working depth
@@ -803,11 +853,12 @@ def ctrw_lifetime(params: WalkParams, samples: Optional[int] = None) -> dict:
     t = _shared(samples, np.float64)
 
     def hold(idx, cur, draw):
-        scale = inv_rate[cur]
-        t[idx] += draw(lambda rng, sl: rng.standard_exponential(sl.stop - sl.start) * scale[sl])
+        times = draw(lambda rng, out: rng.standard_exponential(out=out))
+        times *= inv_rate.take(cur)
+        t[idx] += times
 
-    overflowed = _run_paths(tables, params, samples, before=hold)
-    return _mean_summary(t, overflowed)
+    counts = _run_paths(tables, params, samples, before=hold)
+    return _mean_summary(t, *counts)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ at a time.  The package keeps only the fixed-scale numerators of a
 `VertexGraph` and reads vertex ids from its corner table; `point`, `address`,
 `ids_of` and `id_of` read a graph's arrays the slow, independent way.
 The profile f is evaluated here by its self-similarity, one `Fraction` per
-abscissa, against the package's integer fold.
+abscissa, against the package's integer fold.  The walk's step is taken here
+by comparing each uniform with every threshold of its row, against the
+package's guide table.
 """
 from __future__ import annotations
 
@@ -224,3 +226,14 @@ def sg_harmonic_corner_numerators(boundary, n: int) -> tuple[np.ndarray, int]:
             for children in ((5 * x, m01, m02), (m01, 5 * y, m12), (m02, m12, 5 * z))
         )
     return np.stack([x, y, z], axis=1), start.den * 5 ** n
+
+
+def walk_step(tables, states: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Next vertex of each path of a `WalkTables` walk: the column is the
+    count of the row's thresholds (its cumulative probabilities but the
+    last, 1.0) below the path's uniform."""
+    c = tables.cls[states]
+    flat = states * tables.nbr.shape[1]
+    for col in tables.cum[:, :-1].T:
+        flat += col[c] < u
+    return tables.nbr.ravel()[flat]

@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from fractalforms.kinds import FractalKind
+from fractalforms import geometry
 from fractalforms.geometry import cached_vertex_graph, vertex_scale
 from fractalforms.energies import (
     CellFunction,
@@ -18,6 +19,7 @@ from fractalforms.energies import (
     float_values,
     restrict_to_level,
     sc_pointwise_energy_Dn,
+    sg_graph_energy_An,
     sg_pointwise_energy_Bn,
 )
 from fractalforms.harmonic import sc_good_function, sg_harmonic
@@ -27,6 +29,7 @@ from fractalforms.besov import (
     BesovParams,
     JumpKernelParams,
     _fold,
+    _level_energy,
     besov_double_integral_mc,
     besov_partial_sum,
     besov_partial_terms,
@@ -326,6 +329,53 @@ def test_cellgraph_terms_on_carpet_are_cell_average_energies():
         u_n = good if n == 3 else restrict_to_level(good, cached_vertex_graph(SC, n))
         e = cellgraph_edge_energy(CellFunction(SC, n, float_values(cell_averages(u_n, n).values)))
         assert term == besov_weight(SC, 2.0, n) * float(e)
+
+
+def _as_floats(u):
+    return VertexFunction(u.graph, u.as_float_array())
+
+
+def _restricted_cellgraph_energy(u, n):
+    # the level energy of the cell-graph form as it was computed before it
+    # read the corner means from u's own graph: u restricted to level n's graph
+    kind = u.graph.kind
+    if n != u.graph.level:
+        u = restrict_to_level(u, cached_vertex_graph(kind, n))
+    if kind is SG:
+        return sg_graph_energy_An(u, n)
+    return cellgraph_edge_energy(CellFunction(SC, n, float_values(cell_averages(u, n).values)))
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        lambda: sg_harmonic(0, 1, 0, 6),
+        lambda: sg_harmonic(0.123457, -0.654321, 0.999999, 6),
+        lambda: _as_floats(sg_harmonic(0, 1, 0, 6)),
+        lambda: sc_good_function(3).fn,
+    ],
+    ids=["sg-exact", "sg-exact-wide", "sg-float", "sc"],
+)
+def test_cellgraph_energies_read_corner_means_from_the_top_graph(monkeypatch, u):
+    fn = u()
+    kind, top = fn.graph.kind, fn.graph.level
+    built = []
+    corner_graph = geometry._corner_graph
+
+    def counted(kind, n, *cells):
+        built.append((kind, n))
+        return corner_graph(kind, n, *cells)
+
+    monkeypatch.setattr(geometry, "_corner_graph", counted)
+    cached_vertex_graph.cache_clear()
+    got = [_level_energy(fn, n, BesovForm.CELLGRAPH) for n in range(1, top + 1)]
+    assert built == []  # no coarser vertex graph is built
+    want = [_restricted_cellgraph_energy(fn, n) for n in range(1, top + 1)]
+    assert [type(e) for e in got] == [type(e) for e in want]
+    if kind is SG and fn.is_exact:
+        assert all(isinstance(e, Fraction) for e in got) and got == want
+    else:
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize(

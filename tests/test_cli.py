@@ -28,7 +28,14 @@ from fractalforms.geometry import vertex_graph
 from fractalforms.kinds import FractalKind
 from fractalforms.cli import _build_parser, main, run
 from fractalforms.reporting import ExperimentReport, experiment_id, fmt_float
-from fractalforms.treewalk import WalkParams, build_tables, ctrw_truncation_bias
+from fractalforms.treewalk import (
+    WalkParams,
+    boundary_hit_distribution,
+    build_tables,
+    ctrw_lifetime,
+    ctrw_truncation_bias,
+    green_oo,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -1448,14 +1455,25 @@ def test_cli_walk_mc_provenance_only_in_meta(tmp_path, capsys):
                    "--samples", "300", "--depth-cut", "6", "--m", "1")
     assert rc == 0
     meta, data_path = _walk_files(out)
-    bias = ctrw_truncation_bias(WalkParams(lam=0.5, c=0.25), 6)
+    params = WalkParams(lam=0.5, c=0.25, samples=300, depth_cut=6)
+    bias = ctrw_truncation_bias(params, 6)
+    # the transitions each estimator drew, as an in-process call counts them
+    steps = {
+        "green_oo": green_oo(params, "mc")["path_steps"],
+        "hit_dist": boundary_hit_distribution(params, m=1)["path_steps"],
+        "lifetime": ctrw_lifetime(params)["path_steps"],
+    }
+    assert all(n >= 300 for n in steps.values())
     assert meta["provenance"]["mc"] == {
-        "green_oo": {"paths": 300, "overflowed": 0},
-        "hit_dist": {"paths": 300, "overflowed": 0},
-        "lifetime": {"paths": 300, "overflowed": 0, "truncation_bias": bias},
+        "green_oo": {"paths": 300, "overflowed": 0, "path_steps": steps["green_oo"]},
+        "hit_dist": {"paths": 300, "overflowed": 0, "path_steps": steps["hit_dist"]},
+        "lifetime": {
+            "paths": 300, "overflowed": 0, "path_steps": steps["lifetime"], "truncation_bias": bias,
+        },
     }
     assert 0.0 < bias < 1e-4
     assert "overflowed" not in data_path.read_text()
+    assert "path_steps" not in data_path.read_text()
     assert "step_cap" not in capsys.readouterr().err
 
 

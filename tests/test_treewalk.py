@@ -20,6 +20,7 @@ from fractalforms.treewalk import (
     _closure,
     _closure_solves,
     _edge_arrays,
+    _edge_blocks,
     _graph_distance,
     _level_offset,
     _levels,
@@ -456,6 +457,42 @@ def test_closure_certificate_peak_memory_is_a_few_ball_vectors():
     assert peak <= 16 * 8 * _level_offset(depth + 1)
 
 
+# sha256 of each closure's edge arrays (dtype name, then bytes; ground, then
+# tail) at depth 7, recorded when every level's horizontal edges were one block
+EDGE_ARRAYS_DIGEST = "75bc9091384487fdf9b298505211f87d12f4870aa127867cd3a8fd4b1362cc7a"
+
+
+def _closure_residuals(depth):
+    return [r for *_, r in _closure_solves.__wrapped__(0.5, 2.0, 0.3, depth)]
+
+
+@pytest.mark.parametrize("block", [treewalk.EDGE_BLOCK, 100, 7])
+def test_horizontal_edge_slices_leave_the_closures_unchanged(monkeypatch, block):
+    # each level's horizontal edges come as contiguous slices of at most
+    # EDGE_BLOCK edges; the edge arrays and the certificates keep their bits
+    depth = 7
+    params = _params(lam=0.5, C1=2.0, C2=0.3, depth_cut=depth)
+    whole = _closure_residuals(depth)
+    monkeypatch.setattr(treewalk, "EDGE_BLOCK", block)
+    per_level = [len(cell_graph(FractalKind.SG, n).edges) for n in range(1, depth + 1)]
+    slices = [min(block, e - a) for e in per_level for a in range(0, e, block)]
+    h = hashlib.sha256()
+    for mode in ("ground", "tail"):
+        sizes = [len(ii) for ii, _, _ in _edge_blocks(params, depth, mode)]
+        assert sizes[depth : depth + len(slices)] == slices
+        assert len(sizes) == depth + len(slices) + (mode == "tail")
+        for a in _edge_arrays(params, depth, mode):
+            h.update(str(a.dtype).encode())
+            h.update(a.tobytes())
+    assert h.hexdigest() == EDGE_ARRAYS_DIGEST
+    assert _closure_residuals(depth) == whole
+
+
+def test_depth_cut_10_has_one_horizontal_block_per_level():
+    blocks = _edge_blocks(_params(depth_cut=10), 10, "tail")
+    assert sum(1 for _ in blocks) == 10 + 10 + 1
+
+
 # sha256 of the seeded outputs below, recorded from the three per-estimator
 # loops the engine replaced, run on their default 4 streams Philox(key=[seed, k])
 MC_DIGEST = "7435a5ea82adda360e8e255ecfe737e5ad3c213db7cfaad026b2ec7af4f5846c"
@@ -493,7 +530,7 @@ def test_mc_engine_reproduces_recorded_streams_at_depth_10():
 
 def test_green_and_lifetime_return_the_same_keys():
     p = _params(c=0.25, samples=200, depth_cut=5)
-    keys = {"mean", "stderr", "paths", "overflowed"}
+    keys = {"mean", "stderr", "paths", "overflowed", "path_steps"}
     assert set(green_oo(p, mode="mc")) == keys
     assert set(ctrw_lifetime(p)) == keys
 

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import walk_step
 
 from fractalforms import treewalk
 from fractalforms.treewalk import (
@@ -29,7 +30,9 @@ MODES = [pytest.param(True, id="forked", marks=needs_fork), pytest.param(False, 
 
 
 def _single_loop(tables, params, samples, *, stop_level=None, before=None, after=None):
-    """The engine before the split: one lockstep loop over all chunks."""
+    """The engine before the split and the guide table: one lockstep loop
+    over all chunks, stepping by the threshold comparisons of the oracle
+    step; returns the paths cut at step_cap and the transitions drawn."""
     base, extra = divmod(samples, CHUNKS)
     firsts = np.cumsum([0] + [base + (k < extra) for k in range(CHUNKS)])
     rngs = [np.random.Generator(np.random.Philox(key=[params.seed, k])) for k in range(CHUNKS)]
@@ -46,12 +49,14 @@ def _single_loop(tables, params, samples, *, stop_level=None, before=None, after
     idx = np.arange(samples)
     cur = np.zeros(samples, dtype=np.int32)
     bounds = firsts
+    steps = 0
     for _ in range(params.step_cap):
         if len(idx) == 0:
             break
+        steps += len(idx)
         if before is not None:
             before(idx, cur, lambda f: per_chunk(f, bounds))
-        nxt = tables.step(cur, uniforms(bounds))
+        nxt = walk_step(tables, cur, uniforms(bounds))
         if stop is None:
             done = np.zeros(len(idx), dtype=bool)
             t_pos = np.flatnonzero(nxt == TAIL)
@@ -69,7 +74,7 @@ def _single_loop(tables, params, samples, *, stop_level=None, before=None, after
             bounds = np.searchsorted(idx, firsts)
         else:
             cur = nxt
-    return len(idx)
+    return len(idx), steps
 
 
 def _oracle_estimates(params, m):
@@ -82,14 +87,14 @@ def _oracle_estimates(params, m):
     def count_root(idx, nxt, done):
         visits[idx[nxt == 0]] += 1
 
-    green_cut = _single_loop(tables, params, n, after=count_root)
+    green_counts = _single_loop(tables, params, n, after=count_root)
 
     counts = np.zeros(3 ** m, dtype=np.int64)
 
     def count_prefix(idx, nxt, done):
         np.add.at(counts, (nxt[done] - _level_offset(cut)) // 3 ** (cut - m), 1)
 
-    hit_cut = _single_loop(tables, params, n, stop_level=cut, after=count_prefix)
+    hit_counts = _single_loop(tables, params, n, stop_level=cut, after=count_prefix)
 
     c, lam3 = params.require_c(), 3.0 * params.lam
     inv_rate = np.empty(tables.pi.shape)
@@ -102,12 +107,12 @@ def _oracle_estimates(params, m):
         scale = inv_rate[cur]
         t[idx] += draw(lambda rng, sl: rng.standard_exponential(sl.stop - sl.start) * scale[sl])
 
-    life_cut = _single_loop(tables, params, n, before=hold)
+    life_counts = _single_loop(tables, params, n, before=hold)
 
     return {
-        "green": (visits.astype(float), green_cut),
-        "hit": (counts, hit_cut),
-        "life": (t, life_cut),
+        "green": (visits.astype(float), *green_counts),
+        "hit": (counts, *hit_counts),
+        "life": (t, *life_counts),
     }
 
 
@@ -118,12 +123,13 @@ def _case(samples, lam, depth):
     return params, m, _oracle_estimates(params, m)
 
 
-def _summary(x, cut):
+def _summary(x, cut, steps):
     return {
         "mean": float(x.mean()),
         "stderr": float(x.std(ddof=1) / math.sqrt(len(x))),
         "paths": len(x),
         "overflowed": cut,
+        "path_steps": steps,
     }
 
 
@@ -140,9 +146,10 @@ def test_halves_give_the_single_loop_bits(monkeypatch, forked, samples, lam, dep
     _fork(monkeypatch, forked)
     assert green_oo(params, mode="mc") == _summary(*want["green"])
     hit = boundary_hit_distribution(params, m=m)
-    counts, hit_cut = want["hit"]
+    counts, hit_cut, hit_steps = want["hit"]
     assert np.array_equal(hit["counts"], counts) and hit["counts"].dtype == np.int64
     assert hit["overflowed"] == hit_cut and hit["samples_used"] == int(counts.sum())
+    assert hit["path_steps"] == hit_steps
     assert ctrw_lifetime(params) == _summary(*want["life"])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
