@@ -6,9 +6,11 @@ self-similar measures, estimated by Monte Carlo.  One Monte Carlo pass serves
 a whole beta grid: the draws, distances and value differences depend on
 (u, samples, seed, kind, depth) only, and each beta weights them in turn.
 Each sample is a pair of depth-digit words with a common prefix; every drawn
-digit block is folded once (one gather and one dot product), and the prefix
-cancels from the pair's coordinate difference, so it is folded only for the
-values: as a rank for graph-bound data, as coordinates for a callable.
+digit block is ranked once in base n_maps (one dot product), and its
+coordinate offsets are read at that rank from the tables of all words of its
+length, so no digit is folded twice.  The prefix cancels from the pair's
+coordinate difference, so it is folded only for the values: as a rank for
+graph-bound data, as coordinates for a callable.
 Graph-bound data is read at each sampled cell's base corner through the
 cell's rank among the level-`depth` words, so any depth up to the data's
 level is sampled correctly.  The estimator uses depth * (samples // depth)
@@ -36,7 +38,7 @@ from .energies import (
     sc_pointwise_energy_Dn,
     sg_pointwise_energy_Bn,
 )
-from .geometry import VertexGraph, cached_vertex_graph, float_sq_dist, vertex_scale
+from .geometry import VertexGraph, _cells, cached_vertex_graph, float_sq_dist, vertex_scale
 from .kinds import SG_BETA_STAR, FractalKind
 from .networks import fit_log_geometric
 
@@ -58,9 +60,13 @@ __all__ = [
 
 MC_DEPTH_DEFAULT = {FractalKind.SG: 12, FractalKind.SC: 8}
 
-# most Monte Carlo samples a run may ask for: 10^7 peak at 380-490 MB, about
-# 40 B a sample over a run at the default 200,000, and take 5-6 s (2-core VM)
+# most Monte Carlo samples a run may ask for: 10^7 peak at 390-490 MB, 30-40 B
+# a sample over a run at the default 200,000, and take 1.4-1.9 s (2-core VM)
 MC_SAMPLES_CAP = 10_000_000
+
+# longest digit block the Monte Carlo folds by one table lookup: its words
+# number at most 4,096, so the fold tables stay small whatever the depth
+FOLD_BLOCK = {FractalKind.SG: 7, FractalKind.SC: 4}
 
 
 class BesovForm(Enum):
@@ -161,18 +167,49 @@ def besov_partial_sum(u, params: BesovParams) -> float:
 # coincide) contribute zero; that truncation error is the acknowledged bias
 # of the depth cutoff.
 
-def _fold(digits: np.ndarray, base: int, table: Optional[np.ndarray] = None) -> np.ndarray:
-    """Each row of `digits` (m x L) folded as g <- base * g + table[digit]
-    (table: the identity when None), in one gather and one dot product with
-    the powers base**(L-1), ..., 1; a zero-width block folds to 0."""
-    vals = digits if table is None else table[digits]
-    return vals @ base ** np.arange(digits.shape[1] - 1, -1, -1)
+def _fold(digits: np.ndarray, base: int) -> np.ndarray:
+    """Each row of `digits` (m x L) read as a number in `base`, by one dot
+    product with the powers base**(L-1), ..., 1: in base n_maps, the rank of
+    the row's word among the words of length L; a zero-width block folds to
+    0."""
+    return digits @ base ** np.arange(digits.shape[1] - 1, -1, -1)
+
+
+def _blocks(
+    digits: np.ndarray, kind: FractalKind, lead: Optional[np.ndarray] = None
+) -> list[tuple[int, np.ndarray]]:
+    """The rows of `digits` (m x L), after the digits `lead` when given, cut
+    into blocks of at most FOLD_BLOCK[kind] digits, the short one first,
+    each ranked once in base n_maps: [(length, ranks), ...]."""
+    b, K = FOLD_BLOCK[kind], kind.n_maps
+    cut = digits.shape[1] % b
+    blocks = [(b, _fold(digits[:, s : s + b], K)) for s in range(cut, digits.shape[1], b)]
+    first = _fold(digits[:, :cut], K)
+    if lead is not None:  # the lead digit joins the short block
+        blocks.insert(0, (cut + 1, lead * K ** cut + first))
+    elif cut or not blocks:  # the short block, or a zero-width word's
+        blocks.insert(0, (cut, first))
+    return blocks
+
+
+def _fold_blocks(blocks, base: int, tables: Optional[dict] = None) -> np.ndarray:
+    """The words of `blocks` folded left to right as g <- base**n * g + t[r],
+    t the table of the words of length n (the identity when None).  With the
+    offset tables of geometry._cells this is the column fold g <- base * g +
+    o[digit], which every block boundary matches."""
+    (n, r), *rest = blocks
+    g = r if tables is None else tables[n][r]
+    for n, r in rest:
+        g = base ** n * g + (r if tables is None else tables[n][r])
+    return g
 
 
 def _deepest_lattice_depth(kind: FractalKind) -> int:
     """The deepest sampling depth whose integers fit in int64: the corner
     numerators corner_mul * g, with g folded from depth digits of offsets
-    up to max(ox, oy), and the prefix's place value base**depth."""
+    up to max(ox, oy), and the prefix's place value base**depth.  A block
+    fold's partial sums are the column fold's at its block boundaries, so
+    they stay below the same bound."""
     lat, d = kind.lattice, 2
     top = lat.corner_mul * max(lat.ox + lat.oy)
     while max(top * (lat.base ** d - 1) // (lat.base - 1), lat.base ** d) < 2 ** 63:
@@ -208,11 +245,18 @@ def besov_double_integral_mc(
     depth) samples are used and the remainder is not drawn.
 
     Stratum k's words share a prefix of length k, then differ in digits d1,
-    d2 and free tails of length t.  Each drawn block is folded once, and the
-    prefix cancels from the coordinate difference corner_mul * (base**t *
-    (o[d1] - o[d2]) + g(tail1) - g(tail2)), so it is folded only where the
-    values need it.  Graph-bound data caps the depth at its own level and
-    reads each sample's base-corner value by its cell's rank among the
+    d2 and free tails of length t.  The prefix and each word below it (d1
+    then its tail, d2 then its tail) are cut into blocks of at most
+    FOLD_BLOCK[kind] digits (7 on the gasket, 4 on the carpet), and each
+    block is ranked once in base n_maps.  Its offsets g = (gx, gy) are read
+    at that rank from geometry._cells' table of all words of its length, and
+    the blocks of a longer word fold as g <- base**len * g + table[rank]:
+    the integers of the column fold g <- base * g + o[digit], from tables of
+    at most 4,096 words whatever the depth.  The prefix cancels from the
+    coordinate difference corner_mul * (g(d1 tail1) - g(d2 tail2)), so it
+    is folded only where the values need it; graph-bound values read the
+    same ranks.  Graph-bound data caps the depth at its own level and reads
+    each sample's base-corner value by its cell's rank among the
     level-`depth` words, so any depth up to the graph's level reads the
     right vertices; coordinate callables are evaluated at the base corner's
     absolute coordinates, at any depth whose numerators fit in int64 (up to
@@ -255,7 +299,10 @@ def besov_double_integral_mc(
 
     lat = kind.lattice
     K, base, mul = kind.n_maps, kind.base, lat.corner_mul
-    ox, oy = np.array(lat.ox), np.array(lat.oy)
+    # the offsets of all words of each block length, in word order
+    tx, ty = {}, {}
+    for n in range(min(FOLD_BLOCK[kind], depth) + 1):
+        tx[n], ty[n] = _cells(kind, n)
     if graph_fn is not None:
         base_values = graph_fn.as_float_array()[
             corner_ids_at_level(graph_fn.graph, depth)[:, 0]
@@ -270,39 +317,36 @@ def besov_double_integral_mc(
     est = [0.0] * len(betas)
     var = [0.0] * len(betas)
     for k in range(depth):
-        # common prefix of length k, distinct next digits, free tails
+        # common prefix of length k, distinct next digits, free tails; the
+        # digits are ranked as they are drawn, and only their ranks kept
         p_k = (1.0 - 1.0 / K) / K ** k
-        common = rng.integers(0, K, size=(per, k))
+        head = _blocks(rng.integers(0, K, size=(per, k)), kind)
         d1 = rng.integers(0, K, size=per)
-        shift = rng.integers(1, K, size=per)
-        d2 = (d1 + shift) % K
+        d2 = (d1 + rng.integers(1, K, size=per)) % K
         tail_len = depth - k - 1
-        t1 = rng.integers(0, K, size=(per, tail_len))
-        t2 = rng.integers(0, K, size=(per, tail_len))
-        # each word's offset below the common prefix, which cancels from the
-        # coordinate difference: its digit, then its tail
-        top = base ** tail_len
-        x1 = top * ox[d1] + _fold(t1, base, ox)
-        y1 = top * oy[d1] + _fold(t1, base, oy)
-        x2 = top * ox[d2] + _fold(t2, base, ox)
-        y2 = top * oy[d2] + _fold(t2, base, oy)
+        w1 = _blocks(rng.integers(0, K, size=(per, tail_len)), kind, d1)
+        w2 = _blocks(rng.integers(0, K, size=(per, tail_len)), kind, d2)
+        # the offsets of each word below the common prefix, which cancels
+        # from the coordinate difference
+        x1, y1 = _fold_blocks(w1, base, tx), _fold_blocks(w1, base, ty)
+        x2, y2 = _fold_blocks(w2, base, tx), _fold_blocks(w2, base, ty)
         sq = float_sq_dist(kind, mul * (x1 - x2), mul * (y1 - y2), scale)
         if graph_fn is not None:
-            head = _fold(common, K) * K ** (tail_len + 1)
-            low = K ** tail_len
+            head_rank = _fold_blocks(head, K) * K ** (tail_len + 1)
             du = (
-                base_values[head + low * d1 + _fold(t1, K)]
-                - base_values[head + low * d2 + _fold(t2, K)]
+                base_values[head_rank + _fold_blocks(w1, K)]
+                - base_values[head_rank + _fold_blocks(w2, K)]
             )
         else:
-            hx = _fold(common, base, ox) * (top * base)
-            hy = _fold(common, base, oy) * (top * base)
+            hx = _fold_blocks(head, base, tx) * base ** (tail_len + 1)
+            hy = _fold_blocks(head, base, ty) * base ** (tail_len + 1)
             du = value(hx + x1, hy + y1) - value(hx + x2, hy + y2)
-        for i, expo in enumerate(expos):
-            # past a large enough beta the integrand, or its squares in the
-            # variance, leave the float range: the variance is then inf or nan
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                f = np.where(sq > 0.0, du * du / sq ** expo, 0.0)
+        # past a large enough beta the integrand, or its squares in the
+        # variance, leave the float range: the variance is then inf or nan
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            du2, apart = du * du, sq > 0.0
+            for i, expo in enumerate(expos):
+                f = np.where(apart, du2 / sq ** expo, 0.0)
                 est[i] += p_k * float(f.mean())
                 var[i] += p_k ** 2 * float(f.var(ddof=1)) / per
     pairs = [

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from fractalforms.kinds import FractalKind
-from fractalforms import geometry
+from fractalforms import besov, geometry
 from fractalforms.geometry import cached_vertex_graph, vertex_scale
 from fractalforms.energies import (
     CellFunction,
@@ -27,8 +27,10 @@ from fractalforms.besov import (
     SG_BETA_STAR,
     BesovForm,
     BesovParams,
+    FOLD_BLOCK,
     JumpKernelParams,
-    _fold,
+    _blocks,
+    _fold_blocks,
     _level_energy,
     besov_double_integral_mc,
     besov_partial_sum,
@@ -211,19 +213,33 @@ def _oracle_mc(u, betas, samples, seed, kind, depth):
 _GRAPH_SG = lambda: sg_harmonic(0, 1, Fraction(1, 3), 6)
 _GRAPH_SC = lambda: sc_good_function(3).fn
 _CALLABLE = lambda: (lambda x, y: x * x + y)
+# level 9 is past the gasket's 7-digit fold block: tails and prefixes span two
+_GRAPH_SG_DEEP = lambda: sg_harmonic(0, 1, Fraction(1, 3), 9)
 
 
 @pytest.mark.parametrize(
     "make, kind, depth",
-    # depth 1, depth 2, below the graph's level, at it (None: the default)
+    # depth 1, depth 2, below the graph's level, at it (None: the default);
+    # then words of two blocks, and the deepest depths the int64 lattice holds
     [(_GRAPH_SG, SG, d) for d in (1, 2, 4, None)]
     + [(_GRAPH_SC, SC, d) for d in (1, 2, None)]
-    + [(_CALLABLE, kind, d) for kind in (SG, SC) for d in (1, 2, 5, None)],
+    + [(_CALLABLE, kind, d) for kind in (SG, SC) for d in (1, 2, 5, None)]
+    + [(_GRAPH_SG_DEEP, SG, None), (_CALLABLE, SG, 62), (_CALLABLE, SC, 39)],
     ids=[f"sg-graph-{d}" for d in (1, 2, 4, "default")]
     + [f"sc-graph-{d}" for d in (1, 2, "default")]
-    + [f"{k}-callable-{d}" for k in ("sg", "sc") for d in (1, 2, 5, "default")],
+    + [f"{k}-callable-{d}" for k in ("sg", "sc") for d in (1, 2, 5, "default")]
+    + ["sg-graph-9", "sg-callable-62", "sc-callable-39"],
 )
-def test_mc_block_folds_equal_the_column_fold(make, kind, depth):
+def test_mc_block_folds_equal_the_column_fold(make, kind, depth, monkeypatch):
+    # the fold tables are read from geometry._cells, never past the block
+    # length, so they hold at most 4,096 words whatever the depth
+    lengths = []
+
+    def cells(k, n, *args):
+        lengths.append(n)
+        return geometry._cells(k, n, *args)
+
+    monkeypatch.setattr(besov, "_cells", cells)
     u = make()
     betas = (0.9, 2.0, 3.0, 1500.0)  # 1500: the variance overflows, (inf, inf)
     with warnings.catch_warnings():
@@ -233,6 +249,8 @@ def test_mc_block_folds_equal_the_column_fold(make, kind, depth):
     assert got == _oracle_mc(u, betas, 3_000, 4, kind, used)
     assert got[-1] == (math.inf, math.inf)
     assert all(math.isfinite(e) and e > 0 for e, _ in got[:-1])
+    assert lengths and max(lengths) == min(FOLD_BLOCK[kind], used)
+    assert kind.n_maps ** FOLD_BLOCK[kind] <= 4096
 
 
 @given(
@@ -244,20 +262,29 @@ def test_mc_block_folds_equal_the_column_fold(make, kind, depth):
 )
 @settings(max_examples=80, deadline=None)
 def test_fold_of_blocks_equals_the_column_fold(kind, rows, prefix, block, seed):
-    # a word split into prefix and block folds to prefix * base**len(block)
-    # + block; block = 0 is the zero-width tail of the last stratum
+    # a word split into prefix and tail, each ranked block by block and read
+    # through the _cells tables, folds to prefix * base**len(tail) + tail,
+    # with the tail's first digit ranked alone or as the lead of its digits;
+    # block = 0 is the zero-width tail of the last stratum
     digits = np.random.default_rng(seed).integers(0, kind.n_maps, size=(rows, prefix + block))
-    head, tail = digits[:, :prefix], digits[:, prefix:]
+    head, rest = digits[:, :prefix], digits[:, prefix:]
+    tails = [_blocks(rest, kind)]
+    if block:
+        tails.append(_blocks(rest[:, 1:], kind, rest[:, 0]))
+    head = _blocks(head, kind)
     lat = kind.lattice
     gx, gy, rank = _anchor_coords(kind, digits)
+    tables = [geometry._cells(kind, n) for n in range(FOLD_BLOCK[kind] + 1)]
     up = kind.base ** block
-    for offsets, g in ((lat.ox, gx), (lat.oy, gy)):
-        table = np.array(offsets)
-        folded = _fold(head, kind.base, table) * up + _fold(tail, kind.base, table)
-        assert np.array_equal(lat.corner_mul * folded, g)
     K = kind.n_maps
-    assert np.array_equal(_fold(head, K) * K ** block + _fold(tail, K), rank)
-    assert _fold(tail, K).shape == (rows,)
+    for tail in tails:
+        assert all(n <= FOLD_BLOCK[kind] for n, _ in head + tail)
+        for c, g in ((0, gx), (1, gy)):
+            table = {n: t[c] for n, t in enumerate(tables)}
+            folded = _fold_blocks(head, kind.base, table) * up + _fold_blocks(tail, kind.base, table)
+            assert np.array_equal(lat.corner_mul * folded, g)
+        assert np.array_equal(_fold_blocks(head, K) * K ** block + _fold_blocks(tail, K), rank)
+        assert _fold_blocks(tail, K).shape == (rows,)
 
 
 @pytest.mark.parametrize(

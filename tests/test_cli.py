@@ -620,6 +620,12 @@ DATA_DIGESTS = (
      "f2e9aa85692e8f3a61e1f9052855f50a8f928a2e6ed3b58c2a1e93476b188ec5"),
     (("besov", "--kind", "sg", "--depth", "6"),
      "fe41523b6670d6fa5c473144641141f39b47787712cad669c1ed67209e4c51ba"),
+    # a callable at the default sampling depth 12: its prefixes span two
+    # fold blocks
+    (("besov", "--kind", "sg", "--depth", "6", "--function", "x"),
+     "06662aa52e56c54d14918bad2f514873bae07e3e8dbac67af307c722386f5acc"),
+    (("besov", "--kind", "sc", "--depth", "4"),
+     "07be08e0d49bcc88f6efece504d0d7ed05f7aa02357c9e6a8572d6b6b8bfe535"),
     (("energy", "--kind", "sc", "--levels", "1..4"),
      "9fae53ed24fab4948a0bfbd4c04f5e8bbee7472ce44a64bfe56535c1fa3e7896"),
     (("walk", "--lambda", "0.5", "--c", "0.25", "--samples", "20000", "--depth-cut", "10"),
