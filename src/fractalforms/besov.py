@@ -179,17 +179,16 @@ def _blocks(
     digits: np.ndarray, kind: FractalKind, lead: Optional[np.ndarray] = None
 ) -> list[tuple[int, np.ndarray]]:
     """The rows of `digits` (m x L), after the digits `lead` when given, cut
-    into blocks of at most FOLD_BLOCK[kind] digits, the short one first,
-    each ranked once in base n_maps: [(length, ranks), ...]."""
+    into blocks of at most FOLD_BLOCK[kind] digits, the short one (maybe of
+    zero width) first, each ranked once in base n_maps: [(length, ranks),
+    ...]."""
     b, K = FOLD_BLOCK[kind], kind.n_maps
     cut = digits.shape[1] % b
     blocks = [(b, _fold(digits[:, s : s + b], K)) for s in range(cut, digits.shape[1], b)]
     first = _fold(digits[:, :cut], K)
     if lead is not None:  # the lead digit joins the short block
-        blocks.insert(0, (cut + 1, lead * K ** cut + first))
-    elif cut or not blocks:  # the short block, or a zero-width word's
-        blocks.insert(0, (cut, first))
-    return blocks
+        return [(cut + 1, lead * K ** cut + first)] + blocks
+    return [(cut, first)] + blocks
 
 
 def _fold_blocks(blocks, base: int, tables: Optional[dict] = None) -> np.ndarray:
